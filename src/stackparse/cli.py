@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 
 from . import evaluation, langmodel, parser as parsing, stacking, tagger as tagging
 from .config import RunConfig, load_config
@@ -148,10 +149,7 @@ def _cmd_parse(args) -> int:
     sentences = _read_treebank(args.input)
     parsed = []
     for sentence in sentences:
-        result = parsing.parse(model, sentence, decoder=decoder)
-        if decoder == "greedy" and not parsing.heads_form_tree(result.heads):
-            # CoNLL-U requires trees; repair non-tree greedy output via MST.
-            result = parsing.parse(model, sentence, decoder="mst")
+        result = parsing.parse(model, sentence, decoder=decoder, repair=True)
         parsed.append(sentence.with_tree(result.heads, result.deprels))
     write_text_atomic(args.out, write_conllu(parsed))
     print(f"parsed {len(parsed)} sentences with {decoder} decoding -> {args.out}")
@@ -430,6 +428,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:
+        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
+        return 2
+    except zipfile.BadZipFile as exc:
+        print(f"error: not a model archive: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,21 @@ blob, vocabulary manifests (token per line, index = line number), and a
 `meta.txt` of `key = value` hyperparameters.  Stacked archives embed both
 parameter sets with `base/` and `target/` name prefixes.  Writes are
 atomic (temp file + rename); round trips are bit-exact.
+
+`params.bin` is stored uncompressed: deflate makes float64 weights only
+~5% smaller but a save ~30x slower.  Saving streams each array into the
+member; loading reads it once and copies each slice into its tensor once,
+checking its shape.  Archives whose `params.bin` is deflated still load.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import time
 import zipfile
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,27 +48,9 @@ def write_text_atomic(path: str, text: str) -> None:
     _write_atomic(path, writer)
 
 
-def _meta_text(items: dict[str, object]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in items.items())
-
-
-def _parse_meta(text: str) -> dict[str, str]:
-    meta = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
-    return meta
-
-
 def _vocab_text(vocab: dict[str, int]) -> str:
     ordered = sorted(vocab.items(), key=lambda kv: kv[1])
     return "".join(f"{token}\n" for token, _ in ordered)
-
-
-def _list_text(items) -> str:
-    return "".join(f"{item}\n" for item in items)
 
 
 def _read_lines(archive: zipfile.ZipFile, name: str) -> list[str]:
@@ -73,214 +63,148 @@ def _read_vocab(archive: zipfile.ZipFile, name: str) -> dict[str, int]:
     return {token: i for i, token in enumerate(_read_lines(archive, name))}
 
 
-def _collect_params(model, prefix: str = "") -> dict[str, np.ndarray]:
-    params = {f"{prefix}{k}": t.data for k, t in model.parameters().items()}
-    for k, arr in model.constants().items():
-        params[f"{prefix}const/{k}"] = arr
-    return params
+@dataclass(frozen=True)
+class _Spec:
+    """How one model class is laid out in an archive.
+
+    `meta` names the constructor keywords kept in `meta.txt`.  `subs` are
+    embedded models, stored under `<attr>.` meta keys and `<attr>/`
+    members.  A spec with `params` also owns, under `prefix`, one
+    `<name>.txt` member per label tuple in `lists` and per (member,
+    attribute) vocabulary in `vocabs`, a pretrained table, and the
+    parameters `params` returns.  The constructor takes the sub-models,
+    lists and vocabularies positionally, in that order.
+    """
+
+    kind: str
+    cls: type
+    meta: tuple[str, ...]
+    lists: tuple[str, ...] = ()
+    vocabs: tuple[tuple[str, str], ...] = ()
+    params: Callable[[object], dict[str, nc.Tensor]] | None = None
+    prefix: str = ""
+    subs: tuple[tuple[str, "_Spec"], ...] = ()
 
 
-def _tagger_meta(model: TaggerModel) -> dict[str, object]:
-    return {
-        "word_dim": model.word_dim, "char_dim": model.char_dim,
-        "att_dim": model.att_dim, "hidden": model.hidden,
-        "layers": model.layers, "window": model.window,
-        "dropout": model.dropout, "extra_input_dim": model.extra_input_dim,
-        "pretrained_dim": model.pretrained.dim,
-        "best_epoch": model.best_epoch if model.best_epoch is not None else "",
-    }
+_TAGGER = _Spec("tagger", TaggerModel,
+                ("word_dim", "char_dim", "att_dim", "hidden", "layers", "window",
+                 "dropout", "extra_input_dim"),
+                ("tags",), (("words", "word_vocab"), ("chars", "char_vocab")),
+                TaggerModel.parameters)
+_PARSER = _Spec("parser", ParserModel,
+                ("word_dim", "tag_dim", "hidden", "layers", "d_arc", "d_rel", "dropout"),
+                ("rels", "tags"), (("words", "word_vocab"),), ParserModel.parameters)
+_SPECS = (
+    _TAGGER, _PARSER,
+    _Spec("stacked-tagger", StackedTagger, ("train_base_embeddings",),
+          subs=(("base", _TAGGER), ("target", _TAGGER))),
+    _Spec("stacked-parser", StackedParser,
+          ("train_base_embeddings", "word_dim", "tag_dim", "hidden", "layers", "dropout"),
+          ("rels", "tags"), (("words", "word_vocab"),), StackedParser.target_parameters,
+          prefix="target/", subs=(("base", _PARSER),)),
+)
+_META_TYPES = {"dropout": float, "train_base_embeddings": lambda v: v == "True"}
 
 
-def _parser_meta(model: ParserModel) -> dict[str, object]:
-    return {
-        "word_dim": model.word_dim, "tag_dim": model.tag_dim,
-        "hidden": model.hidden, "layers": model.layers,
-        "d_arc": model.d_arc, "d_rel": model.d_rel,
-        "dropout": model.dropout, "pretrained_dim": model.pretrained.dim,
-        "best_epoch": model.best_epoch if model.best_epoch is not None else "",
-    }
+def _meta(spec: _Spec, model, key_prefix: str = "") -> dict[str, object]:
+    items = {f"{key_prefix}{k}": getattr(model, k) for k in spec.meta}
+    if spec.params:
+        items[f"{key_prefix}pretrained_dim"] = model.pretrained.dim
+        best = model.best_epoch
+        items[f"{key_prefix}best_epoch"] = "" if best is None else best
+    for attr, sub in spec.subs:
+        items.update(_meta(sub, getattr(model, attr), f"{key_prefix}{attr}."))
+    return items
 
 
-def _restore_params(model, stored: dict[str, np.ndarray], prefix: str = "") -> None:
-    for name, tensor in model.parameters().items():
-        arr = stored[f"{prefix}{name}"]
+def _contents(spec: _Spec, model,
+              path: str = "") -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Text members and parameter arrays, both keyed by archive name."""
+    texts: dict[str, str] = {}
+    arrays: dict[str, np.ndarray] = {}
+    for attr, sub in spec.subs:
+        sub_texts, sub_arrays = _contents(sub, getattr(model, attr), f"{path}{attr}/")
+        texts.update(sub_texts)
+        arrays.update(sub_arrays)
+    if spec.params:
+        own = path + spec.prefix
+        for name in spec.lists:
+            texts[f"{own}{name}.txt"] = "".join(f"{item}\n" for item in getattr(model, name))
+        for name, attr in spec.vocabs:
+            texts[f"{own}{name}.txt"] = _vocab_text(getattr(model, attr))
+        texts[f"{own}pretrained_vocab.txt"] = _vocab_text(model.pretrained.vocab)
+        arrays.update({f"{own}{k}": t.data for k, t in spec.params(model).items()})
+        arrays[f"{own}const/pretrained_table"] = model.pretrained.matrix
+    return texts, arrays
+
+
+def _build(spec: _Spec, meta: dict[str, str], archive: zipfile.ZipFile,
+           stored: dict[str, np.ndarray], path: str = ""):
+    subs = []
+    for attr, sub in spec.subs:
+        cut = len(attr) + 1
+        sub_meta = {k[cut:]: v for k, v in meta.items() if k.startswith(f"{attr}.")}
+        subs.append(_build(sub, sub_meta, archive, stored, f"{path}{attr}/"))
+    kwargs = {k: _META_TYPES.get(k, int)(meta[k]) for k in spec.meta}
+    if not spec.params:
+        return spec.cls(*subs, **kwargs)
+    own = path + spec.prefix
+    lists = [_read_lines(archive, f"{own}{name}.txt") for name in spec.lists]
+    vocabs = [_read_vocab(archive, f"{own}{name}.txt") for name, _ in spec.vocabs]
+    table = stored.get(f"{own}const/pretrained_table")
+    pretrained = None
+    if table is not None and table.size:
+        # A copy, so the table does not keep the whole blob alive.
+        pretrained = PretrainedEmbeddings(
+            _read_vocab(archive, f"{own}pretrained_vocab.txt"), table.astype(np.float64))
+    model = spec.cls(*subs, *lists, *vocabs, pretrained=pretrained, rng=None, **kwargs)
+    if meta.get("best_epoch"):
+        model.best_epoch = int(meta["best_epoch"])
+    for name, tensor in spec.params(model).items():
+        arr = stored[f"{own}{name}"]
         if arr.shape != tensor.data.shape:
-            raise ValueError(f"stored parameter {prefix}{name} has shape "
+            raise ValueError(f"stored parameter {own}{name} has shape "
                              f"{arr.shape}, expected {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype, copy=True)
-
-
-def _pretrained_from(stored: dict[str, np.ndarray], vocab: dict[str, int],
-                     prefix: str = "") -> PretrainedEmbeddings:
-    table = stored.get(f"{prefix}const/pretrained_table")
-    if table is None or table.size == 0:
-        return PretrainedEmbeddings.empty()
-    return PretrainedEmbeddings(vocab, table)
-
-
-def _build_tagger(meta: dict[str, str], tags, word_vocab, char_vocab,
-                  pretrained) -> TaggerModel:
-    model = TaggerModel(
-        tags, word_vocab, char_vocab, pretrained=pretrained,
-        word_dim=int(meta["word_dim"]), char_dim=int(meta["char_dim"]),
-        att_dim=int(meta["att_dim"]), hidden=int(meta["hidden"]),
-        layers=int(meta["layers"]), window=int(meta["window"]),
-        dropout=float(meta["dropout"]),
-        extra_input_dim=int(meta["extra_input_dim"]), rng=None,
-    )
-    if meta.get("best_epoch"):
-        model.best_epoch = int(meta["best_epoch"])
-    return model
-
-
-def _build_parser(meta: dict[str, str], rels, tags, word_vocab,
-                  pretrained) -> ParserModel:
-    model = ParserModel(
-        rels, tags, word_vocab, pretrained=pretrained,
-        word_dim=int(meta["word_dim"]), tag_dim=int(meta["tag_dim"]),
-        hidden=int(meta["hidden"]), layers=int(meta["layers"]),
-        d_arc=int(meta["d_arc"]), d_rel=int(meta["d_rel"]),
-        dropout=float(meta["dropout"]), rng=None,
-    )
-    if meta.get("best_epoch"):
-        model.best_epoch = int(meta["best_epoch"])
+        tensor.data = arr.astype(tensor.data.dtype)
     return model
 
 
 def save_model(path: str, model) -> None:
-    members: dict[str, str] = {}
-    if isinstance(model, TaggerModel):
-        meta = {"type": "tagger", **_tagger_meta(model)}
-        members["tags.txt"] = _list_text(model.tags)
-        members["words.txt"] = _vocab_text(model.word_vocab)
-        members["chars.txt"] = _vocab_text(model.char_vocab)
-        members["pretrained_vocab.txt"] = _vocab_text(model.pretrained.vocab)
-        params = _collect_params(model)
-    elif isinstance(model, ParserModel):
-        meta = {"type": "parser", **_parser_meta(model)}
-        members["rels.txt"] = _list_text(model.rels)
-        members["tags.txt"] = _list_text(model.tags)
-        members["words.txt"] = _vocab_text(model.word_vocab)
-        members["pretrained_vocab.txt"] = _vocab_text(model.pretrained.vocab)
-        params = _collect_params(model)
-    elif isinstance(model, StackedTagger):
-        meta = {"type": "stacked-tagger",
-                "train_base_embeddings": model.train_base_embeddings}
-        meta.update({f"base.{k}": v for k, v in _tagger_meta(model.base).items()})
-        meta.update({f"target.{k}": v for k, v in _tagger_meta(model.target).items()})
-        members["base/tags.txt"] = _list_text(model.base.tags)
-        members["base/words.txt"] = _vocab_text(model.base.word_vocab)
-        members["base/chars.txt"] = _vocab_text(model.base.char_vocab)
-        members["base/pretrained_vocab.txt"] = _vocab_text(model.base.pretrained.vocab)
-        members["target/tags.txt"] = _list_text(model.target.tags)
-        members["target/words.txt"] = _vocab_text(model.target.word_vocab)
-        members["target/chars.txt"] = _vocab_text(model.target.char_vocab)
-        members["target/pretrained_vocab.txt"] = _vocab_text(model.target.pretrained.vocab)
-        params = _collect_params(model.base, "base/")
-        params.update(_collect_params(model.target, "target/"))
-    elif isinstance(model, StackedParser):
-        meta = {"type": "stacked-parser",
-                "train_base_embeddings": model.train_base_embeddings,
-                "word_dim": model.word_dim, "tag_dim": model.tag_dim,
-                "hidden": model.hidden, "layers": model.layers,
-                "dropout": model.dropout, "pretrained_dim": model.pretrained.dim,
-                "best_epoch": model.best_epoch if model.best_epoch is not None else ""}
-        meta.update({f"base.{k}": v for k, v in _parser_meta(model.base).items()})
-        members["base/rels.txt"] = _list_text(model.base.rels)
-        members["base/tags.txt"] = _list_text(model.base.tags)
-        members["base/words.txt"] = _vocab_text(model.base.word_vocab)
-        members["base/pretrained_vocab.txt"] = _vocab_text(model.base.pretrained.vocab)
-        members["target/rels.txt"] = _list_text(model.rels)
-        members["target/tags.txt"] = _list_text(model.tags)
-        members["target/words.txt"] = _vocab_text(model.word_vocab)
-        members["target/pretrained_vocab.txt"] = _vocab_text(model.pretrained.vocab)
-        params = _collect_params(model.base, "base/")
-        params.update({f"target/{k}": t.data
-                       for k, t in model.target_parameters().items()})
-        params["target/const/pretrained_table"] = model.pretrained.matrix
-    else:
+    spec = next((s for s in _SPECS if isinstance(model, s.cls)), None)
+    if spec is None:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
-
-    manifest, blob = nc.params_to_manifest_blob(params)
+    meta = {"type": spec.kind, **_meta(spec, model)}
+    texts, params = _contents(spec, model)
+    manifest, arrays = nc.manifest_arrays(params)
 
     def writer(temp_path):
         with zipfile.ZipFile(temp_path, "w", zipfile.ZIP_DEFLATED) as archive:
-            archive.writestr("meta.txt", _meta_text(meta))
-            for name, text in members.items():
+            archive.writestr("meta.txt", "".join(f"{k} = {v}\n" for k, v in meta.items()))
+            for name, text in texts.items():
                 archive.writestr(name, text)
             archive.writestr("manifest.txt", manifest)
-            archive.writestr("params.bin", blob)
+            # Known size up front, so zipfile decides zip64 before writing.
+            info = zipfile.ZipInfo("params.bin", time.localtime()[:6])
+            info.compress_type = zipfile.ZIP_STORED
+            info.file_size = sum(arr.nbytes for arr in arrays)
+            with archive.open(info, "w") as member:
+                for arr in arrays:
+                    member.write(arr)
 
     _write_atomic(path, writer)
 
 
 def load_model(path: str):
     with zipfile.ZipFile(path) as archive:
-        meta = _parse_meta(archive.read("meta.txt").decode("utf-8"))
-        manifest = archive.read("manifest.txt").decode("utf-8")
-        blob = archive.read("params.bin")
-        stored = nc.manifest_blob_to_params(manifest, blob)
-        kind = meta["type"]
-        if kind == "tagger":
-            model = _build_tagger(
-                meta, _read_lines(archive, "tags.txt"),
-                _read_vocab(archive, "words.txt"),
-                _read_vocab(archive, "chars.txt"),
-                _pretrained_from(stored, _read_vocab(archive, "pretrained_vocab.txt")))
-            _restore_params(model, stored)
-            return model
-        if kind == "parser":
-            model = _build_parser(
-                meta, _read_lines(archive, "rels.txt"),
-                _read_lines(archive, "tags.txt"),
-                _read_vocab(archive, "words.txt"),
-                _pretrained_from(stored, _read_vocab(archive, "pretrained_vocab.txt")))
-            _restore_params(model, stored)
-            return model
-        if kind == "stacked-tagger":
-            base_meta = {k[5:]: v for k, v in meta.items() if k.startswith("base.")}
-            target_meta = {k[7:]: v for k, v in meta.items() if k.startswith("target.")}
-            base = _build_tagger(
-                base_meta, _read_lines(archive, "base/tags.txt"),
-                _read_vocab(archive, "base/words.txt"),
-                _read_vocab(archive, "base/chars.txt"),
-                _pretrained_from(stored, _read_vocab(archive, "base/pretrained_vocab.txt"),
-                                 "base/"))
-            _restore_params(base, stored, "base/")
-            target = _build_tagger(
-                target_meta, _read_lines(archive, "target/tags.txt"),
-                _read_vocab(archive, "target/words.txt"),
-                _read_vocab(archive, "target/chars.txt"),
-                _pretrained_from(stored, _read_vocab(archive, "target/pretrained_vocab.txt"),
-                                 "target/"))
-            _restore_params(target, stored, "target/")
-            return StackedTagger(base, target,
-                                 meta["train_base_embeddings"] == "True")
-        if kind == "stacked-parser":
-            base_meta = {k[5:]: v for k, v in meta.items() if k.startswith("base.")}
-            base = _build_parser(
-                base_meta, _read_lines(archive, "base/rels.txt"),
-                _read_lines(archive, "base/tags.txt"),
-                _read_vocab(archive, "base/words.txt"),
-                _pretrained_from(stored, _read_vocab(archive, "base/pretrained_vocab.txt"),
-                                 "base/"))
-            _restore_params(base, stored, "base/")
-            stacked = StackedParser(
-                base, _read_lines(archive, "target/rels.txt"),
-                _read_lines(archive, "target/tags.txt"),
-                _read_vocab(archive, "target/words.txt"),
-                pretrained=_pretrained_from(stored,
-                                            _read_vocab(archive, "target/pretrained_vocab.txt"),
-                                            "target/"),
-                word_dim=int(meta["word_dim"]), tag_dim=int(meta["tag_dim"]),
-                hidden=int(meta["hidden"]), layers=int(meta["layers"]),
-                dropout=float(meta["dropout"]),
-                train_base_embeddings=meta["train_base_embeddings"] == "True",
-                rng=None)
-            for name, tensor in stacked.target_parameters().items():
-                arr = stored[f"target/{name}"]
-                tensor.data = arr.astype(tensor.data.dtype, copy=True)
-            if meta.get("best_epoch"):
-                stacked.best_epoch = int(meta["best_epoch"])
-            return stacked
-        raise ValueError(f"unknown model type {kind!r} in {path}")
+        meta = {}
+        for line in archive.read("meta.txt").decode("utf-8").splitlines():
+            if line.strip():
+                key, _, value = line.partition("=")
+                meta[key.strip()] = value.strip()
+        kind = meta.get("type")
+        spec = next((s for s in _SPECS if s.kind == kind), None)
+        if spec is None:
+            raise ValueError(f"unknown model type {kind!r} in {path}")
+        stored = nc.manifest_views(archive.read("manifest.txt").decode("utf-8"),
+                                   archive.read("params.bin"))
+        return _build(spec, meta, archive, stored)

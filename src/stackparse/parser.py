@@ -396,8 +396,12 @@ def decode_mst(arc_scores: np.ndarray, single_root: bool = False) -> list[int]:
 
 
 def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = None,
-          decoder: str = "greedy") -> ParseResult:
-    """Decode heads with the chosen decoder, then labels given those heads."""
+          decoder: str = "greedy", repair: bool = False) -> ParseResult:
+    """Decode heads with the chosen decoder, then labels given those heads.
+
+    With repair=True, greedy heads that do not form a tree are replaced by
+    the single-rooted MST of the same scores, as CoNLL-U output needs trees.
+    """
     if decoder not in ("greedy", "mst"):
         raise ValueError(f"unknown decoder {decoder!r}")
     tags = tuple(tags) if tags is not None else sentence.upos
@@ -407,7 +411,7 @@ def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = N
     np.fill_diagonal(scores, -np.inf)
     if decoder == "greedy":
         heads = decode_greedy(scores)
-    else:
+    if decoder == "mst" or (repair and not heads_form_tree(heads)):
         heads = decode_mst(scores, single_root=True)
     with nc.no_grad():
         labels = model.label_scores(fw.rel_dep, fw.rel_head, heads).data

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
+from stackparse.embeddings import PretrainedEmbeddings
 from stackparse.modelio import load_model, save_model
+from stackparse.parser import ParserModel
 from stackparse.parser import parse as parse_model_fn
+from stackparse.stacking import StackedParser, StackedTagger
+from stackparse.tagger import TaggerModel
 from stackparse.tagger import tag as tag_fn
 from stackparse.treebank import parse_conllu, write_conllu
 from util import make_sentence
@@ -238,6 +244,117 @@ def test_wrong_model_type_is_rejected(workdir, capsys):
                "--input", workdir / "tb.conllu", "--out", workdir / "x.conllu")
     assert code == 2
     assert "not a parser archive" in capsys.readouterr().err
+
+
+# -- model archives ---------------------------------------------------------------------
+
+
+def archive_model(kind):
+    """A seeded model of one archive kind, with pretrained tables."""
+    rng = np.random.default_rng(5)
+    vocab = {"the": 0, "cat": 1, "sat": 2}
+    tags, rels = ["DET", "NOUN", "VERB"], ["det", "nsubj", "root"]
+    pretrained = PretrainedEmbeddings(vocab, rng.normal(size=(3, 4)))
+    chars = {c: i for i, c in enumerate("acehst")}
+    tagger = dict(pretrained=pretrained, word_dim=3, char_dim=2, att_dim=2, hidden=4, rng=rng)
+    parser = dict(pretrained=pretrained, word_dim=3, tag_dim=2, hidden=4, layers=1, rng=rng)
+    base_tagger = TaggerModel(tags, vocab, chars, **tagger)
+    base_parser = ParserModel(rels, tags, vocab, d_arc=3, d_rel=2, **parser)
+    base_parser.best_epoch = 4
+    if kind == "tagger":
+        return base_tagger
+    if kind == "parser":
+        return base_parser
+    if kind == "stacked-tagger":
+        target = TaggerModel(tags, vocab, chars, extra_input_dim=3, **tagger)
+        return StackedTagger(base_tagger, target, True)
+    return StackedParser(base_parser, rels, tags, vocab, **parser)
+
+
+def model_arrays(model):
+    """Every parameter and pretrained table of a model, by name."""
+    if isinstance(model, (StackedTagger, StackedParser)):
+        params = model.all_parameters()
+        parts = {"base/": model.base, "target/": getattr(model, "target", model)}
+    else:
+        params, parts = model.parameters(), {"": model}
+    arrays = {name: t.data for name, t in params.items()}
+    arrays.update({f"{prefix}pretrained": part.pretrained.matrix
+                   for prefix, part in parts.items()})
+    return arrays
+
+
+def assert_same_arrays(model, clone):
+    expected, actual = model_arrays(model), model_arrays(clone)
+    assert expected.keys() == actual.keys()
+    for name, arr in expected.items():
+        assert actual[name].dtype == arr.dtype, name
+        assert actual[name].shape == arr.shape, name
+        assert actual[name].tobytes() == arr.tobytes(), name
+
+
+ARCHIVE_KINDS = ["tagger", "parser", "stacked-tagger", "stacked-parser"]
+
+
+@pytest.mark.parametrize("kind", ARCHIVE_KINDS)
+def test_archive_round_trip_bit_exact_for_every_kind(tmp_path, kind):
+    model = archive_model(kind)
+    save_model(str(tmp_path / "m"), model)
+    clone = load_model(str(tmp_path / "m"))
+    assert type(clone) is type(model)
+    assert_same_arrays(model, clone)
+    if kind == "parser":
+        assert clone.best_epoch == 4
+    if kind == "stacked-tagger":
+        assert clone.train_base_embeddings is True
+    # a second save writes the same members: vocabularies, meta and blob
+    save_model(str(tmp_path / "again"), clone)
+    with zipfile.ZipFile(tmp_path / "m") as a, zipfile.ZipFile(tmp_path / "again") as b:
+        assert a.namelist() == b.namelist()
+        for name in a.namelist():
+            assert a.read(name) == b.read(name), name
+
+
+@pytest.mark.parametrize("kind", ARCHIVE_KINDS)
+def test_archive_params_stored_and_deflated_archives_still_load(tmp_path, kind):
+    model = archive_model(kind)
+    save_model(str(tmp_path / "m"), model)
+    deflated = tmp_path / "deflated"
+    with zipfile.ZipFile(tmp_path / "m") as archive:
+        assert archive.getinfo("params.bin").compress_type == zipfile.ZIP_STORED
+        with zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as old_style:
+            for name in archive.namelist():
+                old_style.writestr(name, archive.read(name))
+    with zipfile.ZipFile(deflated) as archive:
+        assert archive.getinfo("params.bin").compress_type == zipfile.ZIP_DEFLATED
+    assert_same_arrays(model, load_model(str(deflated)))
+
+
+def test_stacked_parser_archive_is_shape_checked(workdir, capsys):
+    model = archive_model("stacked-parser")
+    model.u_arc.data = model.u_arc.data[:-1]
+    path = workdir / "bad-shape.model"
+    save_model(str(path), model)
+    with pytest.raises(ValueError, match="target/u_arc has shape"):
+        load_model(str(path))
+    assert run("parse", "--model", path, "--input", workdir / "tb.conllu",
+               "--out", workdir / "x.conllu") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stored parameter target/u_arc") and err.count("\n") == 1
+
+
+def test_bad_archive_paths_are_diagnostics(workdir, capsys):
+    save_model(str(workdir / "good.model"), archive_model("parser"))
+    data = (workdir / "good.model").read_bytes()
+    (workdir / "truncated.model").write_bytes(data[:len(data) // 2])
+    (workdir / "dir.model").mkdir()
+    for model, message in ((workdir / "tb.conllu", "error: not a model archive"),
+                           (workdir / "truncated.model", "error: not a model archive"),
+                           (workdir / "dir.model", "error: is a directory")):
+        assert run("parse", "--model", model, "--input", workdir / "tb.conllu",
+                   "--out", workdir / "x.conllu") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
 
 
 # -- corpus selection commands ---------------------------------------------------------------

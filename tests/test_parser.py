@@ -387,6 +387,19 @@ def test_parse_purity_and_shapes(tiny_cfg):
         parse(model, sentence, decoder="beam")
 
 
+def test_parse_repair_decodes_mst_from_the_same_forward_pass():
+    model = small_parser()
+    sentence = make_sentence(["the", "cat", "sat"], ["DET", "NOUN", "VERB"])
+    assert not heads_form_tree(parse(model, sentence).heads)
+    mst = parse(model, sentence, decoder="mst")
+    forward, calls = model.forward_full, []
+    model.forward_full = lambda *args: calls.append(args) or forward(*args)
+    repaired = parse(model, sentence, repair=True)
+    assert len(calls) == 1
+    assert is_tree(repaired.heads)
+    assert repaired.heads == mst.heads and repaired.deprels == mst.deprels
+
+
 def test_head_softmax_normalizes(tiny_cfg):
     model = small_parser()
     forms, tags = ["the", "cat", "sat"], ["DET", "NOUN", "VERB"]
