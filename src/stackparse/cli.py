@@ -12,6 +12,7 @@ the selected best epoch alongside the model.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import zipfile
 
@@ -202,11 +203,10 @@ def _cmd_jackknife(args) -> int:
     config = _effective_config(args)
     treebank = _read_treebank(args.train)
     pretrained = _load_pretrained(args)
-    fold_counter = [0]
+    fold_seeds = itertools.count(config.seed)
 
     def trainer(train_sents):
-        fold_config = config.updated({"seed": str(config.seed + fold_counter[0])})
-        fold_counter[0] += 1
+        fold_config = config.updated({"seed": str(next(fold_seeds))})
         model = tagging.train_tagger(train_sents, [], fold_config, pretrained=pretrained)
         return lambda s: tagging.tag(model, s).tags
 
@@ -222,11 +222,10 @@ def _cmd_crossfold(args) -> int:
     config = _effective_config(args)
     treebank = _read_treebank(args.treebank)
     pretrained = _load_pretrained(args)
-    fold_counter = [0]
+    fold_seeds = itertools.count(config.seed)
 
     def trainer(train_sents, dev_sents):
-        fold_config = config.updated({"seed": str(config.seed + fold_counter[0])})
-        fold_counter[0] += 1
+        fold_config = config.updated({"seed": str(next(fold_seeds))})
         model = parsing.train_parser(train_sents, dev_sents, fold_config,
                                      pretrained=pretrained)
 
@@ -437,6 +436,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:  # NonFiniteError, NaN gradients
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

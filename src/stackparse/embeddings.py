@@ -31,6 +31,7 @@ class PretrainedEmbeddings:
 def load_embeddings(path: str) -> PretrainedEmbeddings:
     vocab: dict[str, int] = {}
     rows: list[list[float]] = []
+    line_nos: list[int] = []
     dim = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -49,9 +50,14 @@ def load_embeddings(path: str) -> PretrainedEmbeddings:
                 continue
             vocab[token] = len(rows)
             rows.append([float(v) for v in values])
+            line_nos.append(line_no)
     if dim is None:
         return PretrainedEmbeddings.empty()
-    return PretrainedEmbeddings(vocab, np.array(rows, dtype=np.float64))
+    matrix = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{line_nos[bad[0]]}: non-finite embedding value")
+    return PretrainedEmbeddings(vocab, matrix)
 
 
 def write_embeddings(path: str, vocab: dict[str, int], matrix: np.ndarray) -> None:

@@ -204,14 +204,19 @@ def cross_fold_validate(treebank: list[Sentence], folds: int, trainer: ParserTra
                         dev_fraction_of_heldout: float = 0.5, seed: int = 0,
                         include_punct: bool = True) -> CrossFoldReport:
     """k-fold evaluation where part of each held-out fold serves as the
-    development set and the rest as the test set."""
+    development set and the rest as the test set.  Raises ValueError
+    before any training when a fold would have no test sentences."""
     partition = make_folds(len(treebank), folds, seed)
+    dev_sizes = [int(len(fold) * dev_fraction_of_heldout + 0.5) for fold in partition]
+    for number, (fold, n_dev) in enumerate(zip(partition, dev_sizes), start=1):
+        if n_dev >= len(fold):
+            raise ValueError(f"fold {number} of {folds} has no test sentences: all "
+                             f"{len(fold)} held-out sentences go to its dev set")
     fold_uas, fold_las = [], []
-    for fold in partition:
+    for fold, n_dev in zip(partition, dev_sizes):
         heldout = set(fold)
         train = [s for i, s in enumerate(treebank) if i not in heldout]
         held = [treebank[i] for i in fold]
-        n_dev = int(len(held) * dev_fraction_of_heldout + 0.5)
         dev, test = held[:n_dev], held[n_dev:]
         predict = trainer(train, dev)
         predicted = [predict(s) for s in test]

@@ -1,10 +1,13 @@
-"""Adagrad with L2 regularization folded into the gradient."""
+"""Adagrad with L2 regularization folded into the gradient, and the
+epoch loop every trainer runs on it."""
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, zero_grads
 
 
 class AdagradState:
@@ -52,3 +55,33 @@ def adagrad_update(state: AdagradState, params: dict[str, np.ndarray],
         acc += g * g
         p -= state.learning_rate * g / (np.sqrt(acc) + state.epsilon)
     return params
+
+
+def fit(params: dict[str, Tensor], loss_fn: Callable[[object], Tensor],
+        train: Sequence, dev: Sequence, dev_score: Callable[[Sequence], float],
+        config, rng: np.random.Generator) -> tuple[int, float | None]:
+    """Adagrad over `config.epochs` passes of `train`, each in the order of
+    one `rng.permutation`, one update per example.
+
+    With a dev set, `dev_score(dev)` is taken after every epoch and the
+    parameters of the first epoch with the highest score are restored;
+    returns (best epoch, its score).  Without one, the last epoch's
+    parameters stay and the result is (config.epochs, None).
+    """
+    optimizer = AdagradState(config.learning_rate, l2_lambda=config.l2_lambda)
+    best_score, best_epoch, best_params = -1.0, None, None
+    for epoch in range(1, config.epochs + 1):
+        for i in rng.permutation(len(train)):
+            zero_grads(params.values())
+            loss_fn(train[int(i)]).backward()
+            optimizer.apply(params)
+        if dev:
+            score = dev_score(dev)
+            if score > best_score:
+                best_score, best_epoch = score, epoch
+                best_params = {name: t.data.copy() for name, t in params.items()}
+    if best_params is None:
+        return config.epochs, None
+    for name, t in params.items():
+        t.data[...] = best_params[name]
+    return best_epoch, best_score

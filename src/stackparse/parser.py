@@ -21,6 +21,7 @@ import numpy as np
 
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings
+from .evaluation import attachment_scores
 from .numcore import biaffine
 from .tagger import build_vocab
 from .treebank import Sentence, is_tree
@@ -44,6 +45,46 @@ class ParserForward:
     arc_scores: nc.Tensor  # (n+1, n+1), diagonal unmasked
 
 
+_MLP_HEADS = ("arc_dep", "arc_head", "rel_dep", "rel_head")
+
+
+def _glorot(rng: np.random.Generator | None, rows: int, cols: int) -> np.ndarray:
+    return nc.zeros(rows, cols) if rng is None else nc.glorot_uniform(rng, rows, cols)
+
+
+def build_layers(model, rels: Sequence[str], tags: Sequence[str],
+                 word_vocab: dict[str, int], pretrained: PretrainedEmbeddings | None,
+                 word_dim: int, tag_dim: int, hidden: int, layers: int,
+                 d_arc: int, d_rel: int, dropout: float, *, extra_input_dim: int,
+                 rng: np.random.Generator | None) -> None:
+    """Vocabularies, embedding tables, bi-LSTM and MLP heads shared by the
+    base and stacked parsers, drawn from `rng` in that order.  Each
+    position's input gets `extra_input_dim` more features at the end."""
+    model.rels = tuple(rels)
+    model.rel_index = {r: i for i, r in enumerate(model.rels)}
+    model.tags = tuple(tags)
+    model.tag_vocab = {t: i for i, t in enumerate(model.tags)}
+    model.word_vocab = dict(word_vocab)
+    model.pretrained = pretrained or PretrainedEmbeddings.empty()
+    model.word_dim, model.tag_dim, model.hidden, model.layers = word_dim, tag_dim, hidden, layers
+    model.d_arc, model.d_rel, model.dropout = d_arc, d_rel, dropout
+    model.best_epoch = model.dev_uas = None
+    # Reserved rows: unk = v, root = v + 1 (tags: unk = t, root = t + 1).
+    model.word_table = nc.Tensor(nc.zeros(len(word_vocab) + 2, word_dim), requires_grad=True)
+    model.tag_table = nc.Tensor(_glorot(rng, len(model.tags) + 2, tag_dim), requires_grad=True)
+    model.input_dim = model.pretrained.dim + word_dim + tag_dim + extra_input_dim
+    model.lstm_layers = []
+    for layer in range(layers):
+        dim = model.input_dim if layer == 0 else 2 * hidden
+        model.lstm_layers.append((nc.LstmCell(nc.COUPLED, dim, hidden, rng),
+                                  nc.LstmCell(nc.COUPLED, dim, hidden, rng)))
+    model.mlp = {}
+    for name in _MLP_HEADS:
+        out_dim = d_arc if name.startswith("arc") else d_rel
+        model.mlp[name] = (nc.Tensor(_glorot(rng, out_dim, 2 * hidden), requires_grad=True),
+                           nc.Tensor(nc.zeros(out_dim), requires_grad=True))
+
+
 class ParserModel:
     def __init__(self, rels: Sequence[str], tags: Sequence[str],
                  word_vocab: dict[str, int], *,
@@ -52,44 +93,9 @@ class ParserModel:
                  layers: int = 3, d_arc: int = 500, d_rel: int = 100,
                  dropout: float = 0.33,
                  rng: np.random.Generator | None = None):
-        self.rels = tuple(rels)
-        self.rel_index = {r: i for i, r in enumerate(self.rels)}
-        self.tags = tuple(tags)
-        self.tag_vocab = {t: i for i, t in enumerate(self.tags)}
-        self.word_vocab = dict(word_vocab)
-        self.pretrained = pretrained or PretrainedEmbeddings.empty()
-        self.word_dim = word_dim
-        self.tag_dim = tag_dim
-        self.hidden = hidden
-        self.layers = layers
-        self.d_arc = d_arc
-        self.d_rel = d_rel
-        self.dropout = dropout
-        self.best_epoch: int | None = None
-        self.dev_uas: float | None = None
-
-        def glorot(rows, cols):
-            if rng is None:
-                return nc.zeros(rows, cols)
-            return nc.glorot_uniform(rng, rows, cols)
-
-        v = len(word_vocab)
-        t = len(self.tags)
-        # Reserved rows: unk = v, root = v + 1 (tags: unk = t, root = t + 1).
-        self.word_table = nc.Tensor(nc.zeros(v + 2, word_dim), requires_grad=True)
-        self.tag_table = nc.Tensor(glorot(t + 2, tag_dim), requires_grad=True)
-        self.input_dim = self.pretrained.dim + word_dim + tag_dim
-        self.lstm_layers: list[tuple[nc.LstmCell, nc.LstmCell]] = []
-        for layer in range(layers):
-            dim = self.input_dim if layer == 0 else 2 * hidden
-            self.lstm_layers.append((nc.LstmCell(nc.COUPLED, dim, hidden, rng),
-                                     nc.LstmCell(nc.COUPLED, dim, hidden, rng)))
-        self.mlp = {}
-        for name, out_dim in (("arc_dep", d_arc), ("arc_head", d_arc),
-                              ("rel_dep", d_rel), ("rel_head", d_rel)):
-            self.mlp[name] = (nc.Tensor(glorot(out_dim, 2 * hidden), requires_grad=True),
-                              nc.Tensor(nc.zeros(out_dim), requires_grad=True))
-        self.u_arc = nc.Tensor(glorot(d_arc + 1, d_arc), requires_grad=True)
+        build_layers(self, rels, tags, word_vocab, pretrained, word_dim, tag_dim,
+                     hidden, layers, d_arc, d_rel, dropout, extra_input_dim=0, rng=rng)
+        self.u_arc = nc.Tensor(_glorot(rng, d_arc + 1, d_arc), requires_grad=True)
         if rng is None:
             u_rel = nc.zeros(len(self.rels), d_rel + 1, d_rel + 1)
         else:
@@ -136,24 +142,25 @@ class ParserModel:
         return self.tag_vocab.get(tag, len(self.tags))
 
     def input_vectors(self, forms: Sequence[str], upos_tags: Sequence[str],
-                      training: bool = False,
-                      rng: np.random.Generator | None = None) -> list[nc.Tensor]:
-        """Per-position inputs with the artificial root at position 0."""
+                      training: bool = False, rng: np.random.Generator | None = None,
+                      base: ParserForward | None = None) -> list[nc.Tensor]:
+        """Per-position inputs with the artificial root at position 0; a
+        stacked parser passes its base's forward to append its recurrent rows."""
         if len(forms) != len(upos_tags):
             raise ValueError("forms and tags must align")
-        root_word = len(self.word_vocab) + 1
-        root_tag = len(self.tags) + 1
         vecs = []
-        zero_pre = nc.Tensor(np.zeros(self.pretrained.dim)) if self.pretrained.dim else None
-        parts = ([zero_pre] if zero_pre is not None else []) + [
-            nc.row(self.word_table, root_word), nc.row(self.tag_table, root_tag)]
-        vecs.append(nc.concat(parts))
-        for form, tag in zip(forms, upos_tags):
-            parts = []
-            if self.pretrained.dim:
-                parts.append(nc.Tensor(self.pretrained.lookup(form)))
-            parts.append(nc.row(self.word_table, self.word_index(form)))
-            parts.append(nc.row(self.tag_table, self.tag_index(tag)))
+        for position in range(len(forms) + 1):
+            if position == 0:
+                pre = np.zeros(self.pretrained.dim)
+                word, tag = len(self.word_vocab) + 1, len(self.tags) + 1
+            else:
+                form = forms[position - 1]
+                pre = self.pretrained.lookup(form)
+                word, tag = self.word_index(form), self.tag_index(upos_tags[position - 1])
+            parts = [nc.Tensor(pre)] if self.pretrained.dim else []
+            parts += [nc.row(self.word_table, word), nc.row(self.tag_table, tag)]
+            if base is not None:
+                parts.append(nc.row(base.recurrent, position))
             vecs.append(nc.concat(parts))
         if training and self.dropout:
             vecs = [nc.dropout(v, self.dropout, rng) for v in vecs]
@@ -167,23 +174,31 @@ class ParserModel:
             out = nc.dropout(out, self.dropout, rng)
         return out
 
-    def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
-                     training: bool = False,
-                     rng: np.random.Generator | None = None) -> ParserForward:
+    def _forward(self, forms: Sequence[str], upos_tags: Sequence[str], training: bool,
+                 rng: np.random.Generator | None,
+                 base: ParserForward | None = None) -> ParserForward:
+        """Bi-LSTM, MLP heads and arc scores; with a base forward, its
+        recurrent rows join the inputs and its MLP outputs are added."""
         if not forms:
             raise ValueError("cannot parse an empty sentence")
-        vecs = self.input_vectors(forms, upos_tags, training, rng)
+        vecs = self.input_vectors(forms, upos_tags, training, rng, base)
         hs = nc.bilstm_encode(self.lstm_layers, vecs)
         if training and self.dropout:
             hs = [nc.dropout(h, self.dropout, rng) for h in hs]
         recurrent = nc.stack_rows(hs)
-        arc_dep = self._mlp_apply("arc_dep", recurrent, training, rng)
-        arc_head = self._mlp_apply("arc_head", recurrent, training, rng)
-        rel_dep = self._mlp_apply("rel_dep", recurrent, training, rng)
-        rel_head = self._mlp_apply("rel_head", recurrent, training, rng)
+        heads = []
+        for name in _MLP_HEADS:
+            out = self._mlp_apply(name, recurrent, training, rng)
+            heads.append(out if base is None else out + getattr(base, name))
+        arc_dep, arc_head, rel_dep, rel_head = heads
         arc_scores = nc.matmul(nc.matmul(nc.append_ones_col(arc_dep), self.u_arc),
                                nc.transpose(arc_head))
         return ParserForward(recurrent, arc_dep, arc_head, rel_dep, rel_head, arc_scores)
+
+    def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
+                     training: bool = False,
+                     rng: np.random.Generator | None = None) -> ParserForward:
+        return self._forward(forms, upos_tags, training, rng)
 
     def label_scores(self, rel_dep: nc.Tensor, rel_head: nc.Tensor,
                      heads: Sequence[int]) -> nc.Tensor:
@@ -419,14 +434,13 @@ def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = N
     return ParseResult(tuple(heads), deprels, scores)
 
 
-def _parser_uas(model: ParserModel, sentences: list[Sentence], decoder: str) -> float:
-    total = correct = 0
-    for sentence in sentences:
+def dev_uas(model, gold: list[Sentence], decoder: str) -> float:
+    """UAS of `model` on a dev set, for epoch selection."""
+    predicted = []
+    for sentence in gold:
         result = parse(model, sentence, decoder=decoder)
-        for token, head in zip(sentence.tokens, result.heads):
-            total += 1
-            correct += token.head == head
-    return 100.0 * correct / total if total else 0.0
+        predicted.append(sentence.with_tree(result.heads, result.deprels))
+    return attachment_scores(gold, predicted).uas
 
 
 def check_trainable(treebank: list[Sentence]) -> None:
@@ -460,24 +474,7 @@ def train_parser(treebank: list[Sentence], dev: list[Sentence], config,
         d_arc=config.d_arc, d_rel=config.d_rel, dropout=config.parser_dropout,
         rng=rng,
     )
-    params = model.parameters()
-    optimizer = nc.AdagradState(config.learning_rate, l2_lambda=config.l2_lambda)
-    best_uas, best_params, best_epoch = -1.0, None, None
-    for epoch in range(1, config.epochs + 1):
-        for i in rng.permutation(len(treebank)):
-            nc.zero_grads(params.values())
-            loss = model.loss(treebank[int(i)], training=True, rng=rng)
-            loss.backward()
-            optimizer.apply(params)
-        if dev:
-            uas = _parser_uas(model, dev, config.decoder)
-            if uas > best_uas:
-                best_uas, best_epoch = uas, epoch
-                best_params = {name: t.data.copy() for name, t in params.items()}
-    if best_params is not None:
-        for name, t in params.items():
-            t.data[...] = best_params[name]
-        model.best_epoch, model.dev_uas = best_epoch, best_uas
-    else:
-        model.best_epoch = config.epochs
+    model.best_epoch, model.dev_uas = nc.fit(
+        model.parameters(), lambda s: model.loss(s, training=True, rng=rng), treebank, dev,
+        lambda gold: dev_uas(model, gold, config.decoder), config, rng)
     return model

@@ -15,29 +15,30 @@ import numpy as np
 
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings
-from .parser import ParserForward, ParserModel, arc_label_loss
-from .parser import parse as parse_with
-from .tagger import TaggerModel, TagResult, build_vocab, crf_log_likelihood, viterbi_decode
+from .evaluation import tagging_accuracy
+from .parser import ParserForward, ParserModel, build_layers, check_trainable, dev_uas
+from .tagger import TaggerModel, TagResult, build_vocab
 from .treebank import Sentence
+
+# Not called here since the stacked models share the base code; kept because
+# the benchmark's span tracer wraps these names in this module.
+from .parser import arc_label_loss, parse as parse_with  # noqa: F401
+from .tagger import crf_log_likelihood, viterbi_decode  # noqa: F401
 
 TRAINABLE_SCOPES = ("default", "all", "target", "crf")
 
 
-def _scoped(scope: str, target: dict[str, nc.Tensor],
-            base_features: dict[str, nc.Tensor],
-            base_inputs: dict[str, nc.Tensor],
-            train_base_embeddings: bool,
+def _scoped(model, scope: str, target: dict[str, nc.Tensor],
             crf_only: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
+    """The parameters a stacked model trains in `scope`, given the
+    target's parameters and its output-layer subset, under their archive names."""
     if scope not in TRAINABLE_SCOPES:
         raise ValueError(f"unknown trainable scope {scope!r}")
-    if scope == "crf":
-        return dict(crf_only)
-    if scope == "target":
-        return dict(target)
-    params = dict(target)
-    params.update(base_features)
-    if scope == "all" or train_base_embeddings:
-        params.update(base_inputs)
+    params = {f"target/{k}": v for k, v in (crf_only if scope == "crf" else target).items()}
+    if scope in ("default", "all"):
+        params.update({f"base/{k}": v for k, v in model.base.feature_parameters().items()})
+        if scope == "all" or model.train_base_embeddings:
+            params.update({f"base/{k}": v for k, v in model.base.input_parameters().items()})
     return params
 
 
@@ -73,26 +74,15 @@ class StackedTagger:
     def loss(self, sentence: Sentence, training: bool = False,
              rng: np.random.Generator | None = None) -> nc.Tensor:
         inputs = self.stack_inputs(sentence, training, rng)
-        em, _ = self.target.emissions(inputs, training, rng)
-        return crf_log_likelihood(em, self.target.transitions,
-                                  self.target.gold_indices(sentence))
+        return self.target.crf_loss(inputs, sentence, training, rng)
 
     def tag(self, sentence: Sentence) -> TagResult:
         with nc.no_grad():
-            inputs = self.stack_inputs(sentence)
-            em, hidden = self.target.emissions(inputs)
-        path = viterbi_decode(em.data, self.target.transitions.data)
-        return TagResult(tuple(self.target.tags[i] for i in path),
-                         em.data.copy(), hidden.data.copy())
+            return self.target.decode(self.stack_inputs(sentence))
 
     def trainable_parameters(self, scope: str = "default") -> dict[str, nc.Tensor]:
-        target = {f"target/{k}": v for k, v in self.target.parameters().items()}
-        return _scoped(
-            scope, target,
-            {f"base/{k}": v for k, v in self.base.feature_parameters().items()},
-            {f"base/{k}": v for k, v in self.base.input_parameters().items()},
-            self.train_base_embeddings,
-            {"target/transitions": self.target.transitions})
+        return _scoped(self, scope, self.target.parameters(),
+                       {"transitions": self.target.transitions})
 
     def all_parameters(self) -> dict[str, nc.Tensor]:
         params = {f"base/{k}": v for k, v in self.base.parameters().items()}
@@ -126,32 +116,11 @@ def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
         dropout=config.dropout, extra_input_dim=len(base.tags), rng=rng,
     )
     stacked = StackedTagger(base, target, config.train_base_embeddings)
-    params = stacked.trainable_parameters(scope)
-    optimizer = nc.AdagradState(config.learning_rate, l2_lambda=config.l2_lambda)
-    best_acc, best_params, best_epoch = -1.0, None, None
-    for epoch in range(1, config.epochs + 1):
-        for i in rng.permutation(len(treebank)):
-            nc.zero_grads(params.values())
-            loss = stacked.loss(treebank[int(i)], training=True, rng=rng)
-            loss.backward()
-            optimizer.apply(params)
-        if dev:
-            total = correct = 0
-            for sentence in dev:
-                predicted = stacked.tag(sentence).tags
-                for token, ptag in zip(sentence.tokens, predicted):
-                    total += 1
-                    correct += token.upos == ptag
-            acc = 100.0 * correct / total if total else 0.0
-            if acc > best_acc:
-                best_acc, best_epoch = acc, epoch
-                best_params = {k: t.data.copy() for k, t in params.items()}
-    if best_params is not None:
-        for name, t in params.items():
-            t.data[...] = best_params[name]
-        target.best_epoch, target.dev_accuracy = best_epoch, best_acc
-    else:
-        target.best_epoch = config.epochs
+    target.best_epoch, target.dev_accuracy = nc.fit(
+        stacked.trainable_parameters(scope), lambda s: stacked.loss(s, training=True, rng=rng),
+        treebank, dev,
+        lambda gold: tagging_accuracy(gold, [s.with_upos(stacked.tag(s).tags) for s in gold]),
+        config, rng)
     return stacked
 
 
@@ -171,73 +140,36 @@ class StackedParser:
                  layers: int = 1, dropout: float = 0.33,
                  train_base_embeddings: bool = False,
                  rng: np.random.Generator | None = None):
-        self.base = base
-        self.rels = tuple(rels)
-        self.rel_index = {r: i for i, r in enumerate(self.rels)}
-        self.tags = tuple(tags)
-        self.tag_vocab = {t: i for i, t in enumerate(self.tags)}
-        self.word_vocab = dict(word_vocab)
-        self.pretrained = pretrained or PretrainedEmbeddings.empty()
-        self.word_dim = word_dim
-        self.tag_dim = tag_dim
-        self.hidden = hidden
-        self.layers = layers
-        self.dropout = dropout
-        self.train_base_embeddings = train_base_embeddings
-        self.best_epoch: int | None = None
-        self.dev_uas: float | None = None
-        if len(self.rels) != len(base.rels):
+        if len(rels) != len(base.rels):
             raise ValueError("target label inventory size must match the base "
                              "(biaffine tensor copy requires equal shapes)")
-
-        def glorot(rows, cols):
-            if rng is None:
-                return nc.zeros(rows, cols)
-            return nc.glorot_uniform(rng, rows, cols)
-
-        v = len(word_vocab)
-        t = len(self.tags)
-        self.word_table = nc.Tensor(nc.zeros(v + 2, word_dim), requires_grad=True)
-        self.tag_table = nc.Tensor(glorot(t + 2, tag_dim), requires_grad=True)
-        self.input_dim = self.pretrained.dim + word_dim + tag_dim + 2 * base.hidden
-        self.lstm_layers: list[tuple[nc.LstmCell, nc.LstmCell]] = []
-        for layer in range(layers):
-            dim = self.input_dim if layer == 0 else 2 * hidden
-            self.lstm_layers.append((nc.LstmCell(nc.COUPLED, dim, hidden, rng),
-                                     nc.LstmCell(nc.COUPLED, dim, hidden, rng)))
+        self.base = base
+        self.train_base_embeddings = train_base_embeddings
         # Target MLP output dims are forced to the base dims so feature
         # addition is well-typed.
-        self.d_arc, self.d_rel = base.d_arc, base.d_rel
-        self.mlp = {}
-        for name, out_dim in (("arc_dep", self.d_arc), ("arc_head", self.d_arc),
-                              ("rel_dep", self.d_rel), ("rel_head", self.d_rel)):
-            self.mlp[name] = (nc.Tensor(glorot(out_dim, 2 * hidden), requires_grad=True),
-                              nc.Tensor(nc.zeros(out_dim), requires_grad=True))
+        build_layers(self, rels, tags, word_vocab, pretrained, word_dim, tag_dim, hidden,
+                     layers, base.d_arc, base.d_rel, dropout,
+                     extra_input_dim=2 * base.hidden, rng=rng)
+        # Copied, not drawn: a draw here would shift every later use of rng.
         self.u_arc = nc.Tensor(base.u_arc.data.copy(), requires_grad=True)
         self.u_rel = nc.Tensor(base.u_rel.data.copy(), requires_grad=True)
 
-    # -- parameters ----------------------------------------------------------
-
-    def target_parameters(self) -> dict[str, nc.Tensor]:
-        params = {"word_table": self.word_table, "tag_table": self.tag_table}
-        for i, (fwd, bwd) in enumerate(self.lstm_layers):
-            params.update(fwd.parameters(f"lstm{i}/fwd"))
-            params.update(bwd.parameters(f"lstm{i}/bwd"))
-        for name, (w, b) in self.mlp.items():
-            params[f"mlp/{name}/w"] = w
-            params[f"mlp/{name}/b"] = b
-        params["u_arc"] = self.u_arc
-        params["u_rel"] = self.u_rel
-        return params
+    # The target half is a base parser's body.  label_scores is bound in this
+    # class's own namespace, where the benchmark's span tracer looks it up.
+    word_index = ParserModel.word_index
+    tag_index = ParserModel.tag_index
+    input_vectors = ParserModel.input_vectors
+    _mlp_apply = ParserModel._mlp_apply
+    _forward = ParserModel._forward
+    label_scores = ParserModel.label_scores
+    loss = ParserModel.loss
+    input_parameters = ParserModel.input_parameters
+    feature_parameters = ParserModel.feature_parameters
+    scoring_parameters = ParserModel.scoring_parameters
+    target_parameters = ParserModel.parameters
 
     def trainable_parameters(self, scope: str = "default") -> dict[str, nc.Tensor]:
-        target = {f"target/{k}": v for k, v in self.target_parameters().items()}
-        return _scoped(
-            scope, target,
-            {f"base/{k}": v for k, v in self.base.feature_parameters().items()},
-            {f"base/{k}": v for k, v in self.base.input_parameters().items()},
-            self.train_base_embeddings,
-            {"target/u_arc": self.u_arc, "target/u_rel": self.u_rel})
+        return _scoped(self, scope, self.target_parameters(), self.scoring_parameters())
 
     def all_parameters(self) -> dict[str, nc.Tensor]:
         params = {f"base/{k}": v for k, v in self.base.parameters().items()}
@@ -248,79 +180,11 @@ class StackedParser:
         return {"base/pretrained_table": self.base.pretrained.matrix,
                 "target/pretrained_table": self.pretrained.matrix}
 
-    # -- forward --------------------------------------------------------------
-
-    def word_index(self, form: str) -> int:
-        index = self.word_vocab.get(form)
-        if index is None:
-            index = self.word_vocab.get(form.lower())
-        return len(self.word_vocab) if index is None else index
-
-    def input_vectors(self, forms: Sequence[str], upos_tags: Sequence[str],
-                      base_recurrent: nc.Tensor, training: bool = False,
-                      rng: np.random.Generator | None = None) -> list[nc.Tensor]:
-        root_word = len(self.word_vocab) + 1
-        root_tag = len(self.tags) + 1
-        vecs = []
-        for position in range(len(forms) + 1):
-            parts = []
-            if self.pretrained.dim:
-                if position == 0:
-                    parts.append(nc.Tensor(np.zeros(self.pretrained.dim)))
-                else:
-                    parts.append(nc.Tensor(self.pretrained.lookup(forms[position - 1])))
-            if position == 0:
-                parts.append(nc.row(self.word_table, root_word))
-                parts.append(nc.row(self.tag_table, root_tag))
-            else:
-                parts.append(nc.row(self.word_table, self.word_index(forms[position - 1])))
-                tag = upos_tags[position - 1]
-                parts.append(nc.row(self.tag_table,
-                                    self.tag_vocab.get(tag, len(self.tags))))
-            parts.append(nc.row(base_recurrent, position))
-            vecs.append(nc.concat(parts))
-        if training and self.dropout:
-            vecs = [nc.dropout(v, self.dropout, rng) for v in vecs]
-        return vecs
-
-    def _mlp_apply(self, name: str, recurrent: nc.Tensor, training: bool,
-                   rng: np.random.Generator | None) -> nc.Tensor:
-        w, b = self.mlp[name]
-        out = nc.leaky_relu(nc.matmul(recurrent, nc.transpose(w)) + b)
-        if training and self.dropout:
-            out = nc.dropout(out, self.dropout, rng)
-        return out
-
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
                      training: bool = False,
                      rng: np.random.Generator | None = None) -> ParserForward:
-        if not forms:
-            raise ValueError("cannot parse an empty sentence")
         base_fw = self.base.forward_full(forms, upos_tags)
-        vecs = self.input_vectors(forms, upos_tags, base_fw.recurrent, training, rng)
-        hs = nc.bilstm_encode(self.lstm_layers, vecs)
-        if training and self.dropout:
-            hs = [nc.dropout(h, self.dropout, rng) for h in hs]
-        recurrent = nc.stack_rows(hs)
-        arc_dep = self._mlp_apply("arc_dep", recurrent, training, rng) + base_fw.arc_dep
-        arc_head = self._mlp_apply("arc_head", recurrent, training, rng) + base_fw.arc_head
-        rel_dep = self._mlp_apply("rel_dep", recurrent, training, rng) + base_fw.rel_dep
-        rel_head = self._mlp_apply("rel_head", recurrent, training, rng) + base_fw.rel_head
-        arc_scores = nc.matmul(nc.matmul(nc.append_ones_col(arc_dep), self.u_arc),
-                               nc.transpose(arc_head))
-        return ParserForward(recurrent, arc_dep, arc_head, rel_dep, rel_head, arc_scores)
-
-    def label_scores(self, rel_dep: nc.Tensor, rel_head: nc.Tensor,
-                     heads: Sequence[int]) -> nc.Tensor:
-        n = len(heads)
-        dep_rows = nc.append_ones_col(nc.take_rows(rel_dep, list(range(1, n + 1))))
-        head_rows = nc.append_ones_col(nc.take_rows(rel_head, list(heads)))
-        return nc.bilinear_labels(self.u_rel, dep_rows, head_rows)
-
-    def loss(self, sentence: Sentence, training: bool = False,
-             rng: np.random.Generator | None = None) -> nc.Tensor:
-        fw = self.forward_full(sentence.forms, sentence.upos, training, rng)
-        return arc_label_loss(fw, self.label_scores, sentence, self.rel_index)
+        return self._forward(forms, upos_tags, training, rng, base_fw)
 
 
 def stack_parse_inputs(stacked: StackedParser, sentence: Sentence,
@@ -328,12 +192,7 @@ def stack_parse_inputs(stacked: StackedParser, sentence: Sentence,
     tags = tuple(tags) if tags is not None else sentence.upos
     with nc.no_grad():
         base_fw = stacked.base.forward_full(sentence.forms, tags)
-        return stacked.input_vectors(sentence.forms, tags, base_fw.recurrent)
-
-
-def parse_stacked(stacked: StackedParser, sentence: Sentence,
-                  tags: Sequence[str] | None = None, decoder: str = "greedy"):
-    return parse_with(stacked, sentence, tags, decoder)
+        return stacked.input_vectors(sentence.forms, tags, base=base_fw)
 
 
 def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
@@ -345,7 +204,6 @@ def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
     """Joint fine-tuning of the stacked parser; dev-UAS epoch selection."""
     if not treebank:
         raise ValueError("cannot train a stacked parser on an empty treebank")
-    from .parser import check_trainable
     check_trainable(treebank)
     if rels is None:
         rels = tuple(base.rels)
@@ -361,30 +219,7 @@ def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
         dropout=config.parser_dropout,
         train_base_embeddings=config.train_base_embeddings, rng=rng,
     )
-    params = stacked.trainable_parameters(scope)
-    optimizer = nc.AdagradState(config.learning_rate, l2_lambda=config.l2_lambda)
-    best_uas, best_params, best_epoch = -1.0, None, None
-    for epoch in range(1, config.epochs + 1):
-        for i in rng.permutation(len(treebank)):
-            nc.zero_grads(params.values())
-            loss = stacked.loss(treebank[int(i)], training=True, rng=rng)
-            loss.backward()
-            optimizer.apply(params)
-        if dev:
-            total = correct = 0
-            for sentence in dev:
-                result = parse_stacked(stacked, sentence, decoder=config.decoder)
-                for token, head in zip(sentence.tokens, result.heads):
-                    total += 1
-                    correct += token.head == head
-            uas = 100.0 * correct / total if total else 0.0
-            if uas > best_uas:
-                best_uas, best_epoch = uas, epoch
-                best_params = {k: t.data.copy() for k, t in params.items()}
-    if best_params is not None:
-        for name, t in params.items():
-            t.data[...] = best_params[name]
-        stacked.best_epoch, stacked.dev_uas = best_epoch, best_uas
-    else:
-        stacked.best_epoch = config.epochs
+    stacked.best_epoch, stacked.dev_uas = nc.fit(
+        stacked.trainable_parameters(scope), lambda s: stacked.loss(s, training=True, rng=rng),
+        treebank, dev, lambda gold: dev_uas(stacked, gold, config.decoder), config, rng)
     return stacked

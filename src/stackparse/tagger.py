@@ -17,6 +17,7 @@ import numpy as np
 
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings
+from .evaluation import tagging_accuracy
 from .treebank import Sentence
 
 UNK = "<unk>"
@@ -187,11 +188,21 @@ class TaggerModel:
             indices.append(self.tag_index[token.upos])
         return indices
 
-    def loss(self, sentence: Sentence, training: bool = False,
-             rng: np.random.Generator | None = None) -> nc.Tensor:
-        inputs = self.encode(sentence, training, rng)
+    def crf_loss(self, inputs: list[nc.Tensor], sentence: Sentence, training: bool = False,
+                 rng: np.random.Generator | None = None) -> nc.Tensor:
         em, _ = self.emissions(inputs, training, rng)
         return crf_log_likelihood(em, self.transitions, self.gold_indices(sentence))
+
+    def decode(self, inputs: list[nc.Tensor]) -> TagResult:
+        """Viterbi tags of encoded inputs plus their emission and hidden vectors."""
+        with nc.no_grad():
+            em, hidden = self.emissions(inputs)
+        path = viterbi_decode(em.data, self.transitions.data)
+        return TagResult(tuple(self.tags[i] for i in path), em.data.copy(), hidden.data.copy())
+
+    def loss(self, sentence: Sentence, training: bool = False,
+             rng: np.random.Generator | None = None) -> nc.Tensor:
+        return self.crf_loss(self.encode(sentence, training, rng), sentence, training, rng)
 
 
 # -- functional wrappers ------------------------------------------------------
@@ -264,29 +275,7 @@ def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
 def tag(model: TaggerModel, sentence: Sentence) -> TagResult:
     """Viterbi tags plus the emission and hidden vectors (for stacking)."""
     with nc.no_grad():
-        inputs = model.encode(sentence)
-        em, hidden = model.emissions(inputs)
-    path = viterbi_decode(em.data, model.transitions.data)
-    return TagResult(tuple(model.tags[i] for i in path), em.data.copy(), hidden.data.copy())
-
-
-def _snapshot(params: dict[str, nc.Tensor]) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.items()}
-
-
-def _restore(params: dict[str, nc.Tensor], snapshot: dict[str, np.ndarray]) -> None:
-    for name, t in params.items():
-        t.data[...] = snapshot[name]
-
-
-def _tagging_accuracy(sentences: list[Sentence], tag_fn) -> float:
-    total = correct = 0
-    for sentence in sentences:
-        predicted = tag_fn(sentence).tags
-        for token, ptag in zip(sentence.tokens, predicted):
-            total += 1
-            correct += token.upos == ptag
-    return 100.0 * correct / total if total else 0.0
+        return model.decode(model.encode(sentence))
 
 
 def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
@@ -315,22 +304,8 @@ def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
         hidden=config.hidden, layers=config.layers, window=config.window,
         dropout=config.dropout, rng=rng,
     )
-    params = model.parameters()
-    optimizer = nc.AdagradState(config.learning_rate, l2_lambda=config.l2_lambda)
-    best_acc, best_params, best_epoch = -1.0, None, None
-    for epoch in range(1, config.epochs + 1):
-        for i in rng.permutation(len(treebank)):
-            nc.zero_grads(params.values())
-            loss = model.loss(treebank[int(i)], training=True, rng=rng)
-            loss.backward()
-            optimizer.apply(params)
-        if dev:
-            acc = _tagging_accuracy(dev, lambda s: tag(model, s))
-            if acc > best_acc:
-                best_acc, best_params, best_epoch = acc, _snapshot(params), epoch
-    if best_params is not None:
-        _restore(params, best_params)
-        model.best_epoch, model.dev_accuracy = best_epoch, best_acc
-    else:
-        model.best_epoch = config.epochs
+    model.best_epoch, model.dev_accuracy = nc.fit(
+        model.parameters(), lambda s: model.loss(s, training=True, rng=rng), treebank, dev,
+        lambda gold: tagging_accuracy(gold, [s.with_upos(tag(model, s).tags) for s in gold]),
+        config, rng)
     return model

@@ -414,6 +414,33 @@ def test_crossfold_command(workdir, capsys):
     assert (workdir / "folds.tsv").read_text().startswith("fold\tuas\tlas")
 
 
+def test_crossfold_without_test_sentences_is_a_diagnostic(workdir, capsys):
+    assert run("crossfold", "--treebank", workdir / "tb.conllu", "--folds", 3,
+               "--config", workdir / "cfg.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fold 1 of 3 has no test sentences") and err.count("\n") == 1
+
+
+def test_non_finite_embeddings_are_a_diagnostic(workdir, capsys):
+    (workdir / "vec.txt").write_text("the 0.5 1.0\ncat nan 2.0\n", encoding="utf-8")
+    assert run("train-tagger", "--train", workdir / "tb.conllu", "--embeddings",
+               workdir / "vec.txt", "--config", workdir / "cfg.txt",
+               "--out", workdir / "t.model") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {workdir / 'vec.txt'}:2: non-finite embedding value\n"
+    assert not (workdir / "t.model").exists()
+
+
+def test_numerical_failure_in_training_is_a_diagnostic(workdir, capsys, monkeypatch):
+    # A table the loader would reject, so the failure comes from the model.
+    table = PretrainedEmbeddings({"cat": 0}, np.array([[np.nan, 1.0]]))
+    monkeypatch.setattr("stackparse.cli.load_embeddings", lambda path: table)
+    assert run("train-tagger", "--train", workdir / "tb.conllu", "--embeddings", "x",
+               "--config", workdir / "cfg.txt", "--out", workdir / "t.model") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+
+
 def test_deterministic_pipeline_same_seed(workdir):
     for name in ("r1", "r2"):
         run("train-parser", "--train", workdir / "tb.conllu", "--out",

@@ -35,6 +35,14 @@ def test_inconsistent_dimension_is_an_error(tmp_path):
         load_embeddings(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_are_an_error_naming_the_line(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"a 1.0 2.0\nb 3.0 {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"vec.txt:2: non-finite embedding value"):
+        load_embeddings(str(path))
+
+
 def test_write_then_load_round_trip(tmp_path):
     vocab = {"kiasu": 0, "makan": 1}
     matrix = np.array([[0.1, -0.2], [12.5, 1e-3]])

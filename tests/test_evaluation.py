@@ -297,6 +297,18 @@ def test_cross_fold_deterministic():
     assert a == b
 
 
+def test_cross_fold_rejects_a_fold_without_test_sentences():
+    trained = []
+
+    def trainer(train_sentences, dev_sentences):
+        trained.append(len(train_sentences))
+        return lambda s: s
+
+    with pytest.raises(ValueError, match="fold 1 of 5 has no test sentences"):
+        cross_fold_validate(_distinct_corpus(5), 5, trainer, seed=1)
+    assert trained == []  # rejected before any fold is trained
+
+
 def test_pct2_half_up():
     assert pct2(51.495) == 51.50
     assert pct2(51.494) == 51.49

@@ -7,6 +7,7 @@ from stackparse.numcore import (
     AdagradState,
     Tensor,
     adagrad_update,
+    fit,
     grad_check,
     load_params,
     manifest_blob_to_params,
@@ -74,6 +75,68 @@ def test_adagrad_apply_skips_missing_grads():
     state.apply({"used": used, "unused": unused})
     assert used.data[0] != 1.0
     assert unused.data[0] == 5.0
+
+
+class _FitConfig:
+    epochs = 3
+    learning_rate = 0.1
+    l2_lambda = 0.0
+
+
+def _square_loss(param):
+    return lambda target: ((param + (-target)) * (param + (-target))).sum()
+
+
+def test_fit_restores_the_best_epochs_parameters():
+    param = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+    after_epoch = []
+    scores = [1.0, 3.0, 3.0, 2.0]  # rise, tie, fall: the first best epoch wins
+
+    def dev_score(dev):
+        after_epoch.append(param.data.copy())
+        return scores[len(after_epoch) - 1]
+
+    class FourEpochs(_FitConfig):
+        epochs = 4
+
+    best = fit({"p": param}, _square_loss(param), [1.0, 2.0], ["dev"], dev_score,
+               FourEpochs, np.random.default_rng(0))
+    assert best == (2, 3.0)
+    assert len(after_epoch) == 4
+    assert not any(np.array_equal(after_epoch[1], later) for later in after_epoch[2:])
+    assert np.array_equal(param.data, after_epoch[1])
+
+
+def test_fit_without_dev_keeps_the_last_epoch():
+    def train(dev, dev_score):
+        param = Tensor(np.array([0.0]), requires_grad=True)
+        best = fit({"p": param}, _square_loss(param), [1.0, 2.0], dev, dev_score,
+                   _FitConfig, np.random.default_rng(0))
+        return best, param.data
+
+    scores = iter([1.0, 2.0, 3.0])  # rising, so the last epoch is the best
+    with_dev, last_epoch = train(["dev"], lambda dev: next(scores))
+    without_dev, kept = train([], None)  # dev_score is never called
+    assert with_dev == (3, 3.0)
+    assert without_dev == (3, None)
+    assert np.array_equal(kept, last_epoch) and kept[0] != 0.0
+
+
+def test_fit_draws_one_permutation_per_epoch():
+    param = Tensor(np.array([0.0]), requires_grad=True)
+    seen = []
+
+    def loss(target):
+        seen.append(target)
+        return _square_loss(param)(target)
+
+    rng = np.random.default_rng(7)
+    train = [1.0, 2.0, 3.0, 4.0]
+    fit({"p": param}, loss, train, [], None, _FitConfig, rng)
+    reference = np.random.default_rng(7)
+    orders = [reference.permutation(len(train)) for _ in range(_FitConfig.epochs)]
+    assert seen == [train[i] for order in orders for i in order]
+    assert rng.random() == reference.random()  # nothing else was drawn
 
 
 def test_grad_check_quadratic_is_near_exact():
