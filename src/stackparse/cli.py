@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import zipfile
 
@@ -157,12 +158,18 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _pct(value: float) -> str:
+    """A percentage rounded half-up to two decimals, or "undefined" for a
+    score taken over zero tokens."""
+    return "undefined" if math.isnan(value) else f"{evaluation.pct2(value):.2f}"
+
+
 def _report_lines(report) -> list[str]:
     return [
         f"tokens   {report.tokens}",
-        f"UAS      {evaluation.pct2(report.uas):.2f}",
-        f"LAS      {evaluation.pct2(report.las):.2f}",
-        f"TagAcc   {evaluation.pct2(report.tag_accuracy):.2f}",
+        f"UAS      {_pct(report.uas)}",
+        f"LAS      {_pct(report.las)}",
+        f"TagAcc   {_pct(report.tag_accuracy)}",
     ]
 
 
@@ -178,13 +185,12 @@ def _cmd_eval(args) -> int:
         table = evaluation.per_category_scores(gold, predicted, include_punct)
         for category in sorted(table):
             r = table[category]
-            print(f"{category}\tUAS {evaluation.pct2(r.uas):.2f}"
-                  f"\tLAS {evaluation.pct2(r.las):.2f}\ttokens {r.tokens}")
+            print(f"{category}\tUAS {_pct(r.uas)}\tLAS {_pct(r.las)}\ttokens {r.tokens}")
     if args.out:
         rows = [("tokens", report.tokens),
-                ("uas", f"{evaluation.pct2(report.uas):.2f}"),
-                ("las", f"{evaluation.pct2(report.las):.2f}"),
-                ("tag_accuracy", f"{evaluation.pct2(report.tag_accuracy):.2f}")]
+                ("uas", _pct(report.uas)),
+                ("las", _pct(report.las)),
+                ("tag_accuracy", _pct(report.tag_accuracy))]
         write_text_atomic(args.out, "".join(f"{k}\t{v}\n" for k, v in rows))
     return 0
 
@@ -193,9 +199,9 @@ def _cmd_iaa(args) -> int:
     a = _read_treebank(args.a)
     b = _read_treebank(args.b)
     tag_acc, uas, las = evaluation.inter_annotator_agreement(a, b)
-    print(f"TagAcc   {evaluation.pct2(tag_acc):.2f}")
-    print(f"UAS      {evaluation.pct2(uas):.2f}")
-    print(f"LAS      {evaluation.pct2(las):.2f}")
+    print(f"TagAcc   {_pct(tag_acc)}")
+    print(f"UAS      {_pct(uas)}")
+    print(f"LAS      {_pct(las)}")
     return 0
 
 
@@ -214,7 +220,7 @@ def _cmd_jackknife(args) -> int:
     write_text_atomic(args.out, write_conllu(tagged))
     gold_acc = evaluation.tagging_accuracy(treebank, tagged)
     print(f"jackknifed {len(tagged)} sentences with k={config.k} "
-          f"(accuracy vs gold {evaluation.pct2(gold_acc):.2f}) -> {args.out}")
+          f"(accuracy vs gold {_pct(gold_acc)}) -> {args.out}")
     return 0
 
 
@@ -239,9 +245,8 @@ def _cmd_crossfold(args) -> int:
         treebank, config.folds, trainer, seed=config.seed,
         include_punct=config.include_punct)
     for i, (uas, las) in enumerate(zip(report.fold_uas, report.fold_las), start=1):
-        print(f"fold {i}  UAS {evaluation.pct2(uas):.2f}  LAS {evaluation.pct2(las):.2f}")
-    print(f"mean    UAS {evaluation.pct2(report.mean_uas):.2f}  "
-          f"LAS {evaluation.pct2(report.mean_las):.2f}")
+        print(f"fold {i}  UAS {_pct(uas)}  LAS {_pct(las)}")
+    print(f"mean    UAS {_pct(report.mean_uas)}  LAS {_pct(report.mean_las)}")
     if args.out:
         rows = ["fold\tuas\tlas"]
         rows += [f"{i}\t{u}\t{l}" for i, (u, l) in

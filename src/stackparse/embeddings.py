@@ -4,6 +4,8 @@ line."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -29,35 +31,35 @@ class PretrainedEmbeddings:
 
 
 def load_embeddings(path: str) -> PretrainedEmbeddings:
+    """Every line is parsed and checked, a repeated token's included; the
+    first line of a token is the one kept.  Errors name `path:line`."""
     vocab: dict[str, int] = {}
     rows: list[list[float]] = []
-    line_nos: list[int] = []
     dim = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(" ")
-            token, values = parts[0], parts[1:]
+            token, *values = line.split(" ")
             if dim is None:
                 dim = len(values)
                 if dim == 0:
                     raise ValueError(f"{path}:{line_no}: no embedding values on first line")
             if len(values) != dim:
                 raise ValueError(f"{path}:{line_no}: expected {dim} values, got {len(values)}")
-            if token in vocab:
-                continue
-            vocab[token] = len(rows)
-            rows.append([float(v) for v in values])
-            line_nos.append(line_no)
+            try:
+                row = [float(v) for v in values]
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: {err}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{line_no}: non-finite embedding value")
+            if token not in vocab:
+                vocab[token] = len(rows)
+                rows.append(row)
     if dim is None:
         return PretrainedEmbeddings.empty()
-    matrix = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{line_nos[bad[0]]}: non-finite embedding value")
-    return PretrainedEmbeddings(vocab, matrix)
+    return PretrainedEmbeddings(vocab, np.array(rows, dtype=np.float64))
 
 
 def write_embeddings(path: str, vocab: dict[str, int], matrix: np.ndarray) -> None:

@@ -2,12 +2,13 @@
 inter-annotator agreement, per-grammar-category breakdowns, k-fold
 jackknifing, and cross-fold validation.
 
-Percentages are floats in [0, 100]; report formatting rounds half-up to
-two decimals (pct2).
+Percentages are floats in [0, 100], or NaN when taken over zero tokens;
+report formatting rounds half-up to two decimals (pct2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Sequence
@@ -20,6 +21,11 @@ PUNCT = "PUNCT"
 def pct2(value: float) -> float:
     """Half-up rounding to two decimals, as printed in reports."""
     return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def _percent(part: int, whole: int) -> float:
+    """100 * part / whole; NaN over zero tokens, where no score exists."""
+    return 100.0 * part / whole if whole else math.nan
 
 
 @dataclass(frozen=True)
@@ -37,15 +43,15 @@ class ScoreReport:
 
     @property
     def uas(self) -> float:
-        return 100.0 * self.correct_heads / self.tokens if self.tokens else 0.0
+        return _percent(self.correct_heads, self.tokens)
 
     @property
     def las(self) -> float:
-        return 100.0 * self.correct_labeled / self.tokens if self.tokens else 0.0
+        return _percent(self.correct_labeled, self.tokens)
 
     @property
     def tag_accuracy(self) -> float:
-        return 100.0 * self.correct_tags / self.tokens if self.tokens else 0.0
+        return _percent(self.correct_tags, self.tokens)
 
     def merged(self, other: "ScoreReport") -> "ScoreReport":
         return ScoreReport(self.tokens + other.tokens,
@@ -97,7 +103,7 @@ def tagging_accuracy(gold: Sequence[Sentence], predicted: Sequence[Sentence]) ->
         for gt, pt in zip(g.tokens, p.tokens):
             total += 1
             correct += gt.upos == pt.upos
-    return 100.0 * correct / total if total else 0.0
+    return _percent(correct, total)
 
 
 def relative_error_reduction(baseline_pct: float, improved_pct: float) -> float:

@@ -24,7 +24,7 @@ from .embeddings import PretrainedEmbeddings
 from .evaluation import attachment_scores
 from .numcore import biaffine
 from .tagger import build_vocab
-from .treebank import Sentence, is_tree
+from .treebank import Sentence, _find_cycles, is_tree
 
 
 class ParseResult(NamedTuple):
@@ -252,13 +252,11 @@ def score_arcs(model: ParserModel, forms: Sequence[str],
     return scores
 
 
-def score_labels(model: ParserModel, recurrent, heads: Sequence[int]) -> np.ndarray:
-    """Per-token label scores given fixed heads; argmax is the prediction."""
+def score_labels(model: ParserModel, fw: ParserForward, heads: Sequence[int]) -> np.ndarray:
+    """(n, |rels|) label scores from the rel heads of forward `fw` given
+    fixed heads; the row argmax is the predicted label."""
     with nc.no_grad():
-        rec = recurrent if isinstance(recurrent, nc.Tensor) else nc.Tensor(recurrent)
-        rel_dep = model._mlp_apply("rel_dep", rec, False, None)
-        rel_head = model._mlp_apply("rel_head", rec, False, None)
-        return model.label_scores(rel_dep, rel_head, heads).data
+        return model.label_scores(fw.rel_dep, fw.rel_head, heads).data
 
 
 # -- decoding -----------------------------------------------------------------------
@@ -267,144 +265,71 @@ def score_labels(model: ParserModel, recurrent, heads: Sequence[int]) -> np.ndar
 def decode_greedy(arc_scores: np.ndarray) -> list[int]:
     """head(d) = argmax over columns; ties break toward the smaller head
     index.  The result may contain cycles; see heads_form_tree."""
-    n = arc_scores.shape[0] - 1
-    return [int(arc_scores[d].argmax()) for d in range(1, n + 1)]
+    return arc_scores[1:].argmax(axis=1).tolist()
 
 
 def heads_form_tree(heads: Sequence[int]) -> bool:
     return is_tree(heads)
 
 
-def _find_pointer_cycle(best: dict[int, int]) -> list[int] | None:
-    done: set[int] = set()
-    for start in best:
-        if start in done:
-            continue
-        path: list[int] = []
-        on_path: dict[int, int] = {}
-        node = start
-        while node in best and node not in done and node not in on_path:
-            on_path[node] = len(path)
-            path.append(node)
-            node = best[node]
-        if node in on_path:
-            return path[on_path[node]:]
-        done.update(path)
-    return None
-
-
-def _cle(nodes: list[int], scores: dict[tuple[int, int], float],
-         next_id: int) -> dict[int, int]:
+def _arborescence(scores: np.ndarray) -> np.ndarray:
     """Chu-Liu/Edmonds maximum arborescence rooted at node 0.
 
-    `scores[(d, h)]` is the weight of attaching dependent d to head h;
-    missing pairs are forbidden.  Returns head assignments for all
-    non-root nodes.
+    `scores[d, h]` is the weight of attaching dependent d to head h; -inf
+    is a forbidden arc, and row 0 and the diagonal must be -inf.  Returns
+    each node's head (entry 0 is meaningless).
     """
-    best: dict[int, int] = {}
-    for d in nodes:
-        if d == 0:
-            continue
-        options = [(scores[(d, h)], h) for h in nodes if h != d and (d, h) in scores]
-        if not options:
-            raise ValueError(f"node {d} has no candidate head")
-        score, head = max(options, key=lambda pair: (pair[0], -pair[1]))
-        best[d] = head
-    cycle = _find_pointer_cycle(best)
-    if cycle is None:
-        return best
-
-    cyc = set(cycle)
-    cyc_score = sum(scores[(d, best[d])] for d in cyc)
-    c = next_id
-    new_nodes = [v for v in nodes if v not in cyc] + [c]
-    new_scores: dict[tuple[int, int], float] = {}
-    leave_choice: dict[int, int] = {}  # outside dependent -> chosen head inside the cycle
-    enter_choice: dict[int, int] = {}  # outside head -> cycle node whose arc is replaced
-    for d in nodes:
-        if d == 0 or d in cyc:
-            continue
-        for h in nodes:
-            if h == d:
-                continue
-            if (d, h) not in scores:
-                continue
-            if h in cyc:
-                candidate = scores[(d, h)]
-                if (d, c) not in new_scores or candidate > new_scores[(d, c)]:
-                    new_scores[(d, c)] = candidate
-                    leave_choice[d] = h
-            else:
-                new_scores[(d, h)] = scores[(d, h)]
-    for h in nodes:
-        if h in cyc:
-            continue
-        best_value = None
-        best_d = None
-        for d in cyc:
-            if (d, h) not in scores:
-                continue
-            value = cyc_score + scores[(d, h)] - scores[(d, best[d])]
-            if best_value is None or value > best_value:
-                best_value, best_d = value, d
-        if best_d is not None:
-            new_scores[(c, h)] = best_value
-            enter_choice[h] = best_d
-    sub = _cle(new_nodes, new_scores, next_id + 1)
-
-    heads: dict[int, int] = {}
-    entered_from = None
-    for d, h in sub.items():
-        if d == c:
-            entered_from = h
-        elif h == c:
-            heads[d] = leave_choice[d]
-        else:
-            heads[d] = h
-    broken = enter_choice[entered_from]
-    for d in cyc:
-        heads[d] = entered_from if d == broken else best[d]
+    heads = scores.argmax(axis=1)
+    stuck = np.flatnonzero(scores[1:].max(axis=1) == -np.inf)
+    if stuck.size:
+        raise ValueError(f"node {stuck[0] + 1} has no candidate head")
+    cycles = _find_cycles({d: int(h) for d, h in enumerate(heads[1:].tolist(), start=1)})
+    if not cycles:
+        return heads
+    cycle = np.sort(cycles[0])
+    keep = np.setdiff1d(np.arange(len(scores)), cycle)
+    c = len(keep)  # the contracted cycle's index in the smaller problem
+    # An outside dependent's arc into the cycle takes its best head there; an
+    # arc entering the cycle at d replaces d's cycle arc, so it scores the gain.
+    leaving = scores[np.ix_(keep, cycle)]
+    entering = scores[np.ix_(cycle, keep)] - scores[cycle, heads[cycle]][:, None]
+    sub = np.full((c + 1, c + 1), -np.inf)
+    sub[:c, :c] = scores[np.ix_(keep, keep)]
+    sub[:c, c] = leaving.max(axis=1)
+    sub[c, :c] = entering.max(axis=0)
+    sub_heads = _arborescence(sub)
+    outer = sub_heads[:c]
+    heads[keep] = np.where(outer == c, cycle[leaving.argmax(axis=1)], np.append(keep, -1)[outer])
+    entry = sub_heads[c]
+    heads[cycle[entering[:, entry].argmax()]] = keep[entry]
     return heads
 
 
 def decode_mst(arc_scores: np.ndarray, single_root: bool = False) -> list[int]:
     """Maximum-scoring arborescence rooted at position 0 (Chu-Liu/Edmonds).
 
-    With single_root=True, an extra pass re-roots all but the best
-    root-child candidate so exactly one token attaches to the root.
+    Non-finite scores are forbidden arcs; raises ValueError when no
+    arborescence exists.  Ties go to the smaller index: each dependent's
+    best head, the head inside a contracted cycle that an outside
+    dependent takes, and the cycle node that an entering arc breaks.
+
+    With single_root=True and more than one root child, every root arc is
+    lowered by more than any two trees can differ and the problem is
+    solved once more, so the best tree with exactly one root child wins
+    (Zmigrod et al., 2020).  If no such tree exists, the unconstrained
+    tree is returned.
     """
-    m = arc_scores.shape[0]
-    n = m - 1
-    if n == 0:
-        return []
-    scores: dict[tuple[int, int], float] = {}
-    for d in range(1, m):
-        for h in range(m):
-            if h != d and np.isfinite(arc_scores[d, h]):
-                scores[(d, h)] = float(arc_scores[d, h])
-
-    def solve(table: dict[tuple[int, int], float]) -> list[int]:
-        assignment = _cle(list(range(m)), table, m)
-        return [assignment[d] for d in range(1, m)]
-
-    heads = solve(scores)
-    if single_root and sum(1 for h in heads if h == 0) > 1:
-        best_heads, best_total = None, None
-        for candidate in range(1, m):
-            if (candidate, 0) not in scores:
-                continue
-            constrained = {(d, h): s for (d, h), s in scores.items()
-                           if h != 0 or d == candidate}
-            try:
-                attempt = solve(constrained)
-            except ValueError:
-                continue
-            total = sum(arc_scores[d, h] for d, h in enumerate(attempt, start=1))
-            if best_total is None or total > best_total:
-                best_heads, best_total = attempt, total
-        if best_heads is not None:
-            heads = best_heads
-    return heads
+    scores = np.where(np.isfinite(arc_scores), arc_scores, -np.inf)
+    np.fill_diagonal(scores, -np.inf)
+    scores[0] = -np.inf
+    heads = _arborescence(scores)
+    if single_root and np.count_nonzero(heads[1:] == 0) > 1:
+        finite = scores[np.isfinite(scores)]
+        scores[1:, 0] -= len(scores) * (finite.max() - finite.min()) + 1.0
+        rooted = _arborescence(scores)
+        if np.count_nonzero(rooted[1:] == 0) == 1:
+            heads = rooted
+    return heads[1:].tolist()
 
 
 # -- training and inference -----------------------------------------------------------
@@ -428,8 +353,7 @@ def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = N
         heads = decode_greedy(scores)
     if decoder == "mst" or (repair and not heads_form_tree(heads)):
         heads = decode_mst(scores, single_root=True)
-    with nc.no_grad():
-        labels = model.label_scores(fw.rel_dep, fw.rel_head, heads).data
+    labels = score_labels(model, fw, heads)
     deprels = tuple(model.rels[int(labels[i].argmax())] for i in range(len(heads)))
     return ParseResult(tuple(heads), deprels, scores)
 

@@ -232,7 +232,6 @@ def write_conllu(sentences: Iterable[Sentence]) -> str:
 
 def _find_cycles(heads: dict[int, int]) -> list[list[int]]:
     """Cycles in the head graph. heads maps token index -> head index."""
-    color: dict[int, int] = {}  # 0 in-progress path id, >0 done
     cycles: list[list[int]] = []
     done: set[int] = set()
     for start in heads:
@@ -324,21 +323,9 @@ def is_tree(heads: Iterable[int]) -> bool:
     """True iff 1-based tokens with these heads form a tree rooted at 0."""
     heads = tuple(heads)
     n = len(heads)
-    if any(h < 0 or h > n for h in heads):
+    if any(h < 0 or h > n for h in heads) or heads.count(0) != 1:
         return False
-    if any(h == i for i, h in enumerate(heads, start=1)):
-        return False
-    if sum(1 for h in heads if h == 0) != 1:
-        return False
-    for start in range(1, n + 1):
-        seen = set()
-        node = start
-        while node != 0:
-            if node in seen:
-                return False
-            seen.add(node)
-            node = heads[node - 1]
-    return True
+    return not _find_cycles({i: h for i, h in enumerate(heads, start=1) if h != 0})
 
 
 # -- deterministic splitting -------------------------------------------------

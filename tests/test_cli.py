@@ -176,6 +176,22 @@ def test_eval_gold_equals_pred_writes_tsv(workdir, capsys):
     assert "uas\t100.00" in text and "las\t100.00" in text
 
 
+def test_eval_without_punctuation_on_all_punct_gold_prints_undefined(tmp_path, capsys):
+    text = write_conllu([make_sentence(["!", "?"], ["PUNCT", "PUNCT"], [0, 1],
+                                       ["root", "punct"])])
+    (tmp_path / "punct.conllu").write_text(text, encoding="utf-8")
+    out_path = tmp_path / "report.tsv"
+    assert run("eval", "--gold", tmp_path / "punct.conllu",
+               "--pred", tmp_path / "punct.conllu", "--include-punct", "false",
+               "--categories", "--out", out_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["tokens   0", "UAS      undefined", "LAS      undefined",
+                         "TagAcc   undefined"]
+    assert lines[4] == "Others\tUAS undefined\tLAS undefined\ttokens 0"
+    assert out_path.read_text() == ("tokens\t0\nuas\tundefined\nlas\tundefined\n"
+                                    "tag_accuracy\tundefined\n")
+
+
 def test_model_archive_round_trip_bit_exact(workdir, tmp_path):
     run("train-parser", "--train", workdir / "tb.conllu", "--out",
         workdir / "p.model", "--config", workdir / "cfg.txt")

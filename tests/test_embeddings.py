@@ -43,6 +43,26 @@ def test_non_finite_values_are_an_error_naming_the_line(tmp_path, value):
         load_embeddings(str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a 1 2\na x nan\n", r"vec.txt:2: could not convert string to float: 'x'"),
+    ("a 1 2\na 3 nan\n", r"vec.txt:2: non-finite embedding value"),
+    ("a 1 2\nb 1 x\n", r"vec.txt:2: could not convert string to float: 'x'"),
+])
+def test_every_line_is_checked_before_duplicates_are_dropped(tmp_path, text, message):
+    path = tmp_path / "vec.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_embeddings(str(path))
+
+
+def test_first_occurrence_of_a_repeated_token_is_kept(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2\nb 3 4\na 5 6\n", encoding="utf-8")
+    emb = load_embeddings(str(path))
+    assert emb.vocab == {"a": 0, "b": 1}
+    assert np.array_equal(emb.lookup("a"), [1.0, 2.0])
+
+
 def test_write_then_load_round_trip(tmp_path):
     vocab = {"kiasu": 0, "makan": 1}
     matrix = np.array([[0.1, -0.2], [12.5, 1e-3]])

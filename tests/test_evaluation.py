@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ def test_score_report_rejects_inconsistent_counts():
 
 
 # -- tagging accuracy ------------------------------------------------------------
+
+
+def test_scores_over_zero_tokens_are_undefined():
+    gold = tree(["!", "?"], ["PUNCT", "PUNCT"], [0, 1], ["root", "punct"])
+    report = attachment_scores([gold], [gold], include_punct=False)
+    assert report.tokens == 0
+    assert math.isnan(report.uas) and math.isnan(report.las)
+    assert math.isnan(report.tag_accuracy)
+    assert math.isnan(attachment_scores([], []).uas)
+    assert math.isnan(tagging_accuracy([], []))
+    assert all(math.isnan(v) for v in inter_annotator_agreement([], []))
 
 
 def test_tagging_accuracy_cases():

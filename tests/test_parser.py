@@ -246,15 +246,91 @@ def test_decode_mst_single_root_matches_constrained_enumeration():
         np.fill_diagonal(scores, -np.inf)
         heads = decode_mst(scores, single_root=True)
         assert is_tree(heads)
-        best_score = -np.inf
+        best_heads, best_score = None, -np.inf
         for candidate in itertools.product(range(n + 1), repeat=n):
             if not is_tree(candidate):
                 continue
             total = sum(scores[d, h] for d, h in enumerate(candidate, start=1))
-            best_score = max(best_score, total)
+            if total > best_score:
+                best_heads, best_score = list(candidate), total
         total = sum(scores[d, h] for d, h in enumerate(heads, start=1))
-        # single-root trees are a subset; equality holds when the optimum is single-rooted
-        assert total <= best_score + 1e-9
+        assert abs(total - best_score) < 1e-9
+        assert heads == best_heads
+
+
+def test_decode_mst_single_root_falls_back_when_no_single_rooted_tree_exists():
+    # each token may only attach to the root, so every tree has two root children
+    scores = matrix([[0, 0, 0],
+                     [1, 0, -np.inf],
+                     [2, -np.inf, 0]])
+    assert decode_mst(scores) == [0, 0]
+    assert decode_mst(scores, single_root=True) == [0, 0]
+
+
+def test_decode_mst_single_root_respects_forbidden_arcs():
+    # token 2 may not attach to the root; with root child 1 the best tree
+    # scores 5 + 2 + 1 = 8, with root child 3 it scores 6 + 0.5 + 1 = 7.5
+    scores = matrix([[0, 0, 0, 0],
+                     [5, 0, 0.5, -np.inf],
+                     [-np.inf, 2, 0, 1],
+                     [6, -np.inf, 1, 0]])
+    assert decode_mst(scores) == [0, 1, 0]
+    assert decode_mst(scores, single_root=True) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("single_root", [False, True])
+def test_decode_mst_raises_when_no_arborescence_exists(single_root):
+    no_head = matrix([[0, 0, 0],
+                      [-np.inf, 0, -np.inf],
+                      [1, 1, 0]])
+    with pytest.raises(ValueError, match="no candidate head"):
+        decode_mst(no_head, single_root=single_root)
+    # tokens 1 and 2 may only attach to each other: the cycle has no way in
+    closed = matrix([[0, 0, 0, 0],
+                     [-np.inf, 0, 1, -np.inf],
+                     [-np.inf, 1, 0, -np.inf],
+                     [1, 1, 1, 0]])
+    with pytest.raises(ValueError):
+        decode_mst(closed, single_root=single_root)
+
+
+@pytest.mark.parametrize("single_root", [False, True])
+def test_decode_mst_at_80_tokens_has_no_better_single_head_change(single_root):
+    rng = np.random.default_rng(15)
+    n = 80
+    scores = rng.standard_normal((n + 1, n + 1))
+    scores[1:, 0] += 1.5  # the unconstrained optimum has several root children
+    np.fill_diagonal(scores, -np.inf)
+    valid = is_tree if single_root else is_arborescence
+    heads = decode_mst(scores, single_root=single_root)
+    assert valid(heads)
+    assert (heads.count(0) > 1) != single_root
+    for d in range(1, n + 1):
+        for h in range(n + 1):
+            changed = heads[:d - 1] + [h] + heads[d:]
+            if h != heads[d - 1] and valid(changed):
+                assert scores[d, h] <= scores[d, heads[d - 1]] + 1e-9, (d, h)
+
+
+def test_decode_mst_single_root_matches_one_solve_per_root_child():
+    # the constrained optimum is the best, over root children r, of the
+    # unconstrained optimum with every other root arc forbidden
+    rng = np.random.default_rng(16)
+    for _ in range(8):
+        n = int(rng.integers(20, 60))
+        scores = rng.standard_normal((n + 1, n + 1))
+        scores[1:, 0] += 2.0
+        np.fill_diagonal(scores, -np.inf)
+        best = -np.inf
+        for r in range(1, n + 1):
+            only_r = scores.copy()
+            only_r[1:, 0] = -np.inf
+            only_r[r, 0] = scores[r, 0]
+            heads = decode_mst(only_r)
+            best = max(best, sum(scores[d, h] for d, h in enumerate(heads, start=1)))
+        heads = decode_mst(scores, single_root=True)
+        assert is_tree(heads)
+        assert abs(sum(scores[d, h] for d, h in enumerate(heads, start=1)) - best) < 1e-9
 
 
 def test_mst_score_at_least_greedy_on_tree_outputs():
@@ -302,7 +378,7 @@ def test_score_labels_single_label_always_wins():
                         rng=nc.make_rng(1))
     with nc.no_grad():
         fw = model.forward_full(["a", "a"], ["N", "N"])
-    scores = score_labels(model, fw.recurrent, [0, 1])
+    scores = score_labels(model, fw, [0, 1])
     assert scores.shape == (2, 1)
     assert np.argmax(scores, axis=1).tolist() == [0, 0]
 
@@ -312,7 +388,7 @@ def test_score_labels_zero_tensor_ties_to_first_label():
     model.u_rel.data[:] = 0.0
     with nc.no_grad():
         fw = model.forward_full(["the", "cat"], ["DET", "NOUN"])
-    scores = score_labels(model, fw.recurrent, [2, 0])
+    scores = score_labels(model, fw, [2, 0])
     assert np.argmax(scores, axis=1).tolist() == [0, 0]
 
 
@@ -323,7 +399,7 @@ def test_score_labels_matches_explicit_summation():
     with nc.no_grad():
         fw = model.forward_full(["a", "a"], ["N", "N"])
     heads = [2, 0]
-    scores = score_labels(model, fw.recurrent, heads)
+    scores = score_labels(model, fw, heads)
     with nc.no_grad():
         rel_dep = model._mlp_apply("rel_dep", fw.recurrent, False, None).data
         rel_head = model._mlp_apply("rel_head", fw.recurrent, False, None).data

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stackparse import numcore as nc
-from stackparse.parser import ParserModel, parse, score_arcs, train_parser
+from stackparse.parser import ParserModel, parse, score_arcs, score_labels, train_parser
 from stackparse.stacking import (
     StackedParser,
     StackedTagger,
@@ -220,6 +220,26 @@ def test_pure_transfer_limiting_case(base_parser):
     np.fill_diagonal(got, -np.inf)
     mask = np.isfinite(base_scores)
     assert np.allclose(got[mask], base_scores[mask], atol=1e-10)
+
+
+def test_score_labels_uses_the_stacked_forward(base_parser):
+    stacked = StackedParser(base_parser, base_parser.rels, base_parser.tags,
+                            {"the": 0, "cat": 1, "sat": 2}, word_dim=4,
+                            tag_dim=3, hidden=6, layers=1, dropout=0.0,
+                            rng=nc.make_rng(10))
+    sentence = source_sentences()[0]
+    heads = [2, 3, 0]
+    with nc.no_grad():
+        fw = stacked.forward_full(sentence.forms, sentence.upos)
+        expected = stacked.label_scores(fw.rel_dep, fw.rel_head, heads).data
+        target_only = stacked.label_scores(
+            stacked._mlp_apply("rel_dep", fw.recurrent, False, None),
+            stacked._mlp_apply("rel_head", fw.recurrent, False, None), heads).data
+    assert not np.allclose(expected, target_only)  # the base MLP outputs matter
+    assert np.array_equal(score_labels(stacked, fw, heads), expected)
+    result = parse(stacked, sentence)
+    labels = score_labels(stacked, fw, result.heads)
+    assert result.deprels == tuple(stacked.rels[i] for i in labels.argmax(axis=1))
 
 
 def test_stacked_parser_overfit_and_transfer_flip(base_parser, tiny_cfg):
