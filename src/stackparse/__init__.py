@@ -32,10 +32,8 @@ from .langmodel import (
 from .parser import (
     ParseResult,
     ParserModel,
-    biaffine,
     decode_greedy,
     decode_mst,
-    heads_form_tree,
     parse,
     score_arcs,
     score_labels,
@@ -52,9 +50,7 @@ from .stacking import (
 from .tagger import (
     TaggerModel,
     TagResult,
-    char_attention,
     crf_log_likelihood,
-    encode_tokens,
     tag,
     train_tagger,
     viterbi_decode,

@@ -38,7 +38,8 @@ def _read_sentence_lines(path: str) -> list[list[str]]:
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides: dict[str, str] = {}
-    for key in ("seed", "decoder", "include_punct", "k", "folds"):
+    for key in ("seed", "decoder", "include_punct", "k", "folds",
+                "lm_order", "length_min", "length_max"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
@@ -259,10 +260,10 @@ def _cmd_crossfold(args) -> int:
 def _cmd_lm_train(args) -> int:
     config = _effective_config(args)
     corpus = _read_sentence_lines(args.corpus)
-    order = args.order or config.lm_order
-    model = langmodel.train_ngram_lm(corpus, order)
+    model = langmodel.train_ngram_lm(corpus, config.lm_order)
     write_text_atomic(args.out, model.to_json())
-    print(f"trained order-{order} language model on {len(corpus)} sentences -> {args.out}")
+    print(f"trained order-{config.lm_order} language model on {len(corpus)} sentences "
+          f"-> {args.out}")
     return 0
 
 
@@ -275,9 +276,8 @@ def _cmd_lm_rank(args) -> int:
     if args.lexicon:
         with open(args.lexicon, encoding="utf-8") as f:
             lexicon = [line.strip().lower() for line in f if line.strip()]
-    low = args.min_len if args.min_len is not None else config.length_min
-    high = args.max_len if args.max_len is not None else config.length_max
-    records = langmodel.rank_by_divergence(model, sentences, (low, high),
+    records = langmodel.rank_by_divergence(model, sentences,
+                                           (config.length_min, config.length_max),
                                            config.count_end_token, lexicon)
     lines = []
     for rank, record in enumerate(records, start=1):
@@ -378,8 +378,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p = add("eval", _cmd_eval, help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--include-punct", dest="include_punct", default=None,
-                   type=lambda v: v.lower() in ("true", "1", "yes"))
+    p.add_argument("--include-punct", dest="include_punct", default=None)
     p.add_argument("--categories", action="store_true",
                    help="also print per-grammar-category scores")
     p.add_argument("--out", default=None)
@@ -403,15 +402,15 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
     p = add("lm-train", _cmd_lm_train, help="train a Kneser-Ney n-gram model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", dest="lm_order", metavar="ORDER", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("lm-rank", _cmd_lm_rank, help="rank sentences by divergence from the LM")
     p.add_argument("--lm", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--lexicon", default=None)
-    p.add_argument("--min-len", dest="min_len", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--min-len", dest="length_min", metavar="MIN_LEN", type=int, default=None)
+    p.add_argument("--max-len", dest="length_max", metavar="MAX_LEN", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = add("lexicon-match", _cmd_lexicon_match, help="match lexicon terms")

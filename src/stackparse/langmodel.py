@@ -233,7 +233,7 @@ def match_lexicon(sentences: Sequence[Sequence[str]],
     Multiword terms match token runs; each sentence's hits are reported
     once per term, ordered by first occurrence.
     """
-    terms = [(term, term.split()) for term in lexicon if term.strip()]
+    terms = [(term, term.lower().split()) for term in lexicon if term.strip()]
     results = []
     for sentence in sentences:
         lowered = [t.lower() for t in sentence]

@@ -1,20 +1,12 @@
 """Minimal tensor/autodiff core: exactly the operations the tagger and
-parser need, plus Adagrad, the shared training loop and a
-finite-difference gradient checker."""
+parser need, plus Adagrad, the shared training loop, the parameter
+manifest codec and a finite-difference gradient checker."""
 
 from .gradcheck import grad_check
-from .init import glorot_uniform, make_rng, orthogonal, zeros
+from .init import glorot_uniform, make_rng, zeros
 from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode, lstm_step
-from .optim import AdagradState, adagrad_update, fit
-from .scoring import biaffine
-from .serialize import (
-    load_params,
-    manifest_arrays,
-    manifest_blob_to_params,
-    manifest_views,
-    params_to_manifest_blob,
-    save_params,
-)
+from .optim import AdagradState, fit
+from .serialize import manifest_arrays, manifest_views
 from .tensor import (
     NonFiniteError,
     Tensor,
@@ -23,24 +15,17 @@ from .tensor import (
     bilinear_labels,
     concat,
     dropout,
-    gather,
     get_default_dtype,
-    grad_enabled,
     leaky_relu,
     logsumexp,
     logsumexp_rows_masked,
     matmul,
     mul,
-    narrow,
     no_grad,
     reshape,
-    row,
-    set_default_dtype,
     sigmoid,
-    slice2d,
     softmax,
     stack_rows,
-    take_rows,
     tanh,
     transpose,
     zero_grads,
@@ -53,44 +38,30 @@ __all__ = [
     "NonFiniteError",
     "PEEPHOLE",
     "Tensor",
-    "adagrad_update",
     "add",
     "append_ones_col",
-    "biaffine",
     "bilinear_labels",
     "bilstm_encode",
     "concat",
     "dropout",
     "fit",
-    "gather",
     "get_default_dtype",
     "glorot_uniform",
     "grad_check",
-    "grad_enabled",
     "leaky_relu",
-    "load_params",
     "logsumexp",
     "logsumexp_rows_masked",
     "lstm_step",
     "make_rng",
     "manifest_arrays",
-    "manifest_blob_to_params",
     "manifest_views",
     "matmul",
     "mul",
-    "narrow",
     "no_grad",
-    "orthogonal",
-    "params_to_manifest_blob",
     "reshape",
-    "row",
-    "save_params",
-    "set_default_dtype",
     "sigmoid",
-    "slice2d",
     "softmax",
     "stack_rows",
-    "take_rows",
     "tanh",
     "transpose",
     "zero_grads",

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import get_default_dtype
-
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -16,23 +14,20 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols)).astype(get_default_dtype())
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Orthogonal (or orthonormal-column) matrix via QR with sign fixing."""
-    big, small = max(rows, cols), min(rows, cols)
-    a = rng.standard_normal((big, small))
+def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, n) orthogonal matrix: the Q of a Gaussian matrix's QR, with
+    signs fixed so the decomposition is unique."""
+    a = rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))  # unique decomposition, removes QR sign ambiguity
-    if rows < cols:
-        q = q.T
-    return np.ascontiguousarray(q[:rows, :cols], dtype=get_default_dtype())
+    return q * np.sign(np.diag(r))
 
 
 def orthogonal_gate_stack(rng: np.random.Generator, gates: int, hidden: int) -> np.ndarray:
     """Stack per-gate orthogonal (H, H) blocks into a (gates*H, H) matrix."""
-    return np.concatenate([orthogonal(rng, hidden, hidden) for _ in range(gates)], axis=0)
+    return np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=0)
 
 
 def glorot_gate_stack(rng: np.random.Generator, gates: int, hidden: int, input_dim: int) -> np.ndarray:
@@ -40,4 +35,4 @@ def glorot_gate_stack(rng: np.random.Generator, gates: int, hidden: int, input_d
 
 
 def zeros(*shape) -> np.ndarray:
-    return np.zeros(shape, dtype=get_default_dtype())
+    return np.zeros(shape)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .tensor import Tensor, concat, matmul, mul, narrow, sigmoid, tanh
+from .tensor import Tensor, concat, matmul, mul, sigmoid, tanh
 
 PEEPHOLE = "peephole"
 COUPLED = "coupled-input-forget"
@@ -66,16 +66,16 @@ class LstmCell:
         h = self.hidden_dim
         pre = matmul(self.w_x, x) + matmul(self.w_h, h_prev) + self.bias
         if self.variant == PEEPHOLE:
-            gate_in = sigmoid(narrow(pre, 0, h) + mul(self.p_in, c_prev))
-            gate_forget = sigmoid(narrow(pre, h, 2 * h) + mul(self.p_forget, c_prev))
-            candidate = tanh(narrow(pre, 2 * h, 3 * h))
+            gate_in = sigmoid(pre[0:h] + mul(self.p_in, c_prev))
+            gate_forget = sigmoid(pre[h:2 * h] + mul(self.p_forget, c_prev))
+            candidate = tanh(pre[2 * h:3 * h])
             c = mul(gate_forget, c_prev) + mul(gate_in, candidate)
-            gate_out = sigmoid(narrow(pre, 3 * h, 4 * h) + mul(self.p_out, c))
+            gate_out = sigmoid(pre[3 * h:4 * h] + mul(self.p_out, c))
         else:
-            gate_in = sigmoid(narrow(pre, 0, h))
-            candidate = tanh(narrow(pre, h, 2 * h))
+            gate_in = sigmoid(pre[0:h])
+            candidate = tanh(pre[h:2 * h])
             c = mul(1.0 - gate_in, c_prev) + mul(gate_in, candidate)
-            gate_out = sigmoid(narrow(pre, 2 * h, 3 * h))
+            gate_out = sigmoid(pre[2 * h:3 * h])
         return mul(gate_out, tanh(c)), c
 
 

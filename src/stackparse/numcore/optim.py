@@ -27,34 +27,27 @@ class AdagradState:
         self.accumulators: dict[str, np.ndarray] = {}
 
     def apply(self, params: dict[str, Tensor]) -> None:
-        """Update tensors in place from their .grad fields (None grads skipped)."""
-        names = [name for name, t in params.items() if t.grad is not None]
-        adagrad_update(self,
-                       {name: params[name].data for name in names},
-                       {name: params[name].grad for name in names})
+        """One Adagrad step, in place, for every tensor with a .grad (None
+        grads are skipped): acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
-
-def adagrad_update(state: AdagradState, params: dict[str, np.ndarray],
-                   grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One Adagrad step, in place: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
-
-    The L2 term lambda * p is added to the raw gradient first.
-    """
-    for name, p in params.items():
-        g = np.asarray(grads[name])
-        if np.isnan(g).any():
-            raise FloatingPointError(f"NaN gradient for parameter {name!r}")
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        if state.l2_lambda:
-            g = g + state.l2_lambda * p
-        acc = state.accumulators.get(name)
-        if acc is None:
-            acc = np.zeros_like(p)
-            state.accumulators[name] = acc
-        acc += g * g
-        p -= state.learning_rate * g / (np.sqrt(acc) + state.epsilon)
-    return params
+        The L2 term lambda * p is added to the raw gradient first.
+        """
+        for name, t in params.items():
+            g, p = t.grad, t.data
+            if g is None:
+                continue
+            if np.isnan(g).any():
+                raise FloatingPointError(f"NaN gradient for parameter {name!r}")
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {name!r}")
+            if self.l2_lambda:
+                g = g + self.l2_lambda * p
+            acc = self.accumulators.get(name)
+            if acc is None:
+                acc = np.zeros_like(p)
+                self.accumulators[name] = acc
+            acc += g * g
+            p -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
 
 
 def fit(params: dict[str, Tensor], loss_fn: Callable[[object], Tensor],

@@ -48,31 +48,3 @@ def manifest_views(manifest: str, blob) -> dict[str, np.ndarray]:
         views[name] = np.frombuffer(blob, dtype=_DTYPE_CODES[dtype_name], count=count,
                                     offset=int(offset_text)).reshape(shape)
     return views
-
-
-def params_to_manifest_blob(params: dict[str, np.ndarray]) -> tuple[str, bytes]:
-    manifest, arrays = manifest_arrays(params)
-    return manifest, b"".join(arrays)
-
-
-def manifest_blob_to_params(manifest: str, blob: bytes) -> dict[str, np.ndarray]:
-    return {name: view.astype(view.dtype.name)
-            for name, view in manifest_views(manifest, blob).items()}
-
-
-def save_params(path: str, params: dict[str, np.ndarray]) -> None:
-    """Write `<path>.manifest` and `<path>.bin` next to each other."""
-    manifest, arrays = manifest_arrays(params)
-    with open(f"{path}.manifest", "w", encoding="utf-8") as f:
-        f.write(manifest)
-    with open(f"{path}.bin", "wb") as f:
-        for arr in arrays:
-            f.write(arr)
-
-
-def load_params(path: str) -> dict[str, np.ndarray]:
-    with open(f"{path}.manifest", encoding="utf-8") as f:
-        manifest = f.read()
-    with open(f"{path}.bin", "rb") as f:
-        blob = f.read()
-    return manifest_blob_to_params(manifest, blob)

@@ -1,10 +1,9 @@
 """Dense float tensors with a reverse-mode automatic-differentiation tape.
 
 The scope is exactly what the sequence models in this package need: 1-D and
-2-D arrays, a handful of activations and reductions, embedding-style row
-lookup, and inverted dropout.  Values are float64 by default (float32 is a
-build option via `set_default_dtype`) and every operation checks its result
-for NaN/Inf.
+2-D arrays, a handful of activations and reductions, numpy-style indexing
+(row lookup, slices, gathers), and inverted dropout.  Values are float64,
+and every operation checks its result for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -14,31 +13,6 @@ import threading
 
 import numpy as np
 
-__all__ = [
-    "NonFiniteError",
-    "Tensor",
-    "append_ones_col",
-    "bilinear_labels",
-    "concat",
-    "dropout",
-    "gather",
-    "get_default_dtype",
-    "leaky_relu",
-    "logsumexp",
-    "logsumexp_rows_masked",
-    "matmul",
-    "no_grad",
-    "row",
-    "set_default_dtype",
-    "sigmoid",
-    "softmax",
-    "stack_rows",
-    "take_rows",
-    "tanh",
-    "zero_grads",
-]
-
-_DTYPE = np.float64
 _TAPE_STATE = threading.local()  # per-thread so inference can run concurrently
 
 
@@ -46,23 +20,15 @@ class NonFiniteError(FloatingPointError):
     """Raised when a tensor value or operation result is NaN or Inf."""
 
 
-def set_default_dtype(dtype) -> None:
-    """Select float64 (default) or float32 for newly created tensors."""
-    global _DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DTYPE = dtype.type
-
-
 def get_default_dtype():
-    return _DTYPE
+    """Tensors are always float64."""
+    return np.float64
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape construction (inference mode) in the current thread."""
-    saved = grad_enabled()
+    saved = _grad_enabled()
     _TAPE_STATE.grad_enabled = False
     try:
         yield
@@ -70,7 +36,7 @@ def no_grad():
         _TAPE_STATE.grad_enabled = saved
 
 
-def grad_enabled() -> bool:
+def _grad_enabled() -> bool:
     return getattr(_TAPE_STATE, "grad_enabled", True)
 
 
@@ -85,7 +51,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DTYPE)
+        arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr)
         self.data = arr
         self.grad = None
@@ -99,27 +65,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- autodiff ------------------------------------------------------------
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar result."""
@@ -165,21 +117,25 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None):
         return _sum(self, axis)
 
-    def mean(self):
-        n = self.data.size
-        return mul(_sum(self, None), 1.0 / n)
+    def __getitem__(self, key) -> Tensor:
+        """numpy indexing, copied.  With ints and slices the gradient is
+        assigned back; with index arrays (lists or ndarrays) it is
+        scatter-added back, so a repeated index accumulates."""
+        data = self.data[key].copy()
 
-    def transpose(self):
-        return transpose(self)
+        def backward(g):
+            full = np.zeros_like(self.data)
+            parts = key if isinstance(key, tuple) else (key,)
+            if any(isinstance(k, (list, np.ndarray)) for k in parts):
+                np.add.at(full, key, g)
+            else:
+                full[key] = g
+            _accumulate(self, full)
 
-    def reshape(self, shape):
-        return reshape(self, shape)
+        return _result(data, (self,), backward)
 
 
 def zero_grads(tensors) -> None:
@@ -192,7 +148,7 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    track = grad_enabled() and any(p.requires_grad for p in parents)
+    track = _grad_enabled() and any(p.requires_grad for p in parents)
     out.requires_grad = track
     out._parents = parents if track else ()
     out._backward = backward if track else None
@@ -320,67 +276,6 @@ def stack_rows(tensors) -> Tensor:
             _accumulate(t, g[i])
 
     return _result(data, tuple(ts), backward)
-
-
-def narrow(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along axis 0."""
-    data = a.data[start:stop].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _accumulate(a, full)
-
-    return _result(data, (a,), backward)
-
-
-def slice2d(a: Tensor, rows: slice, cols: slice) -> Tensor:
-    data = a.data[rows, cols].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows, cols] = g
-        _accumulate(a, full)
-
-    return _result(data, (a,), backward)
-
-
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Row lookup (embedding style); gradients scatter-add back."""
-    idx = np.asarray(indices, dtype=np.intp)
-    data = a.data[idx].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accumulate(a, full)
-
-    return _result(data, (a,), backward)
-
-
-def row(a: Tensor, index: int) -> Tensor:
-    data = a.data[index].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        _accumulate(a, full)
-
-    return _result(data, (a,), backward)
-
-
-def gather(a: Tensor, rows_idx, cols_idx) -> Tensor:
-    """Pick entries a[r, c] pairwise into a 1-D tensor."""
-    r = np.asarray(rows_idx, dtype=np.intp)
-    c = np.asarray(cols_idx, dtype=np.intp)
-    data = a.data[r, c].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (r, c), g)
-        _accumulate(a, full)
-
-    return _result(data, (a,), backward)
 
 
 def append_ones_col(a: Tensor) -> Tensor:

@@ -22,7 +22,6 @@ import numpy as np
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings
 from .evaluation import attachment_scores
-from .numcore import biaffine
 from .tagger import build_vocab
 from .treebank import Sentence, _find_cycles, is_tree
 
@@ -127,9 +126,6 @@ class ParserModel:
         params.update(self.scoring_parameters())
         return params
 
-    def constants(self) -> dict[str, np.ndarray]:
-        return {"pretrained_table": self.pretrained.matrix}
-
     # -- forward ----------------------------------------------------------------
 
     def word_index(self, form: str) -> int:
@@ -158,9 +154,9 @@ class ParserModel:
                 pre = self.pretrained.lookup(form)
                 word, tag = self.word_index(form), self.tag_index(upos_tags[position - 1])
             parts = [nc.Tensor(pre)] if self.pretrained.dim else []
-            parts += [nc.row(self.word_table, word), nc.row(self.tag_table, tag)]
+            parts += [self.word_table[word], self.tag_table[tag]]
             if base is not None:
-                parts.append(nc.row(base.recurrent, position))
+                parts.append(base.recurrent[position])
             vecs.append(nc.concat(parts))
         if training and self.dropout:
             vecs = [nc.dropout(v, self.dropout, rng) for v in vecs]
@@ -204,8 +200,8 @@ class ParserModel:
                      heads: Sequence[int]) -> nc.Tensor:
         """(n, |rels|) biaffine label scores for dependents 1..n at `heads`."""
         n = len(heads)
-        dep_rows = nc.append_ones_col(nc.take_rows(rel_dep, list(range(1, n + 1))))
-        head_rows = nc.append_ones_col(nc.take_rows(rel_head, list(heads)))
+        dep_rows = nc.append_ones_col(rel_dep[1:n + 1])
+        head_rows = nc.append_ones_col(rel_head[list(heads)])
         return nc.bilinear_labels(self.u_rel, dep_rows, head_rows)
 
     def loss(self, sentence: Sentence, training: bool = False,
@@ -226,15 +222,15 @@ def arc_label_loss(fw: ParserForward, label_scores_fn, sentence: Sentence,
         if token.deprel not in rel_index:
             raise ValueError(f"gold label {token.deprel!r} not in the inventory")
         gold_rels.append(rel_index[token.deprel])
-    dep_rows = nc.slice2d(fw.arc_scores, slice(1, n + 1), slice(0, n + 1))
+    dep_rows = fw.arc_scores[1:n + 1]
     allowed = np.ones((n, n + 1), dtype=bool)
     allowed[np.arange(n), np.arange(1, n + 1)] = False  # no self-head
     head_norm = nc.logsumexp_rows_masked(dep_rows, allowed)
-    head_gold = nc.gather(dep_rows, list(range(n)), gold_heads)
+    head_gold = dep_rows[np.arange(n), gold_heads]
     head_loss = (head_norm - head_gold).sum()
     labels = label_scores_fn(fw.rel_dep, fw.rel_head, gold_heads)
     label_norm = nc.logsumexp(labels, axis=1)
-    label_gold = nc.gather(labels, list(range(n)), gold_rels)
+    label_gold = labels[np.arange(n), gold_rels]
     label_loss = (label_norm - label_gold).sum()
     return (head_loss + label_loss) * (1.0 / n)
 
@@ -264,12 +260,8 @@ def score_labels(model: ParserModel, fw: ParserForward, heads: Sequence[int]) ->
 
 def decode_greedy(arc_scores: np.ndarray) -> list[int]:
     """head(d) = argmax over columns; ties break toward the smaller head
-    index.  The result may contain cycles; see heads_form_tree."""
+    index.  The result may contain cycles; see treebank.is_tree."""
     return arc_scores[1:].argmax(axis=1).tolist()
-
-
-def heads_form_tree(heads: Sequence[int]) -> bool:
-    return is_tree(heads)
 
 
 def _arborescence(scores: np.ndarray) -> np.ndarray:
@@ -351,7 +343,7 @@ def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = N
     np.fill_diagonal(scores, -np.inf)
     if decoder == "greedy":
         heads = decode_greedy(scores)
-    if decoder == "mst" or (repair and not heads_form_tree(heads)):
+    if decoder == "mst" or (repair and not is_tree(heads)):
         heads = decode_mst(scores, single_root=True)
     labels = score_labels(model, fw, heads)
     deprels = tuple(model.rels[int(labels[i].argmax())] for i in range(len(heads)))

@@ -60,15 +60,10 @@ class StackedTagger:
     def tags(self) -> tuple[str, ...]:
         return self.target.tags
 
-    def base_emissions(self, sentence: Sentence) -> nc.Tensor:
-        inputs = self.base.encode(sentence)
-        em, _ = self.base.emissions(inputs)
-        return em
-
     def stack_inputs(self, sentence: Sentence, training: bool = False,
                      rng: np.random.Generator | None = None) -> list[nc.Tensor]:
-        em = self.base_emissions(sentence)
-        extra = [nc.row(em, t) for t in range(len(sentence))]
+        em, _ = self.base.emissions(self.base.encode(sentence))
+        extra = [em[t] for t in range(len(sentence))]
         return self.target.encode(sentence, training, rng, extra=extra)
 
     def loss(self, sentence: Sentence, training: bool = False,
@@ -175,10 +170,6 @@ class StackedParser:
         params = {f"base/{k}": v for k, v in self.base.parameters().items()}
         params.update({f"target/{k}": v for k, v in self.target_parameters().items()})
         return params
-
-    def constants(self) -> dict[str, np.ndarray]:
-        return {"base/pretrained_table": self.base.pretrained.matrix,
-                "target/pretrained_table": self.pretrained.matrix}
 
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
                      training: bool = False,

@@ -119,9 +119,6 @@ class TaggerModel:
         params["transitions"] = self.transitions
         return params
 
-    def constants(self) -> dict[str, np.ndarray]:
-        return {"pretrained_table": self.pretrained.matrix}
-
     # -- forward pieces -------------------------------------------------------
 
     def word_index(self, form: str) -> int:
@@ -135,7 +132,7 @@ class TaggerModel:
             return self.empty_word_vec
         unk_char = len(self.char_vocab)
         idx = [self.char_vocab.get(ch, unk_char) for ch in word]
-        embs = nc.take_rows(self.char_table, idx)
+        embs = self.char_table[idx]
         hidden = nc.tanh(nc.matmul(embs, nc.transpose(self.att_proj)) + self.att_bias)
         scores = nc.matmul(hidden, self.att_query)
         weights = nc.softmax(scores, axis=0)
@@ -145,7 +142,7 @@ class TaggerModel:
         parts = []
         if self.pretrained.dim:
             parts.append(nc.Tensor(self.pretrained.lookup(form)))
-        parts.append(nc.row(self.word_table, self.word_index(form)))
+        parts.append(self.word_table[self.word_index(form)])
         parts.append(self.char_attention(form))
         return nc.concat(parts)
 
@@ -205,17 +202,6 @@ class TaggerModel:
         return self.crf_loss(self.encode(sentence, training, rng), sentence, training, rng)
 
 
-# -- functional wrappers ------------------------------------------------------
-
-
-def char_attention(model: TaggerModel, word: str) -> nc.Tensor:
-    return model.char_attention(word)
-
-
-def encode_tokens(model: TaggerModel, sentence: Sentence) -> list[nc.Tensor]:
-    return model.encode(sentence)
-
-
 # -- CRF ----------------------------------------------------------------------
 
 
@@ -232,17 +218,16 @@ def crf_log_likelihood(emissions: nc.Tensor, transitions: nc.Tensor,
         raise ValueError("gold tag count does not match emission rows")
     gold = list(gold_tags)
     trans_rows = [start] + gold[:-1]
-    gold_score = (nc.gather(emissions, list(range(n)), gold).sum()
-                  + nc.gather(transitions, trans_rows, gold).sum()
-                  + nc.gather(transitions, [gold[-1]], [stop]).sum())
+    gold_score = (emissions[np.arange(n), gold].sum()
+                  + transitions[trans_rows, gold].sum()
+                  + transitions[gold[-1], stop])
 
-    inner = nc.slice2d(transitions, slice(0, k), slice(0, k))
-    alpha = nc.reshape(nc.slice2d(transitions, slice(start, start + 1), slice(0, k)), (k,)) \
-        + nc.row(emissions, 0)
+    inner = transitions[:k, :k]
+    alpha = transitions[start, :k] + emissions[0]
     for t in range(1, n):
         moved = nc.reshape(alpha, (k, 1)) + inner
-        alpha = nc.logsumexp(moved, axis=0) + nc.row(emissions, t)
-    stop_scores = nc.reshape(nc.slice2d(transitions, slice(0, k), slice(stop, stop + 1)), (k,))
+        alpha = nc.logsumexp(moved, axis=0) + emissions[t]
+    stop_scores = transitions[:k, stop]
     log_z = nc.logsumexp(alpha + stop_scores)
     return log_z - gold_score
 

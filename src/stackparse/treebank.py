@@ -94,7 +94,8 @@ class Sentence:
     def deprels(self) -> tuple[str, ...]:
         return tuple(t.deprel for t in self.tokens)
 
-    def with_upos(self, tags: Iterable[str], keep_gold: bool = True) -> "Sentence":
+    def with_upos(self, tags: Iterable[str]) -> "Sentence":
+        """A copy tagged with `tags` that keeps the gold tags it was read with."""
         tags = tuple(tags)
         if len(tags) != len(self.tokens):
             raise ValueError("tag count does not match sentence length")
@@ -102,7 +103,7 @@ class Sentence:
             Token(t.index, t.form, tag, t.head, t.deprel)
             for t, tag in zip(self.tokens, tags)
         )
-        gold = self.upos if keep_gold and self.gold_upos is None else self.gold_upos
+        gold = self.upos if self.gold_upos is None else self.gold_upos
         return Sentence(tokens, self.categories, gold)
 
     def with_tree(self, heads: Iterable[int], deprels: Iterable[str]) -> "Sentence":

@@ -407,6 +407,32 @@ def test_lm_train_rank_and_lexicon_match(workdir, capsys):
     assert hits[1].startswith("kiasu,wah lao\t")
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("lm-train", ["--order", 0], "lm_order must be >= 1"),
+    ("lm-rank", ["--min-len", 10, "--max-len", 5], "length_max must be >= length_min"),
+    ("lm-rank", ["--min-len", -3], "length_min must be >= 1"),
+    ("eval", ["--include-punct", "flase"], "include_punct: expected a boolean"),
+])
+def test_bad_flag_values_are_checked_like_config_values(workdir, capsys, command, flags,
+                                                        message):
+    corpus = workdir / "corpus.txt"
+    corpus.write_text("the cat sat here today\n" * 5, encoding="utf-8")
+    assert run("lm-train", "--corpus", corpus, "--order", 2,
+               "--out", workdir / "lm.json") == 0
+    capsys.readouterr()
+    inputs = {
+        "lm-train": ["--corpus", corpus, "--out", workdir / "lm2.json"],
+        "lm-rank": ["--lm", workdir / "lm.json", "--input", corpus,
+                    "--out", workdir / "ranked.tsv"],
+        "eval": ["--gold", workdir / "tb.conllu", "--pred", workdir / "tb.conllu"],
+    }
+    assert run(command, *inputs[command], *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_iaa_command(workdir, capsys):
     assert run("iaa", "--a", workdir / "tb.conllu", "--b", workdir / "tb.conllu") == 0
     out = capsys.readouterr().out

@@ -231,6 +231,12 @@ def test_lexicon_case_insensitive_and_order():
     assert hits == [["kiasu", "makan"]]
 
 
+def test_lexicon_terms_match_case_insensitively_and_are_reported_as_given():
+    hits = match_lexicon([["Hello", "world"]], ["Hello", "hello"])
+    assert hits == [["Hello", "hello"]]
+    assert match_lexicon([["dun", "talk", "cock"]], ["Talk Cock"]) == [["Talk Cock"]]
+
+
 def test_empty_lexicon_no_hits():
     assert match_lexicon([["a", "b"]], set()) == [[]]
 

@@ -6,56 +6,59 @@ import pytest
 from stackparse.numcore import (
     AdagradState,
     Tensor,
-    adagrad_update,
     fit,
     grad_check,
-    load_params,
-    manifest_blob_to_params,
-    params_to_manifest_blob,
-    save_params,
+    manifest_arrays,
+    manifest_views,
 )
+
+
+def step(state, param: Tensor, grad) -> None:
+    """One Adagrad update of `param` with the given gradient."""
+    param.grad = np.asarray(grad, dtype=np.float64)
+    state.apply({"p": param})
 
 
 def test_adagrad_first_step_closed_form():
     state = AdagradState(learning_rate=0.01, l2_lambda=0.0)
-    params = {"p": np.array([1.0])}
-    adagrad_update(state, params, {"p": np.array([1.0])})
+    param = Tensor(np.array([1.0]))
+    step(state, param, [1.0])
     expected_delta = -0.01 * 1.0 / (1.0 + 1e-8)
-    assert abs(params["p"][0] - (1.0 + expected_delta)) < 1e-15
+    assert abs(param.data[0] - (1.0 + expected_delta)) < 1e-15
 
 
 def test_adagrad_zero_gradient_leaves_params_unchanged():
     state = AdagradState(l2_lambda=0.0)
-    params = {"p": np.array([3.0, -2.0])}
-    adagrad_update(state, params, {"p": np.zeros(2)})
-    assert np.array_equal(params["p"], np.array([3.0, -2.0]))
+    param = Tensor(np.array([3.0, -2.0]))
+    step(state, param, np.zeros(2))
+    assert np.array_equal(param.data, np.array([3.0, -2.0]))
 
 
 def test_adagrad_second_step_uses_accumulated_squares():
     state = AdagradState(learning_rate=0.01, l2_lambda=0.0)
-    params = {"p": np.array([0.0])}
-    adagrad_update(state, params, {"p": np.array([1.0])})
-    first = params["p"][0]
-    adagrad_update(state, params, {"p": np.array([1.0])})
-    second_delta = params["p"][0] - first
+    param = Tensor(np.array([0.0]))
+    step(state, param, [1.0])
+    first = param.data[0]
+    step(state, param, [1.0])
+    second_delta = param.data[0] - first
     assert abs(second_delta - (-0.01 / (np.sqrt(2.0) + 1e-8))) < 1e-15
 
 
 def test_adagrad_l2_term_shrinks_parameters():
     state = AdagradState(learning_rate=0.1, l2_lambda=0.5)
-    params = {"p": np.array([2.0])}
-    adagrad_update(state, params, {"p": np.zeros(1)})
+    param = Tensor(np.array([2.0]))
+    step(state, param, np.zeros(1))
     # effective gradient = lambda * p = 1.0
-    assert params["p"][0] < 2.0
+    assert param.data[0] < 2.0
 
 
 def test_adagrad_accumulators_nonnegative_and_nondecreasing():
     rng = np.random.default_rng(0)
     state = AdagradState(l2_lambda=0.0)
-    params = {"p": rng.standard_normal(5)}
+    param = Tensor(rng.standard_normal(5))
     previous = np.zeros(5)
     for _ in range(10):
-        adagrad_update(state, params, {"p": rng.standard_normal(5)})
+        step(state, param, rng.standard_normal(5))
         acc = state.accumulators["p"]
         assert np.all(acc >= previous)
         previous = acc.copy()
@@ -64,7 +67,7 @@ def test_adagrad_accumulators_nonnegative_and_nondecreasing():
 def test_adagrad_rejects_nan_gradients():
     state = AdagradState()
     with pytest.raises(FloatingPointError):
-        adagrad_update(state, {"p": np.zeros(2)}, {"p": np.array([1.0, np.nan])})
+        step(state, Tensor(np.zeros(2)), [1.0, np.nan])
 
 
 def test_adagrad_apply_skips_missing_grads():
@@ -151,6 +154,11 @@ def test_grad_check_quadratic_is_near_exact():
 # -- serialization ------------------------------------------------------------
 
 
+def to_manifest_blob(params):
+    manifest, arrays = manifest_arrays(params)
+    return manifest, b"".join(arrays)
+
+
 def test_manifest_blob_round_trip_is_bit_exact():
     rng = np.random.default_rng(1)
     params = {
@@ -159,20 +167,20 @@ def test_manifest_blob_round_trip_is_bit_exact():
         "scalarish": np.array(3.25),
         "small32": rng.standard_normal((2, 2)).astype(np.float32),
     }
-    manifest, blob = params_to_manifest_blob(params)
-    restored = manifest_blob_to_params(manifest, blob)
+    manifest, blob = to_manifest_blob(params)
+    restored = manifest_views(manifest, blob)
     assert set(restored) == set(params)
     for name, arr in params.items():
         assert restored[name].dtype == arr.dtype
         assert restored[name].shape == arr.shape
         assert restored[name].tobytes() == arr.tobytes()
-    manifest2, blob2 = params_to_manifest_blob(restored)
+    manifest2, blob2 = to_manifest_blob(restored)
     assert manifest2 == manifest and blob2 == blob
 
 
 def test_manifest_format_and_little_endianness():
     params = {"w": np.array([[1.0, 2.0]]), "v": np.array([3.0], dtype=np.float32)}
-    manifest, blob = params_to_manifest_blob(params)
+    manifest, blob = to_manifest_blob(params)
     lines = manifest.strip().split("\n")
     assert lines[0] == "w 1,2 float64 0"
     assert lines[1] == "v 1 float32 16"
@@ -182,13 +190,17 @@ def test_manifest_format_and_little_endianness():
 
 def test_parameter_names_may_not_contain_spaces():
     with pytest.raises(ValueError):
-        params_to_manifest_blob({"bad name": np.zeros(1)})
+        manifest_arrays({"bad name": np.zeros(1)})
 
 
 def test_file_round_trip(tmp_path):
     params = {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}
-    path = str(tmp_path / "model")
-    save_params(path, params)
-    restored = load_params(path)
+    manifest, arrays = manifest_arrays(params)
+    (tmp_path / "model.manifest").write_text(manifest)
+    with open(tmp_path / "model.bin", "wb") as f:
+        for arr in arrays:
+            f.write(arr)
+    restored = manifest_views((tmp_path / "model.manifest").read_text(),
+                              (tmp_path / "model.bin").read_bytes())
     assert np.array_equal(restored["a"], params["a"])
     assert (tmp_path / "model.manifest").read_text().startswith("a 2,3 float64 0")

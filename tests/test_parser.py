@@ -8,10 +8,8 @@ import pytest
 from stackparse import numcore as nc
 from stackparse.parser import (
     ParserModel,
-    biaffine,
     decode_greedy,
     decode_mst,
-    heads_form_tree,
     parse,
     score_arcs,
     score_labels,
@@ -27,57 +25,6 @@ def small_parser(**overrides):
     defaults.update(overrides)
     return ParserModel(["det", "nsubj", "root"], ["DET", "NOUN", "VERB"],
                        {"the": 0, "cat": 1, "sat": 2}, **defaults)
-
-
-# -- biaffine -------------------------------------------------------------------
-
-
-def test_biaffine_identity_matrix_is_dot_product():
-    u = nc.Tensor(np.array([1.0, 2.0, 3.0]))
-    v = nc.Tensor(np.array([0.5, -1.0, 2.0]))
-    w = nc.Tensor(np.eye(3))
-    assert abs(biaffine(u, w, v).item() - float(u.data @ v.data)) < 1e-12
-
-
-def test_biaffine_zero_vectors_return_bias():
-    u = nc.Tensor(np.zeros(3))
-    v = nc.Tensor(np.zeros(3))
-    w = nc.Tensor(np.zeros((3, 3)))
-    assert biaffine(u, w, v, bias=2.5).item() == 2.5
-
-
-def test_biaffine_matches_double_summation():
-    rng = np.random.default_rng(1)
-    u = nc.Tensor(rng.standard_normal(3))
-    v = nc.Tensor(rng.standard_normal(4))
-    w = nc.Tensor(rng.standard_normal((3, 4)))
-    expected = sum(u.data[i] * w.data[i, j] * v.data[j]
-                   for i in range(3) for j in range(4))
-    assert abs(biaffine(u, w, v).item() - expected) < 1e-12
-
-
-def test_biaffine_label_tensor_per_label_scores():
-    rng = np.random.default_rng(2)
-    u = nc.Tensor(rng.standard_normal(3))
-    v = nc.Tensor(rng.standard_normal(3))
-    w = nc.Tensor(rng.standard_normal((4, 3, 3)))
-    out = biaffine(u, w, v)
-    assert out.shape == (4,)
-    for label in range(4):
-        expected = u.data @ w.data[label] @ v.data
-        assert abs(out.data[label] - expected) < 1e-12
-
-
-def test_biaffine_linear_terms():
-    rng = np.random.default_rng(3)
-    u = nc.Tensor(rng.standard_normal(3))
-    v = nc.Tensor(rng.standard_normal(3))
-    w = nc.Tensor(np.zeros((3, 3)))
-    w_u = nc.Tensor(rng.standard_normal(3))
-    w_v = nc.Tensor(rng.standard_normal(3))
-    out = biaffine(u, w, v, bias=1.0, w_u=w_u, w_v=w_v)
-    expected = float(w_u.data @ u.data + w_v.data @ v.data) + 1.0
-    assert abs(out.item() - expected) < 1e-12
 
 
 # -- arc scoring -------------------------------------------------------------------
@@ -111,9 +58,9 @@ def test_score_arcs_matches_per_pair_biaffine():
         for h in range(4):
             if h == d:
                 continue
-            u = nc.concat([nc.row(fw.arc_dep, d), nc.Tensor(np.ones(1))])
-            v = nc.row(fw.arc_head, h)
-            expected = biaffine(u, model.u_arc, v).item()
+            u = np.append(fw.arc_dep.data[d], 1.0)
+            v = fw.arc_head.data[h]
+            expected = u @ model.u_arc.data @ v
             assert abs(scores[d, h] - expected) < 1e-10
 
 
@@ -138,7 +85,7 @@ def test_decode_greedy_returns_tree_when_argmaxes_form_one():
                      [0, 1, 9, 0]])   # 3 -> 2
     heads = decode_greedy(scores)
     assert heads == [0, 1, 2]
-    assert heads_form_tree(heads)
+    assert is_tree(heads)
 
 
 def test_decode_greedy_can_emit_flagged_cycle():
@@ -147,7 +94,7 @@ def test_decode_greedy_can_emit_flagged_cycle():
                      [1, 9, 0]])  # 2 -> 1
     heads = decode_greedy(scores)
     assert heads == [2, 1]
-    assert not heads_form_tree(heads)
+    assert not is_tree(heads)
 
 
 def test_decode_greedy_all_equal_ties_to_root():
@@ -343,7 +290,7 @@ def test_mst_score_at_least_greedy_on_tree_outputs():
         mst = decode_mst(scores)
         mst_total = sum(scores[d, h] for d, h in enumerate(mst, start=1))
         greedy_total = sum(scores[d, h] for d, h in enumerate(greedy, start=1))
-        if heads_form_tree(greedy):
+        if is_tree(greedy):
             assert abs(mst_total - greedy_total) < 1e-9
         else:
             assert greedy_total >= mst_total - 1e-9  # greedy relaxation bound
@@ -466,7 +413,7 @@ def test_parse_purity_and_shapes(tiny_cfg):
 def test_parse_repair_decodes_mst_from_the_same_forward_pass():
     model = small_parser()
     sentence = make_sentence(["the", "cat", "sat"], ["DET", "NOUN", "VERB"])
-    assert not heads_form_tree(parse(model, sentence).heads)
+    assert not is_tree(parse(model, sentence).heads)
     mst = parse(model, sentence, decoder="mst")
     forward, calls = model.forward_full, []
     model.forward_full = lambda *args: calls.append(args) or forward(*args)

@@ -10,9 +10,7 @@ from stackparse import numcore as nc
 from stackparse.embeddings import PretrainedEmbeddings
 from stackparse.tagger import (
     TaggerModel,
-    char_attention,
     crf_log_likelihood,
-    encode_tokens,
     tag,
     train_tagger,
     viterbi_decode,
@@ -33,13 +31,13 @@ def small_model(**overrides):
 
 def test_char_attention_single_char_is_its_embedding():
     model = small_model()
-    out = char_attention(model, "t")
+    out = model.char_attention("t")
     assert np.allclose(out.data, model.char_table.data[0], atol=1e-15)
 
 
 def test_char_attention_repeated_chars_is_that_embedding():
     model = small_model()
-    out = char_attention(model, "eee")
+    out = model.char_attention("eee")
     assert np.allclose(out.data, model.char_table.data[2], atol=1e-12)
 
 
@@ -52,7 +50,7 @@ def test_char_attention_closed_form_softmax_weights():
     model.char_table.data[1, 0] = 0.0   # embedding of 'q'
     model.att_proj.data[0, 0] = 1.0
     model.att_query.data[0] = 2.0 / math.tanh(1.0)  # score(p)=2.0, score(q)=0.0
-    out = char_attention(model, "pq")
+    out = model.char_attention("pq")
     w_p = math.exp(2.0) / (math.exp(2.0) + 1.0)
     assert abs(out.data[0] - w_p * 1.0) < 1e-12
 
@@ -60,7 +58,7 @@ def test_char_attention_closed_form_softmax_weights():
 def test_char_attention_output_in_convex_hull():
     model = small_model()
     word = "teach"
-    out = char_attention(model, word).data
+    out = model.char_attention(word).data
     unk = len(model.char_vocab)
     rows = model.char_table.data[[model.char_vocab.get(c, unk) for c in word]]
     assert np.all(out >= rows.min(axis=0) - 1e-12)
@@ -69,12 +67,12 @@ def test_char_attention_output_in_convex_hull():
 
 def test_char_attention_empty_word_uses_reserved_vector():
     model = small_model()
-    assert char_attention(model, "") is model.empty_word_vec
+    assert model.char_attention("") is model.empty_word_vec
 
 
 def test_unknown_characters_map_to_reserved_row():
     model = small_model()
-    out = char_attention(model, "ZZ")  # 'Z' unseen
+    out = model.char_attention("ZZ")  # 'Z' unseen
     assert np.allclose(out.data, model.char_table.data[-1], atol=1e-12)
 
 
@@ -84,14 +82,14 @@ def test_unknown_characters_map_to_reserved_row():
 def test_encode_window_zero_is_per_token_vector():
     model = small_model(window=0)
     sentence = make_sentence(["the", "cat"], ["A", "B"], [2, 0], ["x", "root"])
-    inputs = encode_tokens(model, sentence)
+    inputs = model.encode(sentence)
     assert all(v.shape == (model.per_token_dim,) for v in inputs)
 
 
 def test_encode_single_token_window_two_uses_four_padding_slots():
     model = small_model(window=2)
     sentence = make_sentence(["the"], ["A"], [0], ["root"])
-    (vec,) = encode_tokens(model, sentence)
+    (vec,) = model.encode(sentence)
     d = model.per_token_dim
     assert vec.shape == (5 * d,)
     pad = model.pad_vec.data
@@ -107,7 +105,7 @@ def test_encode_dimension_arithmetic_50_50_30():
                         layers=1, window=1, dropout=0.0, rng=nc.make_rng(0))
     assert model.per_token_dim == 130
     sentence = make_sentence(["the"], ["A"], [0], ["root"])
-    (vec,) = encode_tokens(model, sentence)
+    (vec,) = model.encode(sentence)
     assert vec.shape == (390,)
 
 

@@ -51,14 +51,31 @@ def test_structural_ops_pass_gradcheck():
     mat = Tensor(rand((4, 4), seed=5), requires_grad=True)
 
     def loss():
-        rows = nc.take_rows(table, [0, 2, 2, 4])
-        joined = nc.concat([rows, nc.slice2d(mat, slice(0, 4), slice(0, 3))], axis=1)
+        rows = table[[0, 2, 2, 4]]  # a repeated index array
+        joined = nc.concat([rows, mat[0:4, 0:3]], axis=1)  # a pair of 2-D slices
         ones = nc.append_ones_col(joined)
-        picked = nc.gather(ones, [0, 1, 2], [1, 3, 6])
+        picked = ones[[0, 1, 2], [1, 3, 6]]  # paired index arrays
         return (nc.leaky_relu(ones).sum() + picked.sum()
-                + nc.narrow(nc.row(table, 1), 0, 2).sum())
+                + table[1][0:2].sum()  # an int row, then a 1-D slice
+                + nc.tanh(mat[2, 1:]).sum())  # int plus slice
 
     assert nc.grad_check(loss, {"table": table, "mat": mat}) < 1e-6
+
+
+@pytest.mark.parametrize("basic,advanced", [
+    (1, [1]),
+    ((slice(1, 4), slice(None)), ([[1], [2], [3]], [0, 1, 2])),
+    ((2, slice(0, 3)), ([2, 2, 2], [0, 1, 2])),
+])
+def test_basic_and_index_array_keys_give_identical_gradients(basic, advanced):
+    grads = []
+    for key in (basic, advanced):
+        x = Tensor(rand((5, 3), seed=21), requires_grad=True)
+        out = x[key]
+        weights = Tensor(rand(out.shape, seed=22))
+        nc.tanh(out * weights).sum().backward()
+        grads.append((out.data.reshape(-1).tobytes(), x.grad.tobytes()))
+    assert grads[0] == grads[1]
 
 
 def test_softmax_rows_sum_to_one_within_1e12():
@@ -182,18 +199,6 @@ def test_backward_requires_scalar():
     x = Tensor(rand(3, seed=17), requires_grad=True)
     with pytest.raises(ValueError):
         nc.tanh(x).backward()
-
-
-def test_float32_build_option():
-    nc.set_default_dtype(np.float32)
-    try:
-        t = Tensor(np.array([1.0, 2.0]))
-        assert t.data.dtype == np.float32
-        out = nc.sigmoid(t)
-        assert out.data.dtype == np.float32
-    finally:
-        nc.set_default_dtype(np.float64)
-    assert Tensor(np.array([1.0])).data.dtype == np.float64
 
 
 def test_stack_rows_and_transpose_grads():
