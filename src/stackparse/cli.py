@@ -324,9 +324,17 @@ def _cmd_validate(args) -> int:
     return 0 if hard == 0 else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line and exit code 2,
+    like every other input error; `-h` still prints the usage.
+    Subparsers are made from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_argument_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(prog="stackparse",
-                                   description=__doc__.splitlines()[0])
+    root = _ArgumentParser(prog="stackparse", description=__doc__.splitlines()[0])
     sub = root.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

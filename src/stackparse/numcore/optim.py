@@ -3,11 +3,14 @@ epoch loop every trainer runs on it."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Tensor, zero_grads
+
+_CHUNK = 1 << 15  # elements per Adagrad pass; the two 256 KiB scratch chunks stay in cache
 
 
 class AdagradState:
@@ -25,12 +28,24 @@ class AdagradState:
         self.epsilon = epsilon
         self.l2_lambda = l2_lambda
         self.accumulators: dict[str, np.ndarray] = {}
+        self._scratch = (np.empty(0), np.empty(0))
+
+    def _buffers(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays of `shape`, views of two flat buffers that
+        every update reuses (grown when a row is longer than a chunk)."""
+        size = math.prod(shape)
+        if self._scratch[0].size < size:
+            self._scratch = (np.empty(size), np.empty(size))
+        return tuple(b[:size].reshape(shape) for b in self._scratch)
 
     def apply(self, params: dict[str, Tensor]) -> None:
         """One Adagrad step, in place, for every tensor with a .grad (None
         grads are skipped): acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
-        The L2 term lambda * p is added to the raw gradient first.
+        The L2 term lambda * p is added to the raw gradient first.  A tensor
+        is updated in chunks of whole rows, so the intermediates stay in
+        cache; every element sees the operations of the formula in its
+        order, so the results are those of the whole-array expression.
         """
         for name, t in params.items():
             g, p = t.grad, t.data
@@ -40,14 +55,24 @@ class AdagradState:
                 raise FloatingPointError(f"NaN gradient for parameter {name!r}")
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape mismatch for {name!r}")
-            if self.l2_lambda:
-                g = g + self.l2_lambda * p
             acc = self.accumulators.get(name)
             if acc is None:
                 acc = np.zeros_like(p)
                 self.accumulators[name] = acc
-            acc += g * g
-            p -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+            g, p, acc = np.atleast_1d(g, p, acc)
+            rows = max(1, _CHUNK // max(1, math.prod(p.shape[1:])))
+            for lo in range(0, len(p), rows):
+                self._update(g[lo:lo + rows], p[lo:lo + rows], acc[lo:lo + rows])
+
+    def _update(self, g: np.ndarray, p: np.ndarray, acc: np.ndarray) -> None:
+        step, tmp = self._buffers(p.shape)
+        if self.l2_lambda:
+            g = np.add(g, np.multiply(self.l2_lambda, p, out=step), out=step)
+        acc += np.multiply(g, g, out=tmp)
+        np.sqrt(acc, out=tmp)
+        tmp += self.epsilon
+        np.multiply(self.learning_rate, g, out=step)
+        p -= np.divide(step, tmp, out=step)
 
 
 def fit(params: dict[str, Tensor], loss_fn: Callable[[object], Tensor],

@@ -364,10 +364,15 @@ def tanh(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = _sigmoid(a.data)
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))

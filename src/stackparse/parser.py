@@ -178,10 +178,9 @@ class ParserModel:
         if not forms:
             raise ValueError("cannot parse an empty sentence")
         vecs = self.input_vectors(forms, upos_tags, training, rng, base)
-        hs = nc.bilstm_encode(self.lstm_layers, vecs)
+        recurrent = nc.bilstm_encode(self.lstm_layers, nc.stack_rows(vecs))
         if training and self.dropout:
-            hs = [nc.dropout(h, self.dropout, rng) for h in hs]
-        recurrent = nc.stack_rows(hs)
+            recurrent = nc.dropout(recurrent, self.dropout, rng)
         heads = []
         for name in _MLP_HEADS:
             out = self._mlp_apply(name, recurrent, training, rng)

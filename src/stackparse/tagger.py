@@ -170,10 +170,9 @@ class TaggerModel:
 
     def emissions(self, inputs: list[nc.Tensor], training: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[nc.Tensor, nc.Tensor]:
-        hs = nc.bilstm_encode(self.lstm_layers, inputs)
+        hidden_mat = nc.bilstm_encode(self.lstm_layers, nc.stack_rows(inputs))
         if training and self.dropout:
-            hs = [nc.dropout(h, self.dropout, rng) for h in hs]
-        hidden_mat = nc.stack_rows(hs)
+            hidden_mat = nc.dropout(hidden_mat, self.dropout, rng)
         em = nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
         return em, hidden_mat
 

@@ -433,6 +433,22 @@ def test_bad_flag_values_are_checked_like_config_values(workdir, capsys, command
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--order", "abc"], "error: argument --order: invalid int value: 'abc'"),
+    (["--seed", "x"], "error: argument --seed: invalid int value: 'x'"),
+])
+def test_unparseable_flag_values_give_one_error_line(workdir, capsys, flags, message):
+    corpus = workdir / "corpus.txt"
+    corpus.write_text("the cat sat here today\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        run("lm-train", "--corpus", corpus, "--out", workdir / "lm.json", *flags)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert not (workdir / "lm.json").exists()
+
+
 def test_iaa_command(workdir, capsys):
     assert run("iaa", "--a", workdir / "tb.conllu", "--b", workdir / "tb.conllu") == 0
     out = capsys.readouterr().out

@@ -131,25 +131,28 @@ def test_dimension_mismatch_raises():
         LstmCell("gru", 3, 4)
 
 
+def rows(*vectors):
+    return Tensor(np.stack(vectors))
+
+
 def test_bilstm_single_element_runs_both_directions_once():
     rng = nc.make_rng(3)
     fwd = LstmCell(PEEPHOLE, 2, 3, rng=rng)
     bwd = LstmCell(PEEPHOLE, 2, 3, rng=rng)
     x = Tensor(rng.standard_normal(2))
-    out = bilstm_encode([(fwd, bwd)], [x])
-    assert len(out) == 1 and out[0].shape == (6,)
+    out = bilstm_encode([(fwd, bwd)], rows(x.data))
+    assert out.shape == (1, 6)
     zeros = Tensor(np.zeros(3))
     hf, _ = lstm_step(fwd, x, zeros, Tensor(np.zeros(3)))
     hb, _ = lstm_step(bwd, x, zeros, Tensor(np.zeros(3)))
-    assert np.allclose(out[0].data, np.concatenate([hf.data, hb.data]), atol=1e-15)
+    assert np.allclose(out.data[0], np.concatenate([hf.data, hb.data]), atol=1e-15)
 
 
 def test_bilstm_palindrome_symmetry_with_shared_cell():
     rng = nc.make_rng(4)
     cell = LstmCell(COUPLED, 2, 3, rng=rng)
     xs = [rng.standard_normal(2) for _ in range(2)]
-    seq = [Tensor(xs[0]), Tensor(xs[1]), Tensor(xs[1]), Tensor(xs[0])]
-    out = np.stack([o.data for o in bilstm_encode([(cell, cell)], seq)])
+    out = bilstm_encode([(cell, cell)], rows(xs[0], xs[1], xs[1], xs[0])).data
     h = cell.hidden_dim
     # with forward cell == backward cell on a palindrome, reversing the
     # sequence swaps the forward/backward halves
@@ -161,18 +164,116 @@ def test_two_layer_encode_equals_manual_composition():
     rng = nc.make_rng(5)
     layer1 = (LstmCell(COUPLED, 2, 3, rng=rng), LstmCell(COUPLED, 2, 3, rng=rng))
     layer2 = (LstmCell(COUPLED, 6, 3, rng=rng), LstmCell(COUPLED, 6, 3, rng=rng))
-    seq = [Tensor(rng.standard_normal(2)) for _ in range(4)]
+    seq = Tensor(rng.standard_normal((4, 2)))
     stacked = bilstm_encode([layer1, layer2], seq)
     composed = bilstm_encode([layer2], bilstm_encode([layer1], seq))
-    for a, b in zip(stacked, composed):
-        assert np.allclose(a.data, b.data, atol=1e-15)
+    assert np.allclose(stacked.data, composed.data, atol=1e-15)
 
 
 def test_bilstm_rejects_empty_sequence():
     rng = nc.make_rng(6)
     layer = (LstmCell(COUPLED, 2, 3, rng=rng), LstmCell(COUPLED, 2, 3, rng=rng))
     with pytest.raises(ValueError):
-        bilstm_encode([layer], [])
+        bilstm_encode([layer], Tensor(np.zeros((0, 2))))
+
+
+def random_layers(variant, input_dim, hidden_dim, depth, rng):
+    """`depth` bi-LSTM layers with random biases and peepholes, so every
+    parameter reaches the output."""
+    layers = []
+    for k in range(depth):
+        pair = []
+        for _ in range(2):
+            cell = LstmCell(variant, input_dim if k == 0 else 2 * hidden_dim, hidden_dim, rng=rng)
+            cell.bias.data[:] = rng.standard_normal(cell.bias.shape) * 0.5
+            if variant == PEEPHOLE:
+                for p in (cell.p_in, cell.p_forget, cell.p_out):
+                    p.data[:] = rng.standard_normal(hidden_dim) * 0.5
+            pair.append(cell)
+        layers.append(tuple(pair))
+    return layers
+
+
+def layer_parameters(layers):
+    params = {}
+    for k, (fwd, bwd) in enumerate(layers):
+        params.update(fwd.parameters(f"lstm{k}/fwd"))
+        params.update(bwd.parameters(f"lstm{k}/bwd"))
+    return params
+
+
+def step_encode(layers, x):
+    """Reference: the same bi-LSTM as a loop over `LstmCell.step`."""
+    seq = [x[t] for t in range(x.shape[0])]
+    for fwd, bwd in layers:
+        outputs = []
+        for cell, order in ((fwd, seq), (bwd, seq[::-1])):
+            h = Tensor(np.zeros(cell.hidden_dim))
+            c = Tensor(np.zeros(cell.hidden_dim))
+            hs = []
+            for v in order:
+                h, c = cell.step(v, h, c)
+                hs.append(h)
+            outputs.append(hs if order is seq else hs[::-1])
+        seq = [nc.concat([f, b]) for f, b in zip(*outputs)]
+    return nc.stack_rows(seq)
+
+
+@pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
+def test_bilstm_encode_gradients(variant):
+    rng = nc.make_rng(11)
+    layers = random_layers(variant, 3, 2, 2, rng)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((4, 4)))
+
+    def loss():
+        return (nc.tanh(bilstm_encode(layers, x)) * weights).sum()
+
+    assert nc.grad_check(loss, dict(layer_parameters(layers), x=x)) < 1e-6
+
+
+@pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
+@pytest.mark.parametrize("steps", [1, 2, 17])
+def test_bilstm_encode_matches_step_loop(variant, steps):
+    rng = nc.make_rng(12)
+    layers = random_layers(variant, 5, 6, 2, rng)
+    x = Tensor(rng.standard_normal((steps, 5)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((steps, 12)))
+    params = dict(layer_parameters(layers), x=x)
+    results = []
+    for encode in (bilstm_encode, step_encode):
+        nc.zero_grads(params.values())
+        out = encode(layers, x)
+        (nc.tanh(out) * weights).sum().backward()
+        results.append((out.data.copy(), {k: t.grad.copy() for k, t in params.items()}))
+    (fused, fused_grads), (ref, ref_grads) = results
+    np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=0)
+    for name in params:
+        np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=1e-10,
+                                   atol=1e-14, err_msg=name)
+
+
+def test_bilstm_encode_builds_no_tape_under_no_grad():
+    rng = nc.make_rng(13)
+    layers = random_layers(PEEPHOLE, 3, 4, 2, rng)
+    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    with nc.no_grad():
+        out = bilstm_encode(layers, x)
+    assert out.requires_grad is False and out._parents == () and out._backward is None
+    assert bilstm_encode(layers, x).requires_grad
+
+
+@pytest.mark.parametrize("variant,name", [
+    (COUPLED, "w_x"), (COUPLED, "w_h"), (COUPLED, "bias"),
+    (PEEPHOLE, "p_in"), (PEEPHOLE, "p_forget"), (PEEPHOLE, "p_out"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_bilstm_encode_rejects_non_finite_weights(variant, name, value):
+    rng = nc.make_rng(14)
+    layers = random_layers(variant, 3, 4, 2, rng)
+    getattr(layers[1][1], name).data.reshape(-1)[1] = value
+    with pytest.raises(nc.NonFiniteError):
+        bilstm_encode(layers, Tensor(rng.standard_normal((5, 3))))
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])

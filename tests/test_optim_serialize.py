@@ -66,7 +66,7 @@ def test_adagrad_accumulators_nonnegative_and_nondecreasing():
 
 def test_adagrad_rejects_nan_gradients():
     state = AdagradState()
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="'p'"):
         step(state, Tensor(np.zeros(2)), [1.0, np.nan])
 
 
@@ -78,6 +78,28 @@ def test_adagrad_apply_skips_missing_grads():
     state.apply({"used": used, "unused": unused})
     assert used.data[0] != 1.0
     assert unused.data[0] == 5.0
+
+
+@pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
+def test_adagrad_chunked_update_equals_the_whole_array_formula(l2_lambda):
+    """Tensors spanning several update chunks, and a scalar, get the plain
+    whole-array expression of the update bit for bit."""
+    rng = np.random.default_rng(1)
+    shapes = {"matrix": (300, 200), "vector": (70001,), "stack": (5, 90, 90), "scalar": ()}
+    state = AdagradState(learning_rate=0.05, l2_lambda=l2_lambda)
+    params = {k: Tensor(rng.standard_normal(s)) for k, s in shapes.items()}
+    expected = {k: t.data.copy() for k, t in params.items()}
+    acc = {k: np.zeros(s) for k, s in shapes.items()}
+    for _ in range(3):
+        for k, t in params.items():
+            t.grad = np.asarray(rng.standard_normal(shapes[k]))
+            g = t.grad + l2_lambda * expected[k] if l2_lambda else t.grad
+            acc[k] += g * g
+            expected[k] -= 0.05 * g / (np.sqrt(acc[k]) + 1e-8)
+        state.apply(params)
+    for k, t in params.items():
+        assert t.data.tobytes() == expected[k].tobytes(), k
+        assert state.accumulators[k].tobytes() == acc[k].tobytes(), k
 
 
 class _FitConfig:
