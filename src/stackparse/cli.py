@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:  # NonFiniteError, NaN gradients
+    except FloatingPointError as exc:  # NonFiniteError, non-finite gradients
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 

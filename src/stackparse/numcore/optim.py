@@ -51,8 +51,8 @@ class AdagradState:
             g, p = t.grad, t.data
             if g is None:
                 continue
-            if np.isnan(g).any():
-                raise FloatingPointError(f"NaN gradient for parameter {name!r}")
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape mismatch for {name!r}")
             acc = self.accumulators.get(name)

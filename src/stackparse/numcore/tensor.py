@@ -49,6 +49,9 @@ class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # Not iterable: Python would otherwise iterate through __getitem__, one
+    # tape node per row.  Index or slice explicitly.
+    __iter__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)

@@ -1,10 +1,12 @@
 """Graph-based dependency parser with biaffine attention.
 
-Input layer: frozen pretrained embedding + trainable word embedding +
-POS-tag embedding per position, with a learned artificial-root position
-prepended.  Feature layer: multi-layer bi-LSTM with coupled-input-forget
-cells, then four parallel single-layer MLP heads (arc-dep, arc-head,
-rel-dep, rel-head).  Output layer: biaffine arc scores over every
+Input layer: one (n+1, D) matrix per sentence, row 0 the artificial
+root: a frozen pretrained embedding (zeros at the root), a trainable word
+embedding and a POS-tag embedding, each table looked up once per
+sentence (the root has learned rows of its own).  Feature layer:
+multi-layer bi-LSTM with coupled-input-forget cells, then four parallel
+single-layer MLP heads (arc-dep, arc-head, rel-dep, rel-head), all on
+(n+1, .) matrices.  Output layer: biaffine arc scores over every
 (dependent, head) pair and per-label biaffine scores; cross-entropy
 training; greedy or maximum-spanning-arborescence decoding.
 
@@ -139,28 +141,23 @@ class ParserModel:
 
     def input_vectors(self, forms: Sequence[str], upos_tags: Sequence[str],
                       training: bool = False, rng: np.random.Generator | None = None,
-                      base: ParserForward | None = None) -> list[nc.Tensor]:
-        """Per-position inputs with the artificial root at position 0; a
-        stacked parser passes its base's forward to append its recurrent rows."""
+                      base: ParserForward | None = None) -> nc.Tensor:
+        """(n+1, input_dim) inputs with the artificial root in row 0; a stacked
+        parser passes its base's forward to append its recurrent states."""
         if len(forms) != len(upos_tags):
             raise ValueError("forms and tags must align")
-        vecs = []
-        for position in range(len(forms) + 1):
-            if position == 0:
-                pre = np.zeros(self.pretrained.dim)
-                word, tag = len(self.word_vocab) + 1, len(self.tags) + 1
-            else:
-                form = forms[position - 1]
-                pre = self.pretrained.lookup(form)
-                word, tag = self.word_index(form), self.tag_index(upos_tags[position - 1])
-            parts = [nc.Tensor(pre)] if self.pretrained.dim else []
-            parts += [self.word_table[word], self.tag_table[tag]]
-            if base is not None:
-                parts.append(base.recurrent[position])
-            vecs.append(nc.concat(parts))
+        words = [len(self.word_vocab) + 1] + [self.word_index(f) for f in forms]
+        tags = [len(self.tags) + 1] + [self.tag_index(t) for t in upos_tags]
+        parts = [self.word_table[words], self.tag_table[tags]]
+        if self.pretrained.dim:
+            pre = [np.zeros(self.pretrained.dim)] + [self.pretrained.lookup(f) for f in forms]
+            parts.insert(0, nc.Tensor(pre))
+        if base is not None:
+            parts.append(base.recurrent)
+        x = nc.concat(parts, axis=1)
         if training and self.dropout:
-            vecs = [nc.dropout(v, self.dropout, rng) for v in vecs]
-        return vecs
+            x = nc.dropout(x, self.dropout, rng)
+        return x
 
     def _mlp_apply(self, name: str, recurrent: nc.Tensor, training: bool,
                    rng: np.random.Generator | None) -> nc.Tensor:
@@ -177,8 +174,8 @@ class ParserModel:
         recurrent rows join the inputs and its MLP outputs are added."""
         if not forms:
             raise ValueError("cannot parse an empty sentence")
-        vecs = self.input_vectors(forms, upos_tags, training, rng, base)
-        recurrent = nc.bilstm_encode(self.lstm_layers, nc.stack_rows(vecs))
+        x = self.input_vectors(forms, upos_tags, training, rng, base)
+        recurrent = nc.bilstm_encode(self.lstm_layers, x)
         if training and self.dropout:
             recurrent = nc.dropout(recurrent, self.dropout, rng)
         heads = []

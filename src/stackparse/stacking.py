@@ -61,10 +61,9 @@ class StackedTagger:
         return self.target.tags
 
     def stack_inputs(self, sentence: Sentence, training: bool = False,
-                     rng: np.random.Generator | None = None) -> list[nc.Tensor]:
+                     rng: np.random.Generator | None = None) -> nc.Tensor:
         em, _ = self.base.emissions(self.base.encode(sentence))
-        extra = [em[t] for t in range(len(sentence))]
-        return self.target.encode(sentence, training, rng, extra=extra)
+        return self.target.encode(sentence, training, rng, extra=em)
 
     def loss(self, sentence: Sentence, training: bool = False,
              rng: np.random.Generator | None = None) -> nc.Tensor:
@@ -85,7 +84,7 @@ class StackedTagger:
         return params
 
 
-def stack_tag_inputs(stacked: StackedTagger, sentence: Sentence) -> list[nc.Tensor]:
+def stack_tag_inputs(stacked: StackedTagger, sentence: Sentence) -> nc.Tensor:
     return stacked.stack_inputs(sentence)
 
 
@@ -179,7 +178,7 @@ class StackedParser:
 
 
 def stack_parse_inputs(stacked: StackedParser, sentence: Sentence,
-                       tags: Sequence[str] | None = None) -> list[nc.Tensor]:
+                       tags: Sequence[str] | None = None) -> nc.Tensor:
     tags = tuple(tags) if tags is not None else sentence.upos
     with nc.no_grad():
         base_fw = stacked.base.forward_full(sentence.forms, tags)

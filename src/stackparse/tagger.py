@@ -1,12 +1,13 @@
 """Bi-LSTM-CRF POS tagger.
 
-Input layer: per token, the concatenation of a frozen pretrained word
-embedding, a trainable word embedding, and an attention-weighted average
-of character embeddings; then the per-token vectors for a +-w context
-window are concatenated (learned padding vector outside the sentence).
-Feature layer: peephole bi-LSTM.  Output layer: linear emission
-projection plus a CRF with start/stop states, trained by exact
-sequence-level log-likelihood and decoded with Viterbi.
+Input layer: a sentence of n tokens is one (n, D) matrix whose rows are
+a frozen pretrained word embedding, a trainable word embedding and an
+attention-weighted average of character embeddings.  The +-w context
+window is 2w+1 row slices of that matrix, padded with w copies of a
+learned vector at each end, joined side by side.  Feature layer:
+peephole bi-LSTM.  Output layer: linear emission projection plus a CRF
+with start/stop states, trained by exact sequence-level log-likelihood
+and decoded with Viterbi.
 """
 
 from __future__ import annotations
@@ -138,39 +139,31 @@ class TaggerModel:
         weights = nc.softmax(scores, axis=0)
         return nc.matmul(weights, embs)
 
-    def token_vector(self, form: str) -> nc.Tensor:
-        parts = []
-        if self.pretrained.dim:
-            parts.append(nc.Tensor(self.pretrained.lookup(form)))
-        parts.append(self.word_table[self.word_index(form)])
-        parts.append(self.char_attention(form))
-        return nc.concat(parts)
-
-    def window_concat(self, vecs: list[nc.Tensor]) -> list[nc.Tensor]:
-        n = len(vecs)
-        out = []
-        for t in range(n):
-            slots = []
-            for pos in range(t - self.window, t + self.window + 1):
-                slots.append(vecs[pos] if 0 <= pos < n else self.pad_vec)
-            out.append(nc.concat(slots) if len(slots) > 1 else slots[0])
-        return out
-
     def encode(self, sentence: Sentence, training: bool = False,
                rng: np.random.Generator | None = None,
-               extra: list[nc.Tensor] | None = None) -> list[nc.Tensor]:
-        vecs = [self.token_vector(form) for form in sentence.forms]
+               extra: nc.Tensor | None = None) -> nc.Tensor:
+        """(n, (2w+1) * per_token_dim) windowed inputs; a stacked tagger
+        passes its base's (n, k) emission matrix as `extra`."""
+        forms = sentence.forms
+        parts = [self.word_table[[self.word_index(f) for f in forms]],
+                 nc.stack_rows([self.char_attention(f) for f in forms])]
+        if self.pretrained.dim:
+            parts.insert(0, nc.Tensor([self.pretrained.lookup(f) for f in forms]))
         if extra is not None:
-            vecs = [nc.concat([v, e]) for v, e in zip(vecs, extra)]
+            parts.append(extra)
         elif self.extra_input_dim:
             raise ValueError("model expects stacked extra features")
+        x = nc.concat(parts, axis=1)
         if training and self.dropout:
-            vecs = [nc.dropout(v, self.dropout, rng) for v in vecs]
-        return self.window_concat(vecs)
+            x = nc.dropout(x, self.dropout, rng)
+        pad = [nc.reshape(self.pad_vec, (1, -1))] * self.window
+        padded = nc.concat(pad + [x] + pad)
+        n = len(forms)
+        return nc.concat([padded[k:k + n] for k in range(2 * self.window + 1)], axis=1)
 
-    def emissions(self, inputs: list[nc.Tensor], training: bool = False,
+    def emissions(self, inputs: nc.Tensor, training: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[nc.Tensor, nc.Tensor]:
-        hidden_mat = nc.bilstm_encode(self.lstm_layers, nc.stack_rows(inputs))
+        hidden_mat = nc.bilstm_encode(self.lstm_layers, inputs)
         if training and self.dropout:
             hidden_mat = nc.dropout(hidden_mat, self.dropout, rng)
         em = nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
@@ -184,12 +177,12 @@ class TaggerModel:
             indices.append(self.tag_index[token.upos])
         return indices
 
-    def crf_loss(self, inputs: list[nc.Tensor], sentence: Sentence, training: bool = False,
+    def crf_loss(self, inputs: nc.Tensor, sentence: Sentence, training: bool = False,
                  rng: np.random.Generator | None = None) -> nc.Tensor:
         em, _ = self.emissions(inputs, training, rng)
         return crf_log_likelihood(em, self.transitions, self.gold_indices(sentence))
 
-    def decode(self, inputs: list[nc.Tensor]) -> TagResult:
+    def decode(self, inputs: nc.Tensor) -> TagResult:
         """Viterbi tags of encoded inputs plus their emission and hidden vectors."""
         with nc.no_grad():
             em, hidden = self.emissions(inputs)

@@ -277,9 +277,8 @@ def test_criterion_7_stacking_mechanics_exact():
     target = TaggerModel(["A"], {"w": 0}, {"w": 0}, word_dim=100, char_dim=30,
                          att_dim=6, hidden=4, layers=1, window=1, dropout=0.0,
                          extra_input_dim=17, rng=nc.make_rng(3))
-    (vec,) = stack_tag_inputs(StackedTagger(base17, target),
-                              make_sentence(["w"], ["A"], [0], ["root"]))
-    assert vec.shape == (441,)
+    assert stack_tag_inputs(StackedTagger(base17, target),
+                            make_sentence(["w"], ["A"], [0], ["root"])).shape == (1, 441)
 
     from stackparse.embeddings import PretrainedEmbeddings
     wide_base = ParserModel(["r"], ["N"], {"a": 0}, word_dim=8, tag_dim=4,
@@ -293,7 +292,7 @@ def test_criterion_7_stacking_mechanics_exact():
     assert wide_stacked.input_dim == 1050
     inputs = stack_parse_inputs(wide_stacked,
                                 make_sentence(["a"], ["N"], [0], ["r"]))
-    assert all(v.shape == (1050,) for v in inputs)
+    assert inputs.shape == (2, 1050)
     assert wide_stacked.d_arc == wide_base.d_arc
     assert wide_stacked.d_rel == wide_base.d_rel
     ok(7, "tensor copy, parameter inclusion, gradient flow into the base, "

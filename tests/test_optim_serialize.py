@@ -64,10 +64,13 @@ def test_adagrad_accumulators_nonnegative_and_nondecreasing():
         previous = acc.copy()
 
 
-def test_adagrad_rejects_nan_gradients():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adagrad_rejects_nan_gradients(bad):
     state = AdagradState()
+    param = Tensor(np.ones(3))
     with pytest.raises(FloatingPointError, match="'p'"):
-        step(state, Tensor(np.zeros(2)), [1.0, np.nan])
+        step(state, param, [1.0, bad, 0.0])
+    assert np.array_equal(param.data, np.ones(3))
 
 
 def test_adagrad_apply_skips_missing_grads():

@@ -14,7 +14,7 @@ from stackparse.stacking import (
     train_stacked_tagger,
 )
 from stackparse.tagger import TaggerModel, train_tagger
-from util import make_sentence
+from util import FORM_POOL, REL_POOL, TAG_POOL, make_sentence, random_tree_sentence
 
 
 def source_sentences():
@@ -49,8 +49,7 @@ def test_stacked_tagger_input_dimension_arithmetic():
     assert target.per_token_dim - target.extra_input_dim == 130
     stacked = StackedTagger(base, target)
     sentence = make_sentence(["w", "w"], ["A", "A"], [0, 1], ["root", "dep"])
-    inputs = stack_tag_inputs(stacked, sentence)
-    assert all(v.shape == (441,) for v in inputs)
+    assert stack_tag_inputs(stacked, sentence).shape == (2, 441)
 
 
 def test_stacked_tagger_rejects_dimension_mismatch(base_tagger):
@@ -73,8 +72,8 @@ def test_zeroed_base_emission_projection_gives_constant_features(base_tagger):
     sentence = make_sentence(["the", "the"], ["X", "X"], [0, 1], ["root", "dep"])
     inputs = stack_tag_inputs(stacked, sentence)
     k = len(base_tagger.tags)
-    for vec in inputs:
-        assert np.allclose(vec.data[-k:], 0.0, atol=1e-15)
+    assert inputs.shape == (2, target.per_token_dim)
+    assert np.allclose(inputs.data[:, -k:], 0.0, atol=1e-15)
 
 
 def test_stack_inputs_pure(base_tagger, tiny_cfg):
@@ -83,8 +82,9 @@ def test_stack_inputs_pure(base_tagger, tiny_cfg):
     sentence = source_sentences()[0]
     a = stack_tag_inputs(stacked, sentence)
     b = stack_tag_inputs(stacked, sentence)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.data, y.data)
+    target = stacked.target
+    assert a.shape == (len(sentence), (2 * target.window + 1) * target.per_token_dim)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_stacked_tagger_overfits_base_sentences(base_tagger, tiny_cfg):
@@ -159,8 +159,34 @@ def test_stacked_parser_input_dimension_arithmetic():
     assert stacked.input_dim == 50 + 100 + 100 + 2 * 400 == 1050
     sentence = make_sentence(["a"], ["N"], [0], ["r"])
     inputs = stack_parse_inputs(stacked, sentence)
-    assert len(inputs) == 2  # root position + one token
-    assert all(v.shape == (1050,) for v in inputs)
+    assert inputs.shape == (2, 1050)  # root position + one token
+
+
+def tape_size(loss: nc.Tensor) -> int:
+    """Tensors reachable from `loss` through `_parents`, leaves included."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_parser_tape_size_does_not_grow_with_sentence_length():
+    # A sentence is one matrix from the input layer on, so a 30-token loss
+    # has as many tape nodes as a one-token loss, base and stacked alike.
+    rels = ["root"] + REL_POOL
+    vocab = {form: i for i, form in enumerate(FORM_POOL)}
+    base = ParserModel(rels, TAG_POOL, vocab, word_dim=4, tag_dim=3, hidden=5,
+                       layers=2, d_arc=4, d_rel=3, rng=nc.make_rng(0))
+    stacked = StackedParser(base, rels, TAG_POOL, vocab, word_dim=4, tag_dim=3,
+                            hidden=6, layers=1, rng=nc.make_rng(1))
+    rng = np.random.default_rng(2)
+    for model in (base, stacked):
+        sizes = [tape_size(model.loss(random_tree_sentence(rng, n), training=True, rng=rng))
+                 for n in (1, 3, 30)]
+        assert sizes[0] == sizes[1] == sizes[2], (type(model).__name__, sizes)
 
 
 def test_stacked_parser_biaffine_copy_bit_exact(base_parser):
@@ -319,6 +345,6 @@ def test_dimension_contracts_hold_over_random_configs():
                                extra_input_dim=len(base_tags), rng=None)
         stacked_t = StackedTagger(base_t, target_t)
         sentence = make_sentence(["a"], ["A"], [0], ["root"])
-        (vec,) = stack_tag_inputs(stacked_t, sentence)
         own = word_dim + tag_dim  # trainable word + char-attention dims
-        assert vec.shape == ((2 * window + 1) * (own + len(base_tags)),)
+        assert (stack_tag_inputs(stacked_t, sentence).shape
+                == (1, (2 * window + 1) * (own + len(base_tags))))

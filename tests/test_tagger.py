@@ -83,18 +83,23 @@ def test_encode_window_zero_is_per_token_vector():
     model = small_model(window=0)
     sentence = make_sentence(["the", "cat"], ["A", "B"], [2, 0], ["x", "root"])
     inputs = model.encode(sentence)
-    assert all(v.shape == (model.per_token_dim,) for v in inputs)
+    assert inputs.shape == (2, model.per_token_dim)
+    for row, form in zip(inputs.data, ["the", "cat"]):
+        expected = np.concatenate([model.word_table.data[model.word_index(form)],
+                                   model.char_attention(form).data])
+        assert np.array_equal(row, expected)
 
 
 def test_encode_single_token_window_two_uses_four_padding_slots():
     model = small_model(window=2)
     sentence = make_sentence(["the"], ["A"], [0], ["root"])
-    (vec,) = model.encode(sentence)
+    inputs = model.encode(sentence)
     d = model.per_token_dim
-    assert vec.shape == (5 * d,)
+    assert inputs.shape == (1, 5 * d)
+    vec = inputs.data[0]
     pad = model.pad_vec.data
     for slot in (0, 1, 3, 4):
-        assert np.array_equal(vec.data[slot * d:(slot + 1) * d], pad)
+        assert np.array_equal(vec[slot * d:(slot + 1) * d], pad)
 
 
 def test_encode_dimension_arithmetic_50_50_30():
@@ -105,8 +110,7 @@ def test_encode_dimension_arithmetic_50_50_30():
                         layers=1, window=1, dropout=0.0, rng=nc.make_rng(0))
     assert model.per_token_dim == 130
     sentence = make_sentence(["the"], ["A"], [0], ["root"])
-    (vec,) = model.encode(sentence)
-    assert vec.shape == (390,)
+    assert model.encode(sentence).shape == (1, 390)
 
 
 def test_unknown_word_lowercase_fallback():
@@ -285,9 +289,13 @@ def test_tag_is_pure_and_shapes_match(tiny_cfg):
     assert first.emissions.shape == (3, len(model.tags))
 
 
-def test_full_tagger_gradient_check(tiny_cfg):
-    sentence = overfit_sentence()
-    cfg = tiny_cfg.updated({"epochs": "1"})
+@pytest.mark.parametrize("window", [1, 2])
+def test_full_tagger_gradient_check(tiny_cfg, window):
+    # At window 2 "the" occurs three times, so every coordinate of the word
+    # table (rows gathered by index array) and of the pad vector is checked.
+    sentence = overfit_sentence() if window == 1 else make_sentence(
+        ["the", "cat", "the", "dog", "the"], ["DET", "NOUN", "DET", "NOUN", "DET"])
+    cfg = tiny_cfg.updated({"epochs": "1", "window": str(window)})
     model = train_tagger([sentence], [], cfg)
 
     def loss():
@@ -296,3 +304,8 @@ def test_full_tagger_gradient_check(tiny_cfg):
     err = nc.grad_check(loss, model.parameters(), epsilon=1e-4,
                         max_coords_per_param=6)
     assert err < 1e-4
+    if window == 2:
+        dense = {"word_table": model.word_table, "pad_vec": model.pad_vec}
+        err = nc.grad_check(loss, dense, epsilon=1e-4,
+                            max_coords_per_param=max(t.data.size for t in dense.values()))
+        assert err < 1e-4
