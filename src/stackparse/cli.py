@@ -12,6 +12,7 @@ the selected best epoch alongside the model.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -38,11 +39,10 @@ def _read_sentence_lines(path: str) -> list[list[str]]:
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides: dict[str, str] = {}
-    for key in ("seed", "decoder", "include_punct", "k", "folds",
-                "lm_order", "length_min", "length_max"):
-        value = getattr(args, key, None)
+    for field in dataclasses.fields(RunConfig):  # flags whose dest is a config key
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = str(value)
+            overrides[field.name] = str(value)
     if overrides:
         config = config.updated(overrides)
     return config
@@ -67,68 +67,42 @@ def _tag_with(model, sentence: Sentence):
 # -- commands -------------------------------------------------------------------
 
 
-def _cmd_train_tagger(args) -> int:
+# command: (module with train_<kind>, base archive class or None,
+#           dev-score attribute, its printed label, help)
+_TRAIN_COMMANDS = {
+    "train-tagger": (tagging, None, "dev_accuracy", "dev accuracy",
+                     "train a base POS tagger"),
+    "train-parser": (parsing, None, "dev_uas", "dev UAS", "train a base parser"),
+    "train-stacked-tagger": (stacking, tagging.TaggerModel, "dev_accuracy", "dev accuracy",
+                             "train a stacked tagger on a base tagger"),
+    "train-stacked-parser": (stacking, parsing.ParserModel, "dev_uas", "dev UAS",
+                             "train a stacked parser on a base parser"),
+}
+
+
+def _cmd_train(args) -> int:
+    module, base_class, score_attr, score_label, _ = _TRAIN_COMMANDS[args.command]
+    kind = args.command.removeprefix("train-")
     config = _effective_config(args)
+    bases = []
+    if base_class is not None:
+        base = load_model(args.base_model)
+        if not isinstance(base, base_class):
+            raise ValueError(f"{args.base_model} is not a base "
+                             f"{kind.removeprefix('stacked-')} archive")
+        bases.append(base)
     train = _read_treebank(args.train)
     dev = _read_treebank(args.dev) if args.dev else []
-    model = tagging.train_tagger(train, dev, config, pretrained=_load_pretrained(args))
+    # Looked up on each run, so that a patched module attribute is the one called.
+    trainer = getattr(module, "train_" + kind.replace("-", "_"))
+    model = trainer(*bases, train, dev, config, pretrained=_load_pretrained(args))
     save_model(args.out, model)
-    _write_snapshot(args.out, config, {"command": "train-tagger",
-                                       "best_epoch": model.best_epoch,
-                                       "dev_accuracy": model.dev_accuracy})
-    print(f"saved tagger to {args.out} (best epoch {model.best_epoch}, "
-          f"dev accuracy {model.dev_accuracy})")
-    return 0
-
-
-def _cmd_train_parser(args) -> int:
-    config = _effective_config(args)
-    train = _read_treebank(args.train)
-    dev = _read_treebank(args.dev) if args.dev else []
-    model = parsing.train_parser(train, dev, config, pretrained=_load_pretrained(args))
-    save_model(args.out, model)
-    _write_snapshot(args.out, config, {"command": "train-parser",
-                                       "best_epoch": model.best_epoch,
-                                       "dev_uas": model.dev_uas})
-    print(f"saved parser to {args.out} (best epoch {model.best_epoch}, "
-          f"dev UAS {model.dev_uas})")
-    return 0
-
-
-def _cmd_train_stacked_tagger(args) -> int:
-    config = _effective_config(args)
-    base = load_model(args.base_model)
-    if not isinstance(base, tagging.TaggerModel):
-        raise ValueError(f"{args.base_model} is not a base tagger archive")
-    train = _read_treebank(args.train)
-    dev = _read_treebank(args.dev) if args.dev else []
-    stacked = stacking.train_stacked_tagger(base, train, dev, config,
-                                            pretrained=_load_pretrained(args))
-    save_model(args.out, stacked)
-    _write_snapshot(args.out, config, {"command": "train-stacked-tagger",
-                                       "best_epoch": stacked.target.best_epoch,
-                                       "dev_accuracy": stacked.target.dev_accuracy})
-    print(f"saved stacked tagger to {args.out} "
-          f"(best epoch {stacked.target.best_epoch}, "
-          f"dev accuracy {stacked.target.dev_accuracy})")
-    return 0
-
-
-def _cmd_train_stacked_parser(args) -> int:
-    config = _effective_config(args)
-    base = load_model(args.base_model)
-    if not isinstance(base, parsing.ParserModel):
-        raise ValueError(f"{args.base_model} is not a base parser archive")
-    train = _read_treebank(args.train)
-    dev = _read_treebank(args.dev) if args.dev else []
-    stacked = stacking.train_stacked_parser(base, train, dev, config,
-                                            pretrained=_load_pretrained(args))
-    save_model(args.out, stacked)
-    _write_snapshot(args.out, config, {"command": "train-stacked-parser",
-                                       "best_epoch": stacked.best_epoch,
-                                       "dev_uas": stacked.dev_uas})
-    print(f"saved stacked parser to {args.out} (best epoch {stacked.best_epoch}, "
-          f"dev UAS {stacked.dev_uas})")
+    scored = getattr(model, "target", model)  # a stacked tagger's scores are its target's
+    best_epoch, dev_score = scored.best_epoch, getattr(scored, score_attr)
+    _write_snapshot(args.out, config, {"command": args.command, "best_epoch": best_epoch,
+                                       score_attr: dev_score})
+    print(f"saved {kind.replace('-', ' ')} to {args.out} (best epoch {best_epoch}, "
+          f"{score_label} {dev_score})")
     return 0
 
 
@@ -344,33 +318,14 @@ def build_argument_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         return p
 
-    p = add("train-tagger", _cmd_train_tagger, help="train a base POS tagger")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("train-parser", _cmd_train_parser, help="train a base parser")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("train-stacked-tagger", _cmd_train_stacked_tagger,
-            help="train a stacked tagger on a base tagger")
-    p.add_argument("--base-model", required=True, dest="base_model")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("train-stacked-parser", _cmd_train_stacked_parser,
-            help="train a stacked parser on a base parser")
-    p.add_argument("--base-model", required=True, dest="base_model")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--out", required=True)
+    for command, (_, base_class, _, _, help_text) in _TRAIN_COMMANDS.items():
+        p = add(command, _cmd_train, help=help_text)
+        if base_class is not None:
+            p.add_argument("--base-model", required=True, dest="base_model")
+        p.add_argument("--train", required=True)
+        p.add_argument("--dev", default=None)
+        p.add_argument("--embeddings", default=None)
+        p.add_argument("--out", required=True)
 
     p = add("tag", _cmd_tag, help="tag a CoNLL-U file")
     p.add_argument("--model", required=True)

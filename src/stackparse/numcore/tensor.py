@@ -124,19 +124,19 @@ class Tensor:
         return _sum(self, axis)
 
     def __getitem__(self, key) -> Tensor:
-        """numpy indexing, copied.  With ints and slices the gradient is
-        assigned back; with index arrays (lists or ndarrays) it is
-        scatter-added back, so a repeated index accumulates."""
+        """numpy indexing, copied.  The gradient is added into the indexed
+        entries of this tensor's own gradient; with index arrays (lists or
+        ndarrays) it is scatter-added, so a repeated index accumulates."""
         data = self.data[key].copy()
 
         def backward(g):
-            full = np.zeros_like(self.data)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
             parts = key if isinstance(key, tuple) else (key,)
             if any(isinstance(k, (list, np.ndarray)) for k in parts):
-                np.add.at(full, key, g)
+                np.add.at(self.grad, key, g)
             else:
-                full[key] = g
-            _accumulate(self, full)
+                self.grad[key] += g
 
         return _result(data, (self,), backward)
 
@@ -162,8 +162,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: callers pass one g to several parents
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -119,13 +119,10 @@ class ParserModel:
             params[f"mlp/{name}/b"] = b
         return params
 
-    def scoring_parameters(self) -> dict[str, nc.Tensor]:
-        return {"u_arc": self.u_arc, "u_rel": self.u_rel}
-
     def parameters(self) -> dict[str, nc.Tensor]:
         params = self.input_parameters()
         params.update(self.feature_parameters())
-        params.update(self.scoring_parameters())
+        params.update(u_arc=self.u_arc, u_rel=self.u_rel)
         return params
 
     # -- forward ----------------------------------------------------------------
@@ -154,18 +151,13 @@ class ParserModel:
             parts.insert(0, nc.Tensor(pre))
         if base is not None:
             parts.append(base.recurrent)
-        x = nc.concat(parts, axis=1)
-        if training and self.dropout:
-            x = nc.dropout(x, self.dropout, rng)
-        return x
+        return nc.dropout(nc.concat(parts, axis=1), self.dropout, rng, training)
 
     def _mlp_apply(self, name: str, recurrent: nc.Tensor, training: bool,
                    rng: np.random.Generator | None) -> nc.Tensor:
         w, b = self.mlp[name]
         out = nc.leaky_relu(nc.matmul(recurrent, nc.transpose(w)) + b)
-        if training and self.dropout:
-            out = nc.dropout(out, self.dropout, rng)
-        return out
+        return nc.dropout(out, self.dropout, rng, training)
 
     def _forward(self, forms: Sequence[str], upos_tags: Sequence[str], training: bool,
                  rng: np.random.Generator | None,
@@ -175,9 +167,7 @@ class ParserModel:
         if not forms:
             raise ValueError("cannot parse an empty sentence")
         x = self.input_vectors(forms, upos_tags, training, rng, base)
-        recurrent = nc.bilstm_encode(self.lstm_layers, x)
-        if training and self.dropout:
-            recurrent = nc.dropout(recurrent, self.dropout, rng)
+        recurrent = nc.dropout(nc.bilstm_encode(self.lstm_layers, x), self.dropout, rng, training)
         heads = []
         for name in _MLP_HEADS:
             out = self._mlp_apply(name, recurrent, training, rng)
@@ -365,20 +355,15 @@ def check_trainable(treebank: list[Sentence]) -> None:
 
 
 def train_parser(treebank: list[Sentence], dev: list[Sentence], config,
-                 pretrained: PretrainedEmbeddings | None = None,
-                 rels: Sequence[str] | None = None,
-                 tags: Sequence[str] | None = None) -> ParserModel:
+                 pretrained: PretrainedEmbeddings | None = None) -> ParserModel:
     """Adagrad over the arc+label cross-entropy with dev-UAS epoch selection."""
     if not treebank:
         raise ValueError("cannot train a parser on an empty treebank")
     check_trainable(treebank)
-    if rels is None:
-        rels = sorted({t.deprel for s in treebank for t in s.tokens})
-    if tags is None:
-        tags = sorted({t.upos for s in treebank for t in s.tokens})
     rng = nc.make_rng(config.seed)
     model = ParserModel(
-        rels, tags,
+        sorted({t.deprel for s in treebank for t in s.tokens}),
+        sorted({t.upos for s in treebank for t in s.tokens}),
         build_vocab(f for s in treebank for f in s.forms),
         pretrained=pretrained,
         word_dim=config.parser_word_dim, tag_dim=config.tag_dim,

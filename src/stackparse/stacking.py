@@ -25,20 +25,16 @@ from .treebank import Sentence
 from .parser import arc_label_loss, parse as parse_with  # noqa: F401
 from .tagger import crf_log_likelihood, viterbi_decode  # noqa: F401
 
-TRAINABLE_SCOPES = ("default", "all", "target", "crf")
 
-
-def _scoped(model, scope: str, target: dict[str, nc.Tensor],
-            crf_only: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
-    """The parameters a stacked model trains in `scope`, given the
-    target's parameters and its output-layer subset, under their archive names."""
-    if scope not in TRAINABLE_SCOPES:
-        raise ValueError(f"unknown trainable scope {scope!r}")
-    params = {f"target/{k}": v for k, v in (crf_only if scope == "crf" else target).items()}
-    if scope in ("default", "all"):
-        params.update({f"base/{k}": v for k, v in model.base.feature_parameters().items()})
-        if scope == "all" or model.train_base_embeddings:
-            params.update({f"base/{k}": v for k, v in model.base.input_parameters().items()})
+def _trainable(model, target: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
+    """The parameters a stacked model trains, under their archive names: its
+    target's, the base's feature layers, and the base's input layer when
+    train_base_embeddings is set."""
+    params = {f"target/{k}": v for k, v in target.items()}
+    base = model.base.feature_parameters()
+    if model.train_base_embeddings:
+        base.update(model.base.input_parameters())
+    params.update({f"base/{k}": v for k, v in base.items()})
     return params
 
 
@@ -74,9 +70,8 @@ class StackedTagger:
         with nc.no_grad():
             return self.target.decode(self.stack_inputs(sentence))
 
-    def trainable_parameters(self, scope: str = "default") -> dict[str, nc.Tensor]:
-        return _scoped(self, scope, self.target.parameters(),
-                       {"transitions": self.target.transitions})
+    def trainable_parameters(self) -> dict[str, nc.Tensor]:
+        return _trainable(self, self.target.parameters())
 
     def all_parameters(self) -> dict[str, nc.Tensor]:
         params = {f"base/{k}": v for k, v in self.base.parameters().items()}
@@ -90,18 +85,14 @@ def stack_tag_inputs(stacked: StackedTagger, sentence: Sentence) -> nc.Tensor:
 
 def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
                          dev: list[Sentence], config,
-                         pretrained: PretrainedEmbeddings | None = None,
-                         tags: Sequence[str] | None = None,
-                         scope: str = "default") -> StackedTagger:
+                         pretrained: PretrainedEmbeddings | None = None) -> StackedTagger:
     """Joint fine-tuning: gradients reach target parameters and the base
     feature layer (base embeddings too when configured)."""
     if not treebank:
         raise ValueError("cannot train a stacked tagger on an empty treebank")
-    if tags is None:
-        tags = sorted({t.upos for s in treebank for t in s.tokens})
     rng = nc.make_rng(config.seed)
     target = TaggerModel(
-        tags,
+        sorted({t.upos for s in treebank for t in s.tokens}),
         build_vocab(f for s in treebank for f in s.forms),
         build_vocab(ch for s in treebank for f in s.forms for ch in f),
         pretrained=pretrained,
@@ -111,7 +102,7 @@ def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
     )
     stacked = StackedTagger(base, target, config.train_base_embeddings)
     target.best_epoch, target.dev_accuracy = nc.fit(
-        stacked.trainable_parameters(scope), lambda s: stacked.loss(s, training=True, rng=rng),
+        stacked.trainable_parameters(), lambda s: stacked.loss(s, training=True, rng=rng),
         treebank, dev,
         lambda gold: tagging_accuracy(gold, [s.with_upos(stacked.tag(s).tags) for s in gold]),
         config, rng)
@@ -159,11 +150,10 @@ class StackedParser:
     loss = ParserModel.loss
     input_parameters = ParserModel.input_parameters
     feature_parameters = ParserModel.feature_parameters
-    scoring_parameters = ParserModel.scoring_parameters
     target_parameters = ParserModel.parameters
 
-    def trainable_parameters(self, scope: str = "default") -> dict[str, nc.Tensor]:
-        return _scoped(self, scope, self.target_parameters(), self.scoring_parameters())
+    def trainable_parameters(self) -> dict[str, nc.Tensor]:
+        return _trainable(self, self.target_parameters())
 
     def all_parameters(self) -> dict[str, nc.Tensor]:
         params = {f"base/{k}": v for k, v in self.base.parameters().items()}
@@ -187,21 +177,14 @@ def stack_parse_inputs(stacked: StackedParser, sentence: Sentence,
 
 def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
                          dev: list[Sentence], config,
-                         pretrained: PretrainedEmbeddings | None = None,
-                         rels: Sequence[str] | None = None,
-                         tags: Sequence[str] | None = None,
-                         scope: str = "default") -> StackedParser:
+                         pretrained: PretrainedEmbeddings | None = None) -> StackedParser:
     """Joint fine-tuning of the stacked parser; dev-UAS epoch selection."""
     if not treebank:
         raise ValueError("cannot train a stacked parser on an empty treebank")
     check_trainable(treebank)
-    if rels is None:
-        rels = tuple(base.rels)
-    if tags is None:
-        tags = sorted({t.upos for s in treebank for t in s.tokens})
     rng = nc.make_rng(config.seed)
     stacked = StackedParser(
-        base, rels, tags,
+        base, base.rels, sorted({t.upos for s in treebank for t in s.tokens}),
         build_vocab(f for s in treebank for f in s.forms),
         pretrained=pretrained,
         word_dim=config.parser_word_dim, tag_dim=config.tag_dim,
@@ -210,6 +193,6 @@ def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
         train_base_embeddings=config.train_base_embeddings, rng=rng,
     )
     stacked.best_epoch, stacked.dev_uas = nc.fit(
-        stacked.trainable_parameters(scope), lambda s: stacked.loss(s, training=True, rng=rng),
+        stacked.trainable_parameters(), lambda s: stacked.loss(s, training=True, rng=rng),
         treebank, dev, lambda gold: dev_uas(stacked, gold, config.decoder), config, rng)
     return stacked

@@ -153,9 +153,7 @@ class TaggerModel:
             parts.append(extra)
         elif self.extra_input_dim:
             raise ValueError("model expects stacked extra features")
-        x = nc.concat(parts, axis=1)
-        if training and self.dropout:
-            x = nc.dropout(x, self.dropout, rng)
+        x = nc.dropout(nc.concat(parts, axis=1), self.dropout, rng, training)
         pad = [nc.reshape(self.pad_vec, (1, -1))] * self.window
         padded = nc.concat(pad + [x] + pad)
         n = len(forms)
@@ -163,9 +161,8 @@ class TaggerModel:
 
     def emissions(self, inputs: nc.Tensor, training: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[nc.Tensor, nc.Tensor]:
-        hidden_mat = nc.bilstm_encode(self.lstm_layers, inputs)
-        if training and self.dropout:
-            hidden_mat = nc.dropout(hidden_mat, self.dropout, rng)
+        hidden_mat = nc.dropout(nc.bilstm_encode(self.lstm_layers, inputs), self.dropout, rng,
+                                training)
         em = nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
         return em, hidden_mat
 
@@ -256,8 +253,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagResult:
 
 
 def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
-                 pretrained: PretrainedEmbeddings | None = None,
-                 tags: Sequence[str] | None = None) -> TaggerModel:
+                 pretrained: PretrainedEmbeddings | None = None) -> TaggerModel:
     """Epoch-wise Adagrad over the CRF loss with dev-based epoch selection.
 
     Deterministic for a fixed config.seed.  The returned model carries
@@ -265,15 +261,9 @@ def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
     """
     if not treebank:
         raise ValueError("cannot train a tagger on an empty treebank")
-    if tags is None:
-        tags = sorted({t.upos for s in treebank for t in s.tokens})
-    else:
-        missing = {t.upos for s in treebank for t in s.tokens} - set(tags)
-        if missing:
-            raise ValueError(f"gold tags outside the inventory: {sorted(missing)}")
     rng = nc.make_rng(config.seed)
     model = TaggerModel(
-        tags,
+        sorted({t.upos for s in treebank for t in s.tokens}),
         build_vocab(f for s in treebank for f in s.forms),
         build_vocab(ch for s in treebank for f in s.forms for ch in f),
         pretrained=pretrained,

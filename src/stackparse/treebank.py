@@ -288,33 +288,19 @@ def validate(sentence: Sentence, inventory: LabelInventory) -> list[Violation]:
                                     "cycle through tokens "
                                     + ", ".join(str(i) for i in sorted(cycle))))
 
-    # Reachability from the root over in-range, non-cyclic chains.
-    reachable: dict[int, bool] = {}
-
-    def reaches_root(i: int) -> bool:
-        chain = []
-        node = i
-        while True:
-            if node in reachable:
-                result = reachable[node]
-                break
-            if node in cycle_members or node not in in_range:
-                result = False
-                break
-            chain.append(node)
-            head = in_range[node]
-            if head == 0:
-                result = True
-                break
-            node = head
-        for member in chain:
-            reachable[member] = result
-        return result
-
+    # One walk down from the root over in-range head arcs; a cycle is never
+    # reached, and its members were reported above.
+    children: dict[int, list[int]] = {}
+    for i, h in in_range.items():
+        children.setdefault(h, []).append(i)
+    reached: set[int] = set()
+    stack = [0]
+    while stack:
+        below = children.get(stack.pop(), [])
+        reached.update(below)
+        stack.extend(below)
     for token in sentence.tokens:
-        if token.index in cycle_members:
-            continue
-        if not reaches_root(token.index):
+        if token.index not in cycle_members and token.index not in reached:
             violations.append(Violation("unreachable", token.index,
                                         f"token {token.index} cannot reach the root"))
     return violations

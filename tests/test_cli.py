@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import zipfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +263,64 @@ def test_wrong_model_type_is_rejected(workdir, capsys):
                "--input", workdir / "tb.conllu", "--out", workdir / "x.conllu")
     assert code == 2
     assert "not a parser archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, base, wrong_base, score, label", [
+    ("train-tagger", None, None, "dev_accuracy", "dev accuracy"),
+    ("train-parser", None, None, "dev_uas", "dev UAS"),
+    ("train-stacked-tagger", "tagger", "parser", "dev_accuracy", "dev accuracy"),
+    ("train-stacked-parser", "parser", "stacked-parser", "dev_uas", "dev UAS"),
+])
+def test_train_commands_report_and_snapshot(workdir, capsys, command, base, wrong_base,
+                                            score, label):
+    args = ["--train", workdir / "tb.conllu", "--dev", workdir / "tb.conllu",
+            "--config", workdir / "cfg.txt"]
+    if base is not None:
+        save_model(str(workdir / "wrong.model"), archive_model(wrong_base))
+        assert run(command, "--base-model", workdir / "wrong.model", *args,
+                   "--out", workdir / "x.model") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {workdir / 'wrong.model'} is not a base {base} archive\n"
+        assert not list(workdir.glob("x.model*"))
+        save_model(str(workdir / "base.model"), archive_model(base))
+        args += ["--base-model", workdir / "base.model"]
+    out = workdir / "m.model"
+    assert run(command, *args, "--out", out) == 0
+    comments = [line[2:].split(" = ") for line in
+                (workdir / "m.model.config").read_text().splitlines() if line.startswith("#")]
+    assert [key for key, _ in comments] == ["command", "best_epoch", score]
+    values = dict(comments)
+    assert values["command"] == command and 1 <= int(values["best_epoch"]) <= 8
+    kind = command.removeprefix("train-").replace("-", " ")
+    assert capsys.readouterr().out == (f"saved {kind} to {out} (best epoch "
+                                       f"{values['best_epoch']}, {label} {values[score]})\n")
+    assert type(load_model(str(out))) is {
+        "tagger": TaggerModel, "parser": ParserModel,
+        "stacked tagger": StackedTagger, "stacked parser": StackedParser}[kind]
+
+
+def test_train_commands_call_the_traced_trainers(workdir):
+    # The benchmark's per-layer spans come from wrappers patched into the
+    # trainers' modules; a trainer captured at import would bypass them.
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    common = ["--train", workdir / "tb.conllu", "--config", workdir / "cfg.txt"]
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.recording = True
+    try:
+        assert run("train-tagger", *common, "--out", workdir / "t.model") == 0
+        assert run("train-parser", *common, "--out", workdir / "p.model") == 0
+        assert run("train-stacked-tagger", "--base-model", workdir / "t.model", *common,
+                   "--out", workdir / "st.model") == 0
+        assert run("train-stacked-parser", "--base-model", workdir / "p.model", *common,
+                   "--out", workdir / "sp.model") == 0
+    finally:
+        tracer.uninstall()
+    names = Counter(span[0] for span in tracer.spans)
+    assert (names["tagger.train"], names["parser.train"], names["stacking.train"]) == (1, 1, 2)
 
 
 # -- model archives ---------------------------------------------------------------------

@@ -95,16 +95,6 @@ def test_stacked_tagger_overfits_base_sentences(base_tagger, tiny_cfg):
     assert stacked.tag(treebank[0]).tags == ("DET", "NOUN", "VERB")
 
 
-def test_stacked_tagger_crf_only_scope_still_trains(base_tagger, tiny_cfg):
-    treebank = source_sentences()
-    stacked = train_stacked_tagger(base_tagger, treebank, treebank,
-                                   tiny_cfg.updated({"epochs": "2"}), scope="crf")
-    trainable = stacked.trainable_parameters("crf")
-    assert set(trainable) == {"target/transitions"}
-    before = stacked.loss(treebank[0]).item()
-    assert np.isfinite(before)
-
-
 def test_stacked_tagger_determinism(base_tagger, tiny_cfg):
     # stacked training mutates the base, so snapshot and restore it between runs
     cfg = tiny_cfg.updated({"epochs": "2", "dropout": "0.1"})

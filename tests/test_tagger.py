@@ -271,11 +271,6 @@ def test_train_rejects_empty_treebank(tiny_cfg):
         train_tagger([], [], tiny_cfg)
 
 
-def test_train_rejects_gold_tag_outside_inventory(tiny_cfg):
-    with pytest.raises(ValueError, match="outside the inventory"):
-        train_tagger([overfit_sentence()], [], tiny_cfg, tags=["DET", "NOUN"])
-
-
 def test_tag_is_pure_and_shapes_match(tiny_cfg):
     cfg = tiny_cfg.updated({"epochs": "2"})
     sentence = overfit_sentence()
