@@ -43,7 +43,6 @@ from .stacking import (
     StackedParser,
     StackedTagger,
     stack_parse_inputs,
-    stack_tag_inputs,
     train_stacked_parser,
     train_stacked_tagger,
 )

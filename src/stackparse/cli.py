@@ -58,12 +58,6 @@ def _write_snapshot(out_path: str, config: RunConfig, extra: dict[str, object]) 
     write_text_atomic(out_path + ".config", config.to_text(extra))
 
 
-def _tag_with(model, sentence: Sentence):
-    if isinstance(model, StackedTagger):
-        return model.tag(sentence)
-    return tagging.tag(model, sentence)
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -111,7 +105,7 @@ def _cmd_tag(args) -> int:
     if not isinstance(model, (tagging.TaggerModel, StackedTagger)):
         raise ValueError(f"{args.model} is not a tagger archive")
     sentences = _read_treebank(args.input)
-    tagged = [s.with_upos(_tag_with(model, s).tags) for s in sentences]
+    tagged = [s.with_upos(model.tag(s).tags) for s in sentences]
     write_text_atomic(args.out, write_conllu(tagged))
     print(f"tagged {len(tagged)} sentences -> {args.out}")
     return 0

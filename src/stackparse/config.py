@@ -9,6 +9,7 @@ feature dims 500/100, dropout 33%; stacked parser: 1 layer x 900).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -64,10 +65,10 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.window < 0:
             raise ValueError("window must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ValueError("l2_lambda must be >= 0 and finite")
         for name in ("dropout", "parser_dropout"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")

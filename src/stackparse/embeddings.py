@@ -9,6 +9,12 @@ import math
 import numpy as np
 
 
+def find(vocab: dict[str, int], form: str) -> int | None:
+    """The row of `form`, else of its lowercase form, else None."""
+    index = vocab.get(form)
+    return vocab.get(form.lower()) if index is None else index
+
+
 class PretrainedEmbeddings:
     """Frozen lookup table. Unknown words fall back to lowercase, then zeros."""
 
@@ -22,12 +28,8 @@ class PretrainedEmbeddings:
         return cls({}, np.zeros((0, 0)))
 
     def lookup(self, token: str) -> np.ndarray:
-        index = self.vocab.get(token)
-        if index is None:
-            index = self.vocab.get(token.lower())
-        if index is None:
-            return np.zeros(self.dim)
-        return self.matrix[index]
+        index = find(self.vocab, token)
+        return np.zeros(self.dim) if index is None else self.matrix[index]
 
 
 def load_embeddings(path: str) -> PretrainedEmbeddings:

@@ -97,13 +97,7 @@ def attachment_scores(gold: Sequence[Sentence], predicted: Sequence[Sentence],
 
 
 def tagging_accuracy(gold: Sequence[Sentence], predicted: Sequence[Sentence]) -> float:
-    _check_aligned(gold, predicted)
-    total = correct = 0
-    for g, p in zip(gold, predicted):
-        for gt, pt in zip(g.tokens, p.tokens):
-            total += 1
-            correct += gt.upos == pt.upos
-    return _percent(correct, total)
+    return attachment_scores(gold, predicted).tag_accuracy
 
 
 def relative_error_reduction(baseline_pct: float, improved_pct: float) -> float:
@@ -127,22 +121,17 @@ OTHERS = "Others"
 
 
 def per_category_scores(gold: Sequence[Sentence], predicted: Sequence[Sentence],
-                        include_punct: bool = True,
-                        primary_only: bool = False) -> dict[str, ScoreReport]:
+                        include_punct: bool = True) -> dict[str, ScoreReport]:
     """Scores per grammar category from Sentence.categories.
 
-    A sentence contributes its tokens to every category it carries
-    (primary_only keeps just the alphabetically first); uncategorized
-    sentences fall into "Others".
+    A sentence contributes its tokens to every category it carries;
+    uncategorized sentences fall into "Others".
     """
     _check_aligned(gold, predicted)
     table: dict[str, ScoreReport] = {}
     for g, p in zip(gold, predicted):
         pair = _score_pair(g, p, include_punct)
-        categories = sorted(g.categories) if g.categories else [OTHERS]
-        if primary_only:
-            categories = categories[:1]
-        for category in categories:
+        for category in sorted(g.categories) if g.categories else [OTHERS]:
             current = table.get(category)
             table[category] = pair if current is None else current.merged(pair)
     return table
@@ -207,13 +196,12 @@ class CrossFoldReport:
 
 
 def cross_fold_validate(treebank: list[Sentence], folds: int, trainer: ParserTrainer,
-                        dev_fraction_of_heldout: float = 0.5, seed: int = 0,
-                        include_punct: bool = True) -> CrossFoldReport:
-    """k-fold evaluation where part of each held-out fold serves as the
-    development set and the rest as the test set.  Raises ValueError
-    before any training when a fold would have no test sentences."""
+                        seed: int = 0, include_punct: bool = True) -> CrossFoldReport:
+    """k-fold evaluation where the first half of each held-out fold (rounded
+    up) serves as the development set and the rest as the test set.  Raises
+    ValueError before any training when a fold would have no test sentences."""
     partition = make_folds(len(treebank), folds, seed)
-    dev_sizes = [int(len(fold) * dev_fraction_of_heldout + 0.5) for fold in partition]
+    dev_sizes = [(len(fold) + 1) // 2 for fold in partition]
     for number, (fold, n_dev) in enumerate(zip(partition, dev_sizes), start=1):
         if n_dev >= len(fold):
             raise ValueError(f"fold {number} of {folds} has no test sentences: all "

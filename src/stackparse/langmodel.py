@@ -133,20 +133,14 @@ class NgramLM:
         return cls(int(payload["order"]), tables, set(payload["vocab"]))
 
 
-def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5,
-                   prune_singletons: bool = False) -> NgramLM:
+def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5) -> NgramLM:
     """Estimate a modified-KN model from pre-tokenized sentences."""
     if order < 1:
         raise ValueError("order must be >= 1")
     sentences = [list(s) for s in corpus if len(s) > 0]
     if not sentences:
         raise ValueError("cannot train a language model on an empty corpus")
-    type_counts = Counter(w for s in sentences for w in s)
-    if prune_singletons:
-        vocab = {w for w, c in type_counts.items() if c > 1}
-        sentences = [[w if w in vocab else UNK for w in s] for s in sentences]
-    else:
-        vocab = set(type_counts)
+    vocab = {w for s in sentences for w in s}
 
     raw: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
     for sentence in sentences:

@@ -1,6 +1,8 @@
 """Parameter initialization: orthogonal recurrent weights, Glorot-uniform
 projections, zero biases.  All draws come from a caller-supplied seeded
-generator so training runs are bit-reproducible.
+generator so training runs are bit-reproducible.  With `rng` None the
+draws return zeros and consume nothing: the archive loader builds a
+model that way and then fills in its stored arrays.
 """
 
 from __future__ import annotations
@@ -12,9 +14,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+def glorot_uniform(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (rows + cols)) for the last two dims (a leading dim
+    stacks matrices drawn one after another); zeros when rng is None."""
+    if rng is None:
+        return zeros(*shape)
+    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -25,13 +31,17 @@ def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def orthogonal_gate_stack(rng: np.random.Generator, gates: int, hidden: int) -> np.ndarray:
-    """Stack per-gate orthogonal (H, H) blocks into a (gates*H, H) matrix."""
+def orthogonal_gate_stack(rng: np.random.Generator | None, gates: int, hidden: int) -> np.ndarray:
+    """Per-gate orthogonal (H, H) blocks stacked into (gates*H, H); zeros when rng is None."""
+    if rng is None:
+        return zeros(gates * hidden, hidden)
     return np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=0)
 
 
-def glorot_gate_stack(rng: np.random.Generator, gates: int, hidden: int, input_dim: int) -> np.ndarray:
-    return np.concatenate([glorot_uniform(rng, hidden, input_dim) for _ in range(gates)], axis=0)
+def glorot_gate_stack(rng: np.random.Generator | None, gates: int, hidden: int,
+                      input_dim: int) -> np.ndarray:
+    """Per-gate Glorot (H, D) blocks stacked into (gates*H, D); zeros when rng is None."""
+    return glorot_uniform(rng, gates, hidden, input_dim).reshape(gates * hidden, input_dim)
 
 
 def zeros(*shape) -> np.ndarray:

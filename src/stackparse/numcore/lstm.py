@@ -42,14 +42,9 @@ class LstmCell:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         gates = 4 if variant == PEEPHOLE else 3  # (i, f, g, o) vs (i, g, o)
-        if rng is None:
-            w_x = init.zeros(gates * hidden_dim, input_dim)
-            w_h = init.zeros(gates * hidden_dim, hidden_dim)
-        else:
-            w_x = init.glorot_gate_stack(rng, gates, hidden_dim, input_dim)
-            w_h = init.orthogonal_gate_stack(rng, gates, hidden_dim)
-        self.w_x = Tensor(w_x, requires_grad=True)
-        self.w_h = Tensor(w_h, requires_grad=True)
+        self.w_x = Tensor(init.glorot_gate_stack(rng, gates, hidden_dim, input_dim),
+                          requires_grad=True)
+        self.w_h = Tensor(init.orthogonal_gate_stack(rng, gates, hidden_dim), requires_grad=True)
         self.bias = Tensor(init.zeros(gates * hidden_dim), requires_grad=True)
         if variant == PEEPHOLE:
             self.p_in = Tensor(init.zeros(hidden_dim), requires_grad=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import numcore as nc
-from .embeddings import PretrainedEmbeddings
+from .embeddings import PretrainedEmbeddings, find
 from .evaluation import attachment_scores
 from .tagger import build_vocab
 from .treebank import Sentence, _find_cycles, is_tree
@@ -49,10 +49,6 @@ class ParserForward:
 _MLP_HEADS = ("arc_dep", "arc_head", "rel_dep", "rel_head")
 
 
-def _glorot(rng: np.random.Generator | None, rows: int, cols: int) -> np.ndarray:
-    return nc.zeros(rows, cols) if rng is None else nc.glorot_uniform(rng, rows, cols)
-
-
 def build_layers(model, rels: Sequence[str], tags: Sequence[str],
                  word_vocab: dict[str, int], pretrained: PretrainedEmbeddings | None,
                  word_dim: int, tag_dim: int, hidden: int, layers: int,
@@ -72,7 +68,8 @@ def build_layers(model, rels: Sequence[str], tags: Sequence[str],
     model.best_epoch = model.dev_uas = None
     # Reserved rows: unk = v, root = v + 1 (tags: unk = t, root = t + 1).
     model.word_table = nc.Tensor(nc.zeros(len(word_vocab) + 2, word_dim), requires_grad=True)
-    model.tag_table = nc.Tensor(_glorot(rng, len(model.tags) + 2, tag_dim), requires_grad=True)
+    model.tag_table = nc.Tensor(nc.glorot_uniform(rng, len(model.tags) + 2, tag_dim),
+                                requires_grad=True)
     model.input_dim = model.pretrained.dim + word_dim + tag_dim + extra_input_dim
     model.lstm_layers = []
     for layer in range(layers):
@@ -82,7 +79,8 @@ def build_layers(model, rels: Sequence[str], tags: Sequence[str],
     model.mlp = {}
     for name in _MLP_HEADS:
         out_dim = d_arc if name.startswith("arc") else d_rel
-        model.mlp[name] = (nc.Tensor(_glorot(rng, out_dim, 2 * hidden), requires_grad=True),
+        model.mlp[name] = (nc.Tensor(nc.glorot_uniform(rng, out_dim, 2 * hidden),
+                                     requires_grad=True),
                            nc.Tensor(nc.zeros(out_dim), requires_grad=True))
 
 
@@ -96,13 +94,9 @@ class ParserModel:
                  rng: np.random.Generator | None = None):
         build_layers(self, rels, tags, word_vocab, pretrained, word_dim, tag_dim,
                      hidden, layers, d_arc, d_rel, dropout, extra_input_dim=0, rng=rng)
-        self.u_arc = nc.Tensor(_glorot(rng, d_arc + 1, d_arc), requires_grad=True)
-        if rng is None:
-            u_rel = nc.zeros(len(self.rels), d_rel + 1, d_rel + 1)
-        else:
-            u_rel = np.stack([nc.glorot_uniform(rng, d_rel + 1, d_rel + 1)
-                              for _ in self.rels])
-        self.u_rel = nc.Tensor(u_rel, requires_grad=True)
+        self.u_arc = nc.Tensor(nc.glorot_uniform(rng, d_arc + 1, d_arc), requires_grad=True)
+        self.u_rel = nc.Tensor(nc.glorot_uniform(rng, len(self.rels), d_rel + 1, d_rel + 1),
+                               requires_grad=True)
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -128,9 +122,7 @@ class ParserModel:
     # -- forward ----------------------------------------------------------------
 
     def word_index(self, form: str) -> int:
-        index = self.word_vocab.get(form)
-        if index is None:
-            index = self.word_vocab.get(form.lower())
+        index = find(self.word_vocab, form)
         return len(self.word_vocab) if index is None else index
 
     def tag_index(self, tag: str) -> int:
@@ -313,8 +305,8 @@ def decode_mst(arc_scores: np.ndarray, single_root: bool = False) -> list[int]:
 # -- training and inference -----------------------------------------------------------
 
 
-def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = None,
-          decoder: str = "greedy", repair: bool = False) -> ParseResult:
+def parse(model: ParserModel, sentence: Sentence, decoder: str = "greedy",
+          repair: bool = False) -> ParseResult:
     """Decode heads with the chosen decoder, then labels given those heads.
 
     With repair=True, greedy heads that do not form a tree are replaced by
@@ -322,9 +314,8 @@ def parse(model: ParserModel, sentence: Sentence, tags: Sequence[str] | None = N
     """
     if decoder not in ("greedy", "mst"):
         raise ValueError(f"unknown decoder {decoder!r}")
-    tags = tuple(tags) if tags is not None else sentence.upos
     with nc.no_grad():
-        fw = model.forward_full(sentence.forms, tags)
+        fw = model.forward_full(sentence.forms, sentence.upos)
     scores = fw.arc_scores.data.copy()
     np.fill_diagonal(scores, -np.inf)
     if decoder == "greedy":

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings
-from .evaluation import tagging_accuracy
 from .parser import ParserForward, ParserModel, build_layers, check_trainable, dev_uas
-from .tagger import TaggerModel, TagResult, build_vocab
+from .tagger import TaggerModel, TagResult, build_tagger, build_vocab, dev_accuracy
 from .treebank import Sentence
 
 # Not called here since the stacked models share the base code; kept because
@@ -79,10 +78,6 @@ class StackedTagger:
         return params
 
 
-def stack_tag_inputs(stacked: StackedTagger, sentence: Sentence) -> nc.Tensor:
-    return stacked.stack_inputs(sentence)
-
-
 def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
                          dev: list[Sentence], config,
                          pretrained: PretrainedEmbeddings | None = None) -> StackedTagger:
@@ -91,21 +86,11 @@ def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
     if not treebank:
         raise ValueError("cannot train a stacked tagger on an empty treebank")
     rng = nc.make_rng(config.seed)
-    target = TaggerModel(
-        sorted({t.upos for s in treebank for t in s.tokens}),
-        build_vocab(f for s in treebank for f in s.forms),
-        build_vocab(ch for s in treebank for f in s.forms for ch in f),
-        pretrained=pretrained,
-        word_dim=config.word_dim, char_dim=config.char_dim, att_dim=config.att_dim,
-        hidden=config.hidden, layers=config.layers, window=config.window,
-        dropout=config.dropout, extra_input_dim=len(base.tags), rng=rng,
-    )
+    target = build_tagger(treebank, config, pretrained, rng, extra_input_dim=len(base.tags))
     stacked = StackedTagger(base, target, config.train_base_embeddings)
     target.best_epoch, target.dev_accuracy = nc.fit(
         stacked.trainable_parameters(), lambda s: stacked.loss(s, training=True, rng=rng),
-        treebank, dev,
-        lambda gold: tagging_accuracy(gold, [s.with_upos(stacked.tag(s).tags) for s in gold]),
-        config, rng)
+        treebank, dev, lambda gold: dev_accuracy(stacked, gold), config, rng)
     return stacked
 
 
@@ -167,12 +152,10 @@ class StackedParser:
         return self._forward(forms, upos_tags, training, rng, base_fw)
 
 
-def stack_parse_inputs(stacked: StackedParser, sentence: Sentence,
-                       tags: Sequence[str] | None = None) -> nc.Tensor:
-    tags = tuple(tags) if tags is not None else sentence.upos
+def stack_parse_inputs(stacked: StackedParser, sentence: Sentence) -> nc.Tensor:
     with nc.no_grad():
-        base_fw = stacked.base.forward_full(sentence.forms, tags)
-        return stacked.input_vectors(sentence.forms, tags, base=base_fw)
+        base_fw = stacked.base.forward_full(sentence.forms, sentence.upos)
+        return stacked.input_vectors(sentence.forms, sentence.upos, base=base_fw)
 
 
 def train_stacked_parser(base: ParserModel, treebank: list[Sentence],

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import numcore as nc
-from .embeddings import PretrainedEmbeddings
+from .embeddings import PretrainedEmbeddings, find
 from .evaluation import tagging_accuracy
 from .treebank import Sentence
 
@@ -70,25 +70,22 @@ class TaggerModel:
         self.per_token_dim = self.pretrained.dim + word_dim + char_dim + extra_input_dim
         input_dim = (2 * window + 1) * self.per_token_dim
 
-        def glorot(rows, cols):
-            if rng is None:
-                return nc.zeros(rows, cols)
-            return nc.glorot_uniform(rng, rows, cols)
-
         # Trainable word table starts at zero next to the frozen pretrained part.
         self.word_table = nc.Tensor(nc.zeros(len(word_vocab) + 1, word_dim), requires_grad=True)
-        self.char_table = nc.Tensor(glorot(len(char_vocab) + 1, char_dim), requires_grad=True)
+        self.char_table = nc.Tensor(nc.glorot_uniform(rng, len(char_vocab) + 1, char_dim),
+                                    requires_grad=True)
         self.empty_word_vec = nc.Tensor(nc.zeros(char_dim), requires_grad=True)
-        self.att_proj = nc.Tensor(glorot(att_dim, char_dim), requires_grad=True)
+        self.att_proj = nc.Tensor(nc.glorot_uniform(rng, att_dim, char_dim), requires_grad=True)
         self.att_bias = nc.Tensor(nc.zeros(att_dim), requires_grad=True)
-        self.att_query = nc.Tensor(glorot(att_dim, 1).reshape(att_dim), requires_grad=True)
+        self.att_query = nc.Tensor(nc.glorot_uniform(rng, att_dim, 1).reshape(att_dim),
+                                   requires_grad=True)
         self.pad_vec = nc.Tensor(nc.zeros(self.per_token_dim), requires_grad=True)
         self.lstm_layers: list[tuple[nc.LstmCell, nc.LstmCell]] = []
         for layer in range(layers):
             dim = input_dim if layer == 0 else 2 * hidden
             self.lstm_layers.append((nc.LstmCell(nc.PEEPHOLE, dim, hidden, rng),
                                      nc.LstmCell(nc.PEEPHOLE, dim, hidden, rng)))
-        self.emission_w = nc.Tensor(glorot(k, 2 * hidden), requires_grad=True)
+        self.emission_w = nc.Tensor(nc.glorot_uniform(rng, k, 2 * hidden), requires_grad=True)
         self.emission_b = nc.Tensor(nc.zeros(k), requires_grad=True)
         self.transitions = nc.Tensor(nc.zeros(k + 2, k + 2), requires_grad=True)
 
@@ -123,9 +120,7 @@ class TaggerModel:
     # -- forward pieces -------------------------------------------------------
 
     def word_index(self, form: str) -> int:
-        index = self.word_vocab.get(form)
-        if index is None:
-            index = self.word_vocab.get(form.lower())
+        index = find(self.word_vocab, form)
         return len(self.word_vocab) if index is None else index
 
     def char_attention(self, word: str) -> nc.Tensor:
@@ -190,6 +185,10 @@ class TaggerModel:
              rng: np.random.Generator | None = None) -> nc.Tensor:
         return self.crf_loss(self.encode(sentence, training, rng), sentence, training, rng)
 
+    def tag(self, sentence: Sentence) -> TagResult:
+        """`tag(self, sentence)`, so that a base and a stacked tagger answer alike."""
+        return tag(self, sentence)
+
 
 # -- CRF ----------------------------------------------------------------------
 
@@ -252,6 +251,26 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagResult:
         return model.decode(model.encode(sentence))
 
 
+def build_tagger(treebank: list[Sentence], config, pretrained: PretrainedEmbeddings | None,
+                 rng: np.random.Generator, *, extra_input_dim: int) -> TaggerModel:
+    """A tagger over the treebank's tags, words and characters, sized by `config`,
+    with `extra_input_dim` stacked features per token (0 for a base tagger)."""
+    return TaggerModel(
+        sorted({t.upos for s in treebank for t in s.tokens}),
+        build_vocab(f for s in treebank for f in s.forms),
+        build_vocab(ch for s in treebank for f in s.forms for ch in f),
+        pretrained=pretrained,
+        word_dim=config.word_dim, char_dim=config.char_dim, att_dim=config.att_dim,
+        hidden=config.hidden, layers=config.layers, window=config.window,
+        dropout=config.dropout, extra_input_dim=extra_input_dim, rng=rng,
+    )
+
+
+def dev_accuracy(model, gold: list[Sentence]) -> float:
+    """Tag accuracy of a base or stacked tagger on a dev set, for epoch selection."""
+    return tagging_accuracy(gold, [s.with_upos(model.tag(s).tags) for s in gold])
+
+
 def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
                  pretrained: PretrainedEmbeddings | None = None) -> TaggerModel:
     """Epoch-wise Adagrad over the CRF loss with dev-based epoch selection.
@@ -262,17 +281,8 @@ def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
     if not treebank:
         raise ValueError("cannot train a tagger on an empty treebank")
     rng = nc.make_rng(config.seed)
-    model = TaggerModel(
-        sorted({t.upos for s in treebank for t in s.tokens}),
-        build_vocab(f for s in treebank for f in s.forms),
-        build_vocab(ch for s in treebank for f in s.forms for ch in f),
-        pretrained=pretrained,
-        word_dim=config.word_dim, char_dim=config.char_dim, att_dim=config.att_dim,
-        hidden=config.hidden, layers=config.layers, window=config.window,
-        dropout=config.dropout, rng=rng,
-    )
+    model = build_tagger(treebank, config, pretrained, rng, extra_input_dim=0)
     model.best_epoch, model.dev_accuracy = nc.fit(
         model.parameters(), lambda s: model.loss(s, training=True, rng=rng), treebank, dev,
-        lambda gold: tagging_accuracy(gold, [s.with_upos(tag(model, s).tags) for s in gold]),
-        config, rng)
+        lambda gold: dev_accuracy(model, gold), config, rng)
     return model

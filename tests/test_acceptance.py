@@ -22,7 +22,6 @@ from stackparse.stacking import (
     StackedParser,
     StackedTagger,
     stack_parse_inputs,
-    stack_tag_inputs,
     train_stacked_parser,
     train_stacked_tagger,
 )
@@ -277,8 +276,8 @@ def test_criterion_7_stacking_mechanics_exact():
     target = TaggerModel(["A"], {"w": 0}, {"w": 0}, word_dim=100, char_dim=30,
                          att_dim=6, hidden=4, layers=1, window=1, dropout=0.0,
                          extra_input_dim=17, rng=nc.make_rng(3))
-    assert stack_tag_inputs(StackedTagger(base17, target),
-                            make_sentence(["w"], ["A"], [0], ["root"])).shape == (1, 441)
+    assert StackedTagger(base17, target).stack_inputs(
+        make_sentence(["w"], ["A"], [0], ["root"])).shape == (1, 441)
 
     from stackparse.embeddings import PretrainedEmbeddings
     wide_base = ParserModel(["r"], ["N"], {"a": 0}, word_dim=8, tag_dim=4,

@@ -88,6 +88,22 @@ def test_config_rejects_unknown_keys_and_bad_values():
         RunConfig.from_mapping({"epochs": "zero"})
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "l2_lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_rejects_non_finite_rates(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        RunConfig().updated({key: value})
+
+
+def test_non_finite_learning_rate_is_a_diagnostic_before_training(workdir, capsys):
+    (workdir / "nan.txt").write_text(TINY_CONFIG + "learning_rate = nan\n", encoding="utf-8")
+    assert run("train-tagger", "--train", workdir / "tb.conllu", "--config", workdir / "nan.txt",
+               "--out", workdir / "t.model") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "learning_rate" in err
+    assert not list(workdir.glob("t.model*"))
+
+
 def test_config_text_comments_and_errors():
     mapping = parse_config_text("# comment\nseed = 4  # trailing\n\nk=12\n")
     assert mapping == {"seed": "4", "k": "12"}
@@ -299,13 +315,19 @@ def test_train_commands_report_and_snapshot(workdir, capsys, command, base, wron
         "stacked tagger": StackedTagger, "stacked parser": StackedParser}[kind]
 
 
-def test_train_commands_call_the_traced_trainers(workdir):
-    # The benchmark's per-layer spans come from wrappers patched into the
-    # trainers' modules; a trainer captured at import would bypass them.
+def _bench_spans():
+    """The benchmark's span tracer module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_train_commands_call_the_traced_trainers(workdir):
+    # The benchmark's per-layer spans come from wrappers patched into the
+    # trainers' modules; a trainer captured at import would bypass them.
+    spans = _bench_spans()
     common = ["--train", workdir / "tb.conllu", "--config", workdir / "cfg.txt"]
     tracer = spans.Tracer()
     tracer.install()
@@ -321,6 +343,30 @@ def test_train_commands_call_the_traced_trainers(workdir):
         tracer.uninstall()
     names = Counter(span[0] for span in tracer.spans)
     assert (names["tagger.train"], names["parser.train"], names["stacking.train"]) == (1, 1, 2)
+
+
+def test_tag_and_parse_commands_call_the_traced_functions(workdir):
+    # A tagger method that copied the body of tagger.tag, or a parse path
+    # that bypassed parser.parse, would zero their per-layer spans.
+    for kind in ("tagger", "stacked-tagger", "parser", "stacked-parser"):
+        save_model(str(workdir / f"{kind}.model"), archive_model(kind))
+    spans = _bench_spans()
+    calls = {}
+    for kind, command in [("tagger", "tag"), ("stacked-tagger", "tag"),
+                          ("parser", "parse"), ("stacked-parser", "parse")]:
+        tracer = spans.Tracer()
+        tracer.install()
+        tracer.recording = True
+        try:
+            assert run(command, "--model", workdir / f"{kind}.model", "--input",
+                       workdir / "tb.conllu", "--out", workdir / f"{kind}.conllu") == 0
+        finally:
+            tracer.uninstall()
+        names = Counter(span[0] for span in tracer.spans)
+        calls[kind] = (names["tagger.tag"], names["stacking.tag"], names["parser.parse"])
+    # three sentences each; a stacked tagger tags through its own span
+    assert calls == {"tagger": (3, 0, 0), "stacked-tagger": (0, 3, 0),
+                     "parser": (0, 0, 3), "stacked-parser": (0, 0, 3)}
 
 
 # -- model archives ---------------------------------------------------------------------

@@ -192,8 +192,6 @@ def test_multi_category_sentence_counts_in_every_row():
     assert table["NP Deletion"].tokens == 5
     total = sum(r.tokens for r in table.values())
     assert total == 10  # multi-membership double-counts by design
-    primary = per_category_scores([gold_two], [predicted], primary_only=True)
-    assert set(primary) == {"Copula Deletion"}  # alphabetically first
 
 
 def test_uncategorized_sentences_fall_into_others():
@@ -299,7 +297,7 @@ def test_cross_fold_dev_test_split_fraction():
         seen.append((len(train_sentences), len(dev_sentences)))
         return lambda s: s
 
-    cross_fold_validate(corpus, 3, trainer, dev_fraction_of_heldout=0.5, seed=3)
+    cross_fold_validate(corpus, 3, trainer, seed=3)
     assert seen == [(8, 2), (8, 2), (8, 2)]
 
 

@@ -111,13 +111,6 @@ def test_train_rejects_empty_corpus_and_bad_order():
         train_ngram_lm([["a"]], order=0)
 
 
-def test_singleton_pruning_folds_rare_types_into_unk():
-    lm = train_ngram_lm([["a", "a", "rare"], ["a", "b"], ["b", "a"]],
-                        order=2, prune_singletons=True)
-    assert "rare" not in lm.vocab
-    assert "a" in lm.vocab and "b" in lm.vocab
-
-
 # -- sentence scoring -----------------------------------------------------------------
 
 

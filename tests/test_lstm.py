@@ -7,18 +7,46 @@ import pytest
 
 from stackparse import numcore as nc
 from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encode, lstm_step
+from stackparse.parser import ParserModel
+from stackparse.stacking import StackedParser
+from stackparse.tagger import TaggerModel
+from util import make_sentence
 
 
 def vec(*values):
     return Tensor(np.array(values, dtype=np.float64))
 
 
-@pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
-def test_zero_weights_give_zero_hidden(variant):
-    cell = LstmCell(variant, 3, 4, rng=None)  # all parameters zero
-    h, c = lstm_step(cell, vec(1.0, -2.0, 3.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-    assert np.allclose(h.data, 0.0)
-    assert np.allclose(c.data, 0.0)
+def _built_with_rng_none(kind):
+    """The parameters and hidden states of a cell or model built with
+    rng=None, as the archive loader builds one."""
+    if kind in (PEEPHOLE, COUPLED):
+        cell = LstmCell(kind, 3, 4, rng=None)
+        h, c = lstm_step(cell, vec(1.0, -2.0, 3.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+        return cell.parameters("cell"), [h.data, c.data]
+    vocab, tags, rels = {"the": 0, "cat": 1}, ["DET", "NOUN"], ["det", "root"]
+    sentence = make_sentence(["the", "cat"], tags, [2, 0], rels)
+    if kind == "tagger":
+        model = TaggerModel(tags, vocab, {"a": 0, "t": 1}, word_dim=3, char_dim=2, att_dim=2,
+                            hidden=4, rng=None)
+        _, hidden = model.emissions(model.encode(sentence))
+        return model.parameters(), [hidden.data]
+    parser = ParserModel(rels, tags, vocab, word_dim=3, tag_dim=2, hidden=4, layers=1,
+                         d_arc=3, d_rel=2, rng=None)
+    if kind == "parser":
+        model, params = parser, parser.parameters()
+    else:
+        model = StackedParser(parser, rels, tags, vocab, word_dim=3, tag_dim=2, hidden=5,
+                              rng=None)
+        params = model.all_parameters()
+    return params, [model.forward_full(sentence.forms, sentence.upos).recurrent.data]
+
+
+@pytest.mark.parametrize("kind", [PEEPHOLE, COUPLED, "tagger", "parser", "stacked-parser"])
+def test_zero_weights_give_zero_hidden(kind):
+    params, hidden = _built_with_rng_none(kind)  # all parameters zero
+    assert params and not any(p.data.any() for p in params.values())
+    assert all(np.allclose(h, 0.0) for h in hidden)
 
 
 def test_coupled_large_input_bias_passes_candidate_through():

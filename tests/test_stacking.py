@@ -9,7 +9,6 @@ from stackparse.stacking import (
     StackedParser,
     StackedTagger,
     stack_parse_inputs,
-    stack_tag_inputs,
     train_stacked_parser,
     train_stacked_tagger,
 )
@@ -49,7 +48,7 @@ def test_stacked_tagger_input_dimension_arithmetic():
     assert target.per_token_dim - target.extra_input_dim == 130
     stacked = StackedTagger(base, target)
     sentence = make_sentence(["w", "w"], ["A", "A"], [0, 1], ["root", "dep"])
-    assert stack_tag_inputs(stacked, sentence).shape == (2, 441)
+    assert stacked.stack_inputs(sentence).shape == (2, 441)
 
 
 def test_stacked_tagger_rejects_dimension_mismatch(base_tagger):
@@ -70,7 +69,7 @@ def test_zeroed_base_emission_projection_gives_constant_features(base_tagger):
                          extra_input_dim=len(base_tagger.tags), rng=nc.make_rng(3))
     stacked = StackedTagger(base_tagger, target)
     sentence = make_sentence(["the", "the"], ["X", "X"], [0, 1], ["root", "dep"])
-    inputs = stack_tag_inputs(stacked, sentence)
+    inputs = stacked.stack_inputs(sentence)
     k = len(base_tagger.tags)
     assert inputs.shape == (2, target.per_token_dim)
     assert np.allclose(inputs.data[:, -k:], 0.0, atol=1e-15)
@@ -80,8 +79,8 @@ def test_stack_inputs_pure(base_tagger, tiny_cfg):
     stacked = train_stacked_tagger(base_tagger, source_sentences(), [],
                                    tiny_cfg.updated({"epochs": "1"}))
     sentence = source_sentences()[0]
-    a = stack_tag_inputs(stacked, sentence)
-    b = stack_tag_inputs(stacked, sentence)
+    a = stacked.stack_inputs(sentence)
+    b = stacked.stack_inputs(sentence)
     target = stacked.target
     assert a.shape == (len(sentence), (2 * target.window + 1) * target.per_token_dim)
     assert np.array_equal(a.data, b.data)
@@ -336,5 +335,5 @@ def test_dimension_contracts_hold_over_random_configs():
         stacked_t = StackedTagger(base_t, target_t)
         sentence = make_sentence(["a"], ["A"], [0], ["root"])
         own = word_dim + tag_dim  # trainable word + char-attention dims
-        assert (stack_tag_inputs(stacked_t, sentence).shape
+        assert (stacked_t.stack_inputs(sentence).shape
                 == (1, (2 * window + 1) * (own + len(base_tags))))
