@@ -6,12 +6,17 @@ atomic (temp file + rename); round trips are bit-exact.
 
 `params.bin` is stored uncompressed: deflate makes float64 weights only
 ~5% smaller but a save ~30x slower.  Saving streams each array into the
-member; loading reads it once and copies each slice into its tensor once,
-checking its shape.  Archives whose `params.bin` is deflated still load.
+member.  Loading builds the model with zero arrays (`rng=None`; the
+pretrained table as zeros of its stored shape), checks every array's
+stored shape, and then reads the member once, a chunk at a time,
+straight into those arrays, so the blob is never held in memory next to
+the model and zero pages are written only once.  Archives whose
+`params.bin` is deflated still load; a corrupt one fails its CRC check.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import time
@@ -117,15 +122,11 @@ def _meta(spec: _Spec, model, key_prefix: str = "") -> dict[str, object]:
     return items
 
 
-def _contents(spec: _Spec, model,
-              path: str = "") -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Text members and parameter arrays, both keyed by archive name."""
+def _texts(spec: _Spec, model, path: str = "") -> dict[str, str]:
+    """Text members keyed by archive name."""
     texts: dict[str, str] = {}
-    arrays: dict[str, np.ndarray] = {}
     for attr, sub in spec.subs:
-        sub_texts, sub_arrays = _contents(sub, getattr(model, attr), f"{path}{attr}/")
-        texts.update(sub_texts)
-        arrays.update(sub_arrays)
+        texts.update(_texts(sub, getattr(model, attr), f"{path}{attr}/"))
     if spec.params:
         own = path + spec.prefix
         for name in spec.lists:
@@ -133,39 +134,44 @@ def _contents(spec: _Spec, model,
         for name, attr in spec.vocabs:
             texts[f"{own}{name}.txt"] = _vocab_text(getattr(model, attr))
         texts[f"{own}pretrained_vocab.txt"] = _vocab_text(model.pretrained.vocab)
+    return texts
+
+
+def _arrays(spec: _Spec, model, path: str = "") -> dict[str, np.ndarray]:
+    """Parameter arrays, the pretrained table included, keyed by archive name."""
+    arrays: dict[str, np.ndarray] = {}
+    for attr, sub in spec.subs:
+        arrays.update(_arrays(sub, getattr(model, attr), f"{path}{attr}/"))
+    if spec.params:
+        own = path + spec.prefix
         arrays.update({f"{own}{k}": t.data for k, t in spec.params(model).items()})
         arrays[f"{own}const/pretrained_table"] = model.pretrained.matrix
-    return texts, arrays
+    return arrays
 
 
 def _build(spec: _Spec, meta: dict[str, str], archive: zipfile.ZipFile,
-           stored: dict[str, np.ndarray], path: str = ""):
+           layout: dict[str, tuple], path: str = ""):
+    """The model with every stored array still zero (`rng=None`); the
+    pretrained table is zeros of its stored shape."""
     subs = []
     for attr, sub in spec.subs:
         cut = len(attr) + 1
         sub_meta = {k[cut:]: v for k, v in meta.items() if k.startswith(f"{attr}.")}
-        subs.append(_build(sub, sub_meta, archive, stored, f"{path}{attr}/"))
+        subs.append(_build(sub, sub_meta, archive, layout, f"{path}{attr}/"))
     kwargs = {k: _META_TYPES.get(k, int)(meta[k]) for k in spec.meta}
     if not spec.params:
         return spec.cls(*subs, **kwargs)
     own = path + spec.prefix
     lists = [_read_lines(archive, f"{own}{name}.txt") for name in spec.lists]
     vocabs = [_read_vocab(archive, f"{own}{name}.txt") for name, _ in spec.vocabs]
-    table = stored.get(f"{own}const/pretrained_table")
+    table = layout.get(f"{own}const/pretrained_table")
     pretrained = None
-    if table is not None and table.size:
-        # A copy, so the table does not keep the whole blob alive.
-        pretrained = PretrainedEmbeddings(
-            _read_vocab(archive, f"{own}pretrained_vocab.txt"), table.astype(np.float64))
+    if table is not None and math.prod(table[0]):
+        pretrained = PretrainedEmbeddings(_read_vocab(archive, f"{own}pretrained_vocab.txt"),
+                                          np.zeros(table[0]))
     model = spec.cls(*subs, *lists, *vocabs, pretrained=pretrained, rng=None, **kwargs)
     if meta.get("best_epoch"):
         model.best_epoch = int(meta["best_epoch"])
-    for name, tensor in spec.params(model).items():
-        arr = stored[f"{own}{name}"]
-        if arr.shape != tensor.data.shape:
-            raise ValueError(f"stored parameter {own}{name} has shape "
-                             f"{arr.shape}, expected {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype)
     return model
 
 
@@ -174,8 +180,8 @@ def save_model(path: str, model) -> None:
     if spec is None:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     meta = {"type": spec.kind, **_meta(spec, model)}
-    texts, params = _contents(spec, model)
-    manifest, arrays = nc.manifest_arrays(params)
+    texts = _texts(spec, model)
+    manifest, arrays = nc.manifest_arrays(_arrays(spec, model))
 
     def writer(temp_path):
         with zipfile.ZipFile(temp_path, "w", zipfile.ZIP_DEFLATED) as archive:
@@ -205,6 +211,8 @@ def load_model(path: str):
         spec = next((s for s in _SPECS if s.kind == kind), None)
         if spec is None:
             raise ValueError(f"unknown model type {kind!r} in {path}")
-        stored = nc.manifest_views(archive.read("manifest.txt").decode("utf-8"),
-                                   archive.read("params.bin"))
-        return _build(spec, meta, archive, stored)
+        manifest = archive.read("manifest.txt").decode("utf-8")
+        model = _build(spec, meta, archive, nc.manifest_layout(manifest))
+        with archive.open("params.bin") as blob:
+            nc.manifest_read_into(manifest, blob, _arrays(spec, model))
+        return model

@@ -6,7 +6,7 @@ from .gradcheck import grad_check
 from .init import glorot_uniform, make_rng, zeros
 from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode, lstm_step
 from .optim import AdagradState, fit
-from .serialize import manifest_arrays, manifest_views
+from .serialize import manifest_arrays, manifest_layout, manifest_read_into
 from .tensor import (
     NonFiniteError,
     Tensor,
@@ -54,7 +54,8 @@ __all__ = [
     "lstm_step",
     "make_rng",
     "manifest_arrays",
-    "manifest_views",
+    "manifest_layout",
+    "manifest_read_into",
     "matmul",
     "mul",
     "no_grad",

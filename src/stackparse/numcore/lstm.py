@@ -1,13 +1,17 @@
 """LSTM cells and bidirectional sequence encoding.
 
-`bilstm_encode` runs each (layer, direction) as one fused sequence op:
-the input projection X @ W_x^T + b is one GEMM for all steps, the
-recurrence runs in numpy, and the op adds one tape node (none under
-`no_grad`) whose backward is hand-written back-propagation through time.
-It fills a (T, gates * H) array of gate gradients, so dW_x, dW_h, db and
-dX are one GEMM or one sum each.  `LstmCell.step` (and `lstm_step`) is
-the per-step tape formulation of the same cell, kept as the reference
-the fused op is tested against.
+`bilstm_encode` runs each layer as one fused op with one tape node (none
+under `no_grad`).  In each direction the input projection X @ W_x^T + b
+is one GEMM for all steps and the recurrence runs in numpy; backward is
+hand-written back-propagation through time, which fills a
+(T, gates * H) array of gate gradients, so dW_x, dW_h, db and dX are one
+GEMM or one sum each.  The two directions never read each other's
+state, so the backward one runs on numcore's one worker thread (see
+`worker`) while the calling thread runs the forward one, in the
+recurrence and again in BPTT; the calling thread alone makes the tape
+node, checks finiteness and adds every gradient, forward cell first.
+`LstmCell.step` (and `lstm_step`) is the per-step tape formulation of the
+same cell, kept as the reference the fused op is tested against.
 
 Two cell variants are provided:
 
@@ -24,8 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .tensor import (Tensor, _accumulate, _check_finite, _result, _sigmoid, concat, matmul,
-                     mul, sigmoid, tanh)
+from .tensor import (Tensor, _accumulate, _check_finite, _result, _sigmoid, matmul, mul,
+                     sigmoid, tanh)
+from .worker import in_parallel
 
 PEEPHOLE = "peephole"
 COUPLED = "coupled-input-forget"
@@ -88,35 +93,36 @@ def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tupl
     return cell.step(x, h_prev, c_prev)
 
 
-def _sequence(cell: LstmCell, x: Tensor, reverse: bool) -> Tensor:
-    """One direction of one layer over the rows of `x`: (T, D) -> (T, H).
-
-    The input projection is one GEMM for all steps; the recurrence runs in
-    numpy and adds a single tape node, whose backward is BPTT over the
-    stored activations.
-    """
-    if x.shape[1] != cell.input_dim:
-        raise ValueError(f"expected inputs of width {cell.input_dim}, got {x.shape[1]}")
+def _gates(cell: LstmCell) -> tuple:
+    """Column blocks (i, f, g, o) of the stacked gates, f None for the
+    coupled cell, then its peephole vectors as rows (p_in, p_forget) and
+    p_out, both None without peepholes."""
     hd = cell.hidden_dim
-    peephole = cell.variant == PEEPHOLE
-    if peephole:  # column blocks of the stacked gates
-        gi, gf, gc, go = (slice(k * hd, (k + 1) * hd) for k in range(4))
-        p_if = np.stack([cell.p_in.data, cell.p_forget.data])
-        p_out = cell.p_out.data
-    else:
+    if cell.variant != PEEPHOLE:
         gi, gc, go = (slice(k * hd, (k + 1) * hd) for k in range(3))
-    xs = x.data[::-1] if reverse else x.data
+        return gi, None, gc, go, None, None
+    gi, gf, gc, go = (slice(k * hd, (k + 1) * hd) for k in range(4))
+    return gi, gf, gc, go, np.stack([cell.p_in.data, cell.p_forget.data]), cell.p_out.data
+
+
+def _recur(cell: LstmCell, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One direction over the rows of `xs`, numpy only: (pre, act, cs, hs).
+
+    pre[t]: gate pre-activations of step t, peephole terms included;
+    act[t]: the gates after their sigmoid/tanh; cs[t]/hs[t]: the state
+    entering step t, so row 0 is the zero initial state.
+    """
+    hd = cell.hidden_dim
+    gi, gf, gc, go, p_if, p_out = _gates(cell)
+    peephole = p_out is not None
     steps = xs.shape[0]
     w_h = cell.w_h.data
-    # pre[t]: gate pre-activations of step t, peephole terms included;
-    # act[t]: the gates after their sigmoid/tanh; cs[t]/hs[t]: the state
-    # entering step t, so row 0 is the zero initial state.
-    pre = xs @ cell.w_x.data.T + cell.bias.data
+    pre = xs @ cell.w_x.data.T + cell.bias.data  # the input projection, one GEMM
     act = np.empty_like(pre)
     cs = np.zeros((steps + 1, hd))
     hs = np.zeros((steps + 1, hd))
-    # A non-finite input or weight makes `pre` non-finite; it is reported
-    # by the check below, not as a numpy warning from inside the loop.
+    # A non-finite input or weight makes `pre` non-finite; the caller
+    # reports it, not a numpy warning from inside the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             p, a, c_prev = pre[t], act[t], cs[t]
@@ -135,47 +141,78 @@ def _sequence(cell: LstmCell, x: Tensor, reverse: bool) -> Tensor:
                 c = (1.0 - a[gi]) * c_prev + a[gi] * a[gc]
             cs[t + 1] = c
             hs[t + 1] = a[go] * np.tanh(c)
-    _check_finite(pre)
-    out = hs[1:]
+    return pre, act, cs, hs
+
+
+def _bptt(cell: LstmCell, xs: np.ndarray, state: tuple, d_out: np.ndarray,
+          want_dx: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Back-propagation through time of `_recur`, numpy only: the gradient
+    of each of `cell.parameters()` in its order, and of `xs` if wanted."""
+    pre, act, cs, hs = state
+    hd = cell.hidden_dim
+    gi, gf, gc, go, p_if, p_out = _gates(cell)
+    peephole = p_out is not None
+    w_h = cell.w_h.data
+    c_prev, tanh_c = cs[:-1], np.tanh(cs[1:])
+    deriv = act * (1.0 - act)  # sigmoid' of every gate but the candidate
+    deriv[:, gc] = 1.0 - act[:, gc] * act[:, gc]
+    out_deriv = act[:, go] * (1.0 - tanh_c * tanh_c)
+    d_pre = np.empty_like(pre)
+    dh = np.zeros(hd)
+    dc = np.zeros(hd)
+    for t in range(len(pre) - 1, -1, -1):
+        a, d, r = act[t], d_pre[t], deriv[t]
+        dh += d_out[t]
+        d[go] = dh * tanh_c[t] * r[go]
+        dc += dh * out_deriv[t]
+        if peephole:
+            dc += d[go] * p_out
+            d[gi] = dc * a[gc] * r[gi]
+            d[gf] = dc * c_prev[t] * r[gf]
+            d[gc] = dc * a[gi] * r[gc]
+            dc = dc * a[gf] + d[gi] * p_if[0] + d[gf] * p_if[1]
+        else:
+            d[gi] = dc * (a[gc] - c_prev[t]) * r[gi]
+            d[gc] = dc * a[gi] * r[gc]
+            dc = dc * (1.0 - a[gi])
+        dh = d @ w_h
+    grads = [d_pre.T @ xs, d_pre.T @ hs[:-1], d_pre.sum(axis=0)]
+    if peephole:
+        grads += [(d_pre[:, gi] * c_prev).sum(axis=0), (d_pre[:, gf] * c_prev).sum(axis=0),
+                  (d_pre[:, go] * cs[1:]).sum(axis=0)]
+    return grads, d_pre @ cell.w_x.data if want_dx else None
+
+
+def _layer(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor) -> Tensor:
+    """One bi-LSTM layer over the rows of `x`: (T, D) -> (T, 2H), one tape
+    node.  The backward direction runs on the worker thread while this
+    thread runs the forward one, in the recurrence and again in BPTT."""
+    for cell in (forward_cell, backward_cell):
+        if x.shape[1] != cell.input_dim:
+            raise ValueError(f"expected inputs of width {cell.input_dim}, got {x.shape[1]}")
+    xs, sx = x.data, x.data[::-1]
+    fwd, bwd = in_parallel(lambda: _recur(forward_cell, xs), lambda: _recur(backward_cell, sx))
+    _check_finite(fwd[0])
+    _check_finite(bwd[0])
+    out = np.concatenate([fwd[3][1:], bwd[3][:0:-1]], axis=1)
 
     def backward(grad):
-        d_out = grad[::-1] if reverse else grad
-        c_prev, tanh_c = cs[:-1], np.tanh(cs[1:])
-        deriv = act * (1.0 - act)  # sigmoid' of every gate but the candidate
-        deriv[:, gc] = 1.0 - act[:, gc] * act[:, gc]
-        out_deriv = act[:, go] * (1.0 - tanh_c * tanh_c)
-        d_pre = np.empty_like(pre)
-        dh = np.zeros(hd)
-        dc = np.zeros(hd)
-        for t in range(steps - 1, -1, -1):
-            a, d, r = act[t], d_pre[t], deriv[t]
-            dh += d_out[t]
-            d[go] = dh * tanh_c[t] * r[go]
-            dc += dh * out_deriv[t]
-            if peephole:
-                dc += d[go] * p_out
-                d[gi] = dc * a[gc] * r[gi]
-                d[gf] = dc * c_prev[t] * r[gf]
-                d[gc] = dc * a[gi] * r[gc]
-                dc = dc * a[gf] + d[gi] * p_if[0] + d[gf] * p_if[1]
-            else:
-                d[gi] = dc * (a[gc] - c_prev[t]) * r[gi]
-                d[gc] = dc * a[gi] * r[gc]
-                dc = dc * (1.0 - a[gi])
-            dh = d @ w_h
-        _accumulate(cell.w_x, d_pre.T @ xs)
-        _accumulate(cell.w_h, d_pre.T @ hs[:-1])
-        _accumulate(cell.bias, d_pre.sum(axis=0))
-        if peephole:
-            _accumulate(cell.p_in, (d_pre[:, gi] * c_prev).sum(axis=0))
-            _accumulate(cell.p_forget, (d_pre[:, gf] * c_prev).sum(axis=0))
-            _accumulate(cell.p_out, (d_pre[:, go] * cs[1:]).sum(axis=0))
-        if x.requires_grad:
-            dx = d_pre @ cell.w_x.data
-            _accumulate(x, dx[::-1] if reverse else dx)
+        h, want_dx = forward_cell.hidden_dim, x.requires_grad
+        (f_grads, f_dx), (b_grads, b_dx) = in_parallel(
+            lambda: _bptt(forward_cell, xs, fwd, grad[:, :h], want_dx),
+            lambda: _bptt(backward_cell, sx, bwd, grad[::-1, h:], want_dx))
+        # Added here, after the join, in a fixed order: a cell shared by both
+        # directions is never written by two threads, and its sums are the
+        # same on every run.
+        for cell, grads in ((forward_cell, f_grads), (backward_cell, b_grads)):
+            for param, g in zip(cell.parameters("").values(), grads):
+                _accumulate(param, g)
+        if want_dx:
+            _accumulate(x, f_dx)
+            _accumulate(x, b_dx[::-1])
 
-    parents = (x, *cell.parameters("").values())
-    return _result(out[::-1] if reverse else out, parents, backward)
+    parents = (x, *forward_cell.parameters("").values(), *backward_cell.parameters("").values())
+    return _result(out, parents, backward)
 
 
 def bilstm_encode(layers, x: Tensor) -> Tensor:
@@ -188,6 +225,5 @@ def bilstm_encode(layers, x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.shape[0] == 0:
         raise ValueError("bilstm_encode requires a non-empty (T, D) matrix")
     for forward_cell, backward_cell in layers:
-        x = concat([_sequence(forward_cell, x, False), _sequence(backward_cell, x, True)],
-                   axis=1)
+        x = _layer(forward_cell, backward_cell, x)
     return x

@@ -3,12 +3,15 @@ epoch loop every trainer runs on it."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Tensor, zero_grads
+from .worker import in_parallel
 
 _CHUNK = 1 << 15  # elements per Adagrad pass; the two 256 KiB scratch chunks stay in cache
 
@@ -22,50 +25,69 @@ class AdagradState:
 
     def __init__(self, learning_rate: float = 0.01, epsilon: float = 1e-8,
                  l2_lambda: float = 1e-6):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 < epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0 <= l2_lambda < math.inf:
+            raise ValueError("l2_lambda must be >= 0 and finite")
         self.learning_rate = learning_rate
         self.epsilon = epsilon
         self.l2_lambda = l2_lambda
         self.accumulators: dict[str, np.ndarray] = {}
-        self._scratch = (np.empty(0), np.empty(0))
+        # Two flat scratch buffers for each of the two threads of `apply`.
+        self._scratch = [(np.empty(0), np.empty(0)) for _ in range(2)]
 
-    def _buffers(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Two scratch arrays of `shape`, views of two flat buffers that
-        every update reuses (grown when a row is longer than a chunk)."""
+    def _buffers(self, thread: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The thread's two scratch arrays of `shape`, views of two flat
+        buffers that every update reuses (grown when a row is longer than
+        a chunk)."""
         size = math.prod(shape)
-        if self._scratch[0].size < size:
-            self._scratch = (np.empty(size), np.empty(size))
-        return tuple(b[:size].reshape(shape) for b in self._scratch)
+        if self._scratch[thread][0].size < size:
+            self._scratch[thread] = (np.empty(size), np.empty(size))
+        return tuple(b[:size].reshape(shape) for b in self._scratch[thread])
 
     def apply(self, params: dict[str, Tensor]) -> None:
         """One Adagrad step, in place, for every tensor with a .grad (None
         grads are skipped): acc += g^2; p -= lr * g / (sqrt(acc) + eps).
 
-        The L2 term lambda * p is added to the raw gradient first.  A tensor
-        is updated in chunks of whole rows, so the intermediates stay in
-        cache; every element sees the operations of the formula in its
-        order, so the results are those of the whole-array expression.
+        The L2 term lambda * p is added to the raw gradient first.  Every
+        gradient is checked before anything changes: on a non-finite one
+        this raises FloatingPointError naming the first such tensor in
+        `params` order, and no parameter or accumulator is touched.  A
+        tensor is updated in chunks of whole rows, so the intermediates
+        stay in cache; every element sees the operations of the formula
+        in its order, so the results are those of the whole-array
+        expression.  The chunks are split into two runs of about equal
+        size, one run on numcore's worker thread, and each thread has its
+        own scratch buffers; so a tensor may appear in `params` once.
         """
-        for name, t in params.items():
-            g, p = t.grad, t.data
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-            if g.shape != p.shape:
+        named = [(name, t) for name, t in params.items() if t.grad is not None]
+        for name, t in named:
+            if t.grad.shape != t.data.shape:
                 raise ValueError(f"gradient shape mismatch for {name!r}")
-            acc = self.accumulators.get(name)
-            if acc is None:
-                acc = np.zeros_like(p)
-                self.accumulators[name] = acc
-            g, p, acc = np.atleast_1d(g, p, acc)
-            rows = max(1, _CHUNK // max(1, math.prod(p.shape[1:])))
-            for lo in range(0, len(p), rows):
-                self._update(g[lo:lo + rows], p[lo:lo + rows], acc[lo:lo + rows])
+        if len({id(t) for _, t in named}) < len(named):
+            raise ValueError("a tensor may appear in the parameters only once")
+        runs = _split(named)
+        bad = in_parallel(lambda: _first_non_finite(named, runs[0]),
+                          lambda: _first_non_finite(named, runs[1]))
+        first = next((k for k in bad if k is not None), None)
+        if first is not None:
+            raise FloatingPointError(f"non-finite gradient for parameter {named[first][0]!r}")
+        for name, t in named:
+            if name not in self.accumulators:
+                self.accumulators[name] = np.zeros_like(t.data)
+        in_parallel(lambda: self._update_run(0, named, runs[0]),
+                    lambda: self._update_run(1, named, runs[1]))
 
-    def _update(self, g: np.ndarray, p: np.ndarray, acc: np.ndarray) -> None:
-        step, tmp = self._buffers(p.shape)
+    def _update_run(self, thread: int, named: list, run: list) -> None:
+        for k, rows in run:
+            name, t = named[k]
+            g, p, acc = np.atleast_1d(t.grad, t.data, self.accumulators[name])
+            self._update(thread, g[rows], p[rows], acc[rows])
+
+    def _update(self, thread: int, g: np.ndarray, p: np.ndarray, acc: np.ndarray) -> None:
+        step, tmp = self._buffers(thread, p.shape)
         if self.l2_lambda:
             g = np.add(g, np.multiply(self.l2_lambda, p, out=step), out=step)
         acc += np.multiply(g, g, out=tmp)
@@ -73,6 +95,30 @@ class AdagradState:
         tmp += self.epsilon
         np.multiply(self.learning_rate, g, out=step)
         p -= np.divide(step, tmp, out=step)
+
+
+def _split(named: list) -> tuple[list, list]:
+    """(tensor index, row slice) chunks of every tensor in order, cut into
+    two runs of about equal element count."""
+    chunks, sizes = [], []
+    for k, (_, t) in enumerate(named):
+        p = np.atleast_1d(t.data)
+        row = math.prod(p.shape[1:])
+        rows = max(1, _CHUNK // max(1, row))
+        for lo in range(0, len(p), rows):
+            chunks.append((k, slice(lo, lo + rows)))
+            sizes.append(min(rows, len(p) - lo) * row)
+    cut = bisect.bisect_left(list(itertools.accumulate(sizes)), sum(sizes) / 2)
+    return chunks[:cut], chunks[cut:]
+
+
+def _first_non_finite(named: list, run: list) -> int | None:
+    """Index in `named` of the first tensor with a non-finite gradient in
+    the chunks of `run`, or None."""
+    for k, rows in run:
+        if not np.isfinite(np.atleast_1d(named[k][1].grad)[rows]).all():
+            return k
+    return None
 
 
 def fit(params: dict[str, Tensor], loss_fn: Callable[[object], Tensor],

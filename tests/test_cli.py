@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import tracemalloc
 import zipfile
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,7 @@ from stackparse.embeddings import PretrainedEmbeddings
 from stackparse.modelio import load_model, save_model
 from stackparse.parser import ParserModel
 from stackparse.parser import parse as parse_model_fn
-from stackparse.stacking import StackedParser, StackedTagger
+from stackparse.stacking import StackedParser, StackedTagger, train_stacked_parser
 from stackparse.tagger import TaggerModel
 from stackparse.tagger import tag as tag_fn
 from stackparse.treebank import parse_conllu, write_conllu
@@ -478,6 +479,62 @@ def test_bad_archive_paths_are_diagnostics(workdir, capsys):
                    "--out", workdir / "x.conllu") == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_corrupt_params_bin_fails_its_crc_check(workdir, capsys):
+    path = workdir / "flipped.model"
+    save_model(str(path), archive_model("parser"))
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("params.bin")
+    header = info.header_offset  # local header: 30 bytes, then name and extra field
+    start = header + 30 + int.from_bytes(data[header + 26:header + 28], "little") \
+        + int.from_bytes(data[header + 28:header + 30], "little")
+    data[start + info.file_size // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+    assert run("parse", "--model", path, "--input", workdir / "tb.conllu",
+               "--out", workdir / "x.conllu") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Bad CRC-32" in err and err.count("\n") == 1, err
+
+
+def test_load_holds_the_parameters_about_once(tmp_path):
+    """The blob is read straight into the model's arrays, not held next to them."""
+    rng = np.random.default_rng(6)
+    vocab = {f"w{i}": i for i in range(400)}
+    pretrained = PretrainedEmbeddings(vocab, rng.normal(size=(400, 20)))
+    model = ParserModel(["det", "root"], ["DET", "NOUN"], vocab, pretrained=pretrained,
+                        word_dim=40, tag_dim=8, hidden=120, layers=2, d_arc=40, d_rel=16, rng=rng)
+    save_model(str(tmp_path / "m"), model)
+    with zipfile.ZipFile(tmp_path / "m") as archive:
+        blob = archive.getinfo("params.bin").file_size
+    assert blob > 3_000_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        clone = load_model(str(tmp_path / "m"))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert_same_arrays(model, clone)
+    assert peak < 1.3 * blob, peak / blob
+
+
+def test_loaded_tensors_are_writable_and_a_stacked_trainer_trains_on_them(tmp_path):
+    save_model(str(tmp_path / "base"), archive_model("parser"))
+    base = load_model(str(tmp_path / "base"))
+    arrays = model_arrays(base)
+    assert all(arr.flags.writeable for arr in arrays.values())
+    stored = {name: arr.copy() for name, arr in arrays.items()}
+    treebank = parse_conllu(treebank_text())
+    config = RunConfig.from_mapping(parse_config_text(TINY_CONFIG)).updated({"epochs": "2"})
+    stacked = train_stacked_parser(base, treebank, [], config)
+    assert stacked.base is base
+    moved = [name for name, arr in model_arrays(base).items()
+             if not np.array_equal(arr, stored[name])]
+    assert moved and all(name.startswith("mlp") or "lstm" in name for name in moved), moved
+    assert_same_arrays(archive_model("parser"), load_model(str(tmp_path / "base")))
 
 
 # -- corpus selection commands ---------------------------------------------------------------

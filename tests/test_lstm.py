@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -324,3 +330,137 @@ def test_lstm_step_gradients(variant):
 
     params = dict(cell.parameters("cell"), x=x, h0=h0, c0=c0)
     assert nc.grad_check(loss, params) < 1e-6
+
+
+@pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
+def test_shared_cell_gradients_match_step_loop(variant):
+    """One cell for both directions: its gradient is the sum over both, as
+    in the per-step reference."""
+    rng = nc.make_rng(15)
+    (cell, _), = random_layers(variant, 4, 5, 1, rng)
+    layers = [(cell, cell)]
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((6, 10)))
+    params = dict(cell.parameters("cell"), x=x)
+    results = []
+    for encode in (bilstm_encode, step_encode):
+        nc.zero_grads(params.values())
+        (nc.tanh(encode(layers, x)) * weights).sum().backward()
+        results.append({k: t.grad.copy() for k, t in params.items()})
+    for name in params:
+        np.testing.assert_allclose(results[0][name], results[1][name], rtol=1e-10,
+                                   atol=1e-14, err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["w_x", "w_h", "bias", "p_out"])
+def test_non_finite_backward_cell_weight_raises_in_the_caller(name):
+    rng = nc.make_rng(16)
+    layers = random_layers(PEEPHOLE, 3, 4, 1, rng)
+    x = Tensor(rng.standard_normal((5, 3)))
+    good = bilstm_encode(layers, x).data
+    weight = getattr(layers[0][1], name).data.reshape(-1)
+    saved = weight[0]
+    weight[0] = np.nan
+    with pytest.raises(nc.NonFiniteError):
+        bilstm_encode(layers, x)
+    weight[0] = saved  # the worker thread still serves the next call
+    assert np.array_equal(bilstm_encode(layers, x).data, good)
+
+
+def _numcore_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("numcore")]
+
+
+def test_no_tape_under_no_grad_with_the_worker_running():
+    rng = nc.make_rng(17)
+    layers = random_layers(COUPLED, 3, 4, 2, rng)
+    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    bilstm_encode(layers, x).sum().backward()
+    assert len(_numcore_threads()) == 1  # at most one extra thread
+    with nc.no_grad():
+        out = bilstm_encode(layers, x)
+    assert out.requires_grad is False and out._parents == () and out._backward is None
+    assert len(_numcore_threads()) == 1
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_one_tape_node_per_layer(depth):
+    rng = nc.make_rng(18)
+    layers = random_layers(PEEPHOLE, 3, 4, depth, rng)
+    x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    nodes, todo = set(), [bilstm_encode(layers, x)]
+    while todo:
+        t = todo.pop()
+        if t._backward is not None and id(t) not in nodes:
+            nodes.add(id(t))
+            todo.extend(t._parents)
+    assert len(nodes) == depth
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker():
+    rng = nc.make_rng(19)
+    layers = random_layers(COUPLED, 3, 4, 1, rng)
+    x = Tensor(rng.standard_normal((5, 3)))
+    expected = bilstm_encode(layers, x).data  # the parent's worker is running
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        os._exit(0 if np.array_equal(bilstm_encode(layers, x).data, expected) else 1)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited for a worker it does not have")
+        time.sleep(0.01)
+    assert status[1] == 0
+
+
+def test_concurrent_callers_share_the_worker():
+    """More caller threads than cores, switching often: every caller gets
+    the outputs and gradients of a run on its own."""
+    rng = nc.make_rng(20)
+    cases = []
+    for _ in range(4):
+        layers = random_layers(PEEPHOLE, 3, 4, 2, rng)
+        cases.append((layers, Tensor(rng.standard_normal((6, 3)), requires_grad=True)))
+
+    def run(layers, x):
+        params = dict(layer_parameters(layers), x=x)
+        nc.zero_grads(params.values())
+        out = bilstm_encode(layers, x)
+        nc.tanh(out).sum().backward()
+        return out.data.copy(), {k: t.grad.copy() for k, t in params.items()}
+
+    expected = [run(*case) for case in cases]
+    results = [None] * len(cases)
+
+    def caller(i):
+        for _ in range(20):
+            results[i] = run(*cases[i])
+            if not np.array_equal(results[i][0], expected[i][0]):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (out, grads), (want_out, want_grads) in zip(results, expected):
+        assert np.array_equal(out, want_out)
+        assert all(np.array_equal(grads[k], want_grads[k]) for k in want_grads)
+
+
+def test_a_worker_error_is_raised_in_the_caller():
+    from stackparse.numcore.worker import in_parallel
+    with pytest.raises(ZeroDivisionError):
+        in_parallel(lambda: 1, lambda: 1 / 0)
+    assert in_parallel(lambda: 1, lambda: 2) == (1, 2)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from stackparse.numcore import (
     fit,
     grad_check,
     manifest_arrays,
-    manifest_views,
+    manifest_layout,
+    manifest_read_into,
 )
 
 
@@ -105,6 +108,56 @@ def test_adagrad_chunked_update_equals_the_whole_array_formula(l2_lambda):
         assert state.accumulators[k].tobytes() == acc[k].tobytes(), k
 
 
+SPLIT_SHAPES = {"a": (300, 200), "b": (70001,), "c": (5, 90, 90), "d": ()}
+
+
+@pytest.mark.parametrize("bad,named", [
+    (("c",), "c"), (("d",), "d"), (("a", "c"), "a"), (("b", "c"), "b"), (("d", "b"), "b"),
+])
+def test_adagrad_non_finite_gradient_changes_nothing(bad, named):
+    """Tensors on both threads' runs; the first bad tensor in dict order is
+    named and no parameter or accumulator moves."""
+    rng = np.random.default_rng(2)
+    state = AdagradState(learning_rate=0.05)
+    params = {k: Tensor(rng.standard_normal(s)) for k, s in SPLIT_SHAPES.items()}
+    for k in "abc":
+        params[k].grad = rng.standard_normal(SPLIT_SHAPES[k])
+    state.apply(params)  # "d" has no accumulator yet
+    for k, t in params.items():
+        t.grad = rng.standard_normal(SPLIT_SHAPES[k])
+    for k in bad:
+        params[k].grad.reshape(-1)[-1] = np.nan if k < "c" else np.inf
+    before = {k: t.data.copy() for k, t in params.items()}
+    accumulators = {k: acc.copy() for k, acc in state.accumulators.items()}
+    with pytest.raises(FloatingPointError, match=f"'{named}'"):
+        state.apply(params)
+    assert all(np.array_equal(params[k].data, before[k]) for k in params)
+    assert state.accumulators.keys() == accumulators.keys()
+    assert all(np.array_equal(state.accumulators[k], accumulators[k]) for k in accumulators)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": 0.0}, {"learning_rate": -0.1}, {"learning_rate": np.nan},
+    {"learning_rate": np.inf}, {"epsilon": 0.0}, {"epsilon": -1e-8}, {"epsilon": np.nan},
+    {"epsilon": np.inf}, {"l2_lambda": -1e-6}, {"l2_lambda": np.nan}, {"l2_lambda": np.inf},
+])
+def test_adagrad_rejects_bad_hyperparameters(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        AdagradState(**kwargs)
+
+
+def test_adagrad_accepts_zero_l2():
+    assert AdagradState(l2_lambda=0.0).l2_lambda == 0.0
+
+
+def test_adagrad_rejects_a_tensor_listed_twice():
+    param = Tensor(np.ones(3))
+    param.grad = np.ones(3)
+    with pytest.raises(ValueError, match="once"):
+        AdagradState().apply({"p": param, "q": param})
+    assert np.array_equal(param.data, np.ones(3))
+
+
 class _FitConfig:
     epochs = 3
     learning_rate = 0.1
@@ -184,6 +237,14 @@ def to_manifest_blob(params):
     return manifest, b"".join(arrays)
 
 
+def read_back(manifest, blob):
+    """Fresh arrays of the stored shapes and dtypes, read from the blob."""
+    arrays = {name: np.empty(shape, code)
+              for name, (shape, code, _) in manifest_layout(manifest).items()}
+    manifest_read_into(manifest, io.BytesIO(blob), arrays)
+    return arrays
+
+
 def test_manifest_blob_round_trip_is_bit_exact():
     rng = np.random.default_rng(1)
     params = {
@@ -193,7 +254,7 @@ def test_manifest_blob_round_trip_is_bit_exact():
         "small32": rng.standard_normal((2, 2)).astype(np.float32),
     }
     manifest, blob = to_manifest_blob(params)
-    restored = manifest_views(manifest, blob)
+    restored = read_back(manifest, blob)
     assert set(restored) == set(params)
     for name, arr in params.items():
         assert restored[name].dtype == arr.dtype
@@ -225,7 +286,22 @@ def test_file_round_trip(tmp_path):
     with open(tmp_path / "model.bin", "wb") as f:
         for arr in arrays:
             f.write(arr)
-    restored = manifest_views((tmp_path / "model.manifest").read_text(),
-                              (tmp_path / "model.bin").read_bytes())
+    restored = read_back((tmp_path / "model.manifest").read_text(),
+                         (tmp_path / "model.bin").read_bytes())
     assert np.array_equal(restored["a"], params["a"])
     assert (tmp_path / "model.manifest").read_text().startswith("a 2,3 float64 0")
+
+
+def test_read_into_converts_dtype_skips_unasked_entries_and_checks_shapes():
+    params = {"skip": np.arange(3.0), "w": np.arange(4.0).reshape(2, 2),
+              "v": np.array([1.5, -2.0], dtype=np.float32)}
+    manifest, blob = to_manifest_blob(params)
+    w, v = np.zeros((2, 2)), np.zeros(2)
+    manifest_read_into(manifest, io.BytesIO(blob), {"w": w, "v": v})
+    assert np.array_equal(w, params["w"]) and np.array_equal(v, [1.5, -2.0])
+    with pytest.raises(ValueError, match="has shape"):
+        manifest_read_into(manifest, io.BytesIO(blob), {"w": np.zeros(4)})
+    with pytest.raises(ValueError, match="lack"):
+        manifest_read_into(manifest, io.BytesIO(blob), {"u": np.zeros(4)})
+    with pytest.raises(ValueError, match="end early"):
+        manifest_read_into(manifest, io.BytesIO(blob[:-1]), {"v": v})
