@@ -36,6 +36,11 @@ def _read_sentence_lines(path: str) -> list[list[str]]:
         return [line.split() for line in f if line.strip()]
 
 
+def _read_lexicon(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as f:
+        return [line.strip().lower() for line in f if line.strip()]
+
+
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides: dict[str, str] = {}
@@ -238,12 +243,13 @@ def _cmd_lm_train(args) -> int:
 def _cmd_lm_rank(args) -> int:
     config = _effective_config(args)
     with open(args.lm, encoding="utf-8") as f:
-        model = langmodel.NgramLM.from_json(f.read())
+        text = f.read()
+    try:
+        model = langmodel.NgramLM.from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.lm}: not a language model file: {exc}") from None
     sentences = _read_sentence_lines(args.input)
-    lexicon = None
-    if args.lexicon:
-        with open(args.lexicon, encoding="utf-8") as f:
-            lexicon = [line.strip().lower() for line in f if line.strip()]
+    lexicon = _read_lexicon(args.lexicon) if args.lexicon else None
     records = langmodel.rank_by_divergence(model, sentences,
                                            (config.length_min, config.length_max),
                                            config.count_end_token, lexicon)
@@ -259,9 +265,7 @@ def _cmd_lm_rank(args) -> int:
 
 def _cmd_lexicon_match(args) -> int:
     sentences = _read_sentence_lines(args.input)
-    with open(args.lexicon, encoding="utf-8") as f:
-        lexicon = [line.strip().lower() for line in f if line.strip()]
-    hits = langmodel.match_lexicon(sentences, lexicon)
+    hits = langmodel.match_lexicon(sentences, _read_lexicon(args.lexicon))
     lines = [f"{','.join(terms)}\t{' '.join(sentence)}"
              for sentence, terms in zip(sentences, hits)]
     text = "\n".join(lines) + ("\n" if lines else "")

@@ -16,15 +16,36 @@ the end marker and the unknown type).  Logs are base 10 throughout.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a model's tables are built
+    (used as a decorator).
+
+    The tables hold hundreds of thousands of containers and no reference
+    cycle, so every collection their allocations trigger would traverse
+    them for nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _estimate_discounts(counts: Iterable[int]) -> tuple[float, float, float]:
@@ -117,22 +138,59 @@ class NgramLM:
     # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> str:
+        """Each table is sorted by n-gram, so one model always gives the
+        same text.  Gram tuples encode as JSON arrays, and the payload,
+        built here, holds no cycle for the encoder to check for."""
         payload = {
             "order": self.order,
             "vocab": sorted(self.vocab),
-            "tables": [sorted([list(gram), count] for gram, count in table.items())
+            "tables": [[(gram, table[gram]) for gram in sorted(table)]
                        for table in self.tables],
         }
-        return json.dumps(payload)
+        return json.dumps(payload, check_circular=False)
 
     @classmethod
+    @_gc_paused()
     def from_json(cls, text: str) -> "NgramLM":
+        """Read what to_json wrote; any other shape raises ValueError
+        naming the first fault found."""
         payload = json.loads(text)
-        tables = [{tuple(gram): int(count) for gram, count in entries}
-                  for entries in payload["tables"]]
-        return cls(int(payload["order"]), tables, set(payload["vocab"]))
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        order, vocab, stored = payload.get("order"), payload.get("vocab"), payload.get("tables")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        if type(vocab) is not list or not all(type(word) is str for word in vocab):
+            raise ValueError("vocab must be a list of strings")
+        if type(stored) is not list or len(stored) != order:
+            got = len(stored) if type(stored) is list else repr(stored)
+            raise ValueError(f"expected {order} n-gram tables, got {got}")
+        tables = []
+        for k, entries in enumerate(stored, start=1):
+            if type(entries) is not list:
+                raise ValueError(f"order-{k} table must be a list")
+            table: dict[tuple[str, ...], int] = {}
+            for entry in entries:
+                if type(entry) is not list or len(entry) != 2:
+                    raise ValueError(f"order-{k} entry must be [n-gram, count], "
+                                     f"got {entry!r}")
+                gram, count = entry
+                if type(gram) is not list or len(gram) != k:
+                    raise ValueError(f"order-{k} n-gram must be a list of {k} "
+                                     f"strings, got {gram!r}")
+                if type(count) is not int or count < 1:
+                    raise ValueError(f"count of {gram!r} must be a positive "
+                                     f"integer, got {count!r}")
+                table[tuple(gram)] = count
+            if not set(map(type, chain.from_iterable(table))) <= {str}:
+                raise ValueError(f"order-{k} n-grams must hold strings only")
+            if len(table) != len(entries):
+                raise ValueError(f"order-{k} table lists an n-gram twice")
+            tables.append(table)
+        return cls(order, tables, set(vocab))
 
 
+@_gc_paused()
 def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5) -> NgramLM:
     """Estimate a modified-KN model from pre-tokenized sentences."""
     if order < 1:
@@ -224,23 +282,25 @@ def match_lexicon(sentences: Sequence[Sequence[str]],
                   lexicon: Iterable[str]) -> list[list[str]]:
     """Case-insensitive contiguous token-sequence matching.
 
-    Multiword terms match token runs; each sentence's hits are reported
-    once per term, ordered by first occurrence.
+    Multiword terms match token runs.  Each sentence's hits list every
+    term once, ordered by (first start position, term); terms that
+    differ only in case or inner whitespace are reported separately, as
+    given.  The terms are indexed by width, so a sentence of n tokens
+    costs O(n) lookups per distinct term width, whatever the number of
+    terms.
     """
-    terms = [(term, term.lower().split()) for term in lexicon if term.strip()]
+    by_width: dict[int, dict[tuple[str, ...], list[str]]] = {}
+    for term in lexicon:
+        if term.strip():
+            parts = tuple(term.lower().split())
+            by_width.setdefault(len(parts), {}).setdefault(parts, []).append(term)
     results = []
     for sentence in sentences:
         lowered = [t.lower() for t in sentence]
-        found: list[tuple[int, str]] = []
-        seen: set[str] = set()
-        for term, parts in terms:
-            width = len(parts)
+        first: dict[str, int] = {}
+        for width, index in by_width.items():
             for start in range(len(lowered) - width + 1):
-                if lowered[start:start + width] == parts:
-                    if term not in seen:
-                        seen.add(term)
-                        found.append((start, term))
-                    break
-        found.sort()
-        results.append([term for _, term in found])
+                for term in index.get(tuple(lowered[start:start + width]), ()):
+                    first.setdefault(term, start)
+        results.append(sorted(first, key=lambda term: (first[term], term)))
     return results

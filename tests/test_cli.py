@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import tracemalloc
 import zipfile
 from collections import Counter
@@ -569,6 +570,49 @@ def test_lm_train_rank_and_lexicon_match(workdir, capsys):
                "--out", workdir / "hits.tsv") == 0
     hits = (workdir / "hits.tsv").read_text().strip().split("\n")
     assert hits[1].startswith("kiasu,wah lao\t")
+
+
+def _two_tables(payload):
+    payload["tables"] = payload["tables"][:2]
+
+
+def _unigram_as_string(payload):
+    payload["tables"][0][0][0] = "ab"
+
+
+def _negative_count(payload):
+    payload["tables"][1][0][1] = -3
+
+
+def _repeated_bigram(payload):
+    payload["tables"][1].append(payload["tables"][1][0])
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_two_tables, "expected 3 n-gram tables, got 2"),
+    (lambda payload: [payload], "expected a JSON object"),
+    (_unigram_as_string, "order-1 n-gram must be a list of 1 strings, got 'ab'"),
+    (_negative_count, "must be a positive integer, got -3"),
+    (lambda payload: {**payload, "order": True}, "order must be an integer >= 1"),
+    (lambda payload: {**payload, "vocab": [["the"]]}, "vocab must be a list of strings"),
+    (_repeated_bigram, "order-2 table lists an n-gram twice"),
+], ids=["too-few-tables", "top-level-list", "unigram-string", "negative-count",
+        "bool-order", "nested-vocab", "repeated-bigram"])
+def test_malformed_lm_file_is_one_error_line(workdir, capsys, corrupt, message):
+    corpus = workdir / "corpus.txt"
+    corpus.write_text("the cat sat here today\n" * 5, encoding="utf-8")
+    lm = workdir / "lm.json"
+    assert run("lm-train", "--corpus", corpus, "--order", 3, "--out", lm) == 0
+    payload = json.loads(lm.read_text(encoding="utf-8"))
+    payload = corrupt(payload) or payload
+    lm.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run("lm-rank", "--lm", lm, "--input", corpus, "--out", workdir / "ranked.tsv") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {lm}: not a language model file: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not (workdir / "ranked.tsv").exists()
 
 
 @pytest.mark.parametrize("command,flags,message", [

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import gc
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stackparse.langmodel import (
     BOS,
@@ -234,6 +238,67 @@ def test_empty_lexicon_no_hits():
     assert match_lexicon([["a", "b"]], set()) == [[]]
 
 
+def scan_lexicon(sentences, lexicon):
+    """The slice-every-term-at-every-position scan match_lexicon replaced,
+    kept as the oracle."""
+    terms = [(term, term.lower().split()) for term in lexicon if term.strip()]
+    results = []
+    for sentence in sentences:
+        lowered = [t.lower() for t in sentence]
+        found = []
+        seen = set()
+        for term, parts in terms:
+            width = len(parts)
+            for start in range(len(lowered) - width + 1):
+                if lowered[start:start + width] == parts:
+                    if term not in seen:
+                        seen.add(term)
+                        found.append((start, term))
+                    break
+        found.sort()
+        results.append([term for _, term in found])
+    return results
+
+
+def test_lexicon_index_edge_cases():
+    sentence = ["Talk", "cock", "sing", "song", "talk", "COCK", "lah"]
+    lexicon = [
+        "talk cock", "talk cock",            # duplicate term
+        "Talk Cock", "talk  \tcock",         # differ in case / inner whitespace
+        "talk", "talk cock sing",            # different widths, same start
+        "cock sing song talk cock lah extra more",  # longer than the sentence
+        "   ",                               # whitespace only
+        "cock",                              # occurs twice: first position only
+    ]
+    expected = [["Talk Cock", "talk", "talk  \tcock", "talk cock", "talk cock sing",
+                 "cock"]]
+    assert scan_lexicon([sentence], lexicon) == expected
+    assert match_lexicon([sentence], lexicon) == expected
+
+
+_tokens = st.sampled_from(["a", "A", "b", "B", "ab", "lah", "LAH"])
+_spaces = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+@st.composite
+def _terms(draw):
+    words = draw(st.lists(_tokens, max_size=4))
+    gaps = draw(st.lists(_spaces, min_size=len(words) + 1, max_size=len(words) + 1))
+    if not draw(st.booleans()):
+        gaps[0] = gaps[-1] = ""
+    return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_tokens, max_size=8), max_size=4),
+       st.lists(_terms(), max_size=8).flatmap(
+           lambda terms: st.permutations(terms + terms[:2])))
+@example([["a", "b"]], ["a b c"])       # term longer than the sentence
+@example([["a", "b", "a"]], ["a", "A", " ", "a", "a b"])
+def test_lexicon_index_matches_brute_force_scan(sentences, lexicon):
+    assert match_lexicon(sentences, lexicon) == scan_lexicon(sentences, lexicon)
+
+
 def test_rank_with_lexicon_fills_hits():
     lm = train_ngram_lm(five_sentence_corpus(), order=2)
     records = rank_by_divergence(lm, [["a", "kiasu", "b"]], (1, 50),
@@ -242,6 +307,39 @@ def test_rank_with_lexicon_fills_hits():
 
 
 # -- persistence --------------------------------------------------------------------------
+
+
+def test_json_bytes_match_the_list_sorting_writer_and_round_trip():
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(40)] + ['"', "\\", "naïve", "日本", "Wah"]
+    corpus = [[words[i] for i in rng.integers(len(words), size=int(rng.integers(1, 15)))]
+              for _ in range(200)]
+    lm = train_ngram_lm(corpus, order=4)
+    text = lm.to_json()
+    assert text == json.dumps({
+        "order": lm.order,
+        "vocab": sorted(lm.vocab),
+        "tables": [sorted([list(gram), count] for gram, count in table.items())
+                   for table in lm.tables],
+    })
+    restored = NgramLM.from_json(text)
+    assert restored.to_json() == text
+    assert restored.tables == lm.tables and restored.discounts == lm.discounts
+    for tokens in corpus[:20] + [["w1", "unseen", "w2"]]:
+        assert sentence_logprob(restored, tokens) == sentence_logprob(lm, tokens)
+
+
+def test_model_building_leaves_the_collector_as_it_found_it():
+    lm = train_ngram_lm(five_sentence_corpus(), order=2)
+    with pytest.raises(ValueError):
+        NgramLM.from_json("[]")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        NgramLM.from_json(lm.to_json())
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_json_round_trip_preserves_probabilities():
