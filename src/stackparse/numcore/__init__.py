@@ -4,7 +4,7 @@ manifest codec and a finite-difference gradient checker."""
 
 from .gradcheck import grad_check
 from .init import glorot_uniform, make_rng, zeros
-from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode, lstm_step
+from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode
 from .optim import AdagradState, fit
 from .serialize import manifest_arrays, manifest_layout, manifest_read_into
 from .tensor import (
@@ -14,18 +14,17 @@ from .tensor import (
     append_ones_col,
     bilinear_labels,
     concat,
+    crf_log_likelihood,
     dropout,
     get_default_dtype,
     leaky_relu,
-    logsumexp,
     logsumexp_rows_masked,
     matmul,
     mul,
     no_grad,
     reshape,
     sigmoid,
-    softmax,
-    stack_rows,
+    softmax_rows_masked,
     tanh,
     transpose,
     zero_grads,
@@ -43,15 +42,14 @@ __all__ = [
     "bilinear_labels",
     "bilstm_encode",
     "concat",
+    "crf_log_likelihood",
     "dropout",
     "fit",
     "get_default_dtype",
     "glorot_uniform",
     "grad_check",
     "leaky_relu",
-    "logsumexp",
     "logsumexp_rows_masked",
-    "lstm_step",
     "make_rng",
     "manifest_arrays",
     "manifest_layout",
@@ -61,8 +59,7 @@ __all__ = [
     "no_grad",
     "reshape",
     "sigmoid",
-    "softmax",
-    "stack_rows",
+    "softmax_rows_masked",
     "tanh",
     "transpose",
     "zero_grads",

@@ -10,7 +10,7 @@ state, so the backward one runs on numcore's one worker thread (see
 `worker`) while the calling thread runs the forward one, in the
 recurrence and again in BPTT; the calling thread alone makes the tape
 node, checks finiteness and adds every gradient, forward cell first.
-`LstmCell.step` (and `lstm_step`) is the per-step tape formulation of the
+`LstmCell.step` is the per-step tape formulation of the
 same cell, kept as the reference the fused op is tested against.
 
 Two cell variants are provided:
@@ -87,10 +87,6 @@ class LstmCell:
             c = mul(1.0 - gate_in, c_prev) + mul(gate_in, candidate)
             gate_out = sigmoid(pre[2 * h:3 * h])
         return mul(gate_out, tanh(c)), c
-
-
-def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    return cell.step(x, h_prev, c_prev)
 
 
 def _gates(cell: LstmCell) -> tuple:

@@ -1,18 +1,20 @@
 """Parameter serialization: a UTF-8 manifest plus a flat binary blob.
 
 Manifest lines are `name shape dtype offset`, where `shape` is
-comma-separated dimensions (`-` for scalars), dtype is float64/float32,
+comma-separated dimensions (`-` for scalars), dtype is always float64,
 and offset is the byte position in the blob.  Blob values are
-little-endian, row-major.  Round trips are bit-exact.
+little-endian float64, row-major.  Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-_DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
+_STORED = np.dtype("<f8")
+_LINE = re.compile(r"(\S+) (-|[0-9]+(?:,[0-9]+)*) float64 ([0-9]+)")
 _CHUNK = 1 << 18  # bytes per read
 
 
@@ -28,39 +30,42 @@ def manifest_arrays(params: dict[str, np.ndarray]) -> tuple[str, list[np.ndarray
         if " " in name or "\n" in name:
             raise ValueError(f"parameter name {name!r} may not contain whitespace")
         arr = np.asarray(arr)
-        dtype_name = arr.dtype.name
-        if dtype_name not in _DTYPE_CODES:
-            raise ValueError(f"unsupported dtype {dtype_name} for {name!r}")
+        if arr.dtype != np.float64:
+            raise ValueError(f"unsupported dtype {arr.dtype.name} for {name!r}")
         shape = ",".join(str(d) for d in arr.shape) if arr.ndim else "-"
-        lines.append(f"{name} {shape} {dtype_name} {offset}")
-        arrays.append(arr.astype(_DTYPE_CODES[dtype_name], order="C", copy=False))
+        lines.append(f"{name} {shape} float64 {offset}")
+        arrays.append(arr.astype(_STORED, order="C", copy=False))
         offset += arr.nbytes
     return "\n".join(lines) + ("\n" if lines else ""), arrays
 
 
-def manifest_layout(manifest: str) -> dict[str, tuple[tuple, str, int]]:
-    """name -> (shape, little-endian dtype code, byte offset), one per
-    manifest line."""
+def manifest_layout(manifest: str) -> dict[str, tuple[tuple, int]]:
+    """name -> (shape, byte offset), one per manifest line.  A malformed
+    line raises ValueError naming it."""
     layout = {}
-    for line in manifest.splitlines():
+    for number, line in enumerate(manifest.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        name, shape_text, dtype_name, offset_text = line.split(" ")
+        match = _LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"manifest line {number} is not 'name shape float64 offset': {line!r}")
+        name, shape_text, offset_text = match.groups()
+        if name in layout:
+            raise ValueError(f"manifest line {number} names {name} a second time")
         shape = () if shape_text == "-" else tuple(int(d) for d in shape_text.split(","))
-        layout[name] = (shape, _DTYPE_CODES[dtype_name], int(offset_text))
+        layout[name] = (shape, int(offset_text))
     return layout
 
 
 def manifest_read_into(manifest: str, stream, arrays: dict[str, np.ndarray]) -> None:
-    """Fill each of `arrays` in place from the blob that the binary
-    `stream` yields, read once from start to end a chunk at a time, so
-    the blob is never held in memory.
+    """Fill each of `arrays`, C-contiguous float64 arrays, in place from
+    the blob that the binary `stream` yields, read once from start to end
+    a chunk at a time, so the blob is never held in memory.
 
     Every array needs a manifest line of its shape; blob entries that no
-    array asks for are skipped.  An array of another dtype than the
-    stored one gets the stored values converted.  The stream is read to
-    its end, so a zip member's CRC is checked.
+    array asks for are skipped.  The stream is read to its end, so a zip
+    member's CRC is checked.
     """
     layout = manifest_layout(manifest)
     for name, arr in arrays.items():
@@ -69,22 +74,20 @@ def manifest_read_into(manifest: str, stream, arrays: dict[str, np.ndarray]) -> 
         if layout[name][0] != arr.shape:
             raise ValueError(f"stored parameter {name} has shape {layout[name][0]}, "
                              f"expected {arr.shape}")
+        if arr.dtype != _STORED or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be read into a C-contiguous float64 array")
     position = 0
-    for name, (shape, code, offset) in sorted(layout.items(), key=lambda item: item[1][2]):
+    for name, (shape, offset) in sorted(layout.items(), key=lambda item: item[1][1]):
         if offset < position:
             raise ValueError(f"stored parameter {name} overlaps the one before it")
         _skip(stream, offset - position)
-        stored = np.dtype(code)
         dest = arrays.get(name)
+        size = math.prod(shape) * _STORED.itemsize
         if dest is None:
-            _skip(stream, math.prod(shape) * stored.itemsize)
-        elif dest.dtype == stored and dest.flags.c_contiguous:
-            _fill(stream, dest.reshape(-1).view(np.uint8))
+            _skip(stream, size)
         else:
-            values = np.empty(shape, stored)
-            _fill(stream, values.reshape(-1).view(np.uint8))
-            dest[...] = values
-        position = offset + math.prod(shape) * stored.itemsize
+            _fill(stream, dest.reshape(-1).view(np.uint8))
+        position = offset + size
     while stream.read(_CHUNK):
         pass
 

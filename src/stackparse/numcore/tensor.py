@@ -2,7 +2,8 @@
 
 The scope is exactly what the sequence models in this package need: 1-D and
 2-D arrays, a handful of activations and reductions, numpy-style indexing
-(row lookup, slices, gathers), and inverted dropout.  Values are float64,
+(row lookup, slices, gathers), inverted dropout, and two fused ops, the
+biaffine label scores and the CRF log-likelihood.  Values are float64,
 and every operation checks its result for NaN/Inf.
 """
 
@@ -270,18 +271,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _result(data, tuple(ts), backward)
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack 1-D tensors into a 2-D tensor, one per row."""
-    ts = [_as_tensor(t) for t in tensors]
-    data = np.stack([t.data for t in ts], axis=0)
-
-    def backward(g):
-        for i, t in enumerate(ts):
-            _accumulate(t, g[i])
-
-    return _result(data, tuple(ts), backward)
-
-
 def append_ones_col(a: Tensor) -> Tensor:
     """Append a constant-1 column (bias absorption for biaffine scoring)."""
     if a.data.ndim != 2:
@@ -311,46 +300,49 @@ def _sum(a: Tensor, axis) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def logsumexp(a: Tensor, axis=None) -> Tensor:
-    """Shift-invariant log-sum-exp."""
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    data = np.asarray((np.log(total) + m).squeeze() if axis is None else (np.log(total) + m))
-    if axis is not None:
-        data = np.squeeze(data, axis=axis)
-    softmax_full = shifted / total
+def _row_softmax(x: np.ndarray, allowed) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of each row of `x` over the columns where `allowed` is True,
+    and each row's log-sum-exp over them.  Every row must allow a column."""
+    shifted = np.where(allowed, x, -np.inf)
+    top = shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted - top)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, (np.log(total) + top)[:, 0]
+
+
+def _row_mask(a: Tensor, allowed) -> np.ndarray:
+    """`allowed` as a boolean (rows, columns) mask that fits `a`."""
+    mask = np.asarray(allowed, dtype=bool)
+    if mask.ndim != 2 or a.data.shape not in (mask.shape, mask.shape[1:]):
+        raise ValueError("mask shape mismatch")
+    if not mask.any(axis=1).all():
+        raise ValueError("each row must allow at least one column")
+    return mask
+
+
+def logsumexp_rows_masked(a: Tensor, allowed: np.ndarray) -> Tensor:
+    """Per-row log-sum-exp over the columns where the constant (rows,
+    columns) mask `allowed` is True; `a` has the mask's shape, or is one
+    (columns,) row that every mask row reads.  Masked-out columns get zero
+    gradient.  Every row must allow at least one column."""
+    mask = _row_mask(a, allowed)
+    soft, data = _row_softmax(np.broadcast_to(a.data, mask.shape), mask)
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, g * softmax_full)
-        else:
-            _accumulate(a, np.expand_dims(g, axis) * softmax_full)
+        _accumulate(a, _unbroadcast(g[:, None] * soft, a.data.shape))
 
     return _result(data, (a,), backward)
 
 
-def logsumexp_rows_masked(a: Tensor, allowed: np.ndarray) -> Tensor:
-    """Per-row log-sum-exp over the columns where `allowed` is True.
-
-    `allowed` is a constant boolean mask; masked-out columns contribute
-    nothing and receive zero gradient.  Every row must allow at least one
-    column.
-    """
-    mask = np.asarray(allowed, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ValueError("mask shape mismatch")
-    if not mask.any(axis=1).all():
-        raise ValueError("each row must allow at least one column")
-    neg = np.where(mask, a.data, -np.inf)
-    m = neg.max(axis=1, keepdims=True)
-    shifted = np.where(mask, np.exp(a.data - m), 0.0)
-    total = shifted.sum(axis=1, keepdims=True)
-    data = (np.log(total) + m).reshape(a.data.shape[0])
-    soft = shifted / total
+def softmax_rows_masked(a: Tensor, allowed: np.ndarray) -> Tensor:
+    """Per-row softmax over the columns where `allowed` is True, 0 elsewhere;
+    `a` and `allowed` are as for `logsumexp_rows_masked`."""
+    mask = _row_mask(a, allowed)
+    data, _ = _row_softmax(np.broadcast_to(a.data, mask.shape), mask)
 
     def backward(g):
-        _accumulate(a, g[:, None] * soft)
+        dot = (g * data).sum(axis=1, keepdims=True)
+        _accumulate(a, _unbroadcast(data * (g - dot), a.data.shape))
 
     return _result(data, (a,), backward)
 
@@ -394,19 +386,6 @@ def leaky_relu(a: Tensor, alpha: float = 0.1) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - dot))
-
-    return _result(data, (a,), backward)
-
-
 # -- regularization -----------------------------------------------------------------
 
 
@@ -442,3 +421,51 @@ def bilinear_labels(u_tensor: Tensor, a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, np.einsum("nl,lpq,np->nq", g, U, A))
 
     return _result(data, (u_tensor, a, b), backward)
+
+
+# -- linear-chain CRF --------------------------------------------------------------------
+
+
+def crf_log_likelihood(emissions: Tensor, transitions: Tensor, gold_tags) -> Tensor:
+    """Negative log-likelihood of the gold path, log Z - score(gold), as one op.
+
+    `emissions` is (n, K); `transitions` is (K+2, K+2) with start state K
+    and stop state K+1.  The forward algorithm gives log Z.  Backward runs
+    the backward algorithm: the gradient of log Z is the expected emission
+    and transition counts under the model, from the unary and pairwise
+    marginals (Lafferty, McCallum & Pereira 2001), minus the gold counts.
+    """
+    em, trans = emissions.data, transitions.data
+    n, k = em.shape
+    start, stop = k, k + 1
+    if len(gold_tags) != n:
+        raise ValueError("gold tag count does not match emission rows")
+    gold = list(gold_tags)
+    trans_rows = [start] + gold[:-1]
+    gold_score = (em[np.arange(n), gold].sum() + trans[trans_rows, gold].sum()
+                  + trans[gold[-1], stop])
+    inner = trans[:k, :k]
+    alpha = np.empty((n, k))  # alpha[t, j]: log-sum of the paths' scores up to tag j at t
+    alpha[0] = trans[start, :k] + em[0]
+    for t in range(1, n):
+        alpha[t] = _row_softmax(inner.T + alpha[t - 1], True)[1] + em[t]
+    log_z = _row_softmax((alpha[-1] + trans[:k, stop])[None, :], True)[1][0]
+
+    def backward(g):
+        beta = np.empty((n, k))  # beta[t, i]: log-sum of the scores from tag i at t to stop
+        beta[-1] = trans[:k, stop]
+        for t in range(n - 2, -1, -1):
+            beta[t] = _row_softmax(inner + (em[t + 1] + beta[t + 1]), True)[1]
+        unary = np.exp(alpha + beta - log_z)
+        pairs = np.exp(alpha[:-1, :, None] + inner + (em[1:] + beta[1:])[:, None, :] - log_z)
+        d_trans = np.zeros_like(trans)
+        d_trans[:k, :k] = pairs.sum(axis=0)
+        d_trans[start, :k] = unary[0]
+        d_trans[:k, stop] = unary[-1]
+        np.subtract.at(d_trans, (trans_rows, gold), 1.0)
+        d_trans[gold[-1], stop] -= 1.0
+        unary[np.arange(n), gold] -= 1.0
+        _accumulate(emissions, g * unary)
+        _accumulate(transitions, g * d_trans)
+
+    return _result(np.asarray(log_z - gold_score), (emissions, transitions), backward)

@@ -207,7 +207,7 @@ def arc_label_loss(fw: ParserForward, label_scores_fn, sentence: Sentence,
     head_gold = dep_rows[np.arange(n), gold_heads]
     head_loss = (head_norm - head_gold).sum()
     labels = label_scores_fn(fw.rel_dep, fw.rel_head, gold_heads)
-    label_norm = nc.logsumexp(labels, axis=1)
+    label_norm = nc.logsumexp_rows_masked(labels, np.ones(labels.shape, bool))
     label_gold = labels[np.arange(n), gold_rels]
     label_loss = (label_norm - label_gold).sum()
     return (head_loss + label_loss) * (1.0 / n)

@@ -19,6 +19,7 @@ import numpy as np
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings, find
 from .evaluation import tagging_accuracy
+from .numcore import crf_log_likelihood
 from .treebank import Sentence
 
 UNK = "<unk>"
@@ -74,7 +75,6 @@ class TaggerModel:
         self.word_table = nc.Tensor(nc.zeros(len(word_vocab) + 1, word_dim), requires_grad=True)
         self.char_table = nc.Tensor(nc.glorot_uniform(rng, len(char_vocab) + 1, char_dim),
                                     requires_grad=True)
-        self.empty_word_vec = nc.Tensor(nc.zeros(char_dim), requires_grad=True)
         self.att_proj = nc.Tensor(nc.glorot_uniform(rng, att_dim, char_dim), requires_grad=True)
         self.att_bias = nc.Tensor(nc.zeros(att_dim), requires_grad=True)
         self.att_query = nc.Tensor(nc.glorot_uniform(rng, att_dim, 1).reshape(att_dim),
@@ -95,7 +95,6 @@ class TaggerModel:
         return {
             "word_table": self.word_table,
             "char_table": self.char_table,
-            "empty_word_vec": self.empty_word_vec,
             "att_proj": self.att_proj,
             "att_bias": self.att_bias,
             "att_query": self.att_query,
@@ -123,15 +122,15 @@ class TaggerModel:
         index = find(self.word_vocab, form)
         return len(self.word_vocab) if index is None else index
 
-    def char_attention(self, word: str) -> nc.Tensor:
-        if not word:
-            return self.empty_word_vec
+    def char_attention(self, forms: Sequence[str]) -> nc.Tensor:
+        """(n, char_dim): row i is the attention-weighted average of the
+        embeddings of word i's characters, in one pass over all of them."""
         unk_char = len(self.char_vocab)
-        idx = [self.char_vocab.get(ch, unk_char) for ch in word]
-        embs = self.char_table[idx]
+        embs = self.char_table[[self.char_vocab.get(ch, unk_char) for ch in "".join(forms)]]
         hidden = nc.tanh(nc.matmul(embs, nc.transpose(self.att_proj)) + self.att_bias)
         scores = nc.matmul(hidden, self.att_query)
-        weights = nc.softmax(scores, axis=0)
+        owner = np.repeat(np.arange(len(forms)), [len(f) for f in forms])
+        weights = nc.softmax_rows_masked(scores, owner == np.arange(len(forms))[:, None])
         return nc.matmul(weights, embs)
 
     def encode(self, sentence: Sentence, training: bool = False,
@@ -141,7 +140,7 @@ class TaggerModel:
         passes its base's (n, k) emission matrix as `extra`."""
         forms = sentence.forms
         parts = [self.word_table[[self.word_index(f) for f in forms]],
-                 nc.stack_rows([self.char_attention(f) for f in forms])]
+                 self.char_attention(forms)]
         if self.pretrained.dim:
             parts.insert(0, nc.Tensor([self.pretrained.lookup(f) for f in forms]))
         if extra is not None:
@@ -191,33 +190,9 @@ class TaggerModel:
 
 
 # -- CRF ----------------------------------------------------------------------
-
-
-def crf_log_likelihood(emissions: nc.Tensor, transitions: nc.Tensor,
-                       gold_tags: Sequence[int]) -> nc.Tensor:
-    """Negative log-likelihood of the gold path: log Z - score(gold).
-
-    Transitions are (K+2, K+2) with start state K and stop state K+1; the
-    normalizer comes from the forward algorithm in log space.
-    """
-    n, k = emissions.shape
-    start, stop = k, k + 1
-    if len(gold_tags) != n:
-        raise ValueError("gold tag count does not match emission rows")
-    gold = list(gold_tags)
-    trans_rows = [start] + gold[:-1]
-    gold_score = (emissions[np.arange(n), gold].sum()
-                  + transitions[trans_rows, gold].sum()
-                  + transitions[gold[-1], stop])
-
-    inner = transitions[:k, :k]
-    alpha = transitions[start, :k] + emissions[0]
-    for t in range(1, n):
-        moved = nc.reshape(alpha, (k, 1)) + inner
-        alpha = nc.logsumexp(moved, axis=0) + emissions[t]
-    stop_scores = transitions[:k, stop]
-    log_z = nc.logsumexp(alpha + stop_scores)
-    return log_z - gold_score
+# The loss is numcore's one-op `crf_log_likelihood`, imported above by name:
+# `crf_loss` calls it through this module's globals, where the benchmark's
+# span tracer wraps it.
 
 
 def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:

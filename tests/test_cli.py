@@ -455,6 +455,45 @@ def test_archive_params_stored_and_deflated_archives_still_load(tmp_path, kind):
     assert_same_arrays(model, load_model(str(deflated)))
 
 
+def rewrite_members(path, new_path, members):
+    """A copy of the archive at `path` with the members named in `members` replaced."""
+    with zipfile.ZipFile(path) as archive, zipfile.ZipFile(new_path, "w") as copy:
+        for name in archive.namelist():
+            copy.writestr(name, members.get(name, archive.read(name)))
+
+
+@pytest.mark.parametrize("kind", ["tagger", "stacked-tagger"])
+def test_archives_with_the_empty_word_vector_still_load(tmp_path, kind):
+    # Older taggers stored an `empty_word_vec` that no model reads any more.
+    model = archive_model(kind)
+    save_model(str(tmp_path / "m"), model)
+    with zipfile.ZipFile(tmp_path / "m") as archive:
+        manifest = archive.read("manifest.txt").decode("utf-8")
+        blob = archive.read("params.bin")
+    prefixes = ["base/", "target/"] if kind == "stacked-tagger" else [""]
+    for prefix in prefixes:
+        manifest += f"{prefix}empty_word_vec 2 float64 {len(blob)}\n"
+        blob += np.array([0.5, -0.5]).tobytes()
+    rewrite_members(tmp_path / "m", tmp_path / "old",
+                    {"manifest.txt": manifest, "params.bin": blob})
+    assert_same_arrays(model, load_model(str(tmp_path / "old")))
+
+
+@pytest.mark.parametrize("line", ["w 2 float64", "w 2 float16 0", "w 2,x float64 0",
+                                  "w 2 float64 0x10"])
+def test_malformed_manifest_line_is_one_error_line(workdir, capsys, line):
+    save_model(str(workdir / "good.model"), archive_model("tagger"))
+    with zipfile.ZipFile(workdir / "good.model") as archive:
+        manifest = archive.read("manifest.txt").decode("utf-8")
+    rewrite_members(workdir / "good.model", workdir / "bad.model",
+                    {"manifest.txt": manifest + line + "\n"})
+    assert run("tag", "--model", workdir / "bad.model", "--input", workdir / "tb.conllu",
+               "--out", workdir / "x.conllu") == 2
+    number = manifest.count("\n") + 1
+    assert capsys.readouterr().err == (f"error: manifest line {number} is not "
+                                       f"'name shape float64 offset': {line!r}\n")
+
+
 def test_stacked_parser_archive_is_shape_checked(workdir, capsys):
     model = archive_model("stacked-parser")
     model.u_arc.data = model.u_arc.data[:-1]

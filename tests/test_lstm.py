@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stackparse import numcore as nc
-from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encode, lstm_step
+from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encode
 from stackparse.parser import ParserModel
 from stackparse.stacking import StackedParser
 from stackparse.tagger import TaggerModel
@@ -28,7 +28,7 @@ def _built_with_rng_none(kind):
     rng=None, as the archive loader builds one."""
     if kind in (PEEPHOLE, COUPLED):
         cell = LstmCell(kind, 3, 4, rng=None)
-        h, c = lstm_step(cell, vec(1.0, -2.0, 3.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+        h, c = cell.step(vec(1.0, -2.0, 3.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
         return cell.parameters("cell"), [h.data, c.data]
     vocab, tags, rels = {"the": 0, "cat": 1}, ["DET", "NOUN"], ["det", "root"]
     sentence = make_sentence(["the", "cat"], tags, [2, 0], rels)
@@ -60,7 +60,7 @@ def test_coupled_large_input_bias_passes_candidate_through():
     cell.bias.data[:3] = 50.0  # input gate -> sigmoid(50) ~ 1, forget ~ 0
     x = vec(0.3, -0.7)
     c_prev = vec(5.0, -5.0, 2.0)
-    h, c = lstm_step(cell, x, Tensor(np.zeros(3)), c_prev)
+    h, c = cell.step(x, Tensor(np.zeros(3)), c_prev)
     pre = cell.w_x.data @ x.data + cell.bias.data
     candidate = np.tanh(pre[3:6])
     assert np.allclose(c.data, candidate, atol=1e-12)
@@ -72,7 +72,7 @@ def test_coupled_forget_plus_input_is_exactly_one():
     x = Tensor(rng.standard_normal(3))
     h_prev = Tensor(rng.standard_normal(4) * 0.1)
     c_prev = Tensor(rng.standard_normal(4))
-    _, c = lstm_step(cell, x, h_prev, c_prev)
+    _, c = cell.step(x, h_prev, c_prev)
     pre = cell.w_x.data @ x.data + cell.w_h.data @ h_prev.data + cell.bias.data
     gate_in = nc.sigmoid(Tensor(pre[:4])).data
     candidate = np.tanh(pre[4:8])
@@ -147,7 +147,7 @@ def test_cell_matches_scalar_reference(variant, reference):
     c = Tensor(np.zeros(2))
     ours = []
     for x in xs:
-        h, c = lstm_step(cell, Tensor(x), h, c)
+        h, c = cell.step(Tensor(x), h, c)
         ours.append(h.data.copy())
     ref_h, ref_c = reference(cell, xs)
     for mine, theirs in zip(ours, ref_h):
@@ -158,9 +158,9 @@ def test_cell_matches_scalar_reference(variant, reference):
 def test_dimension_mismatch_raises():
     cell = LstmCell(PEEPHOLE, 3, 4, rng=nc.make_rng(0))
     with pytest.raises(ValueError):
-        lstm_step(cell, vec(1.0, 2.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+        cell.step(vec(1.0, 2.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
     with pytest.raises(ValueError):
-        lstm_step(cell, vec(1.0, 2.0, 3.0), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        cell.step(vec(1.0, 2.0, 3.0), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ValueError):
         LstmCell("gru", 3, 4)
 
@@ -177,8 +177,8 @@ def test_bilstm_single_element_runs_both_directions_once():
     out = bilstm_encode([(fwd, bwd)], rows(x.data))
     assert out.shape == (1, 6)
     zeros = Tensor(np.zeros(3))
-    hf, _ = lstm_step(fwd, x, zeros, Tensor(np.zeros(3)))
-    hb, _ = lstm_step(bwd, x, zeros, Tensor(np.zeros(3)))
+    hf, _ = fwd.step(x, zeros, Tensor(np.zeros(3)))
+    hb, _ = bwd.step(x, zeros, Tensor(np.zeros(3)))
     assert np.allclose(out.data[0], np.concatenate([hf.data, hb.data]), atol=1e-15)
 
 
@@ -250,7 +250,7 @@ def step_encode(layers, x):
                 hs.append(h)
             outputs.append(hs if order is seq else hs[::-1])
         seq = [nc.concat([f, b]) for f, b in zip(*outputs)]
-    return nc.stack_rows(seq)
+    return nc.concat([nc.reshape(row, (1, -1)) for row in seq])
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
@@ -325,7 +325,7 @@ def test_lstm_step_gradients(variant):
     w_c = Tensor(np.array([0.9, 1.1]))
 
     def loss():
-        h, c = lstm_step(cell, x, h0, c0)
+        h, c = cell.step(x, h0, c0)
         return (nc.tanh(h) * w_h).sum() + (nc.tanh(c) * w_c).sum()
 
     params = dict(cell.parameters("cell"), x=x, h0=h0, c0=c0)

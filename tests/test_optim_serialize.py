@@ -238,9 +238,8 @@ def to_manifest_blob(params):
 
 
 def read_back(manifest, blob):
-    """Fresh arrays of the stored shapes and dtypes, read from the blob."""
-    arrays = {name: np.empty(shape, code)
-              for name, (shape, code, _) in manifest_layout(manifest).items()}
+    """Fresh arrays of the stored shapes, read from the blob."""
+    arrays = {name: np.empty(shape) for name, (shape, _) in manifest_layout(manifest).items()}
     manifest_read_into(manifest, io.BytesIO(blob), arrays)
     return arrays
 
@@ -251,7 +250,7 @@ def test_manifest_blob_round_trip_is_bit_exact():
         "layer/w": rng.standard_normal((3, 4)),
         "layer/b": rng.standard_normal(4),
         "scalarish": np.array(3.25),
-        "small32": rng.standard_normal((2, 2)).astype(np.float32),
+        "transposed": rng.standard_normal((2, 3)).T,
     }
     manifest, blob = to_manifest_blob(params)
     restored = read_back(manifest, blob)
@@ -265,13 +264,38 @@ def test_manifest_blob_round_trip_is_bit_exact():
 
 
 def test_manifest_format_and_little_endianness():
-    params = {"w": np.array([[1.0, 2.0]]), "v": np.array([3.0], dtype=np.float32)}
+    params = {"w": np.array([[1.0, 2.0]]), "v": np.array([3.0]), "s": np.array(4.0)}
     manifest, blob = to_manifest_blob(params)
     lines = manifest.strip().split("\n")
-    assert lines[0] == "w 1,2 float64 0"
-    assert lines[1] == "v 1 float32 16"
+    assert lines == ["w 1,2 float64 0", "v 1 float64 16", "s - float64 24"]
     assert blob[:8] == np.array([1.0], dtype="<f8").tobytes()
-    assert blob[16:20] == np.array([3.0], dtype="<f4").tobytes()
+    assert blob[16:] == np.array([3.0, 4.0], dtype="<f8").tobytes()
+
+
+def test_only_float64_is_written():
+    with pytest.raises(ValueError, match="unsupported dtype float32"):
+        manifest_arrays({"v": np.zeros(2, dtype=np.float32)})
+
+
+@pytest.mark.parametrize("line", [
+    "w 2 float64",  # a field short
+    "w 2 float64 0 extra",  # a field over
+    "w 2 float16 0",
+    "w 2 float32 0",
+    "w 2,x float64 0",
+    "w 2,-1 float64 0",
+    "w 2 float64 8.0",
+])
+def test_malformed_manifest_line_is_named(line):
+    manifest = f"v 1 float64 0\n{line}\n"
+    with pytest.raises(ValueError) as raised:
+        manifest_layout(manifest)
+    assert str(raised.value) == f"manifest line 2 is not 'name shape float64 offset': {line!r}"
+
+
+def test_manifest_naming_a_parameter_twice_is_rejected():
+    with pytest.raises(ValueError, match="^manifest line 2 names w a second time$"):
+        manifest_layout("w 2 float64 0\nw 2 float64 16\n")
 
 
 def test_parameter_names_may_not_contain_spaces():
@@ -292,9 +316,9 @@ def test_file_round_trip(tmp_path):
     assert (tmp_path / "model.manifest").read_text().startswith("a 2,3 float64 0")
 
 
-def test_read_into_converts_dtype_skips_unasked_entries_and_checks_shapes():
+def test_read_into_skips_unasked_entries_and_checks_shapes_and_layout():
     params = {"skip": np.arange(3.0), "w": np.arange(4.0).reshape(2, 2),
-              "v": np.array([1.5, -2.0], dtype=np.float32)}
+              "v": np.array([1.5, -2.0])}
     manifest, blob = to_manifest_blob(params)
     w, v = np.zeros((2, 2)), np.zeros(2)
     manifest_read_into(manifest, io.BytesIO(blob), {"w": w, "v": v})
@@ -305,3 +329,6 @@ def test_read_into_converts_dtype_skips_unasked_entries_and_checks_shapes():
         manifest_read_into(manifest, io.BytesIO(blob), {"u": np.zeros(4)})
     with pytest.raises(ValueError, match="end early"):
         manifest_read_into(manifest, io.BytesIO(blob[:-1]), {"v": v})
+    for dest in (np.zeros(2, dtype=np.float32), np.zeros(4)[::2]):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            manifest_read_into(manifest, io.BytesIO(blob), {"v": dest})

@@ -178,6 +178,22 @@ def test_parser_tape_size_does_not_grow_with_sentence_length():
         assert sizes[0] == sizes[1] == sizes[2], (type(model).__name__, sizes)
 
 
+def test_tagger_tape_size_does_not_grow_with_sentence_length():
+    # One char-attention pass and one CRF op per sentence, so a 30-token
+    # loss has as many tape nodes as a one-token loss, base and stacked alike.
+    vocab = {form: i for i, form in enumerate(FORM_POOL)}
+    chars = {ch: i for i, ch in enumerate(sorted(set("".join(FORM_POOL))))}
+    dims = dict(word_dim=4, char_dim=3, att_dim=3, hidden=5, layers=2)
+    base = TaggerModel(TAG_POOL, vocab, chars, rng=nc.make_rng(0), **dims)
+    target = TaggerModel(TAG_POOL, vocab, chars, extra_input_dim=len(TAG_POOL),
+                         rng=nc.make_rng(1), **dims)
+    rng = np.random.default_rng(2)
+    for model in (base, StackedTagger(base, target)):
+        sizes = [tape_size(model.loss(random_tree_sentence(rng, n), training=True, rng=rng))
+                 for n in (1, 3, 30)]
+        assert sizes[0] == sizes[1] == sizes[2], (type(model).__name__, sizes)
+
+
 def test_stacked_parser_biaffine_copy_bit_exact(base_parser):
     stacked = StackedParser(base_parser, base_parser.rels, base_parser.tags,
                             {"the": 0}, word_dim=4, tag_dim=3, hidden=6,

@@ -31,14 +31,14 @@ def small_model(**overrides):
 
 def test_char_attention_single_char_is_its_embedding():
     model = small_model()
-    out = model.char_attention("t")
-    assert np.allclose(out.data, model.char_table.data[0], atol=1e-15)
+    out = model.char_attention(["t"]).data[0]
+    assert np.allclose(out, model.char_table.data[0], atol=1e-15)
 
 
 def test_char_attention_repeated_chars_is_that_embedding():
     model = small_model()
-    out = model.char_attention("eee")
-    assert np.allclose(out.data, model.char_table.data[2], atol=1e-12)
+    out = model.char_attention(["eee"]).data[0]
+    assert np.allclose(out, model.char_table.data[2], atol=1e-12)
 
 
 def test_char_attention_closed_form_softmax_weights():
@@ -50,30 +50,64 @@ def test_char_attention_closed_form_softmax_weights():
     model.char_table.data[1, 0] = 0.0   # embedding of 'q'
     model.att_proj.data[0, 0] = 1.0
     model.att_query.data[0] = 2.0 / math.tanh(1.0)  # score(p)=2.0, score(q)=0.0
-    out = model.char_attention("pq")
+    out = model.char_attention(["pq"]).data[0]
     w_p = math.exp(2.0) / (math.exp(2.0) + 1.0)
-    assert abs(out.data[0] - w_p * 1.0) < 1e-12
+    assert abs(out[0] - w_p * 1.0) < 1e-12
 
 
 def test_char_attention_output_in_convex_hull():
     model = small_model()
     word = "teach"
-    out = model.char_attention(word).data
+    out = model.char_attention([word]).data[0]
     unk = len(model.char_vocab)
     rows = model.char_table.data[[model.char_vocab.get(c, unk) for c in word]]
     assert np.all(out >= rows.min(axis=0) - 1e-12)
     assert np.all(out <= rows.max(axis=0) + 1e-12)
 
 
-def test_char_attention_empty_word_uses_reserved_vector():
-    model = small_model()
-    assert model.char_attention("") is model.empty_word_vec
+def test_char_attention_rejects_an_empty_word():
+    # Token rejects an empty form, so none reaches the tagger; one that did
+    # would own no characters to attend over.
+    with pytest.raises(ValueError, match="at least one column"):
+        small_model().char_attention(["the", ""])
 
 
 def test_unknown_characters_map_to_reserved_row():
     model = small_model()
-    out = model.char_attention("ZZ")  # 'Z' unseen
-    assert np.allclose(out.data, model.char_table.data[-1], atol=1e-12)
+    out = model.char_attention(["ZZ"]).data[0]  # 'Z' unseen
+    assert np.allclose(out, model.char_table.data[-1], atol=1e-12)
+
+
+def char_attention_per_word(model, word):
+    """Reference: the attention over one word's characters, as a (1, C) row."""
+    unk = len(model.char_vocab)
+    embs = model.char_table[[model.char_vocab.get(ch, unk) for ch in word]]
+    hidden = nc.tanh(nc.matmul(embs, nc.transpose(model.att_proj)) + model.att_bias)
+    scores = nc.reshape(nc.matmul(hidden, model.att_query), (1, -1))
+    weights = nc.softmax_rows_masked(scores, np.ones(scores.shape, bool))
+    return nc.matmul(weights, embs)
+
+
+def test_char_attention_matches_a_per_word_reference():
+    # unknown characters ('Z', 'q'), repeats ("eee", "tt") and 1-character words
+    forms = ["the", "Z", "eee", "cat", "a", "tqZ", "hatch", "tt", "c"]
+    model = small_model(char_dim=4, att_dim=5, rng=nc.make_rng(3))
+    model.att_bias.data[:] = nc.make_rng(4).standard_normal(5)
+    params = {k: model.parameters()[k] for k in ("char_table", "att_proj", "att_bias",
+                                                 "att_query")}
+    weights = nc.Tensor(nc.make_rng(5).standard_normal((len(forms), 4)))
+    results = []
+    for batched in (True, False):
+        nc.zero_grads(params.values())
+        out = (model.char_attention(forms) if batched else
+               nc.concat([char_attention_per_word(model, w) for w in forms]))
+        nc.tanh(out * weights).sum().backward()
+        results.append((out.data, {k: t.grad.copy() for k, t in params.items()}))
+    (batched, grads), (reference, ref_grads) = results
+    assert batched.shape == (len(forms), 4)
+    assert np.abs(batched - reference).max() <= 1e-12
+    for name, grad in ref_grads.items():
+        assert np.abs(grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
 
 
 # -- token encoding ----------------------------------------------------------------
@@ -86,7 +120,7 @@ def test_encode_window_zero_is_per_token_vector():
     assert inputs.shape == (2, model.per_token_dim)
     for row, form in zip(inputs.data, ["the", "cat"]):
         expected = np.concatenate([model.word_table.data[model.word_index(form)],
-                                   model.char_attention(form).data])
+                                   model.char_attention([form]).data[0]])
         assert np.array_equal(row, expected)
 
 
@@ -224,6 +258,41 @@ def test_viterbi_matches_path_enumeration():
 
 def test_viterbi_all_zero_scores_ties_to_lowest_index():
     assert viterbi_decode(np.zeros((4, 3)), np.zeros((5, 5))) == [0, 0, 0, 0]
+
+
+def crf_log_likelihood_per_position(emissions, transitions, gold):
+    """Reference: the forward algorithm on the tape, one position at a time."""
+    n, k = emissions.shape
+    start, stop = k, k + 1
+    gold_score = (emissions[np.arange(n), gold].sum()
+                  + transitions[[start] + gold[:-1], gold].sum()
+                  + transitions[gold[-1], stop])
+    into = nc.transpose(transitions[:k, :k])  # row j: the scores of moving into tag j
+    alpha = transitions[start, :k] + emissions[0]
+    for t in range(1, n):
+        moved = nc.reshape(alpha, (1, k)) + into
+        alpha = nc.logsumexp_rows_masked(moved, np.ones((k, k), bool)) + emissions[t]
+    final = nc.reshape(alpha + transitions[:k, stop], (1, k))
+    return nc.logsumexp_rows_masked(final, np.ones((1, k), bool))[0] - gold_score
+
+
+def test_crf_op_matches_the_per_position_tape():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+        emissions = nc.Tensor(rng.standard_normal((n, k)) * 2.0, requires_grad=True)
+        transitions = nc.Tensor(rng.standard_normal((k + 2, k + 2)), requires_grad=True)
+        gold = [int(g) for g in rng.integers(0, k, n)]
+        results = []
+        for crf in (crf_log_likelihood, crf_log_likelihood_per_position):
+            nc.zero_grads([emissions, transitions])
+            loss = crf(emissions, transitions, gold)
+            loss.backward()
+            results.append((loss.item(), emissions.grad, transitions.grad))
+        (loss, d_em, d_trans), (ref_loss, ref_em, ref_trans) = results
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(d_em - ref_em).max() <= 1e-12 * np.abs(ref_em).max()
+        assert np.abs(d_trans - ref_trans).max() <= 1e-12 * np.abs(ref_trans).max()
 
 
 def test_crf_gradients():

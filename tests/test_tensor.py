@@ -82,17 +82,21 @@ def test_softmax_rows_sum_to_one_within_1e12():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = Tensor(rng.standard_normal((5, 7)) * 10)
-        out = nc.softmax(x, axis=1).data
+        mask = rng.random((5, 7)) < 0.6
+        mask[np.arange(5), rng.integers(0, 7, 5)] = True
+        out = nc.softmax_rows_masked(x, mask).data
         assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
-        assert np.all(out >= 0)
+        assert np.all(out >= 0) and np.all(out[~mask] == 0.0)
 
 
 def test_softmax_gradient():
+    # a row of scores shared by three rows of the mask, as char attention uses it
     x = Tensor(rand(6, seed=6), requires_grad=True)
-    weights = rand(6, seed=7)
+    mask = np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], bool)
+    weights = rand((3, 6), seed=7)
 
     def loss():
-        return (nc.softmax(x, axis=0) * Tensor(weights)).sum()
+        return (nc.softmax_rows_masked(x, mask) * Tensor(weights)).sum()
 
     assert nc.grad_check(loss, {"x": x}) < 1e-6
 
@@ -101,21 +105,24 @@ def test_softmax_gradient():
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8),
        st.floats(min_value=-30, max_value=30))
 def test_logsumexp_shift_invariance(values, shift):
-    x = np.array(values)
-    base = nc.logsumexp(Tensor(x)).item()
-    shifted = nc.logsumexp(Tensor(x + shift)).item()
+    x = np.array([values])
+    every = np.ones(x.shape, bool)
+    base = nc.logsumexp_rows_masked(Tensor(x), every).data[0]
+    shifted = nc.logsumexp_rows_masked(Tensor(x + shift), every).data[0]
     assert abs(shifted - (base + shift)) < 1e-12
 
 
 def test_logsumexp_axis_and_gradient():
     x = Tensor(rand((3, 5), seed=8), requires_grad=True)
+    every = np.ones((3, 5), bool)
 
     def loss():
-        return nc.logsumexp(x, axis=1).sum()
+        return nc.logsumexp_rows_masked(x, every).sum()
 
     assert nc.grad_check(loss, {"x": x}) < 1e-6
-    reduced = nc.logsumexp(x, axis=0)
-    assert reduced.shape == (5,)
+    assert nc.logsumexp_rows_masked(x, every).shape == (3,)
+    with pytest.raises(ValueError, match="mask shape"):
+        nc.logsumexp_rows_masked(x, np.ones((5, 3), bool))
 
 
 def test_masked_logsumexp_ignores_masked_columns():
@@ -201,11 +208,11 @@ def test_backward_requires_scalar():
         nc.tanh(x).backward()
 
 
-def test_stack_rows_and_transpose_grads():
+def test_concat_rows_and_transpose_grads():
     vs = [Tensor(rand(3, seed=s), requires_grad=True) for s in (18, 19, 20)]
 
     def loss():
-        return nc.transpose(nc.stack_rows(vs)).sum()
+        return nc.transpose(nc.concat([nc.reshape(v, (1, -1)) for v in vs])).sum()
 
     params = {f"v{i}": v for i, v in enumerate(vs)}
     assert nc.grad_check(loss, params) < 1e-6
