@@ -19,7 +19,7 @@ import sys
 import zipfile
 
 from . import evaluation, langmodel, parser as parsing, stacking, tagger as tagging
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_text
 from .embeddings import load_embeddings
 from .modelio import load_model, save_model, write_text_atomic
 from .stacking import StackedParser, StackedTagger
@@ -27,18 +27,15 @@ from .treebank import LabelInventory, Sentence, parse_conllu, validate, write_co
 
 
 def _read_treebank(path: str) -> list[Sentence]:
-    with open(path, encoding="utf-8") as f:
-        return parse_conllu(f.read())
+    return parse_conllu(read_text(path))
 
 
 def _read_sentence_lines(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as f:
-        return [line.split() for line in f if line.strip()]
+    return [line.split() for line in read_text(path).split("\n") if line.strip()]
 
 
 def _read_lexicon(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.strip().lower() for line in f if line.strip()]
+    return [line.strip().lower() for line in read_text(path).split("\n") if line.strip()]
 
 
 def _effective_config(args) -> RunConfig:
@@ -57,10 +54,6 @@ def _load_pretrained(args):
     if getattr(args, "embeddings", None):
         return load_embeddings(args.embeddings)
     return None
-
-
-def _write_snapshot(out_path: str, config: RunConfig, extra: dict[str, object]) -> None:
-    write_text_atomic(out_path + ".config", config.to_text(extra))
 
 
 # -- commands -------------------------------------------------------------------
@@ -98,8 +91,8 @@ def _cmd_train(args) -> int:
     save_model(args.out, model)
     scored = getattr(model, "target", model)  # a stacked tagger's scores are its target's
     best_epoch, dev_score = scored.best_epoch, getattr(scored, score_attr)
-    _write_snapshot(args.out, config, {"command": args.command, "best_epoch": best_epoch,
-                                       score_attr: dev_score})
+    write_text_atomic(args.out + ".config", config.to_text(
+        {"command": args.command, "best_epoch": best_epoch, score_attr: dev_score}))
     print(f"saved {kind.replace('-', ' ')} to {args.out} (best epoch {best_epoch}, "
           f"{score_label} {dev_score})")
     return 0
@@ -242,8 +235,7 @@ def _cmd_lm_train(args) -> int:
 
 def _cmd_lm_rank(args) -> int:
     config = _effective_config(args)
-    with open(args.lm, encoding="utf-8") as f:
-        text = f.read()
+    text = read_text(args.lm)
     try:
         model = langmodel.NgramLM.from_json(text)
     except ValueError as exc:
@@ -390,11 +382,11 @@ def main(argv=None) -> int:
     args = build_argument_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as exc:
-        print(f"error: is a directory: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        what = {FileNotFoundError: "missing file", IsADirectoryError: "is a directory"}.get(
+            type(exc)) or (exc.strerror or str(exc)).lower()
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {what}{where}", file=sys.stderr)
         return 2
     except zipfile.BadZipFile as exc:
         print(f"error: not a model archive: {exc}", file=sys.stderr)

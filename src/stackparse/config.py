@@ -146,6 +146,14 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
+def read_text(path: str) -> str:
+    """The file's UTF-8 text; a decode error names `path`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as f:
-        return RunConfig.from_mapping(parse_config_text(f.read()))
+    return RunConfig.from_mapping(parse_config_text(read_text(path)))

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from .config import read_text
+
 
 def find(vocab: dict[str, int], form: str) -> int | None:
     """The row of `form`, else of its lowercase form, else None."""
@@ -34,31 +36,30 @@ class PretrainedEmbeddings:
 
 def load_embeddings(path: str) -> PretrainedEmbeddings:
     """Every line is parsed and checked, a repeated token's included; the
-    first line of a token is the one kept.  Errors name `path:line`."""
+    first line of a token is the one kept.  Errors name `path:line`, and
+    text that is not UTF-8 names `path`."""
     vocab: dict[str, int] = {}
     rows: list[list[float]] = []
     dim = None
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            token, *values = line.split(" ")
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ValueError(f"{path}:{line_no}: no embedding values on first line")
-            if len(values) != dim:
-                raise ValueError(f"{path}:{line_no}: expected {dim} values, got {len(values)}")
-            try:
-                row = [float(v) for v in values]
-            except ValueError as err:
-                raise ValueError(f"{path}:{line_no}: {err}") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{line_no}: non-finite embedding value")
-            if token not in vocab:
-                vocab[token] = len(rows)
-                rows.append(row)
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        token, *values = line.split(" ")
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ValueError(f"{path}:{line_no}: no embedding values on first line")
+        if len(values) != dim:
+            raise ValueError(f"{path}:{line_no}: expected {dim} values, got {len(values)}")
+        try:
+            row = [float(v) for v in values]
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{line_no}: non-finite embedding value")
+        if token not in vocab:
+            vocab[token] = len(rows)
+            rows.append(row)
     if dim is None:
         return PretrainedEmbeddings.empty()
     return PretrainedEmbeddings(vocab, np.array(rows, dtype=np.float64))

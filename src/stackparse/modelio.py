@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import numcore as nc
+from .config import parse_config_text
 from .embeddings import PretrainedEmbeddings
 from .parser import ParserModel
 from .stacking import StackedParser, StackedTagger
@@ -34,15 +35,19 @@ from .tagger import TaggerModel
 
 
 def _write_atomic(path: str, write_fn) -> None:
+    """`write_fn` fills a temp file that is renamed onto `path`; OS errors name `path`."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    temp_path = None
     try:
+        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        os.close(fd)
         write_fn(temp_path)
         os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
+    except BaseException as exc:
+        if temp_path is not None and os.path.exists(temp_path):
             os.unlink(temp_path)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -202,11 +207,7 @@ def save_model(path: str, model) -> None:
 
 def load_model(path: str):
     with zipfile.ZipFile(path) as archive:
-        meta = {}
-        for line in archive.read("meta.txt").decode("utf-8").splitlines():
-            if line.strip():
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
+        meta = parse_config_text(archive.read("meta.txt").decode("utf-8"))
         kind = meta.get("type")
         spec = next((s for s in _SPECS if s.kind == kind), None)
         if spec is None:

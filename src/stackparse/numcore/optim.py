@@ -121,11 +121,13 @@ def _first_non_finite(named: list, run: list) -> int | None:
     return None
 
 
-def fit(params: dict[str, Tensor], loss_fn: Callable[[object], Tensor],
+def fit(params: dict[str, Tensor], loss_fn: Callable[[object, np.random.Generator], Tensor],
         train: Sequence, dev: Sequence, dev_score: Callable[[Sequence], float],
         config, rng: np.random.Generator) -> tuple[int, float | None]:
     """Adagrad over `config.epochs` passes of `train`, each in the order of
-    one `rng.permutation`, one update per example.
+    one `rng.permutation`, one update per example.  `loss_fn(example, rng)`
+    gets this same generator, so its dropout masks are drawn from it after
+    the epoch's permutation.
 
     With a dev set, `dev_score(dev)` is taken after every epoch and the
     parameters of the first epoch with the highest score are restored;
@@ -137,7 +139,7 @@ def fit(params: dict[str, Tensor], loss_fn: Callable[[object], Tensor],
     for epoch in range(1, config.epochs + 1):
         for i in rng.permutation(len(train)):
             zero_grads(params.values())
-            loss_fn(train[int(i)]).backward()
+            loss_fn(train[int(i)], rng).backward()
             optimizer.apply(params)
         if dev:
             score = dev_score(dev)

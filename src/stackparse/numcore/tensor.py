@@ -389,11 +389,13 @@ def leaky_relu(a: Tensor, alpha: float = 0.1) -> Tensor:
 # -- regularization -----------------------------------------------------------------
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: scales kept entries by 1/(1-rate) so E[out] = in."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: with a generator, zeroes each entry with
+    probability `rate` and scales the kept ones by 1/(1-rate), so
+    E[out] = in.  Without one (inference, gradient checks) it returns `a`."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     data = a.data * mask

@@ -129,7 +129,7 @@ class ParserModel:
         return self.tag_vocab.get(tag, len(self.tags))
 
     def input_vectors(self, forms: Sequence[str], upos_tags: Sequence[str],
-                      training: bool = False, rng: np.random.Generator | None = None,
+                      rng: np.random.Generator | None = None,
                       base: ParserForward | None = None) -> nc.Tensor:
         """(n+1, input_dim) inputs with the artificial root in row 0; a stacked
         parser passes its base's forward to append its recurrent states."""
@@ -143,26 +143,22 @@ class ParserModel:
             parts.insert(0, nc.Tensor(pre))
         if base is not None:
             parts.append(base.recurrent)
-        return nc.dropout(nc.concat(parts, axis=1), self.dropout, rng, training)
+        return nc.dropout(nc.concat(parts, axis=1), self.dropout, rng)
 
-    def _mlp_apply(self, name: str, recurrent: nc.Tensor, training: bool,
-                   rng: np.random.Generator | None) -> nc.Tensor:
-        w, b = self.mlp[name]
-        out = nc.leaky_relu(nc.matmul(recurrent, nc.transpose(w)) + b)
-        return nc.dropout(out, self.dropout, rng, training)
-
-    def _forward(self, forms: Sequence[str], upos_tags: Sequence[str], training: bool,
+    def _forward(self, forms: Sequence[str], upos_tags: Sequence[str],
                  rng: np.random.Generator | None,
                  base: ParserForward | None = None) -> ParserForward:
         """Bi-LSTM, MLP heads and arc scores; with a base forward, its
         recurrent rows join the inputs and its MLP outputs are added."""
         if not forms:
             raise ValueError("cannot parse an empty sentence")
-        x = self.input_vectors(forms, upos_tags, training, rng, base)
-        recurrent = nc.dropout(nc.bilstm_encode(self.lstm_layers, x), self.dropout, rng, training)
+        x = self.input_vectors(forms, upos_tags, rng, base)
+        recurrent = nc.dropout(nc.bilstm_encode(self.lstm_layers, x), self.dropout, rng)
         heads = []
         for name in _MLP_HEADS:
-            out = self._mlp_apply(name, recurrent, training, rng)
+            w, b = self.mlp[name]
+            out = nc.dropout(nc.leaky_relu(nc.matmul(recurrent, nc.transpose(w)) + b),
+                             self.dropout, rng)
             heads.append(out if base is None else out + getattr(base, name))
         arc_dep, arc_head, rel_dep, rel_head = heads
         arc_scores = nc.matmul(nc.matmul(nc.append_ones_col(arc_dep), self.u_arc),
@@ -170,9 +166,10 @@ class ParserModel:
         return ParserForward(recurrent, arc_dep, arc_head, rel_dep, rel_head, arc_scores)
 
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
-                     training: bool = False,
                      rng: np.random.Generator | None = None) -> ParserForward:
-        return self._forward(forms, upos_tags, training, rng)
+        """The sentence's forward, with dropout masks drawn from `rng` in
+        forward order when one is given."""
+        return self._forward(forms, upos_tags, rng)
 
     def label_scores(self, rel_dep: nc.Tensor, rel_head: nc.Tensor,
                      heads: Sequence[int]) -> nc.Tensor:
@@ -182,11 +179,10 @@ class ParserModel:
         head_rows = nc.append_ones_col(rel_head[list(heads)])
         return nc.bilinear_labels(self.u_rel, dep_rows, head_rows)
 
-    def loss(self, sentence: Sentence, training: bool = False,
-             rng: np.random.Generator | None = None) -> nc.Tensor:
+    def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
         """Mean over tokens of head cross-entropy + label cross-entropy
         (labels conditioned on gold heads)."""
-        fw = self.forward_full(sentence.forms, sentence.upos, training, rng)
+        fw = self.forward_full(sentence.forms, sentence.upos, rng)
         return arc_label_loss(fw, self.label_scores, sentence, self.rel_index)
 
 
@@ -363,6 +359,6 @@ def train_parser(treebank: list[Sentence], dev: list[Sentence], config,
         rng=rng,
     )
     model.best_epoch, model.dev_uas = nc.fit(
-        model.parameters(), lambda s: model.loss(s, training=True, rng=rng), treebank, dev,
+        model.parameters(), model.loss, treebank, dev,
         lambda gold: dev_uas(model, gold, config.decoder), config, rng)
     return model

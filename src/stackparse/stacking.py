@@ -25,6 +25,13 @@ from .parser import arc_label_loss, parse as parse_with  # noqa: F401
 from .tagger import crf_log_likelihood, viterbi_decode  # noqa: F401
 
 
+def _prefixed(base: dict[str, nc.Tensor], target: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
+    """Base and target parameters under their `base/` and `target/` archive names."""
+    params = {f"base/{k}": v for k, v in base.items()}
+    params.update({f"target/{k}": v for k, v in target.items()})
+    return params
+
+
 def _trainable(model, target: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
     """The parameters a stacked model trains, under their archive names: its
     target's, the base's feature layers, and the base's input layer when
@@ -55,15 +62,12 @@ class StackedTagger:
     def tags(self) -> tuple[str, ...]:
         return self.target.tags
 
-    def stack_inputs(self, sentence: Sentence, training: bool = False,
-                     rng: np.random.Generator | None = None) -> nc.Tensor:
+    def stack_inputs(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
         em, _ = self.base.emissions(self.base.encode(sentence))
-        return self.target.encode(sentence, training, rng, extra=em)
+        return self.target.encode(sentence, rng, extra=em)
 
-    def loss(self, sentence: Sentence, training: bool = False,
-             rng: np.random.Generator | None = None) -> nc.Tensor:
-        inputs = self.stack_inputs(sentence, training, rng)
-        return self.target.crf_loss(inputs, sentence, training, rng)
+    def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
+        return self.target.crf_loss(self.stack_inputs(sentence, rng), sentence, rng)
 
     def tag(self, sentence: Sentence) -> TagResult:
         with nc.no_grad():
@@ -73,9 +77,7 @@ class StackedTagger:
         return _trainable(self, self.target.parameters())
 
     def all_parameters(self) -> dict[str, nc.Tensor]:
-        params = {f"base/{k}": v for k, v in self.base.parameters().items()}
-        params.update({f"target/{k}": v for k, v in self.target.parameters().items()})
-        return params
+        return _prefixed(self.base.parameters(), self.target.parameters())
 
 
 def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
@@ -89,8 +91,8 @@ def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
     target = build_tagger(treebank, config, pretrained, rng, extra_input_dim=len(base.tags))
     stacked = StackedTagger(base, target, config.train_base_embeddings)
     target.best_epoch, target.dev_accuracy = nc.fit(
-        stacked.trainable_parameters(), lambda s: stacked.loss(s, training=True, rng=rng),
-        treebank, dev, lambda gold: dev_accuracy(stacked, gold), config, rng)
+        stacked.trainable_parameters(), stacked.loss, treebank, dev,
+        lambda gold: dev_accuracy(stacked, gold), config, rng)
     return stacked
 
 
@@ -129,7 +131,6 @@ class StackedParser:
     word_index = ParserModel.word_index
     tag_index = ParserModel.tag_index
     input_vectors = ParserModel.input_vectors
-    _mlp_apply = ParserModel._mlp_apply
     _forward = ParserModel._forward
     label_scores = ParserModel.label_scores
     loss = ParserModel.loss
@@ -141,15 +142,13 @@ class StackedParser:
         return _trainable(self, self.target_parameters())
 
     def all_parameters(self) -> dict[str, nc.Tensor]:
-        params = {f"base/{k}": v for k, v in self.base.parameters().items()}
-        params.update({f"target/{k}": v for k, v in self.target_parameters().items()})
-        return params
+        return _prefixed(self.base.parameters(), self.target_parameters())
 
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
-                     training: bool = False,
                      rng: np.random.Generator | None = None) -> ParserForward:
+        """The base forward without dropout, then `ParserModel.forward_full`'s body."""
         base_fw = self.base.forward_full(forms, upos_tags)
-        return self._forward(forms, upos_tags, training, rng, base_fw)
+        return self._forward(forms, upos_tags, rng, base_fw)
 
 
 def stack_parse_inputs(stacked: StackedParser, sentence: Sentence) -> nc.Tensor:
@@ -176,6 +175,6 @@ def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
         train_base_embeddings=config.train_base_embeddings, rng=rng,
     )
     stacked.best_epoch, stacked.dev_uas = nc.fit(
-        stacked.trainable_parameters(), lambda s: stacked.loss(s, training=True, rng=rng),
-        treebank, dev, lambda gold: dev_uas(stacked, gold, config.decoder), config, rng)
+        stacked.trainable_parameters(), stacked.loss, treebank, dev,
+        lambda gold: dev_uas(stacked, gold, config.decoder), config, rng)
     return stacked

@@ -133,11 +133,11 @@ class TaggerModel:
         weights = nc.softmax_rows_masked(scores, owner == np.arange(len(forms))[:, None])
         return nc.matmul(weights, embs)
 
-    def encode(self, sentence: Sentence, training: bool = False,
-               rng: np.random.Generator | None = None,
+    def encode(self, sentence: Sentence, rng: np.random.Generator | None = None,
                extra: nc.Tensor | None = None) -> nc.Tensor:
-        """(n, (2w+1) * per_token_dim) windowed inputs; a stacked tagger
-        passes its base's (n, k) emission matrix as `extra`."""
+        """(n, (2w+1) * per_token_dim) windowed inputs, with dropout masks
+        drawn from `rng` when one is given; a stacked tagger passes its
+        base's (n, k) emission matrix as `extra`."""
         forms = sentence.forms
         parts = [self.word_table[[self.word_index(f) for f in forms]],
                  self.char_attention(forms)]
@@ -147,16 +147,15 @@ class TaggerModel:
             parts.append(extra)
         elif self.extra_input_dim:
             raise ValueError("model expects stacked extra features")
-        x = nc.dropout(nc.concat(parts, axis=1), self.dropout, rng, training)
+        x = nc.dropout(nc.concat(parts, axis=1), self.dropout, rng)
         pad = [nc.reshape(self.pad_vec, (1, -1))] * self.window
         padded = nc.concat(pad + [x] + pad)
         n = len(forms)
         return nc.concat([padded[k:k + n] for k in range(2 * self.window + 1)], axis=1)
 
-    def emissions(self, inputs: nc.Tensor, training: bool = False,
+    def emissions(self, inputs: nc.Tensor,
                   rng: np.random.Generator | None = None) -> tuple[nc.Tensor, nc.Tensor]:
-        hidden_mat = nc.dropout(nc.bilstm_encode(self.lstm_layers, inputs), self.dropout, rng,
-                                training)
+        hidden_mat = nc.dropout(nc.bilstm_encode(self.lstm_layers, inputs), self.dropout, rng)
         em = nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
         return em, hidden_mat
 
@@ -168,21 +167,19 @@ class TaggerModel:
             indices.append(self.tag_index[token.upos])
         return indices
 
-    def crf_loss(self, inputs: nc.Tensor, sentence: Sentence, training: bool = False,
+    def crf_loss(self, inputs: nc.Tensor, sentence: Sentence,
                  rng: np.random.Generator | None = None) -> nc.Tensor:
-        em, _ = self.emissions(inputs, training, rng)
+        em, _ = self.emissions(inputs, rng)
         return crf_log_likelihood(em, self.transitions, self.gold_indices(sentence))
 
     def decode(self, inputs: nc.Tensor) -> TagResult:
-        """Viterbi tags of encoded inputs plus their emission and hidden vectors."""
-        with nc.no_grad():
-            em, hidden = self.emissions(inputs)
+        """Viterbi tags, emissions and hidden vectors of encoded inputs; callers hold no_grad."""
+        em, hidden = self.emissions(inputs)
         path = viterbi_decode(em.data, self.transitions.data)
         return TagResult(tuple(self.tags[i] for i in path), em.data.copy(), hidden.data.copy())
 
-    def loss(self, sentence: Sentence, training: bool = False,
-             rng: np.random.Generator | None = None) -> nc.Tensor:
-        return self.crf_loss(self.encode(sentence, training, rng), sentence, training, rng)
+    def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
+        return self.crf_loss(self.encode(sentence, rng), sentence, rng)
 
     def tag(self, sentence: Sentence) -> TagResult:
         """`tag(self, sentence)`, so that a base and a stacked tagger answer alike."""
@@ -258,6 +255,6 @@ def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,
     rng = nc.make_rng(config.seed)
     model = build_tagger(treebank, config, pretrained, rng, extra_input_dim=0)
     model.best_epoch, model.dev_accuracy = nc.fit(
-        model.parameters(), lambda s: model.loss(s, training=True, rng=rng), treebank, dev,
+        model.parameters(), model.loss, treebank, dev,
         lambda gold: dev_accuracy(model, gold), config, rng)
     return model

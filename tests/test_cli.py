@@ -521,6 +521,42 @@ def test_bad_archive_paths_are_diagnostics(workdir, capsys):
         assert err.startswith(message) and err.count("\n") == 1, err
 
 
+BAD_PATH_CASES = {
+    # case: (argv with {w} for the work directory, the path the error must name)
+    "input under a file": (["lexicon-match", "--input", "{w}/lex.txt/x",
+                            "--lexicon", "{w}/lex.txt"], "{w}/lex.txt/x"),
+    "out under a file": (["lexicon-match", "--input", "{w}/lex.txt", "--lexicon",
+                          "{w}/lex.txt", "--out", "{w}/lex.txt/x.tsv"], "{w}/lex.txt/x.tsv"),
+    "out in a missing directory": (["lm-train", "--corpus", "{w}/lex.txt",
+                                    "--out", "{w}/nodir/lm.json"], "{w}/nodir/lm.json"),
+    "out onto a directory": (["lm-train", "--corpus", "{w}/lex.txt", "--out", "{w}/dir"],
+                             "{w}/dir"),
+    "binary input": (["lexicon-match", "--input", "{w}/bin", "--lexicon", "{w}/lex.txt"],
+                     "{w}/bin"),
+    "binary language model": (["lm-rank", "--lm", "{w}/bin", "--input", "{w}/lex.txt",
+                               "--out", "{w}/rank.tsv"], "{w}/bin"),
+    "binary treebank": (["train-tagger", "--train", "{w}/bin", "--config", "{w}/cfg.txt",
+                         "--out", "{w}/m"], "{w}/bin"),
+    "binary config": (["train-tagger", "--train", "{w}/tb.conllu", "--config", "{w}/bin",
+                       "--out", "{w}/m"], "{w}/bin"),
+    "binary embeddings": (["train-tagger", "--train", "{w}/tb.conllu", "--config",
+                           "{w}/cfg.txt", "--embeddings", "{w}/bin", "--out", "{w}/m"],
+                          "{w}/bin"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATH_CASES))
+def test_bad_paths_are_one_line_diagnostics_naming_the_path(workdir, capsys, case):
+    (workdir / "lex.txt").write_text("the cat\n", encoding="utf-8")
+    (workdir / "bin").write_bytes(b"\xff\xfe\x00binary")
+    (workdir / "dir").mkdir()
+    argv, named = BAD_PATH_CASES[case]
+    assert run(*(a.format(w=workdir) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named.format(w=workdir) in err, err
+
+
 def test_corrupt_params_bin_fails_its_crc_check(workdir, capsys):
     path = workdir / "flipped.model"
     save_model(str(path), archive_model("parser"))

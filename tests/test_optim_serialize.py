@@ -165,7 +165,7 @@ class _FitConfig:
 
 
 def _square_loss(param):
-    return lambda target: ((param + (-target)) * (param + (-target))).sum()
+    return lambda target, rng: ((param + (-target)) * (param + (-target))).sum()
 
 
 def test_fit_restores_the_best_epochs_parameters():
@@ -207,9 +207,9 @@ def test_fit_draws_one_permutation_per_epoch():
     param = Tensor(np.array([0.0]), requires_grad=True)
     seen = []
 
-    def loss(target):
+    def loss(target, rng):
         seen.append(target)
-        return _square_loss(param)(target)
+        return _square_loss(param)(target, rng)
 
     rng = np.random.default_rng(7)
     train = [1.0, 2.0, 3.0, 4.0]
@@ -218,6 +218,19 @@ def test_fit_draws_one_permutation_per_epoch():
     orders = [reference.permutation(len(train)) for _ in range(_FitConfig.epochs)]
     assert seen == [train[i] for order in orders for i in order]
     assert rng.random() == reference.random()  # nothing else was drawn
+
+
+def test_fit_hands_its_own_generator_to_the_loss():
+    param = Tensor(np.array([0.0]), requires_grad=True)
+    given = []
+
+    def loss(target, rng):
+        given.append(rng)
+        return _square_loss(param)(target, rng)
+
+    rng = np.random.default_rng(3)
+    fit({"p": param}, loss, [1.0, 2.0], [], None, _FitConfig, rng)
+    assert len(given) == 2 * _FitConfig.epochs and all(g is rng for g in given)
 
 
 def test_grad_check_quadratic_is_near_exact():

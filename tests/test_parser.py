@@ -347,9 +347,7 @@ def test_score_labels_matches_explicit_summation():
         fw = model.forward_full(["a", "a"], ["N", "N"])
     heads = [2, 0]
     scores = score_labels(model, fw, heads)
-    with nc.no_grad():
-        rel_dep = model._mlp_apply("rel_dep", fw.recurrent, False, None).data
-        rel_head = model._mlp_apply("rel_head", fw.recurrent, False, None).data
+    rel_dep, rel_head = fw.rel_dep.data, fw.rel_head.data  # no base and no dropout
     for d in (1, 2):
         u = np.append(rel_dep[d], 1.0)
         for label in (0, 1):

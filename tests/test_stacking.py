@@ -173,7 +173,7 @@ def test_parser_tape_size_does_not_grow_with_sentence_length():
                             hidden=6, layers=1, rng=nc.make_rng(1))
     rng = np.random.default_rng(2)
     for model in (base, stacked):
-        sizes = [tape_size(model.loss(random_tree_sentence(rng, n), training=True, rng=rng))
+        sizes = [tape_size(model.loss(random_tree_sentence(rng, n), rng))
                  for n in (1, 3, 30)]
         assert sizes[0] == sizes[1] == sizes[2], (type(model).__name__, sizes)
 
@@ -189,9 +189,32 @@ def test_tagger_tape_size_does_not_grow_with_sentence_length():
                          rng=nc.make_rng(1), **dims)
     rng = np.random.default_rng(2)
     for model in (base, StackedTagger(base, target)):
-        sizes = [tape_size(model.loss(random_tree_sentence(rng, n), training=True, rng=rng))
+        sizes = [tape_size(model.loss(random_tree_sentence(rng, n), rng))
                  for n in (1, 3, 30)]
         assert sizes[0] == sizes[1] == sizes[2], (type(model).__name__, sizes)
+
+
+def test_dropout_runs_exactly_when_a_generator_is_passed():
+    # Default dropout rates: 0.15 for the taggers, 0.33 for the parsers.
+    vocab = {form: i for i, form in enumerate(FORM_POOL)}
+    chars = {ch: i for i, ch in enumerate(sorted(set("".join(FORM_POOL))))}
+    dims = dict(word_dim=4, char_dim=3, att_dim=3, hidden=5)
+    base_t = TaggerModel(TAG_POOL, vocab, chars, rng=nc.make_rng(0), **dims)
+    target_t = TaggerModel(TAG_POOL, vocab, chars, extra_input_dim=len(TAG_POOL),
+                           rng=nc.make_rng(1), **dims)
+    rels = ["root"] + REL_POOL
+    base_p = ParserModel(rels, TAG_POOL, vocab, word_dim=4, tag_dim=3, hidden=5,
+                         layers=1, d_arc=4, d_rel=3, rng=nc.make_rng(2))
+    stacked_p = StackedParser(base_p, rels, TAG_POOL, vocab, word_dim=4, tag_dim=3,
+                              hidden=6, layers=1, rng=nc.make_rng(3))
+    assert base_t.dropout > 0 and target_t.dropout > 0
+    assert base_p.dropout > 0 and stacked_p.dropout > 0
+    sentence = random_tree_sentence(np.random.default_rng(4), 6)
+    for model in (base_t, StackedTagger(base_t, target_t), base_p, stacked_p):
+        plain = model.loss(sentence).item()
+        assert model.loss(sentence).item() == plain, type(model).__name__
+        assert model.loss(sentence, np.random.default_rng(5)).item() != plain, \
+            type(model).__name__
 
 
 def test_stacked_parser_biaffine_copy_bit_exact(base_parser):
@@ -260,12 +283,15 @@ def test_score_labels_uses_the_stacked_forward(base_parser):
                             rng=nc.make_rng(10))
     sentence = source_sentences()[0]
     heads = [2, 3, 0]
+    def target_mlp(name):
+        w, b = stacked.mlp[name]
+        return nc.leaky_relu(nc.matmul(fw.recurrent, nc.transpose(w)) + b)
+
     with nc.no_grad():
         fw = stacked.forward_full(sentence.forms, sentence.upos)
         expected = stacked.label_scores(fw.rel_dep, fw.rel_head, heads).data
-        target_only = stacked.label_scores(
-            stacked._mlp_apply("rel_dep", fw.recurrent, False, None),
-            stacked._mlp_apply("rel_head", fw.recurrent, False, None), heads).data
+        target_only = stacked.label_scores(target_mlp("rel_dep"), target_mlp("rel_head"),
+                                           heads).data
     assert not np.allclose(expected, target_only)  # the base MLP outputs matter
     assert np.array_equal(score_labels(stacked, fw, heads), expected)
     result = parse(stacked, sentence)

@@ -158,8 +158,9 @@ def test_nonfinite_values_rejected():
 def test_dropout_identity_when_disabled():
     x = Tensor(rand(10, seed=11), requires_grad=True)
     rng = np.random.default_rng(0)
-    assert nc.dropout(x, 0.0, rng, training=True) is x
-    assert nc.dropout(x, 0.5, rng, training=False) is x
+    assert nc.dropout(x, 0.0, rng) is x
+    assert nc.dropout(x, 0.5, None) is x
+    assert rng.random() == np.random.default_rng(0).random()  # nothing was drawn
 
 
 def test_dropout_expectation_within_one_percent():
@@ -168,7 +169,7 @@ def test_dropout_expectation_within_one_percent():
     samples = 100_000
     total = np.zeros(4)
     for _ in range(samples):
-        total += nc.dropout(x, 0.15, rng, training=True).data
+        total += nc.dropout(x, 0.15, rng).data
     mean = total / samples
     assert np.all(np.abs(mean - 2.0) / 2.0 < 0.01)
 
