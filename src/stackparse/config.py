@@ -133,14 +133,15 @@ def _coerce(key: str, raw, target: type):
         raise ValueError(f"{key}: cannot parse {text!r} as {target.__name__}") from None
 
 
-def parse_config_text(text: str) -> dict[str, str]:
+def parse_config_text(text: str, where: str = "line ") -> dict[str, str]:
+    """`key = value` lines; a malformed one is reported as `<where><number>`."""
     mapping: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"line {line_no}: expected 'key = value'")
+            raise ValueError(f"{where}{line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         mapping[key.strip()] = value.split("#", 1)[0].strip()
     return mapping
@@ -156,4 +157,4 @@ def read_text(path: str) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    return RunConfig.from_mapping(parse_config_text(read_text(path)))
+    return RunConfig.from_mapping(parse_config_text(read_text(path), f"{path}:"))

@@ -6,21 +6,31 @@ atomic (temp file + rename); round trips are bit-exact.
 
 `params.bin` is stored uncompressed: deflate makes float64 weights only
 ~5% smaller but a save ~30x slower.  Saving streams each array into the
-member.  Loading builds the model with zero arrays (`rng=None`; the
-pretrained table as zeros of its stored shape), checks every array's
-stored shape, and then reads the member once, a chunk at a time,
-straight into those arrays, so the blob is never held in memory next to
-the model and zero pages are written only once.  Archives whose
-`params.bin` is deflated still load; a corrupt one fails its CRC check.
+member, and pads the member's local header with an alignment extra field
+(as Android's zipalign does) so that its data starts on a 64-byte file
+offset.  Loading builds the model with zero arrays (`rng=None`; the
+pretrained table as zeros of its stored shape) and then points every
+stored array at its bytes in `params.bin`: a stored member at an aligned
+offset is mapped copy-on-write, so the weights are read where they lie
+in the file and a trainer that updates a loaded model writes to private
+pages, never to the file.  Any other member (deflated, or from an archive
+saved before alignment) is read once into one buffer.  A stored member's
+CRC is checked in two halves on two threads, a deflated one's by zipfile
+as it inflates.  Saves replace the file by rename, so a mapped archive
+is never truncated under a model.
 """
 
 from __future__ import annotations
 
+import copy
+import io
 import math
 import os
+import struct
 import tempfile
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +39,7 @@ import numpy as np
 from . import numcore as nc
 from .config import parse_config_text
 from .embeddings import PretrainedEmbeddings
+from .numcore.worker import in_parallel
 from .parser import ParserModel
 from .stacking import StackedParser, StackedTagger
 from .tagger import TaggerModel
@@ -142,16 +153,17 @@ def _texts(spec: _Spec, model, path: str = "") -> dict[str, str]:
     return texts
 
 
-def _arrays(spec: _Spec, model, path: str = "") -> dict[str, np.ndarray]:
-    """Parameter arrays, the pretrained table included, keyed by archive name."""
-    arrays: dict[str, np.ndarray] = {}
+def _slots(spec: _Spec, model, path: str = "") -> dict[str, tuple[object, str]]:
+    """Where each stored array lives, keyed by archive name: (holder,
+    attribute) of a parameter tensor's `data` or the pretrained table."""
+    slots: dict[str, tuple[object, str]] = {}
     for attr, sub in spec.subs:
-        arrays.update(_arrays(sub, getattr(model, attr), f"{path}{attr}/"))
+        slots.update(_slots(sub, getattr(model, attr), f"{path}{attr}/"))
     if spec.params:
         own = path + spec.prefix
-        arrays.update({f"{own}{k}": t.data for k, t in spec.params(model).items()})
-        arrays[f"{own}const/pretrained_table"] = model.pretrained.matrix
-    return arrays
+        slots.update({f"{own}{k}": (t, "data") for k, t in spec.params(model).items()})
+        slots[f"{own}const/pretrained_table"] = (model.pretrained, "matrix")
+    return slots
 
 
 def _build(spec: _Spec, meta: dict[str, str], archive: zipfile.ZipFile,
@@ -180,16 +192,101 @@ def _build(spec: _Spec, meta: dict[str, str], archive: zipfile.ZipFile,
     return model
 
 
+_ALIGN = 64  # params.bin data offset: a cache line, and a multiple of float64's alignment
+_ALIGN_FIELD = 0xD935  # zip extra field id of Android's zipalign: 2-byte alignment, then padding
+_LOCAL_HEADER = struct.Struct("<4s22xHH")  # signature, ..., name length, extra length
+
+
+def _alignment_extra(info: zipfile.ZipInfo, position: int) -> bytes:
+    """The extra field that makes the data of `info`, whose local header
+    goes at file offset `position`, start on a multiple of _ALIGN.  The
+    header's length is read from one that zipfile writes for a copy of
+    `info` into a scratch zip, so the fields it adds itself (zip64) count."""
+    probe_info = copy.copy(info)
+    probe_info.extra = struct.pack("<HHH", _ALIGN_FIELD, 2, _ALIGN)
+    scratch = io.BytesIO()
+    with zipfile.ZipFile(scratch, "w") as probe, probe.open(probe_info, "w"):
+        pad = -(position + scratch.tell()) % _ALIGN
+    return struct.pack("<HHH", _ALIGN_FIELD, 2 + pad, _ALIGN) + bytes(pad)
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32 of A + B from crc1 = crc32(A), crc2 = crc32(B) and len2 =
+    len(B), as zlib's crc32_combine: crc1 times x^(8 len2), plus crc2,
+    modulo the CRC polynomial (bit-reflected, as zlib keeps it)."""
+    def times(a: int, b: int) -> int:
+        product, bit = 0, 1 << 31  # bit 31 holds x^0
+        while a:
+            if a & bit:
+                product ^= b
+                a ^= bit
+            bit >>= 1
+            b = (b >> 1) ^ 0xEDB88320 if b & 1 else b >> 1
+        return product
+
+    power, square, n = 1 << 31, 1 << 30, 8 * len2  # x^0, x^1
+    while n:
+        if n & 1:
+            power = times(square, power)
+        square = times(square, square)
+        n >>= 1
+    return times(power, crc1) ^ crc2
+
+
+def _check_crc(blob: np.ndarray, expected: int) -> None:
+    half = len(blob) // 2
+    first, second = in_parallel(lambda: zlib.crc32(blob[:half]),
+                                lambda: zlib.crc32(blob[half:]))
+    if crc32_combine(first, second, len(blob) - half) != expected:
+        raise zipfile.BadZipFile("Bad CRC-32 for file 'params.bin'")
+
+
+def _read_all(stream, size: int) -> np.ndarray:
+    blob = np.empty(size, np.uint8)
+    filled = 0
+    while filled < size:
+        got = stream.readinto(blob[filled:filled + (1 << 20)])
+        if not got:
+            raise ValueError("stored parameters end early")
+        filled += got
+    return blob
+
+
+def _params_blob(path: str, archive: zipfile.ZipFile) -> np.ndarray:
+    """The bytes of `params.bin`, CRC-checked and writeable: a copy-on-write
+    mapping of the file when the member is stored at an aligned offset,
+    else one buffer read from it."""
+    info = archive.getinfo("params.bin")
+    if info.compress_type != zipfile.ZIP_STORED:
+        with archive.open(info) as member:  # zipfile checks the CRC as it inflates
+            return _read_all(member, info.file_size)
+    with open(path, "rb") as f:
+        f.seek(info.header_offset)
+        header = f.read(_LOCAL_HEADER.size)
+        if len(header) < _LOCAL_HEADER.size or header[:4] != b"PK\x03\x04":
+            raise zipfile.BadZipFile("Bad magic number for file header")
+        _, name_length, extra_length = _LOCAL_HEADER.unpack(header)
+        start = info.header_offset + _LOCAL_HEADER.size + name_length + extra_length
+        if start % _ALIGN == 0:
+            blob = np.asarray(np.memmap(f, np.uint8, "c", start, (info.file_size,)))
+        else:
+            f.seek(start)
+            blob = _read_all(f, info.file_size)
+    _check_crc(blob, info.CRC)
+    return blob
+
+
 def save_model(path: str, model) -> None:
     spec = next((s for s in _SPECS if isinstance(model, s.cls)), None)
     if spec is None:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     meta = {"type": spec.kind, **_meta(spec, model)}
     texts = _texts(spec, model)
-    manifest, arrays = nc.manifest_arrays(_arrays(spec, model))
+    slots = _slots(spec, model)
+    manifest, arrays = nc.manifest_arrays({k: getattr(*slot) for k, slot in slots.items()})
 
     def writer(temp_path):
-        with zipfile.ZipFile(temp_path, "w", zipfile.ZIP_DEFLATED) as archive:
+        with open(temp_path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_DEFLATED) as archive:
             archive.writestr("meta.txt", "".join(f"{k} = {v}\n" for k, v in meta.items()))
             for name, text in texts.items():
                 archive.writestr(name, text)
@@ -198,6 +295,7 @@ def save_model(path: str, model) -> None:
             info = zipfile.ZipInfo("params.bin", time.localtime()[:6])
             info.compress_type = zipfile.ZIP_STORED
             info.file_size = sum(arr.nbytes for arr in arrays)
+            info.extra = _alignment_extra(info, f.tell())
             with archive.open(info, "w") as member:
                 for arr in arrays:
                     member.write(arr)
@@ -214,6 +312,9 @@ def load_model(path: str):
             raise ValueError(f"unknown model type {kind!r} in {path}")
         manifest = archive.read("manifest.txt").decode("utf-8")
         model = _build(spec, meta, archive, nc.manifest_layout(manifest))
-        with archive.open("params.bin") as blob:
-            nc.manifest_read_into(manifest, blob, _arrays(spec, model))
-        return model
+        blob = _params_blob(path, archive)
+    slots = _slots(spec, model)
+    views = nc.manifest_views(manifest, blob, {k: getattr(*slot).shape for k, slot in slots.items()})
+    for name, (holder, attr) in slots.items():
+        setattr(holder, attr, views[name])
+    return model

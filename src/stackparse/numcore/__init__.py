@@ -6,7 +6,7 @@ from .gradcheck import grad_check
 from .init import glorot_uniform, make_rng, zeros
 from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode
 from .optim import AdagradState, fit
-from .serialize import manifest_arrays, manifest_layout, manifest_read_into
+from .serialize import manifest_arrays, manifest_layout, manifest_views
 from .tensor import (
     NonFiniteError,
     Tensor,
@@ -53,7 +53,7 @@ __all__ = [
     "make_rng",
     "manifest_arrays",
     "manifest_layout",
-    "manifest_read_into",
+    "manifest_views",
     "matmul",
     "mul",
     "no_grad",

@@ -3,7 +3,8 @@
 Manifest lines are `name shape dtype offset`, where `shape` is
 comma-separated dimensions (`-` for scalars), dtype is always float64,
 and offset is the byte position in the blob.  Blob values are
-little-endian float64, row-major.  Round trips are bit-exact.
+little-endian float64, row-major.  Round trips are bit-exact.  Reading
+gives views of the blob's buffer, not copies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 _STORED = np.dtype("<f8")
 _LINE = re.compile(r"(\S+) (-|[0-9]+(?:,[0-9]+)*) float64 ([0-9]+)")
-_CHUNK = 1 << 18  # bytes per read
 
 
 def manifest_arrays(params: dict[str, np.ndarray]) -> tuple[str, list[np.ndarray]]:
@@ -58,52 +58,35 @@ def manifest_layout(manifest: str) -> dict[str, tuple[tuple, int]]:
     return layout
 
 
-def manifest_read_into(manifest: str, stream, arrays: dict[str, np.ndarray]) -> None:
-    """Fill each of `arrays`, C-contiguous float64 arrays, in place from
-    the blob that the binary `stream` yields, read once from start to end
-    a chunk at a time, so the blob is never held in memory.
+def manifest_views(manifest: str, blob, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """name -> the stored array of that name, for each name in `shapes`,
+    as a float64 view of `blob`, a C-contiguous buffer holding the whole
+    blob.  A view shares the buffer's memory and its writeability.
 
-    Every array needs a manifest line of its shape; blob entries that no
-    array asks for are skipped.  The stream is read to its end, so a zip
-    member's CRC is checked.
+    Every name needs a manifest line of its shape; blob entries that no
+    name asks for are skipped.  Entries may not overlap or run past the
+    end of the blob.
     """
     layout = manifest_layout(manifest)
-    for name, arr in arrays.items():
+    for name, shape in shapes.items():
         if name not in layout:
             raise ValueError(f"stored parameters lack {name}")
-        if layout[name][0] != arr.shape:
+        if layout[name][0] != shape:
             raise ValueError(f"stored parameter {name} has shape {layout[name][0]}, "
-                             f"expected {arr.shape}")
-        if arr.dtype != _STORED or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be read into a C-contiguous float64 array")
+                             f"expected {shape}")
+    if not memoryview(blob).c_contiguous:
+        raise ValueError("stored parameters must be a C-contiguous buffer")
+    flat = np.frombuffer(blob, np.uint8)
     position = 0
     for name, (shape, offset) in sorted(layout.items(), key=lambda item: item[1][1]):
         if offset < position:
             raise ValueError(f"stored parameter {name} overlaps the one before it")
-        _skip(stream, offset - position)
-        dest = arrays.get(name)
+        position = offset + math.prod(shape) * _STORED.itemsize
+        if position > len(flat):
+            raise ValueError("stored parameters end early")
+    views = {}
+    for name, shape in shapes.items():
+        offset = layout[name][1]
         size = math.prod(shape) * _STORED.itemsize
-        if dest is None:
-            _skip(stream, size)
-        else:
-            _fill(stream, dest.reshape(-1).view(np.uint8))
-        position = offset + size
-    while stream.read(_CHUNK):
-        pass
-
-
-def _fill(stream, buffer: np.ndarray) -> None:
-    filled = 0
-    while filled < len(buffer):
-        got = stream.readinto(buffer[filled:filled + _CHUNK])
-        if not got:
-            raise ValueError("stored parameters end early")
-        filled += got
-
-
-def _skip(stream, count: int) -> None:
-    while count > 0:
-        got = len(stream.read(min(count, _CHUNK)))
-        if not got:
-            raise ValueError("stored parameters end early")
-        count -= got
+        views[name] = flat[offset:offset + size].view(_STORED).reshape(shape)
+    return views

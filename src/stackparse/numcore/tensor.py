@@ -237,7 +237,7 @@ def matmul(a, b) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    data = a.data.T.copy()
+    data = a.data.T
 
     def backward(g):
         _accumulate(a, g.T)
@@ -363,7 +363,7 @@ def tanh(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:

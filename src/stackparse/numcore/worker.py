@@ -1,8 +1,9 @@
 """One persistent worker thread for pairs of independent numpy jobs.
 
-numpy releases the GIL inside BLAS calls and inside ufunc loops, so two
-jobs that touch disjoint arrays run on two cores.  A job given to the
-worker runs numpy code only: tape nodes, finiteness checks and gradient
+numpy releases the GIL inside BLAS calls and inside ufunc loops, and
+`zlib.crc32` inside its loop over a large buffer, so two such jobs that
+touch disjoint memory run on two cores.  A job given to the worker runs
+only such code: tape nodes, finiteness checks and gradient
 accumulation stay on the calling thread, whose `no_grad` state they must
 see.  The thread is a daemon started on first use; BLAS thread settings
 are left as they are.

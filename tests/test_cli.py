@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import io
 import json
 import tracemalloc
 import zipfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
 from stackparse.embeddings import PretrainedEmbeddings
-from stackparse.modelio import load_model, save_model
+from stackparse.modelio import _alignment_extra, crc32_combine, load_model, save_model
 from stackparse.parser import ParserModel
 from stackparse.parser import parse as parse_model_fn
 from stackparse.stacking import StackedParser, StackedTagger, train_stacked_parser
@@ -104,6 +109,15 @@ def test_non_finite_learning_rate_is_a_diagnostic_before_training(workdir, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "learning_rate" in err
     assert not list(workdir.glob("t.model*"))
+
+
+def test_malformed_config_line_names_the_file(workdir, capsys):
+    bad = workdir / "bad.txt"
+    bad.write_text("seed = 3\nhidden\n", encoding="utf-8")
+    assert run("lm-train", "--corpus", workdir / "tb.conllu", "--config", bad,
+               "--out", workdir / "o") == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: expected 'key = value'\n"
+    assert not (workdir / "o").exists()
 
 
 def test_config_text_comments_and_errors():
@@ -440,6 +454,50 @@ def test_archive_round_trip_bit_exact_for_every_kind(tmp_path, kind):
             assert a.read(name) == b.read(name), name
 
 
+def data_offset(data: bytes, info: zipfile.ZipInfo) -> int:
+    """Where a member's data starts: its local header is 30 bytes, then
+    the name and the extra field."""
+    header = info.header_offset
+    return header + 30 + int.from_bytes(data[header + 26:header + 28], "little") \
+        + int.from_bytes(data[header + 28:header + 30], "little")
+
+
+def unaligned_copy(path, new_path):
+    """A copy written by plain zipfile, its stored params.bin off the 64-byte grid."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    for pad in range(64):
+        with zipfile.ZipFile(new_path, "w") as copy:
+            copy.writestr("pad.txt", "x" * pad)
+            for name, content in members.items():
+                copy.writestr(name, content)
+            info = copy.getinfo("params.bin")
+        if data_offset(Path(new_path).read_bytes(), info) % 64:
+            return
+
+
+@pytest.mark.parametrize("kind", ARCHIVE_KINDS)
+def test_saved_params_bin_is_stored_at_a_64_byte_offset(tmp_path, kind):
+    save_model(str(tmp_path / "m"), archive_model(kind))
+    with zipfile.ZipFile(tmp_path / "m") as archive:
+        info = archive.getinfo("params.bin")
+        assert archive.testzip() is None
+    assert info.compress_type == zipfile.ZIP_STORED
+    assert data_offset((tmp_path / "m").read_bytes(), info) % 64 == 0
+
+
+@pytest.mark.parametrize("file_size", [10, 2**32])  # the second gets a zip64 field
+def test_alignment_extra_counts_the_header_zipfile_writes(file_size):
+    for position in (0, 1, 37, 64, 1000):
+        info = zipfile.ZipInfo("params.bin")
+        info.file_size = file_size
+        info.extra = _alignment_extra(info, position)
+        out = io.BytesIO(bytes(position))
+        out.seek(position)
+        with zipfile.ZipFile(out, "w") as archive, archive.open(info, "w"):
+            assert out.tell() % 64 == 0, position
+
+
 @pytest.mark.parametrize("kind", ARCHIVE_KINDS)
 def test_archive_params_stored_and_deflated_archives_still_load(tmp_path, kind):
     model = archive_model(kind)
@@ -453,6 +511,45 @@ def test_archive_params_stored_and_deflated_archives_still_load(tmp_path, kind):
     with zipfile.ZipFile(deflated) as archive:
         assert archive.getinfo("params.bin").compress_type == zipfile.ZIP_DEFLATED
     assert_same_arrays(model, load_model(str(deflated)))
+    unaligned_copy(tmp_path / "m", tmp_path / "unaligned")
+    with zipfile.ZipFile(tmp_path / "unaligned") as archive:
+        info = archive.getinfo("params.bin")
+    assert info.compress_type == zipfile.ZIP_STORED
+    assert data_offset((tmp_path / "unaligned").read_bytes(), info) % 64
+    for path in (deflated, tmp_path / "unaligned"):
+        arrays = model_arrays(load_model(str(path)))
+        assert all(arr.flags.writeable for arr in arrays.values()), path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300), st.binary(max_size=300))
+def test_crc32_combine_joins_two_halves(a, b):
+    assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+
+def test_crc32_combine_joins_megabyte_halves():
+    a, b = np.random.default_rng(3).bytes(1 << 20), bytes(3 << 20)
+    assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+
+def test_stacked_trainers_leave_the_mapped_base_archive_unchanged(workdir):
+    config = workdir / "cfg-base.txt"
+    config.write_text(TINY_CONFIG + "epochs = 2\ntrain_base_embeddings = true\n", encoding="utf-8")
+    common = ["--train", workdir / "tb.conllu", "--config", config]
+    for command, base, stacked in (("tagger", "t.model", "st.model"),
+                                   ("parser", "p.model", "sp.model")):
+        assert run(f"train-{command}", *common, "--out", workdir / base) == 0
+        before = hashlib.sha256((workdir / base).read_bytes()).hexdigest()
+        assert run(f"train-stacked-{command}", "--base-model", workdir / base, *common,
+                   "--out", workdir / stacked) == 0
+        assert hashlib.sha256((workdir / base).read_bytes()).hexdigest() == before
+        trained = model_arrays(load_model(str(workdir / stacked)).base)
+        loaded = model_arrays(load_model(str(workdir / base)))
+        assert any(not np.array_equal(trained[k], loaded[k]) for k in loaded), command
+        for arr in loaded.values():  # copy-on-write: writes stay in this process
+            assert arr.flags.writeable
+            arr[...] = 0.0
+        assert hashlib.sha256((workdir / base).read_bytes()).hexdigest() == before
 
 
 def rewrite_members(path, new_path, members):
@@ -563,10 +660,7 @@ def test_corrupt_params_bin_fails_its_crc_check(workdir, capsys):
     data = bytearray(path.read_bytes())
     with zipfile.ZipFile(path) as archive:
         info = archive.getinfo("params.bin")
-    header = info.header_offset  # local header: 30 bytes, then name and extra field
-    start = header + 30 + int.from_bytes(data[header + 26:header + 28], "little") \
-        + int.from_bytes(data[header + 28:header + 30], "little")
-    data[start + info.file_size // 2] ^= 0x10
+    data[data_offset(data, info) + info.file_size // 2] ^= 0x10
     path.write_bytes(bytes(data))
     assert run("parse", "--model", path, "--input", workdir / "tb.conllu",
                "--out", workdir / "x.conllu") == 2
@@ -574,8 +668,20 @@ def test_corrupt_params_bin_fails_its_crc_check(workdir, capsys):
     assert err.startswith("error: ") and "Bad CRC-32" in err and err.count("\n") == 1, err
 
 
+def test_corrupt_unaligned_params_bin_fails_its_crc_check(tmp_path):
+    save_model(str(tmp_path / "m"), archive_model("parser"))
+    unaligned_copy(tmp_path / "m", tmp_path / "unaligned")
+    data = bytearray((tmp_path / "unaligned").read_bytes())
+    with zipfile.ZipFile(tmp_path / "unaligned") as archive:
+        info = archive.getinfo("params.bin")
+    data[data_offset(data, info) + info.file_size - 1] ^= 0x01
+    (tmp_path / "unaligned").write_bytes(bytes(data))
+    with pytest.raises(zipfile.BadZipFile, match="Bad CRC-32"):
+        load_model(str(tmp_path / "unaligned"))
+
+
 def test_load_holds_the_parameters_about_once(tmp_path):
-    """The blob is read straight into the model's arrays, not held next to them."""
+    """The parameters are views of the mapped blob, not copies held next to it."""
     rng = np.random.default_rng(6)
     vocab = {f"w{i}": i for i in range(400)}
     pretrained = PretrainedEmbeddings(vocab, rng.normal(size=(400, 20)))

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from stackparse.numcore import (
     grad_check,
     manifest_arrays,
     manifest_layout,
-    manifest_read_into,
+    manifest_views,
 )
 
 
@@ -251,10 +249,9 @@ def to_manifest_blob(params):
 
 
 def read_back(manifest, blob):
-    """Fresh arrays of the stored shapes, read from the blob."""
-    arrays = {name: np.empty(shape) for name, (shape, _) in manifest_layout(manifest).items()}
-    manifest_read_into(manifest, io.BytesIO(blob), arrays)
-    return arrays
+    """Every stored array, as a view of the blob."""
+    shapes = {name: shape for name, (shape, _) in manifest_layout(manifest).items()}
+    return manifest_views(manifest, blob, shapes)
 
 
 def test_manifest_blob_round_trip_is_bit_exact():
@@ -329,19 +326,27 @@ def test_file_round_trip(tmp_path):
     assert (tmp_path / "model.manifest").read_text().startswith("a 2,3 float64 0")
 
 
-def test_read_into_skips_unasked_entries_and_checks_shapes_and_layout():
+def test_views_skip_unasked_entries_and_check_shapes_and_layout():
     params = {"skip": np.arange(3.0), "w": np.arange(4.0).reshape(2, 2),
               "v": np.array([1.5, -2.0])}
     manifest, blob = to_manifest_blob(params)
-    w, v = np.zeros((2, 2)), np.zeros(2)
-    manifest_read_into(manifest, io.BytesIO(blob), {"w": w, "v": v})
-    assert np.array_equal(w, params["w"]) and np.array_equal(v, [1.5, -2.0])
+    buffer = bytearray(blob)
+    views = manifest_views(manifest, buffer, {"w": (2, 2), "v": (2,)})
+    assert set(views) == {"w", "v"}
+    assert np.array_equal(views["w"], params["w"]) and np.array_equal(views["v"], [1.5, -2.0])
+    views["v"][0] = 7.0  # a view, not a copy
+    assert np.frombuffer(buffer, "<f8")[-2] == 7.0
     with pytest.raises(ValueError, match="has shape"):
-        manifest_read_into(manifest, io.BytesIO(blob), {"w": np.zeros(4)})
+        manifest_views(manifest, blob, {"w": (4,)})
     with pytest.raises(ValueError, match="lack"):
-        manifest_read_into(manifest, io.BytesIO(blob), {"u": np.zeros(4)})
+        manifest_views(manifest, blob, {"u": (4,)})
     with pytest.raises(ValueError, match="end early"):
-        manifest_read_into(manifest, io.BytesIO(blob[:-1]), {"v": v})
-    for dest in (np.zeros(2, dtype=np.float32), np.zeros(4)[::2]):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            manifest_read_into(manifest, io.BytesIO(blob), {"v": dest})
+        manifest_views(manifest, blob[:-1], {"v": (2,)})
+    with pytest.raises(ValueError, match="end early"):  # also past an unasked entry
+        manifest_views(manifest, blob[:8], {})
+    with pytest.raises(ValueError, match="v overlaps"):
+        manifest_views("w 2 float64 0\nv 2 float64 8\n", bytes(32), {"w": (2,)})
+    strided = np.repeat(np.frombuffer(blob, np.uint8), 2)[::2]
+    assert strided.tobytes() == blob
+    with pytest.raises(ValueError, match="C-contiguous"):
+        manifest_views(manifest, strided, {"v": (2,)})

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stackparse import numcore as nc
 from stackparse.numcore import NonFiniteError, Tensor
+from stackparse.numcore.tensor import _sigmoid
 
 
 def rand(shape, seed=0):
@@ -217,3 +218,22 @@ def test_concat_rows_and_transpose_grads():
 
     params = {f"v{i}": v for i, v in enumerate(vs)}
     assert nc.grad_check(loss, params) < 1e-6
+
+
+def test_transpose_is_a_view_and_its_gradient_a_copy():
+    w = Tensor(rand(12, seed=21).reshape(3, 4), requires_grad=True)
+    t = nc.transpose(w)
+    assert t.shape == (4, 3) and np.shares_memory(t.data, w.data)
+    (t * Tensor(rand(12, seed=22).reshape(4, 3))).sum().backward()
+    assert not np.shares_memory(w.grad, w.data)
+    assert np.array_equal(w.grad, rand(12, seed=22).reshape(4, 3).T)
+
+
+def test_sigmoid_divides_once_with_the_two_division_forms_operands():
+    """Each element's one division has the operands of the form that
+    computed both quotients and selected one, so the bits are the same."""
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 1e308, -1e308,
+                  np.nan, *np.random.default_rng(0).normal(scale=20.0, size=200)])
+    e = np.exp(-np.abs(x))
+    two_divisions = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert _sigmoid(x).tobytes() == two_divisions.tobytes()
