@@ -13,11 +13,17 @@ pretrained table as zeros of its stored shape) and then points every
 stored array at its bytes in `params.bin`: a stored member at an aligned
 offset is mapped copy-on-write, so the weights are read where they lie
 in the file and a trainer that updates a loaded model writes to private
-pages, never to the file.  Any other member (deflated, or from an archive
-saved before alignment) is read once into one buffer.  A stored member's
-CRC is checked in two halves on two threads, a deflated one's by zipfile
-as it inflates.  Saves replace the file by rename, so a mapped archive
-is never truncated under a model.
+pages, never to the file.  A mapped member's CRC is checked in two
+halves on two threads.  Any other member (deflated, or from an archive
+saved before alignment or by another zip writer) is read once into one
+buffer through zipfile, which checks its CRC.
+
+Pages of a mapping that the process has not written are read from the
+file when first touched, also after the CRC check.  So an archive must
+not be modified in place (`cp` or `rsync --inplace` onto it) while a
+process holds a model loaded from it: the model would see the new bytes,
+or the process would die of SIGBUS if the file shrank.  Replacing the
+file by rename is safe, and this module's saves do that.
 """
 
 from __future__ import annotations
@@ -255,23 +261,19 @@ def _read_all(stream, size: int) -> np.ndarray:
 def _params_blob(path: str, archive: zipfile.ZipFile) -> np.ndarray:
     """The bytes of `params.bin`, CRC-checked and writeable: a copy-on-write
     mapping of the file when the member is stored at an aligned offset,
-    else one buffer read from it."""
+    else one buffer read through zipfile, which checks the CRC as it reads."""
     info = archive.getinfo("params.bin")
-    if info.compress_type != zipfile.ZIP_STORED:
-        with archive.open(info) as member:  # zipfile checks the CRC as it inflates
-            return _read_all(member, info.file_size)
     with open(path, "rb") as f:
         f.seek(info.header_offset)
         header = f.read(_LOCAL_HEADER.size)
-        if len(header) < _LOCAL_HEADER.size or header[:4] != b"PK\x03\x04":
-            raise zipfile.BadZipFile("Bad magic number for file header")
+    start = None
+    if info.compress_type == zipfile.ZIP_STORED and header[:4] == b"PK\x03\x04":
         _, name_length, extra_length = _LOCAL_HEADER.unpack(header)
         start = info.header_offset + _LOCAL_HEADER.size + name_length + extra_length
-        if start % _ALIGN == 0:
-            blob = np.asarray(np.memmap(f, np.uint8, "c", start, (info.file_size,)))
-        else:
-            f.seek(start)
-            blob = _read_all(f, info.file_size)
+    if start is None or start % _ALIGN:
+        with archive.open(info) as member:
+            return _read_all(member, info.file_size)
+    blob = np.asarray(np.memmap(path, np.uint8, "c", start, (info.file_size,)))
     _check_crc(blob, info.CRC)
     return blob
 

@@ -237,7 +237,9 @@ def matmul(a, b) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError("transpose expects a 2-D tensor")
-    data = a.data.T
+    # A view off the tape.  On it a copy, so training keeps its arithmetic:
+    # OpenBLAS sums a small product with a transposed operand in another order.
+    data = a.data.T.copy() if _grad_enabled() else a.data.T
 
     def backward(g):
         _accumulate(a, g.T)

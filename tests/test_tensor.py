@@ -220,10 +220,14 @@ def test_concat_rows_and_transpose_grads():
     assert nc.grad_check(loss, params) < 1e-6
 
 
-def test_transpose_is_a_view_and_its_gradient_a_copy():
+def test_transpose_is_a_view_off_the_tape_and_a_copy_on_it():
     w = Tensor(rand(12, seed=21).reshape(3, 4), requires_grad=True)
+    with nc.no_grad():
+        view = nc.transpose(w)
+    assert view.shape == (4, 3) and np.shares_memory(view.data, w.data)
     t = nc.transpose(w)
-    assert t.shape == (4, 3) and np.shares_memory(t.data, w.data)
+    assert t.data.flags.c_contiguous and not np.shares_memory(t.data, w.data)
+    assert np.array_equal(t.data, view.data)
     (t * Tensor(rand(12, seed=22).reshape(4, 3))).sum().backward()
     assert not np.shares_memory(w.grad, w.data)
     assert np.array_equal(w.grad, rand(12, seed=22).reshape(4, 3).T)
