@@ -301,11 +301,12 @@ def build_argument_parser() -> argparse.ArgumentParser:
     root = _ArgumentParser(prog="stackparse", description=__doc__.splitlines()[0])
     sub = root.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, configured=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=None)
+        if configured:  # the command reads a RunConfig
+            p.add_argument("--config", help="key = value configuration file")
+            p.add_argument("--seed", type=int, default=None)
         return p
 
     for command, (_, base_class, _, _, help_text) in _TRAIN_COMMANDS.items():
@@ -317,7 +318,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
         p.add_argument("--embeddings", default=None)
         p.add_argument("--out", required=True)
 
-    p = add("tag", _cmd_tag, help="tag a CoNLL-U file")
+    p = add("tag", _cmd_tag, configured=False, help="tag a CoNLL-U file")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
@@ -336,7 +337,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
                    help="also print per-grammar-category scores")
     p.add_argument("--out", default=None)
 
-    p = add("iaa", _cmd_iaa, help="inter-annotator agreement between two files")
+    p = add("iaa", _cmd_iaa, configured=False,
+            help="inter-annotator agreement between two files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
@@ -366,12 +368,12 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", dest="length_max", metavar="MAX_LEN", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = add("lexicon-match", _cmd_lexicon_match, help="match lexicon terms")
+    p = add("lexicon-match", _cmd_lexicon_match, configured=False, help="match lexicon terms")
     p.add_argument("--input", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", default=None)
 
-    p = add("validate", _cmd_validate, help="structural treebank validation")
+    p = add("validate", _cmd_validate, configured=False, help="structural treebank validation")
     p.add_argument("--input", required=True)
     p.add_argument("--inventory", choices=("ud-english", "data"), default="data")
 

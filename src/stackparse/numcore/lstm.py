@@ -6,9 +6,9 @@ is one GEMM for all steps and the recurrence runs in numpy; backward is
 hand-written back-propagation through time, which fills a
 (T, gates * H) array of gate gradients, so dW_x, dW_h, db and dX are one
 GEMM or one sum each.  The two directions never read each other's
-state, so the backward one runs on numcore's one worker thread (see
-`worker`) while the calling thread runs the forward one, in the
-recurrence and again in BPTT; the calling thread alone makes the tape
+state, so the backward one runs on a helper thread that lives for one
+call (see `worker`) while the calling thread runs the forward one, in
+the recurrence and again in BPTT; the calling thread alone makes the tape
 node, checks finiteness and adds every gradient, forward cell first.
 `LstmCell.step` is the per-step tape formulation of the
 same cell, kept as the reference the fused op is tested against.
@@ -181,7 +181,7 @@ def _bptt(cell: LstmCell, xs: np.ndarray, state: tuple, d_out: np.ndarray,
 
 def _layer(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor) -> Tensor:
     """One bi-LSTM layer over the rows of `x`: (T, D) -> (T, 2H), one tape
-    node.  The backward direction runs on the worker thread while this
+    node.  The backward direction runs on a helper thread while this
     thread runs the forward one, in the recurrence and again in BPTT."""
     for cell in (forward_cell, backward_cell):
         if x.shape[1] != cell.input_dim:

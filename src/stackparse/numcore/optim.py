@@ -59,8 +59,9 @@ class AdagradState:
         stay in cache; every element sees the operations of the formula
         in its order, so the results are those of the whole-array
         expression.  The chunks are split into two runs of about equal
-        size, one run on numcore's worker thread, and each thread has its
-        own scratch buffers; so a tensor may appear in `params` once.
+        size, one run on a helper thread that lives for this call, and
+        each run has its own scratch buffers; so a tensor may appear in
+        `params` once.
         """
         named = [(name, t) for name, t in params.items() if t.grad is not None]
         for name, t in named:

@@ -28,7 +28,6 @@ UNK = "<unk>"
 class TagResult(NamedTuple):
     tags: tuple[str, ...]
     emissions: np.ndarray  # (n, |tags|)
-    hidden: np.ndarray     # (n, 2*hidden)
 
 
 def build_vocab(items: Iterable[str]) -> dict[str, int]:
@@ -173,10 +172,10 @@ class TaggerModel:
         return crf_log_likelihood(em, self.transitions, self.gold_indices(sentence))
 
     def decode(self, inputs: nc.Tensor) -> TagResult:
-        """Viterbi tags, emissions and hidden vectors of encoded inputs; callers hold no_grad."""
-        em, hidden = self.emissions(inputs)
+        """Viterbi tags and emissions of encoded inputs; callers hold no_grad."""
+        em, _ = self.emissions(inputs)
         path = viterbi_decode(em.data, self.transitions.data)
-        return TagResult(tuple(self.tags[i] for i in path), em.data.copy(), hidden.data.copy())
+        return TagResult(tuple(self.tags[i] for i in path), em.data.copy())
 
     def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
         return self.crf_loss(self.encode(sentence, rng), sentence, rng)
@@ -218,7 +217,8 @@ def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
 
 
 def tag(model: TaggerModel, sentence: Sentence) -> TagResult:
-    """Viterbi tags plus the emission and hidden vectors (for stacking)."""
+    """Viterbi tags plus the emission vectors; a stacked tagger reads its
+    base's emissions through `TaggerModel.emissions`, not through this."""
     with nc.no_grad():
         return model.decode(model.encode(sentence))
 

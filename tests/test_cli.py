@@ -838,6 +838,21 @@ def test_unparseable_flag_values_give_one_error_line(workdir, capsys, flags, mes
     assert not (workdir / "lm.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tag", "--model", "{w}/t.model", "--input", "{w}/tb.conllu", "--out", "{w}/x.conllu"],
+    ["iaa", "--a", "{w}/tb.conllu", "--b", "{w}/tb.conllu"],
+    ["lexicon-match", "--input", "{w}/tb.conllu", "--lexicon", "{w}/tb.conllu"],
+    ["validate", "--input", "{w}/tb.conllu"],
+], ids=lambda argv: argv[0])
+def test_commands_that_read_no_config_take_no_seed(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*[a.format(w=workdir) for a in argv], "--seed", 1)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --seed 1\n"
+
+
 def test_iaa_command(workdir, capsys):
     assert run("iaa", "--a", workdir / "tb.conllu", "--b", workdir / "tb.conllu") == 0
     out = capsys.readouterr().out

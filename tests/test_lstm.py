@@ -363,7 +363,7 @@ def test_non_finite_backward_cell_weight_raises_in_the_caller(name):
     weight[0] = np.nan
     with pytest.raises(nc.NonFiniteError):
         bilstm_encode(layers, x)
-    weight[0] = saved  # the worker thread still serves the next call
+    weight[0] = saved
     assert np.array_equal(bilstm_encode(layers, x).data, good)
 
 
@@ -372,15 +372,25 @@ def _numcore_threads():
 
 
 def test_no_tape_under_no_grad_with_the_worker_running():
+    from stackparse.numcore.worker import in_parallel
     rng = nc.make_rng(17)
     layers = random_layers(COUPLED, 3, 4, 2, rng)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     bilstm_encode(layers, x).sum().backward()
-    assert len(_numcore_threads()) == 1  # at most one extra thread
+    assert _numcore_threads() == []  # none is kept between calls
+    gate = threading.Barrier(2, timeout=10)
+
+    def count():  # both jobs count while both are running
+        gate.wait()
+        n = len(_numcore_threads())
+        gate.wait()
+        return n
+
+    assert in_parallel(count, count) == (1, 1)  # one extra thread while a call runs
     with nc.no_grad():
         out = bilstm_encode(layers, x)
     assert out.requires_grad is False and out._parents == () and out._backward is None
-    assert len(_numcore_threads()) == 1
+    assert _numcore_threads() == []
 
 
 @pytest.mark.parametrize("depth", [1, 3])
@@ -398,11 +408,11 @@ def test_one_tape_node_per_layer(depth):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_worker():
+def test_forked_child_encodes_like_its_parent():
     rng = nc.make_rng(19)
     layers = random_layers(COUPLED, 3, 4, 1, rng)
     x = Tensor(rng.standard_normal((5, 3)))
-    expected = bilstm_encode(layers, x).data  # the parent's worker is running
+    expected = bilstm_encode(layers, x).data  # the parent has run a helper thread
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
         pid = os.fork()
@@ -413,12 +423,12 @@ def test_forked_child_starts_its_own_worker():
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child waited for a worker it does not have")
+            pytest.fail("the forked child did not finish its encode")
         time.sleep(0.01)
     assert status[1] == 0
 
 
-def test_concurrent_callers_share_the_worker():
+def test_concurrent_callers_each_get_the_results_of_a_lone_run():
     """More caller threads than cores, switching often: every caller gets
     the outputs and gradients of a run on its own."""
     rng = nc.make_rng(20)
@@ -464,3 +474,15 @@ def test_a_worker_error_is_raised_in_the_caller():
     with pytest.raises(ZeroDivisionError):
         in_parallel(lambda: 1, lambda: 1 / 0)
     assert in_parallel(lambda: 1, lambda: 2) == (1, 2)
+
+
+def test_a_job_that_calls_in_parallel_returns():
+    from stackparse.numcore.worker import in_parallel
+    results = []
+    caller = threading.Thread(target=lambda: results.append(
+        in_parallel(lambda: 1, lambda: in_parallel(lambda: 2, lambda: 3))), daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive(), "a nested in_parallel call did not return within 10 s"
+    assert results == [(1, (2, 3))]
+    assert _numcore_threads() == []

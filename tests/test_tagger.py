@@ -349,7 +349,9 @@ def test_tag_is_pure_and_shapes_match(tiny_cfg):
     assert first.tags == second.tags
     assert np.array_equal(first.emissions, second.emissions)
     assert len(first.tags) == len(sentence) == first.emissions.shape[0]
-    assert first.hidden.shape == (3, 2 * model.hidden)
+    with nc.no_grad():
+        _, hidden = model.emissions(model.encode(sentence))
+    assert hidden.shape == (3, 2 * model.hidden)
     assert first.emissions.shape == (3, len(model.tags))
 
 
