@@ -12,28 +12,37 @@ strictly positive.  The model is open-vocabulary: the interpolated
 unigram mass reaches an explicit unknown type through the uniform
 1/|V| floor, where V is the prediction vocabulary (trained types plus
 the end marker and the unknown type).  Logs are base 10 throughout.
+
+Each command computes only what its output reads: training counts only
+the n-grams the estimator uses, and the per-context statistics that
+scoring needs are built on the first score, so a model that is only
+written never builds them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
+_UNSEEN = (0, 0, 0, 0)  # the statistics of a context no n-gram extends
+
 
 @contextlib.contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector while a model's tables are built
-    (used as a decorator).
+    or written (used as a decorator).
 
     The tables hold hundreds of thousands of containers and no reference
     cycle, so every collection their allocations trigger would traverse
@@ -48,11 +57,8 @@ def _gc_paused():
             gc.enable()
 
 
-def _estimate_discounts(counts: Iterable[int]) -> tuple[float, float, float]:
-    of = Counter()
-    for c in counts:
-        if 1 <= c <= 4:
-            of[c] += 1
+def _estimate_discounts(of: Counter) -> tuple[float, float, float]:
+    """D1, D2, D3+ from the counts-of-counts `of` (count -> n-grams)."""
     n1, n2, n3, n4 = of[1], of[2], of[3], of[4]
     if n1 == 0:
         return 0.5, 1.0, 1.5
@@ -69,7 +75,13 @@ def _estimate_discounts(counts: Iterable[int]) -> tuple[float, float, float]:
 
 
 class NgramLM:
-    """Trained model; immutable once built, scoring is read-only."""
+    """Trained model; immutable once built, scoring is read-only.
+
+    The tables, vocabularies and discounts are built with the model.  The
+    per-context statistics that scoring reads are built on the first
+    score and never change after, so every value a caller can read is
+    fixed once the model is built.
+    """
 
     def __init__(self, order: int, tables: list[dict[tuple[str, ...], int]],
                  vocab: set[str]):
@@ -79,25 +91,30 @@ class NgramLM:
         self.tables = tables  # tables[k-1]: adjusted counts for order k
         self.vocab = set(vocab)
         self.pred_vocab = sorted(self.vocab | {EOS, UNK})
-        self.discounts: list[tuple[float, float, float]] = []
-        self.denoms: list[dict[tuple[str, ...], int]] = []
-        self.context_nk: list[dict[tuple[str, ...], tuple[int, int, int]]] = []
-        for table in tables:
-            self.discounts.append(_estimate_discounts(table.values()))
-            denom: dict[tuple[str, ...], int] = {}
-            nk: dict[tuple[str, ...], list[int]] = {}
+        self.discounts = [_estimate_discounts(Counter(table.values())) for table in tables]
+
+    @functools.cached_property
+    @_gc_paused()
+    def _context_stats(self) -> list[dict[tuple[str, ...], list[int]]]:
+        """Per order, context -> [count sum, n1, n2, n3+]: the total count
+        of the n-grams that extend the context, and how many of them have
+        count 1, 2 and 3 or more."""
+        stats = []
+        for table in self.tables:
+            by_context: dict[tuple[str, ...], list[int]] = {}
             for gram, count in table.items():
-                context = gram[:-1]
-                denom[context] = denom.get(context, 0) + count
-                slot = nk.setdefault(context, [0, 0, 0])
+                slot = by_context.get(gram[:-1])
+                if slot is None:
+                    slot = by_context[gram[:-1]] = [0, 0, 0, 0]
+                slot[0] += count
                 if count == 1:
-                    slot[0] += 1
-                elif count == 2:
                     slot[1] += 1
-                else:
+                elif count == 2:
                     slot[2] += 1
-            self.denoms.append(denom)
-            self.context_nk.append({ctx: tuple(v) for ctx, v in nk.items()})
+                else:
+                    slot[3] += 1
+            stats.append(by_context)
+        return stats
 
     def map_token(self, token: str) -> str:
         return token if token in self.vocab or token in (EOS,) else UNK
@@ -113,12 +130,11 @@ class NgramLM:
             raise ValueError("context too long for this model order")
         lower = (1.0 / len(self.pred_vocab) if k == 1
                  else self._prob(context[1:], word))
-        table = self.tables[k - 1]
-        denom = self.denoms[k - 1].get(context, 0)
+        denom, n1, n2, n3 = self._context_stats[k - 1].get(context, _UNSEEN)
         if denom == 0:
             return lower
         d1, d2, d3 = self.discounts[k - 1]
-        count = table.get(context + (word,), 0)
+        count = self.tables[k - 1].get(context + (word,), 0)
         if count == 0:
             discounted = 0.0
         elif count == 1:
@@ -127,26 +143,27 @@ class NgramLM:
             discounted = count - d2
         else:
             discounted = count - d3
-        n1, n2, n3 = self.context_nk[k - 1][context]
         gamma = (d1 * n1 + d2 * n2 + d3 * n3) / denom
         return max(discounted, 0.0) / denom + gamma * lower
 
     def contexts(self, k: int) -> set[tuple[str, ...]]:
         """Observed (k-1)-token contexts at order k."""
-        return set(self.denoms[k - 1])
+        return {gram[:-1] for gram in self.tables[k - 1]}
 
     # -- persistence -----------------------------------------------------------
 
+    @_gc_paused()
     def to_json(self) -> str:
         """Each table is sorted by n-gram, so one model always gives the
         same text.  Gram tuples encode as JSON arrays, and the payload,
         built here, holds no cycle for the encoder to check for."""
-        payload = {
-            "order": self.order,
-            "vocab": sorted(self.vocab),
-            "tables": [[(gram, table[gram]) for gram in sorted(table)]
-                       for table in self.tables],
-        }
+        tables = []
+        for table in self.tables:
+            if "\x00" in "".join(chain.from_iterable(table)):
+                tables.append(sorted(table.items()))
+            else:  # joined by a character no token holds, grams sort as their tuples do
+                tables.append(sorted(table.items(), key=lambda item: "\x00".join(item[0])))
+        payload = {"order": self.order, "vocab": sorted(self.vocab), "tables": tables}
         return json.dumps(payload, check_circular=False)
 
     @classmethod
@@ -165,29 +182,58 @@ class NgramLM:
         if type(stored) is not list or len(stored) != order:
             got = len(stored) if type(stored) is list else repr(stored)
             raise ValueError(f"expected {order} n-gram tables, got {got}")
-        tables = []
-        for k, entries in enumerate(stored, start=1):
-            if type(entries) is not list:
-                raise ValueError(f"order-{k} table must be a list")
-            table: dict[tuple[str, ...], int] = {}
-            for entry in entries:
-                if type(entry) is not list or len(entry) != 2:
-                    raise ValueError(f"order-{k} entry must be [n-gram, count], "
-                                     f"got {entry!r}")
-                gram, count = entry
-                if type(gram) is not list or len(gram) != k:
-                    raise ValueError(f"order-{k} n-gram must be a list of {k} "
-                                     f"strings, got {gram!r}")
-                if type(count) is not int or count < 1:
-                    raise ValueError(f"count of {gram!r} must be a positive "
-                                     f"integer, got {count!r}")
-                table[tuple(gram)] = count
-            if not set(map(type, chain.from_iterable(table))) <= {str}:
-                raise ValueError(f"order-{k} n-grams must hold strings only")
-            if len(table) != len(entries):
-                raise ValueError(f"order-{k} table lists an n-gram twice")
-            tables.append(table)
+        tables = [_read_table(k, entries) for k, entries in enumerate(stored, start=1)]
         return cls(order, tables, set(vocab))
+
+
+def _read_table(k: int, entries) -> dict[tuple[str, ...], int]:
+    """The order-k table from its stored entries, checked in bulk passes;
+    when one fails, `_check_entries` names the first fault."""
+    if (type(entries) is list and set(map(type, entries)) <= {list}
+            and set(map(len, entries)) <= {2}):
+        grams = list(map(itemgetter(0), entries))
+        counts = list(map(itemgetter(1), entries))
+        if (set(map(type, grams)) <= {list} and set(map(len, grams)) <= {k}
+                and set(map(type, counts)) <= {int} and min(counts, default=1) >= 1
+                and set(map(type, chain.from_iterable(grams))) <= {str}):
+            table = dict(zip(map(tuple, grams), counts))
+            if len(table) == len(entries):
+                return table
+    return _check_entries(k, entries)
+
+
+def _check_entries(k: int, entries) -> dict[tuple[str, ...], int]:
+    """One entry at a time, raising ValueError at the first fault; a
+    token that is not a string is reported once every entry's shape has
+    been checked."""
+    if type(entries) is not list:
+        raise ValueError(f"order-{k} table must be a list")
+    table: dict[tuple[str, ...], int] = {}
+    strings_only = True
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 2:
+            raise ValueError(f"order-{k} entry must be [n-gram, count], got {entry!r}")
+        gram, count = entry
+        if type(gram) is not list or len(gram) != k:
+            raise ValueError(f"order-{k} n-gram must be a list of {k} "
+                             f"strings, got {gram!r}")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count of {gram!r} must be a positive "
+                             f"integer, got {count!r}")
+        if set(map(type, gram)) <= {str}:
+            table[tuple(gram)] = count
+        else:
+            strings_only = False  # and perhaps unhashable, so not a key
+    if not strings_only:
+        raise ValueError(f"order-{k} n-grams must hold strings only")
+    if len(table) != len(entries):
+        raise ValueError(f"order-{k} table lists an n-gram twice")
+    return table
+
+
+def _windows(stream: list[str], k: int) -> Iterable[tuple[str, ...]]:
+    """Every k-gram of `stream`, in order."""
+    return zip(*(stream[i:] for i in range(k)))
 
 
 @_gc_paused()
@@ -200,28 +246,28 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5) -> NgramLM:
         raise ValueError("cannot train a language model on an empty corpus")
     vocab = {w for s in sentences for w in s}
 
-    raw: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-    for sentence in sentences:
-        padded = [BOS] * (order - 1) + sentence + [EOS]
-        for k in range(1, order + 1):
-            table = raw[k - 1]
-            for i in range(len(padded) - k + 1):
-                gram = tuple(padded[i:i + k])
-                if gram[-1] == BOS:
-                    continue  # the begin marker is context only, never predicted
-                table[gram] = table.get(gram, 0) + 1
+    # All padded sentences in one stream.  A window that runs past a
+    # sentence's end marker ends in the next one's begin markers, so it is
+    # dropped with every gram that ends in <s>: the begin marker is context
+    # only, never predicted.
+    pad = [BOS] * (order - 1)
+    stream = list(chain.from_iterable(chain(pad, s, (EOS,)) for s in sentences))
+    # Raw counts: every top-order n-gram; below it only the n-grams that
+    # start with <s>, the only lower-order raw counts the estimator reads.
+    raw = [Counter(compress(_windows(stream, k), map(eq, stream, repeat(BOS))))
+           for k in range(1, order)]
+    raw.append(Counter(_windows(stream, order)))
+    for table in raw:
+        for gram in [gram for gram in table if gram[-1] == BOS]:
+            del table[gram]
 
-    adjusted: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-    adjusted[order - 1] = dict(raw[order - 1])
+    adjusted = [dict(raw[order - 1])]
     for k in range(order - 1, 0, -1):
-        table: dict[tuple[str, ...], int] = {}
-        for gram in adjusted[k]:  # distinct left extensions at order k+1
-            suffix = gram[1:]
-            table[suffix] = table.get(suffix, 0) + 1
-        for gram, count in raw[k - 1].items():
-            if gram[0] == BOS:
-                table[gram] = count  # no meaningful left extension exists
-        adjusted[k - 1] = table
+        # distinct left extensions at order k+1; no meaningful left
+        # extension exists for a gram that starts with <s>
+        table = dict(Counter(map(itemgetter(slice(1, None)), adjusted[0])))
+        table.update(raw[k - 1])
+        adjusted.insert(0, table)
     return NgramLM(order, adjusted, vocab)
 
 

@@ -87,7 +87,18 @@ def _read_lines(archive: zipfile.ZipFile, name: str) -> list[str]:
 
 
 def _read_vocab(archive: zipfile.ZipFile, name: str) -> dict[str, int]:
-    return {token: i for i, token in enumerate(_read_lines(archive, name))}
+    """Token -> line index; a token on two lines would give a shorter
+    vocabulary, every later token its neighbour's row, so it is refused."""
+    tokens = _read_lines(archive, name)
+    vocab = dict(zip(tokens, range(len(tokens))))
+    if len(vocab) != len(tokens):
+        first: dict[str, int] = {}
+        for i, token in enumerate(tokens):
+            if token in first:
+                raise ValueError(f"{name}: line {i + 1} repeats line {first[token] + 1} "
+                                 f"({token!r})")
+            first[token] = i
+    return vocab
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .tensor import (
     concat,
     crf_log_likelihood,
     dropout,
-    get_default_dtype,
     leaky_relu,
     logsumexp_rows_masked,
     matmul,
@@ -45,7 +44,6 @@ __all__ = [
     "crf_log_likelihood",
     "dropout",
     "fit",
-    "get_default_dtype",
     "glorot_uniform",
     "grad_check",
     "leaky_relu",

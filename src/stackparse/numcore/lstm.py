@@ -10,8 +10,6 @@ state, so the backward one runs on a helper thread that lives for one
 call (see `worker`) while the calling thread runs the forward one, in
 the recurrence and again in BPTT; the calling thread alone makes the tape
 node, checks finiteness and adds every gradient, forward cell first.
-`LstmCell.step` is the per-step tape formulation of the
-same cell, kept as the reference the fused op is tested against.
 
 Two cell variants are provided:
 
@@ -28,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .tensor import (Tensor, _accumulate, _check_finite, _result, _sigmoid, matmul, mul,
-                     sigmoid, tanh)
+from .tensor import Tensor, _accumulate, _check_finite, _result, _sigmoid
 from .worker import in_parallel
 
 PEEPHOLE = "peephole"
@@ -67,26 +64,6 @@ class LstmCell:
             params[f"{prefix}/p_forget"] = self.p_forget
             params[f"{prefix}/p_out"] = self.p_out
         return params
-
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        if h_prev.shape != (self.hidden_dim,) or c_prev.shape != (self.hidden_dim,):
-            raise ValueError("state dimension mismatch")
-        h = self.hidden_dim
-        pre = matmul(self.w_x, x) + matmul(self.w_h, h_prev) + self.bias
-        if self.variant == PEEPHOLE:
-            gate_in = sigmoid(pre[0:h] + mul(self.p_in, c_prev))
-            gate_forget = sigmoid(pre[h:2 * h] + mul(self.p_forget, c_prev))
-            candidate = tanh(pre[2 * h:3 * h])
-            c = mul(gate_forget, c_prev) + mul(gate_in, candidate)
-            gate_out = sigmoid(pre[3 * h:4 * h] + mul(self.p_out, c))
-        else:
-            gate_in = sigmoid(pre[0:h])
-            candidate = tanh(pre[h:2 * h])
-            c = mul(1.0 - gate_in, c_prev) + mul(gate_in, candidate)
-            gate_out = sigmoid(pre[2 * h:3 * h])
-        return mul(gate_out, tanh(c)), c
 
 
 def _gates(cell: LstmCell) -> tuple:

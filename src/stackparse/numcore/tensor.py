@@ -21,11 +21,6 @@ class NonFiniteError(FloatingPointError):
     """Raised when a tensor value or operation result is NaN or Inf."""
 
 
-def get_default_dtype():
-    """Tensors are always float64."""
-    return np.float64
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable tape construction (inference mode) in the current thread."""

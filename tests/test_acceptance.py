@@ -143,12 +143,13 @@ def _three_token_fixture():
 
 
 def test_criterion_4_gradient_checks_all_four_models():
-    assert nc.get_default_dtype() == np.float64
     treebank = _three_token_fixture()
     sentence = treebank[0]
     cfg = DESK.updated({"epochs": "1"})
 
     tagger = train_tagger(treebank, [], cfg)
+    assert {t.data.dtype for t in tagger.parameters().values()} == {np.dtype(np.float64)}
+    assert tagger.loss(sentence).data.dtype == np.float64
     err_tagger = nc.grad_check(lambda: tagger.loss(sentence), tagger.parameters(),
                                epsilon=1e-4, max_coords_per_param=5)
     assert err_tagger < 1e-4

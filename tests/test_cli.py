@@ -604,6 +604,29 @@ def test_stacked_parser_archive_is_shape_checked(workdir, capsys):
     assert err.startswith("error: stored parameter target/u_arc") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind,member", [
+    ("tagger", "words.txt"), ("tagger", "chars.txt"), ("tagger", "pretrained_vocab.txt"),
+    ("stacked-tagger", "base/words.txt"), ("stacked-parser", "target/words.txt"),
+])
+@pytest.mark.parametrize("repeat", ["insert", "replace"])
+def test_a_repeated_vocabulary_token_is_one_error_line(workdir, capsys, kind, member, repeat):
+    save_model(str(workdir / "good.model"), archive_model(kind))
+    with zipfile.ZipFile(workdir / "good.model") as archive:
+        lines = archive.read(member).decode("utf-8").split("\n")[:-1]
+    # line 1 again as line 2, either added or in place of line 2
+    lines[1:1 if repeat == "insert" else 2] = [lines[0]]
+    rewrite_members(workdir / "good.model", workdir / "bad.model",
+                    {member: "".join(f"{line}\n" for line in lines)})
+    with pytest.raises(ValueError, match=f"{member}: line 2 repeats line 1"):
+        load_model(str(workdir / "bad.model"))
+    command = "parse" if kind.endswith("parser") else "tag"
+    assert run(command, "--model", workdir / "bad.model", "--input", workdir / "tb.conllu",
+               "--out", workdir / "x.conllu") == 2
+    assert capsys.readouterr().err == (f"error: {member}: line 2 repeats line 1 "
+                                       f"({lines[0]!r})\n")
+    assert not (workdir / "x.conllu").exists()
+
+
 def test_bad_archive_paths_are_diagnostics(workdir, capsys):
     save_model(str(workdir / "good.model"), archive_model("parser"))
     data = (workdir / "good.model").read_bytes()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from stackparse.langmodel import (
     EOS,
     UNK,
     NgramLM,
+    _estimate_discounts,
     match_lexicon,
     perplexity,
     rank_by_divergence,
@@ -330,16 +332,36 @@ def test_json_bytes_match_the_list_sorting_writer_and_round_trip():
 
 
 def test_model_building_leaves_the_collector_as_it_found_it():
-    lm = train_ngram_lm(five_sentence_corpus(), order=2)
-    with pytest.raises(ValueError):
-        NgramLM.from_json("[]")
+    builds = [
+        lambda: train_ngram_lm(five_sentence_corpus(), order=2),
+        lambda: train_ngram_lm(five_sentence_corpus(), order=2).to_json(),
+        lambda: NgramLM.from_json(train_ngram_lm(five_sentence_corpus(), order=2).to_json()),
+        lambda: train_ngram_lm(five_sentence_corpus(), order=2).cond_prob(("a",), "b"),
+        lambda: sentence_logprob(train_ngram_lm(five_sentence_corpus(), order=2), ["a"]),
+    ]
     assert gc.isenabled()
-    gc.disable()
     try:
-        NgramLM.from_json(lm.to_json())
-        assert not gc.isenabled()
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(ValueError):
+                NgramLM.from_json("[]")
+            assert gc.isenabled() is enabled
+            for build in builds:
+                build()
+                assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def test_writing_a_model_builds_no_scoring_statistics():
+    lm = train_ngram_lm(five_sentence_corpus(), order=3)
+    lm.to_json()
+    lm.contexts(2)
+    assert "_context_stats" not in vars(lm)
+    lm.cond_prob(("a",), "b")
+    assert "_context_stats" in vars(lm)
+    restored = NgramLM.from_json(lm.to_json())
+    assert "_context_stats" not in vars(restored)
 
 
 def test_json_round_trip_preserves_probabilities():
@@ -348,3 +370,181 @@ def test_json_round_trip_preserves_probabilities():
     for context in [(), ("a",), (BOS, "a"), ("a", "b")]:
         for w in restored.pred_vocab:
             assert restored.cond_prob(context, w) == lm.cond_prob(context, w)
+
+
+# -- the estimator and reader against the per-gram reference ----------------------------
+
+
+def reference_tables(corpus, order):
+    """The per-position counting train_ngram_lm replaced: raw counts of
+    every n-gram at every order, then continuation counts below the top
+    order except for n-grams that start with <s>."""
+    sentences = [list(s) for s in corpus if len(s) > 0]
+    raw = [dict() for _ in range(order)]
+    for sentence in sentences:
+        padded = [BOS] * (order - 1) + sentence + [EOS]
+        for k in range(1, order + 1):
+            for i in range(len(padded) - k + 1):
+                gram = tuple(padded[i:i + k])
+                if gram[-1] != BOS:
+                    raw[k - 1][gram] = raw[k - 1].get(gram, 0) + 1
+    adjusted = [dict() for _ in range(order)]
+    adjusted[order - 1] = dict(raw[order - 1])
+    for k in range(order - 1, 0, -1):
+        table = {}
+        for gram in adjusted[k]:
+            table[gram[1:]] = table.get(gram[1:], 0) + 1
+        for gram, count in raw[k - 1].items():
+            if gram[0] == BOS:
+                table[gram] = count
+        adjusted[k - 1] = table
+    return adjusted
+
+
+def reference_discounts(table):
+    of = Counter()
+    for count in table.values():
+        if 1 <= count <= 4:
+            of[count] += 1
+    return _estimate_discounts(of)
+
+
+def reference_stats(table):
+    """context -> (count sum, n1, n2, n3+), one n-gram at a time."""
+    denom, nk = {}, {}
+    for gram, count in table.items():
+        context = gram[:-1]
+        denom[context] = denom.get(context, 0) + count
+        slot = nk.setdefault(context, [0, 0, 0])
+        slot[0 if count == 1 else 1 if count == 2 else 2] += 1
+    return denom, nk
+
+
+def reference_prob(tables, discounts, stats, vocab_size, context, word):
+    k = len(context) + 1
+    lower = (1.0 / vocab_size if k == 1
+             else reference_prob(tables, discounts, stats, vocab_size, context[1:], word))
+    denom, nk = stats[k - 1]
+    if denom.get(context, 0) == 0:
+        return lower
+    d1, d2, d3 = discounts[k - 1]
+    count = tables[k - 1].get(context + (word,), 0)
+    discounted = (0.0 if count == 0 else count - d1 if count == 1
+                  else count - d2 if count == 2 else count - d3)
+    n1, n2, n3 = nk[context]
+    gamma = (d1 * n1 + d2 * n2 + d3 * n3) / denom[context]
+    return max(discounted, 0.0) / denom[context] + gamma * lower
+
+
+# the markers as tokens, a prefix of another token, an empty token and one
+# holding the character to_json's fast sort joins on
+_LM_TOKENS = st.sampled_from(["a", "b", "ab", BOS, EOS, UNK, "", "a\x00"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_LM_TOKENS, max_size=6), min_size=1, max_size=8),
+       st.integers(1, 5), st.booleans())
+@example([[BOS]], 3, False)
+@example([["a", BOS, "b"], [BOS, BOS]], 5, False)
+@example([[EOS, "a"], ["a"]], 1, False)
+def test_estimator_equals_the_per_gram_reference(corpus, order, plain):
+    if plain:  # no token holds a NUL, so to_json takes its fast sort
+        corpus = [[t for t in s if "\x00" not in t] for s in corpus]
+    if not any(corpus):
+        with pytest.raises(ValueError):
+            train_ngram_lm(corpus, order)
+        return
+    lm = train_ngram_lm(corpus, order)
+    tables = reference_tables(corpus, order)
+    discounts = [reference_discounts(table) for table in tables]
+    assert lm.tables == tables
+    assert lm.discounts == discounts
+    text = lm.to_json()
+    assert text == json.dumps({
+        "order": order,
+        "vocab": sorted(lm.vocab),
+        "tables": [[(gram, table[gram]) for gram in sorted(table)] for table in tables],
+    }, check_circular=False)
+    stats = [reference_stats(table) for table in tables]
+    for model in (lm, NgramLM.from_json(text)):
+        assert model.tables == tables and model.discounts == discounts
+        for k in range(1, order + 1):
+            assert model.contexts(k) == set(stats[k - 1][0])
+            for context in model.contexts(k) | {("zz",) * (k - 1)}:
+                for word in model.pred_vocab:
+                    assert model._prob(context, word) == reference_prob(
+                        tables, discounts, stats, len(model.pred_vocab), context, word)
+        assert model.cond_prob(["a"] * order, "b") == reference_prob(
+            tables, discounts, stats, len(model.pred_vocab), ("a",) * (order - 1), "b")
+
+
+def reference_read(stored_tables):
+    """The per-entry reader from_json keeps for its error messages."""
+    for k, entries in enumerate(stored_tables, start=1):
+        if type(entries) is not list:
+            raise ValueError(f"order-{k} table must be a list")
+        table = {}
+        for entry in entries:
+            if type(entry) is not list or len(entry) != 2:
+                raise ValueError(f"order-{k} entry must be [n-gram, count], got {entry!r}")
+            gram, count = entry
+            if type(gram) is not list or len(gram) != k:
+                raise ValueError(f"order-{k} n-gram must be a list of {k} "
+                                 f"strings, got {gram!r}")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"count of {gram!r} must be a positive "
+                                 f"integer, got {count!r}")
+            table[tuple(gram)] = count
+        if not set(map(type, [t for gram in table for t in gram])) <= {str}:
+            raise ValueError(f"order-{k} n-grams must hold strings only")
+        if len(table) != len(entries):
+            raise ValueError(f"order-{k} table lists an n-gram twice")
+
+
+_MUTATIONS = {
+    "entry-type": lambda entry, other: "ab",
+    "entry-dict": lambda entry, other: {"a": 1},
+    "entry-long": lambda entry, other: entry + [1],
+    "entry-short": lambda entry, other: entry[:1],
+    "gram-type": lambda entry, other: ["a", entry[1]],
+    "gram-long": lambda entry, other: [entry[0] + ["a"], entry[1]],
+    "gram-short": lambda entry, other: [entry[0][:-1], entry[1]],
+    "bool-count": lambda entry, other: [entry[0], True],
+    "zero-count": lambda entry, other: [entry[0], 0],
+    "float-count": lambda entry, other: [entry[0], 1.0],
+    "int-token": lambda entry, other: [[7] + entry[0][1:], entry[1]],
+    "null-token": lambda entry, other: [entry[0][:-1] + [None], entry[1]],
+    "repeated-gram": lambda entry, other: [other[0], entry[1]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_mutated_entries_get_the_per_entry_message(order, data):
+    """One or two entries mutated, in any tables: from_json names the
+    fault the per-entry reader meets first, word for word."""
+    corpus = [["a", "b", "a"], ["b", "c"], ["c", "a", "b", "b"]]
+    payload = json.loads(train_ngram_lm(corpus, order).to_json())
+    mutated = set()
+    for _ in range(data.draw(st.integers(1, 2))):
+        k = data.draw(st.integers(1, order))
+        entries = payload["tables"][k - 1]
+        i, j = data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2,
+                                  unique=True).filter(lambda ij: not mutated & {
+                                      (k, ij[0]), (k, ij[1])}))
+        mutation = data.draw(st.sampled_from(sorted(_MUTATIONS)))
+        entries[i] = _MUTATIONS[mutation](entries[i], entries[j])
+        mutated |= {(k, i), (k, j)}
+    with pytest.raises(ValueError) as expected:
+        reference_read(payload["tables"])
+    with pytest.raises(ValueError) as got:
+        NgramLM.from_json(json.dumps(payload))
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("token", [["x"], {"x": 1}])
+def test_an_unhashable_token_is_a_value_error(token):
+    payload = json.loads(train_ngram_lm(five_sentence_corpus(), order=2).to_json())
+    payload["tables"][1][0][0][0] = token
+    with pytest.raises(ValueError, match="order-2 n-grams must hold strings only"):
+        NgramLM.from_json(json.dumps(payload))

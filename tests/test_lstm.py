@@ -23,12 +23,31 @@ def vec(*values):
     return Tensor(np.array(values, dtype=np.float64))
 
 
+def cell_step(cell, x, h_prev, c_prev):
+    """One step of `cell` as per-step tape ops on the cell's own tensors:
+    the formula the fused bi-LSTM op is tested against."""
+    h = cell.hidden_dim
+    pre = nc.matmul(cell.w_x, x) + nc.matmul(cell.w_h, h_prev) + cell.bias
+    if cell.variant == PEEPHOLE:
+        gate_in = nc.sigmoid(pre[0:h] + nc.mul(cell.p_in, c_prev))
+        gate_forget = nc.sigmoid(pre[h:2 * h] + nc.mul(cell.p_forget, c_prev))
+        candidate = nc.tanh(pre[2 * h:3 * h])
+        c = nc.mul(gate_forget, c_prev) + nc.mul(gate_in, candidate)
+        gate_out = nc.sigmoid(pre[3 * h:4 * h] + nc.mul(cell.p_out, c))
+    else:
+        gate_in = nc.sigmoid(pre[0:h])
+        candidate = nc.tanh(pre[h:2 * h])
+        c = nc.mul(1.0 - gate_in, c_prev) + nc.mul(gate_in, candidate)
+        gate_out = nc.sigmoid(pre[2 * h:3 * h])
+    return nc.mul(gate_out, nc.tanh(c)), c
+
+
 def _built_with_rng_none(kind):
     """The parameters and hidden states of a cell or model built with
     rng=None, as the archive loader builds one."""
     if kind in (PEEPHOLE, COUPLED):
         cell = LstmCell(kind, 3, 4, rng=None)
-        h, c = cell.step(vec(1.0, -2.0, 3.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+        h, c = cell_step(cell, vec(1.0, -2.0, 3.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
         return cell.parameters("cell"), [h.data, c.data]
     vocab, tags, rels = {"the": 0, "cat": 1}, ["DET", "NOUN"], ["det", "root"]
     sentence = make_sentence(["the", "cat"], tags, [2, 0], rels)
@@ -60,7 +79,7 @@ def test_coupled_large_input_bias_passes_candidate_through():
     cell.bias.data[:3] = 50.0  # input gate -> sigmoid(50) ~ 1, forget ~ 0
     x = vec(0.3, -0.7)
     c_prev = vec(5.0, -5.0, 2.0)
-    h, c = cell.step(x, Tensor(np.zeros(3)), c_prev)
+    h, c = cell_step(cell, x, Tensor(np.zeros(3)), c_prev)
     pre = cell.w_x.data @ x.data + cell.bias.data
     candidate = np.tanh(pre[3:6])
     assert np.allclose(c.data, candidate, atol=1e-12)
@@ -72,7 +91,7 @@ def test_coupled_forget_plus_input_is_exactly_one():
     x = Tensor(rng.standard_normal(3))
     h_prev = Tensor(rng.standard_normal(4) * 0.1)
     c_prev = Tensor(rng.standard_normal(4))
-    _, c = cell.step(x, h_prev, c_prev)
+    _, c = cell_step(cell, x, h_prev, c_prev)
     pre = cell.w_x.data @ x.data + cell.w_h.data @ h_prev.data + cell.bias.data
     gate_in = nc.sigmoid(Tensor(pre[:4])).data
     candidate = np.tanh(pre[4:8])
@@ -147,20 +166,20 @@ def test_cell_matches_scalar_reference(variant, reference):
     c = Tensor(np.zeros(2))
     ours = []
     for x in xs:
-        h, c = cell.step(Tensor(x), h, c)
+        h, c = cell_step(cell, Tensor(x), h, c)
         ours.append(h.data.copy())
     ref_h, ref_c = reference(cell, xs)
     for mine, theirs in zip(ours, ref_h):
         assert np.allclose(mine, theirs, atol=1e-12)
     assert np.allclose(c.data, ref_c, atol=1e-12)
+    fused = bilstm_encode([(cell, cell)], Tensor(np.stack(xs))).data[:, :2]
+    assert np.allclose(fused, np.stack(ref_h), atol=1e-12)
 
 
 def test_dimension_mismatch_raises():
     cell = LstmCell(PEEPHOLE, 3, 4, rng=nc.make_rng(0))
-    with pytest.raises(ValueError):
-        cell.step(vec(1.0, 2.0), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-    with pytest.raises(ValueError):
-        cell.step(vec(1.0, 2.0, 3.0), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+    with pytest.raises(ValueError, match="expected inputs of width 3, got 2"):
+        bilstm_encode([(cell, cell)], Tensor(np.zeros((5, 2))))
     with pytest.raises(ValueError):
         LstmCell("gru", 3, 4)
 
@@ -177,8 +196,8 @@ def test_bilstm_single_element_runs_both_directions_once():
     out = bilstm_encode([(fwd, bwd)], rows(x.data))
     assert out.shape == (1, 6)
     zeros = Tensor(np.zeros(3))
-    hf, _ = fwd.step(x, zeros, Tensor(np.zeros(3)))
-    hb, _ = bwd.step(x, zeros, Tensor(np.zeros(3)))
+    hf, _ = cell_step(fwd, x, zeros, Tensor(np.zeros(3)))
+    hb, _ = cell_step(bwd, x, zeros, Tensor(np.zeros(3)))
     assert np.allclose(out.data[0], np.concatenate([hf.data, hb.data]), atol=1e-15)
 
 
@@ -237,7 +256,7 @@ def layer_parameters(layers):
 
 
 def step_encode(layers, x):
-    """Reference: the same bi-LSTM as a loop over `LstmCell.step`."""
+    """Reference: the same bi-LSTM as a loop over `cell_step`."""
     seq = [x[t] for t in range(x.shape[0])]
     for fwd, bwd in layers:
         outputs = []
@@ -246,7 +265,7 @@ def step_encode(layers, x):
             c = Tensor(np.zeros(cell.hidden_dim))
             hs = []
             for v in order:
-                h, c = cell.step(v, h, c)
+                h, c = cell_step(cell, v, h, c)
                 hs.append(h)
             outputs.append(hs if order is seq else hs[::-1])
         seq = [nc.concat([f, b]) for f, b in zip(*outputs)]
@@ -325,7 +344,7 @@ def test_lstm_step_gradients(variant):
     w_c = Tensor(np.array([0.9, 1.1]))
 
     def loss():
-        h, c = cell.step(x, h0, c0)
+        h, c = cell_step(cell, x, h0, c0)
         return (nc.tanh(h) * w_h).sum() + (nc.tanh(c) * w_c).sum()
 
     params = dict(cell.parameters("cell"), x=x, h0=h0, c0=c0)
