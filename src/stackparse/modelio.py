@@ -9,11 +9,12 @@ atomic (temp file + rename); round trips are bit-exact.
 member, and pads the member's local header with an alignment extra field
 (as Android's zipalign does) so that its data starts on a 64-byte file
 offset.  Loading builds the model with zero arrays (`rng=None`; the
-pretrained table as zeros of its stored shape) and then points every
-stored array at its bytes in `params.bin`: a stored member at an aligned
-offset is mapped copy-on-write, so the weights are read where they lie
-in the file and a trainer that updates a loaded model writes to private
-pages, never to the file.  A mapped member's CRC is checked in two
+pretrained table as zeros of its stored shape), which are neither
+scanned nor written and so cost no pages, and then points every stored
+array at its bytes in `params.bin`: a stored member at an aligned offset
+is mapped copy-on-write, so the weights are read where they lie in the
+file and a trainer that updates a loaded model writes to private pages,
+never to the file.  A mapped member's CRC is checked in two
 halves on two threads.  Any other member (deflated, or from an archive
 saved before alignment or by another zip writer) is read once into one
 buffer through zipfile, which checks its CRC.

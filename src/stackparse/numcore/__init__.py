@@ -4,7 +4,7 @@ manifest codec and a finite-difference gradient checker."""
 
 from .gradcheck import grad_check
 from .init import glorot_uniform, make_rng, zeros
-from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode
+from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode, lstm_layer
 from .optim import AdagradState, fit
 from .serialize import manifest_arrays, manifest_layout, manifest_views
 from .tensor import (
@@ -21,6 +21,7 @@ from .tensor import (
     matmul,
     mul,
     no_grad,
+    parameter,
     reshape,
     sigmoid,
     softmax_rows_masked,
@@ -48,6 +49,7 @@ __all__ = [
     "grad_check",
     "leaky_relu",
     "logsumexp_rows_masked",
+    "lstm_layer",
     "make_rng",
     "manifest_arrays",
     "manifest_layout",
@@ -55,6 +57,7 @@ __all__ = [
     "matmul",
     "mul",
     "no_grad",
+    "parameter",
     "reshape",
     "sigmoid",
     "softmax_rows_masked",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .worker import in_parallel
+
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -23,19 +25,37 @@ def glorot_uniform(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, n) orthogonal matrix: the Q of a Gaussian matrix's QR, with
-    signs fixed so the decomposition is unique."""
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
-def orthogonal_gate_stack(rng: np.random.Generator | None, gates: int, hidden: int) -> np.ndarray:
-    """Per-gate orthogonal (H, H) blocks stacked into (gates*H, H); zeros when rng is None."""
+def orthogonal_gate_stack(rng: np.random.Generator | None, gates: int, hidden: int,
+                          pending: list | None = None) -> np.ndarray:
+    """Per-gate orthogonal (H, H) blocks stacked into (gates*H, H); zeros when
+    rng is None.  Each block is drawn Gaussian, one after another, and then
+    turned into an orthogonal one by `orthogonalize`.  Given a list
+    `pending`, the stack is returned still Gaussian and its blocks are
+    appended to the list, for the caller to orthogonalize together with
+    other stacks' blocks."""
     if rng is None:
         return zeros(gates * hidden, hidden)
-    return np.concatenate([orthogonal(rng, hidden) for _ in range(gates)], axis=0)
+    blocks = rng.standard_normal((gates, hidden, hidden))
+    if pending is None:
+        orthogonalize(list(blocks))
+    else:
+        pending.extend(blocks)
+    return blocks.reshape(gates * hidden, hidden)
+
+
+def orthogonalize(blocks: list[np.ndarray]) -> None:
+    """Replace each square block, in place, by the Q of its QR with signs
+    fixed so the decomposition is unique.  The QRs run two at a time, one
+    on a helper thread: LAPACK releases the GIL, and each block's result
+    depends on that block alone."""
+    def qr(block):
+        q, r = np.linalg.qr(block)
+        np.multiply(q, np.sign(np.diag(r)), out=block)
+
+    for k in range(0, len(blocks) - 1, 2):
+        in_parallel(lambda: qr(blocks[k]), lambda: qr(blocks[k + 1]))
+    if len(blocks) % 2:
+        qr(blocks[-1])
 
 
 def glorot_gate_stack(rng: np.random.Generator | None, gates: int, hidden: int,

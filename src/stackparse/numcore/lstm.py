@@ -9,7 +9,10 @@ GEMM or one sum each.  The two directions never read each other's
 state, so the backward one runs on a helper thread that lives for one
 call (see `worker`) while the calling thread runs the forward one, in
 the recurrence and again in BPTT; the calling thread alone makes the tape
-node, checks finiteness and adds every gradient, forward cell first.
+node, checks finiteness and adds every gradient, forward cell first.  A
+weight's first gradient of a training step is the exception: each BPTT
+writes dW_x and dW_h straight into the weight's slot of `fit`'s flat
+gradient buffer, and the calling thread binds them after the join.
 
 Two cell variants are provided:
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .tensor import Tensor, _accumulate, _check_finite, _result, _sigmoid
+from .tensor import Tensor, _accumulate, _check_finite, _grad_out, _result, _sigmoid, parameter
 from .worker import in_parallel
 
 PEEPHOLE = "peephole"
@@ -37,21 +40,22 @@ class LstmCell:
     """One direction of one recurrent layer."""
 
     def __init__(self, variant: str, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, pending: list | None = None):
+        """Draws W_x, then W_h's Gaussian blocks, from `rng`; see
+        `init.orthogonal_gate_stack` for `pending`."""
         if variant not in (PEEPHOLE, COUPLED):
             raise ValueError(f"unknown LSTM variant {variant!r}")
         self.variant = variant
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         gates = 4 if variant == PEEPHOLE else 3  # (i, f, g, o) vs (i, g, o)
-        self.w_x = Tensor(init.glorot_gate_stack(rng, gates, hidden_dim, input_dim),
-                          requires_grad=True)
-        self.w_h = Tensor(init.orthogonal_gate_stack(rng, gates, hidden_dim), requires_grad=True)
-        self.bias = Tensor(init.zeros(gates * hidden_dim), requires_grad=True)
+        self.w_x = parameter(init.glorot_gate_stack(rng, gates, hidden_dim, input_dim))
+        self.w_h = parameter(init.orthogonal_gate_stack(rng, gates, hidden_dim, pending))
+        self.bias = parameter(init.zeros(gates * hidden_dim))
         if variant == PEEPHOLE:
-            self.p_in = Tensor(init.zeros(hidden_dim), requires_grad=True)
-            self.p_forget = Tensor(init.zeros(hidden_dim), requires_grad=True)
-            self.p_out = Tensor(init.zeros(hidden_dim), requires_grad=True)
+            self.p_in = parameter(init.zeros(hidden_dim))
+            self.p_forget = parameter(init.zeros(hidden_dim))
+            self.p_out = parameter(init.zeros(hidden_dim))
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {
@@ -64,6 +68,18 @@ class LstmCell:
             params[f"{prefix}/p_forget"] = self.p_forget
             params[f"{prefix}/p_out"] = self.p_out
         return params
+
+
+def lstm_layer(variant: str, input_dim: int, hidden_dim: int,
+               rng: np.random.Generator | None = None) -> tuple[LstmCell, LstmCell]:
+    """A bi-LSTM layer's (forward, backward) cells, drawn from `rng` as two
+    `LstmCell` calls draw them, with the QRs of both cells' recurrent
+    blocks run two at a time."""
+    pending: list = []
+    cells = (LstmCell(variant, input_dim, hidden_dim, rng, pending),
+             LstmCell(variant, input_dim, hidden_dim, rng, pending))
+    init.orthogonalize(pending)
+    return cells
 
 
 def _gates(cell: LstmCell) -> tuple:
@@ -118,9 +134,10 @@ def _recur(cell: LstmCell, xs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _bptt(cell: LstmCell, xs: np.ndarray, state: tuple, d_out: np.ndarray,
-          want_dx: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
+          want_dx: bool, outs: tuple) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Back-propagation through time of `_recur`, numpy only: the gradient
-    of each of `cell.parameters()` in its order, and of `xs` if wanted."""
+    of each of `cell.parameters()` in its order, and of `xs` if wanted.
+    dW_x and dW_h are written into `outs`' arrays where they are not None."""
     pre, act, cs, hs = state
     hd = cell.hidden_dim
     gi, gf, gc, go, p_if, p_out = _gates(cell)
@@ -149,7 +166,8 @@ def _bptt(cell: LstmCell, xs: np.ndarray, state: tuple, d_out: np.ndarray,
             d[gc] = dc * a[gi] * r[gc]
             dc = dc * (1.0 - a[gi])
         dh = d @ w_h
-    grads = [d_pre.T @ xs, d_pre.T @ hs[:-1], d_pre.sum(axis=0)]
+    grads = [np.matmul(d_pre.T, xs, out=outs[0]), np.matmul(d_pre.T, hs[:-1], out=outs[1]),
+             d_pre.sum(axis=0)]
     if peephole:
         grads += [(d_pre[:, gi] * c_prev).sum(axis=0), (d_pre[:, gf] * c_prev).sum(axis=0),
                   (d_pre[:, go] * cs[1:]).sum(axis=0)]
@@ -171,15 +189,23 @@ def _layer(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor) -> Tensor
 
     def backward(grad):
         h, want_dx = forward_cell.hidden_dim, x.requires_grad
+        # A first dW_x or dW_h of the step is written into the weight's slot;
+        # a weight the two cells share, only by the forward one.
+        f_outs = (_grad_out(forward_cell.w_x), _grad_out(forward_cell.w_h))
+        b_outs = tuple(None if w is forward_cell.w_x or w is forward_cell.w_h else _grad_out(w)
+                       for w in (backward_cell.w_x, backward_cell.w_h))
         (f_grads, f_dx), (b_grads, b_dx) = in_parallel(
-            lambda: _bptt(forward_cell, xs, fwd, grad[:, :h], want_dx),
-            lambda: _bptt(backward_cell, sx, bwd, grad[::-1, h:], want_dx))
+            lambda: _bptt(forward_cell, xs, fwd, grad[:, :h], want_dx, f_outs),
+            lambda: _bptt(backward_cell, sx, bwd, grad[::-1, h:], want_dx, b_outs))
         # Added here, after the join, in a fixed order: a cell shared by both
         # directions is never written by two threads, and its sums are the
         # same on every run.
         for cell, grads in ((forward_cell, f_grads), (backward_cell, b_grads)):
             for param, g in zip(cell.parameters("").values(), grads):
-                _accumulate(param, g)
+                if g is param._grad_slot:
+                    param.grad = g
+                else:
+                    _accumulate(param, g)
         if want_dx:
             _accumulate(x, f_dx)
             _accumulate(x, b_dx[::-1])

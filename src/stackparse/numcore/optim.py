@@ -1,9 +1,18 @@
 """Adagrad with L2 regularization folded into the gradient, and the
-epoch loop every trainer runs on it."""
+epoch loop every trainer runs on it.
+
+An `AdagradState` lays its tensors out back to back in one flat buffer
+for their gradients and one for their accumulators.  `fit` makes each
+tensor's piece of the first its gradient slot, which backward writes
+(see `tensor._accumulate`), and keeps one snapshot buffer of the same
+layout, so training allocates no gradient, accumulator or snapshot per
+step or epoch.  Values stay in the tensors' own arrays: a third buffer
+would copy every weight once more and keep a mapped base model's pages
+resident next to the copy.
+"""
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Callable, Sequence
@@ -16,11 +25,33 @@ from .worker import in_parallel
 _CHUNK = 1 << 15  # elements per Adagrad pass; the two 256 KiB scratch chunks stay in cache
 
 
+class _Arena:
+    """The tensors of `params`, in their order, laid out back to back in one
+    flat buffer for gradients and one for accumulators."""
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.names = list(params)
+        self.tensors = list(params.values())
+        if len({id(t) for t in self.tensors}) < len(self.tensors):
+            raise ValueError("a tensor may appear in the parameters only once")
+        for t in self.tensors:  # so that a flat view of the values is no copy
+            if not t.data.flags.c_contiguous:
+                t.data = t.data.copy()
+        self.bounds = list(itertools.accumulate((t.data.size for t in self.tensors), initial=0))
+        self.grads = np.zeros(self.bounds[-1])
+        self.accumulators = np.zeros(self.bounds[-1])
+        self.slots = [self.piece(self.grads, k) for k in range(len(self.tensors))]
+
+    def piece(self, flat: np.ndarray, k: int) -> np.ndarray:
+        """Tensor k's part of a buffer of this layout, in the tensor's shape."""
+        return flat[self.bounds[k]:self.bounds[k + 1]].reshape(self.tensors[k].data.shape)
+
+
 class AdagradState:
     """Per-parameter squared-gradient accumulators plus hyperparameters.
 
     Accumulators are keyed by parameter name, start at zero, and never
-    decrease.
+    decrease; a name gets one at its first update.
     """
 
     def __init__(self, learning_rate: float = 0.01, epsilon: float = 1e-8,
@@ -35,17 +66,19 @@ class AdagradState:
         self.epsilon = epsilon
         self.l2_lambda = l2_lambda
         self.accumulators: dict[str, np.ndarray] = {}
-        # Two flat scratch buffers for each of the two threads of `apply`.
-        self._scratch = [(np.empty(0), np.empty(0)) for _ in range(2)]
+        self._arena: _Arena | None = None
+        # Two scratch chunks for each of the two threads of `apply`.
+        self._scratch = [(np.empty(_CHUNK), np.empty(_CHUNK)) for _ in range(2)]
 
-    def _buffers(self, thread: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The thread's two scratch arrays of `shape`, views of two flat
-        buffers that every update reuses (grown when a row is longer than
-        a chunk)."""
-        size = math.prod(shape)
-        if self._scratch[thread][0].size < size:
-            self._scratch[thread] = (np.empty(size), np.empty(size))
-        return tuple(b[:size].reshape(shape) for b in self._scratch[thread])
+    def _layout(self, params: dict[str, Tensor]) -> _Arena:
+        """The arena of the first call's `params`; later calls must pass the
+        same tensors under the same names."""
+        if self._arena is None:
+            self._arena = _Arena(params)
+        elif list(params) != self._arena.names or any(
+                t is not u for t, u in zip(params.values(), self._arena.tensors)):
+            raise ValueError("an AdagradState updates the parameters of its first call only")
+        return self._arena
 
     def apply(self, params: dict[str, Tensor]) -> None:
         """One Adagrad step, in place, for every tensor with a .grad (None
@@ -55,40 +88,48 @@ class AdagradState:
         gradient is checked before anything changes: on a non-finite one
         this raises FloatingPointError naming the first such tensor in
         `params` order, and no parameter or accumulator is touched.  A
-        tensor is updated in chunks of whole rows, so the intermediates
-        stay in cache; every element sees the operations of the formula
-        in its order, so the results are those of the whole-array
-        expression.  The chunks are split into two runs of about equal
-        size, one run on a helper thread that lives for this call, and
-        each run has its own scratch buffers; so a tensor may appear in
-        `params` once.
+        gradient that is not the tensor's slot is copied there first.  The
+        updated tensors' elements are cut into two runs of about equal
+        size, one for a helper thread that lives for this call.  Each run is
+        checked in one read, then updated in chunks through its own scratch
+        buffers, so the intermediates stay in cache; every element sees the
+        operations of the formula in its order, so the results are those
+        of the whole-array expression.
         """
-        named = [(name, t) for name, t in params.items() if t.grad is not None]
-        for name, t in named:
+        arena = self._layout(params)
+        touched = []
+        for k, t in enumerate(arena.tensors):
+            if t.grad is None:
+                continue
             if t.grad.shape != t.data.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-        if len({id(t) for _, t in named}) < len(named):
-            raise ValueError("a tensor may appear in the parameters only once")
-        runs = _split(named)
-        bad = in_parallel(lambda: _first_non_finite(named, runs[0]),
-                          lambda: _first_non_finite(named, runs[1]))
-        first = next((k for k in bad if k is not None), None)
-        if first is not None:
-            raise FloatingPointError(f"non-finite gradient for parameter {named[first][0]!r}")
-        for name, t in named:
-            if name not in self.accumulators:
-                self.accumulators[name] = np.zeros_like(t.data)
-        in_parallel(lambda: self._update_run(0, named, runs[0]),
-                    lambda: self._update_run(1, named, runs[1]))
+                raise ValueError(f"gradient shape mismatch for {arena.names[k]!r}")
+            if t.grad is not arena.slots[k]:
+                np.copyto(arena.slots[k], t.grad)
+            touched.append(k)
+        runs = _cut(arena, touched)
+        finite = in_parallel(lambda: _all_finite(arena.grads, runs[0]),
+                             lambda: _all_finite(arena.grads, runs[1]))
+        if not all(finite):
+            for k in touched:
+                if not np.isfinite(arena.slots[k]).all():
+                    raise FloatingPointError(
+                        f"non-finite gradient for parameter {arena.names[k]!r}")
+        for k in touched:
+            if arena.names[k] not in self.accumulators:
+                self.accumulators[arena.names[k]] = arena.piece(arena.accumulators, k)
+        in_parallel(lambda: self._update_run(0, arena, runs[0]),
+                    lambda: self._update_run(1, arena, runs[1]))
 
-    def _update_run(self, thread: int, named: list, run: list) -> None:
-        for k, rows in run:
-            name, t = named[k]
-            g, p, acc = np.atleast_1d(t.grad, t.data, self.accumulators[name])
-            self._update(thread, g[rows], p[rows], acc[rows])
+    def _update_run(self, thread: int, arena: _Arena, run: list) -> None:
+        step, tmp = self._scratch[thread]
+        for p, where in run:
+            g, acc = arena.grads[where], arena.accumulators[where]
+            for a in range(0, len(p), _CHUNK):
+                b = min(a + _CHUNK, len(p))
+                self._update(step[:b - a], tmp[:b - a], g[a:b], p[a:b], acc[a:b])
 
-    def _update(self, thread: int, g: np.ndarray, p: np.ndarray, acc: np.ndarray) -> None:
-        step, tmp = self._buffers(thread, p.shape)
+    def _update(self, step: np.ndarray, tmp: np.ndarray, g: np.ndarray, p: np.ndarray,
+                acc: np.ndarray) -> None:
         if self.l2_lambda:
             g = np.add(g, np.multiply(self.l2_lambda, p, out=step), out=step)
         acc += np.multiply(g, g, out=tmp)
@@ -98,28 +139,29 @@ class AdagradState:
         p -= np.divide(step, tmp, out=step)
 
 
-def _split(named: list) -> tuple[list, list]:
-    """(tensor index, row slice) chunks of every tensor in order, cut into
-    two runs of about equal element count."""
-    chunks, sizes = [], []
-    for k, (_, t) in enumerate(named):
-        p = np.atleast_1d(t.data)
-        row = math.prod(p.shape[1:])
-        rows = max(1, _CHUNK // max(1, row))
-        for lo in range(0, len(p), rows):
-            chunks.append((k, slice(lo, lo + rows)))
-            sizes.append(min(rows, len(p) - lo) * row)
-    cut = bisect.bisect_left(list(itertools.accumulate(sizes)), sum(sizes) / 2)
-    return chunks[:cut], chunks[cut:]
+def _cut(arena: _Arena, indices) -> tuple[list, list]:
+    """The elements of the tensors numbered in `indices`, in order, cut into
+    two runs of about equal size.  A run is a list of (values, where)
+    pieces: a flat view of part of a tensor's values, and the slice of the
+    flat buffers that lies over it."""
+    pieces = [(arena.tensors[k].data.reshape(-1), arena.bounds[k]) for k in indices]
+    left = sum(len(values) for values, _ in pieces) // 2
+    runs = ([], [])
+    for values, at in pieces:
+        mid = min(len(values), left)
+        left -= mid
+        for run, lo, hi in ((runs[0], 0, mid), (runs[1], mid, len(values))):
+            if hi > lo:
+                run.append((values[lo:hi], slice(at + lo, at + hi)))
+    return runs
 
 
-def _first_non_finite(named: list, run: list) -> int | None:
-    """Index in `named` of the first tensor with a non-finite gradient in
-    the chunks of `run`, or None."""
-    for k, rows in run:
-        if not np.isfinite(np.atleast_1d(named[k][1].grad)[rows]).all():
-            return k
-    return None
+def _all_finite(grads: np.ndarray, run: list) -> bool:
+    """Whether every gradient element of the run is finite, as far as one
+    read of each piece shows: a sum is finite only if every term is.  A
+    sum of finite terms may overflow, so False calls for a closer look."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(math.isfinite(np.add.reduce(grads[where])) for _, where in run)
 
 
 def fit(params: dict[str, Tensor], loss_fn: Callable[[object, np.random.Generator], Tensor],
@@ -131,24 +173,49 @@ def fit(params: dict[str, Tensor], loss_fn: Callable[[object, np.random.Generato
     the epoch's permutation.
 
     With a dev set, `dev_score(dev)` is taken after every epoch and the
-    parameters of the first epoch with the highest score are restored;
-    returns (best epoch, its score).  Without one, the last epoch's
-    parameters stay and the result is (config.epochs, None).
+    parameters of the first epoch with the highest score are kept: a
+    better epoch before the last is copied into one snapshot buffer, on
+    two threads, and copied back at the end.  Returns (best epoch, its
+    score).  Without a dev set, the last epoch's parameters stay and the
+    result is (config.epochs, None).  No gradient is left on the tensors.
     """
     optimizer = AdagradState(config.learning_rate, l2_lambda=config.l2_lambda)
-    best_score, best_epoch, best_params = -1.0, None, None
-    for epoch in range(1, config.epochs + 1):
-        for i in rng.permutation(len(train)):
-            zero_grads(params.values())
-            loss_fn(train[int(i)], rng).backward()
-            optimizer.apply(params)
-        if dev:
-            score = dev_score(dev)
-            if score > best_score:
-                best_score, best_epoch = score, epoch
-                best_params = {name: t.data.copy() for name, t in params.items()}
-    if best_params is None:
+    arena = optimizer._layout(params)
+    for t, slot in zip(arena.tensors, arena.slots):
+        t._grad_slot = slot
+    snapshot = np.empty(arena.bounds[-1]) if dev and config.epochs > 1 else None
+    best_score, best_epoch = -1.0, None
+    try:
+        for epoch in range(1, config.epochs + 1):
+            for i in rng.permutation(len(train)):
+                zero_grads(arena.tensors)
+                loss_fn(train[int(i)], rng).backward()
+                optimizer.apply(params)
+            if dev:
+                score = dev_score(dev)
+                if score > best_score:
+                    best_score, best_epoch = score, epoch
+                    if epoch < config.epochs:
+                        _copy_values(arena, snapshot, restore=False)
+    finally:
+        for t in arena.tensors:
+            t.grad = t._grad_slot = None
+    if best_epoch is None:
         return config.epochs, None
-    for name, t in params.items():
-        t.data[...] = best_params[name]
+    if best_epoch < config.epochs:
+        _copy_values(arena, snapshot, restore=True)
     return best_epoch, best_score
+
+
+def _copy_values(arena: _Arena, snapshot: np.ndarray, restore: bool) -> None:
+    """Copy every tensor's values into its piece of `snapshot`, or back from
+    it, the two halves of the elements on two threads."""
+    def copy(run):
+        for values, where in run:
+            if restore:
+                values[...] = snapshot[where]
+            else:
+                snapshot[where] = values
+
+    runs = _cut(arena, range(len(arena.tensors)))
+    in_parallel(lambda: copy(runs[0]), lambda: copy(runs[1]))

@@ -44,7 +44,7 @@ def _check_finite(arr: np.ndarray) -> None:
 class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_slot")
     # Not iterable: Python would otherwise iterate through __getitem__, one
     # tape node per row.  Index or slice explicitly.
     __iter__ = None
@@ -57,6 +57,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        # This tensor's piece of `fit`'s flat gradient buffer, or None.
+        self._grad_slot = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -127,7 +129,8 @@ class Tensor:
 
         def backward(g):
             if self.grad is None:
-                self.grad = np.zeros_like(self.data)
+                self.grad = np.empty_like(self.data) if self._grad_slot is None else self._grad_slot
+                self.grad.fill(0.0)
             parts = key if isinstance(key, tuple) else (key,)
             if any(isinstance(k, (list, np.ndarray)) for k in parts):
                 np.add.at(self.grad, key, g)
@@ -135,6 +138,17 @@ class Tensor:
                 self.grad[key] += g
 
         return _result(data, (self,), backward)
+
+
+def parameter(data: np.ndarray) -> Tensor:
+    """A trainable tensor holding `data` itself.  Unlike `Tensor()` it does
+    not scan `data` for NaN or Inf: model constructors pass initializers'
+    draws and zeros, finite by construction, and the archive loader
+    replaces them with the stored arrays before anything reads them."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad = data, None, True
+    out._parents, out._backward, out._grad_slot = (), None, None
+    return out
 
 
 def zero_grads(tensors) -> None:
@@ -147,6 +161,7 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._grad_slot = None
     track = _grad_enabled() and any(p.requires_grad for p in parents)
     out.requires_grad = track
     out._parents = parents if track else ()
@@ -155,12 +170,35 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to `t`'s gradient.  The first gradient of a step is copied
+    (callers pass one g to several parents), into `t`'s slot when it has one."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # a copy: callers pass one g to several parents
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t._grad_slot is not None:
+        t.grad = t._grad_slot
+        np.copyto(t.grad, g)
+    else:
+        t.grad = np.array(g, dtype=np.float64)
+
+
+def _grad_out(t: Tensor) -> np.ndarray | None:
+    """Where an op may write `t`'s gradient itself (`out=`): `t`'s slot when
+    the gradient is `t`'s first of the step, else None.  The op then binds
+    `t.grad` to the slot, on the calling thread."""
+    if t.requires_grad and t.grad is None:
+        return t._grad_slot
+    return None
+
+
+def _accumulate_product(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
+    """Add x @ y to `t`'s gradient; a first product goes straight into `t`'s slot."""
+    out = _grad_out(t)
+    if out is None:
+        _accumulate(t, x @ y)
+    else:
+        t.grad = np.matmul(x, y, out=out)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -209,8 +247,8 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if ad.ndim == 2 and bd.ndim == 2:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
+            _accumulate_product(a, g, bd.T)
+            _accumulate_product(b, ad.T, g)
         elif ad.ndim == 2 and bd.ndim == 1:
             _accumulate(a, np.outer(g, bd))
             _accumulate(b, ad.T @ g)

@@ -1,6 +1,6 @@
 """Pairs of independent numpy jobs on two cores.
 
-numpy releases the GIL inside BLAS calls and inside ufunc loops, and
+numpy releases the GIL inside BLAS and LAPACK calls and in ufunc loops, and
 `zlib.crc32` inside its loop over a large buffer, so two such jobs that
 touch disjoint memory run on two cores.  `in_parallel` starts one thread
 for its call and joins it before it returns, so numcore keeps no thread

@@ -67,21 +67,18 @@ def build_layers(model, rels: Sequence[str], tags: Sequence[str],
     model.d_arc, model.d_rel, model.dropout = d_arc, d_rel, dropout
     model.best_epoch = model.dev_uas = None
     # Reserved rows: unk = v, root = v + 1 (tags: unk = t, root = t + 1).
-    model.word_table = nc.Tensor(nc.zeros(len(word_vocab) + 2, word_dim), requires_grad=True)
-    model.tag_table = nc.Tensor(nc.glorot_uniform(rng, len(model.tags) + 2, tag_dim),
-                                requires_grad=True)
+    model.word_table = nc.parameter(nc.zeros(len(word_vocab) + 2, word_dim))
+    model.tag_table = nc.parameter(nc.glorot_uniform(rng, len(model.tags) + 2, tag_dim))
     model.input_dim = model.pretrained.dim + word_dim + tag_dim + extra_input_dim
     model.lstm_layers = []
     for layer in range(layers):
         dim = model.input_dim if layer == 0 else 2 * hidden
-        model.lstm_layers.append((nc.LstmCell(nc.COUPLED, dim, hidden, rng),
-                                  nc.LstmCell(nc.COUPLED, dim, hidden, rng)))
+        model.lstm_layers.append(nc.lstm_layer(nc.COUPLED, dim, hidden, rng))
     model.mlp = {}
     for name in _MLP_HEADS:
         out_dim = d_arc if name.startswith("arc") else d_rel
-        model.mlp[name] = (nc.Tensor(nc.glorot_uniform(rng, out_dim, 2 * hidden),
-                                     requires_grad=True),
-                           nc.Tensor(nc.zeros(out_dim), requires_grad=True))
+        model.mlp[name] = (nc.parameter(nc.glorot_uniform(rng, out_dim, 2 * hidden)),
+                           nc.parameter(nc.zeros(out_dim)))
 
 
 class ParserModel:
@@ -94,9 +91,8 @@ class ParserModel:
                  rng: np.random.Generator | None = None):
         build_layers(self, rels, tags, word_vocab, pretrained, word_dim, tag_dim,
                      hidden, layers, d_arc, d_rel, dropout, extra_input_dim=0, rng=rng)
-        self.u_arc = nc.Tensor(nc.glorot_uniform(rng, d_arc + 1, d_arc), requires_grad=True)
-        self.u_rel = nc.Tensor(nc.glorot_uniform(rng, len(self.rels), d_rel + 1, d_rel + 1),
-                               requires_grad=True)
+        self.u_arc = nc.parameter(nc.glorot_uniform(rng, d_arc + 1, d_arc))
+        self.u_rel = nc.parameter(nc.glorot_uniform(rng, len(self.rels), d_rel + 1, d_rel + 1))
 
     # -- parameter bookkeeping -------------------------------------------------
 

@@ -71,22 +71,19 @@ class TaggerModel:
         input_dim = (2 * window + 1) * self.per_token_dim
 
         # Trainable word table starts at zero next to the frozen pretrained part.
-        self.word_table = nc.Tensor(nc.zeros(len(word_vocab) + 1, word_dim), requires_grad=True)
-        self.char_table = nc.Tensor(nc.glorot_uniform(rng, len(char_vocab) + 1, char_dim),
-                                    requires_grad=True)
-        self.att_proj = nc.Tensor(nc.glorot_uniform(rng, att_dim, char_dim), requires_grad=True)
-        self.att_bias = nc.Tensor(nc.zeros(att_dim), requires_grad=True)
-        self.att_query = nc.Tensor(nc.glorot_uniform(rng, att_dim, 1).reshape(att_dim),
-                                   requires_grad=True)
-        self.pad_vec = nc.Tensor(nc.zeros(self.per_token_dim), requires_grad=True)
+        self.word_table = nc.parameter(nc.zeros(len(word_vocab) + 1, word_dim))
+        self.char_table = nc.parameter(nc.glorot_uniform(rng, len(char_vocab) + 1, char_dim))
+        self.att_proj = nc.parameter(nc.glorot_uniform(rng, att_dim, char_dim))
+        self.att_bias = nc.parameter(nc.zeros(att_dim))
+        self.att_query = nc.parameter(nc.glorot_uniform(rng, att_dim, 1).reshape(att_dim))
+        self.pad_vec = nc.parameter(nc.zeros(self.per_token_dim))
         self.lstm_layers: list[tuple[nc.LstmCell, nc.LstmCell]] = []
         for layer in range(layers):
             dim = input_dim if layer == 0 else 2 * hidden
-            self.lstm_layers.append((nc.LstmCell(nc.PEEPHOLE, dim, hidden, rng),
-                                     nc.LstmCell(nc.PEEPHOLE, dim, hidden, rng)))
-        self.emission_w = nc.Tensor(nc.glorot_uniform(rng, k, 2 * hidden), requires_grad=True)
-        self.emission_b = nc.Tensor(nc.zeros(k), requires_grad=True)
-        self.transitions = nc.Tensor(nc.zeros(k + 2, k + 2), requires_grad=True)
+            self.lstm_layers.append(nc.lstm_layer(nc.PEEPHOLE, dim, hidden, rng))
+        self.emission_w = nc.parameter(nc.glorot_uniform(rng, k, 2 * hidden))
+        self.emission_b = nc.parameter(nc.zeros(k))
+        self.transitions = nc.parameter(nc.zeros(k + 2, k + 2))
 
     # -- parameter bookkeeping ------------------------------------------------
 

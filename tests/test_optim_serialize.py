@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stackparse import numcore as nc
 from stackparse.numcore import (
     AdagradState,
     Tensor,
@@ -12,6 +16,7 @@ from stackparse.numcore import (
     manifest_layout,
     manifest_views,
 )
+from stackparse.numcore.init import orthogonal_gate_stack
 
 
 def step(state, param: Tensor, grad) -> None:
@@ -229,6 +234,187 @@ def test_fit_hands_its_own_generator_to_the_loss():
     rng = np.random.default_rng(3)
     fit({"p": param}, loss, [1.0, 2.0], [], None, _FitConfig, rng)
     assert len(given) == 2 * _FitConfig.epochs and all(g is rng for g in given)
+
+
+def test_fit_keeps_the_last_epoch_without_a_restore():
+    """Rising scores: the last epoch is the best, and its parameters stay
+    as they are; nothing is written back into them after it."""
+    class Watched(np.ndarray):
+        writes = 0
+
+        def __setitem__(self, key, value):
+            Watched.writes += 1
+            super().__setitem__(key, value)
+
+    param = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+    param.data = param.data.view(Watched)
+    after_epoch = []
+
+    def dev_score(dev):
+        after_epoch.append(param.data.copy())
+        return float(len(after_epoch))
+
+    best = fit({"p": param}, _square_loss(param), [1.0, 2.0], ["dev"], dev_score,
+               _FitConfig, np.random.default_rng(0))
+    assert best == (3, 3.0)
+    assert Watched.writes == 0
+    assert param.data.tobytes() == after_epoch[-1].tobytes()
+
+
+def test_fit_holds_one_snapshot():
+    """Between an epoch's dev score and the next step, taking a snapshot of
+    a better epoch allocates nothing: the one snapshot buffer exists
+    before training starts, and a second one never does."""
+    nbytes = 8 << 20
+    param = Tensor(np.zeros(nbytes // 8), requires_grad=True)
+    at_dev, peak_after = [], []
+
+    def loss(target, rng):
+        if len(at_dev) > len(peak_after):
+            peak_after.append(tracemalloc.get_traced_memory()[1])
+        return _square_loss(param)(target, rng)
+
+    def dev_score(dev):
+        at_dev.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return float(len(at_dev))  # every epoch is better than the last
+
+    tracemalloc.start()
+    try:
+        fit({"p": param}, loss, [1.0, 2.0], ["dev"], dev_score, _FitConfig,
+            np.random.default_rng(0))
+    finally:
+        tracemalloc.stop()
+    assert len(peak_after) == _FitConfig.epochs - 1
+    assert all(peak - current < nbytes // 2 for current, peak in zip(at_dev, peak_after))
+
+
+def test_fit_leaves_an_untouched_tensor_alone_under_l2():
+    """A tensor the loss never reads gets no gradient (.grad stays None
+    after backward) and no update, although L2 would move it."""
+    used = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    unused = Tensor(np.array([3.0, -4.0]), requires_grad=True)
+    before = unused.data.copy()
+    grads = []
+
+    def dev_score(dev):  # runs after the epoch's last backward and update
+        grads.append((used.grad is not None, unused.grad is None))
+        return 1.0
+
+    class WithL2(_FitConfig):
+        l2_lambda = 0.5
+
+    fit({"used": used, "unused": unused}, _square_loss(used), [1.0, 2.0], ["dev"], dev_score,
+        WithL2, np.random.default_rng(0))
+    assert grads == [(True, True)] * WithL2.epochs
+    assert unused.data.tobytes() == before.tobytes()
+    assert used.grad is None and unused.grad is None  # fit leaves no gradient behind
+
+
+def test_fit_non_finite_gradient_late_in_the_buffer_changes_nothing():
+    """Two overflowing gradients among the last tensors, in the second
+    thread's half: the first in `params` order is named, and no parameter
+    moves."""
+    big = Tensor(np.linspace(-1.0, 1.0, 1000), requires_grad=True)
+    tiny, huge = np.array([[1e-300]]), np.array([[1e300]])
+    params = {"big": big, "c": Tensor(huge, requires_grad=True),
+              "a2": Tensor(tiny, requires_grad=True), "b": Tensor(huge, requires_grad=True),
+              "a1": Tensor(tiny, requires_grad=True)}
+    before = {k: t.data.copy() for k, t in params.items()}
+
+    def loss(target, rng):
+        # Forward (a @ b) @ c = 1e300 is finite; d/da = c b = inf.
+        overflow = [nc.matmul(nc.matmul(params[a], params["b"]), params["c"]).sum()
+                    for a in ("a1", "a2")]
+        return _square_loss(big)(target, rng) + overflow[0] + overflow[1]
+
+    with pytest.raises(FloatingPointError, match="'a2'"), np.errstate(over="ignore"):
+        fit(params, loss, [0.5], [], None, _FitConfig, np.random.default_rng(0))
+    assert all(t.data.tobytes() == before[k].tobytes() for k, t in params.items())
+    assert all(t.grad is None for t in params.values())
+
+
+def _small_model(rng, shared):
+    """An embedding table, a bi-LSTM layer and an output matrix: gradients
+    through row gathers, BPTT and a matmul's weight operand.  A shared
+    layer runs one cell in both directions."""
+    table = nc.parameter(nc.glorot_uniform(rng, 5, 3))
+    if shared:
+        forward_cell = backward_cell = nc.LstmCell(nc.PEEPHOLE, 3, 4, rng)
+    else:
+        forward_cell, backward_cell = nc.lstm_layer(nc.COUPLED, 3, 4, rng)
+    out = nc.parameter(nc.glorot_uniform(rng, 8, 2))
+    cells = {"f": forward_cell} if shared else {"f": forward_cell, "b": backward_cell}
+    params = {"table": table, "out": out}
+    for prefix, cell in cells.items():
+        params.update(cell.parameters(prefix))
+
+    def loss(rows, rng):
+        hidden = nc.dropout(nc.bilstm_encode([(forward_cell, backward_cell)], table[rows]), 0.2,
+                            rng)
+        return nc.tanh(nc.matmul(hidden, out)).sum()
+
+    return params, loss
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_fit_steps_equal_the_whole_array_adagrad_loop(shared):
+    """Gradients written into the flat buffer, and the update over it, give
+    the parameters of the plain loop: zeroed grads, backward, and the
+    whole-array Adagrad expression on each tensor with a gradient."""
+    train = [[0, 3, 3, 1], [2, 4], [1, 1, 0]]
+
+    class Config(_FitConfig):
+        learning_rate, l2_lambda = 0.05, 1e-3
+
+    params, loss = _small_model(np.random.default_rng(11), shared)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a write race would show
+    try:
+        fit(params, loss, train, [], None, Config, np.random.default_rng(12))
+    finally:
+        sys.setswitchinterval(interval)
+
+    expected, reference_loss = _small_model(np.random.default_rng(11), shared)
+    acc = {k: np.zeros_like(t.data) for k, t in expected.items()}
+    rng = np.random.default_rng(12)
+    for _ in range(Config.epochs):
+        for i in rng.permutation(len(train)):
+            nc.zero_grads(expected.values())
+            reference_loss(train[int(i)], rng).backward()
+            for k, t in expected.items():
+                g = t.grad + Config.l2_lambda * t.data
+                acc[k] += g * g
+                t.data -= Config.learning_rate * g / (np.sqrt(acc[k]) + 1e-8)
+    for k, t in params.items():
+        assert t.data.tobytes() == expected[k].data.tobytes(), k
+
+
+@pytest.mark.parametrize("gates,hidden", [(3, 5), (4, 6), (1, 4)])
+def test_orthogonal_gate_stack_equals_one_qr_after_another(gates, hidden):
+    """Blocks drawn at once and orthogonalized in pairs equal a draw and
+    a QR per gate, in order, bit for bit, and the generator ends in the
+    same state."""
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    stack = orthogonal_gate_stack(rng, gates, hidden)
+    blocks = []
+    for _ in range(gates):
+        q, r = np.linalg.qr(reference.standard_normal((hidden, hidden)))
+        blocks.append(q * np.sign(np.diag(r)))
+    assert stack.tobytes() == np.concatenate(blocks, axis=0).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert np.allclose(stack[:hidden] @ stack[:hidden].T, np.eye(hidden))
+
+
+@pytest.mark.parametrize("variant", [nc.COUPLED, nc.PEEPHOLE])
+def test_lstm_layer_draws_as_two_cells_do(variant):
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    layer = nc.lstm_layer(variant, 3, 5, rng)
+    cells = (nc.LstmCell(variant, 3, 5, reference), nc.LstmCell(variant, 3, 5, reference))
+    for cell, expected in zip(layer, cells):
+        for (name, t), u in zip(cell.parameters("").items(), expected.parameters("").values()):
+            assert t.data.tobytes() == u.data.tobytes(), name
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_grad_check_quadratic_is_near_exact():
