@@ -301,16 +301,17 @@ def build_argument_parser() -> argparse.ArgumentParser:
     root = _ArgumentParser(prog="stackparse", description=__doc__.splitlines()[0])
     sub = root.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, configured=True, **kwargs):
+    def add(name, fn, configured=True, seeded=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if configured:  # the command reads a RunConfig
             p.add_argument("--config", help="key = value configuration file")
+        if seeded:  # and draws from its seed
             p.add_argument("--seed", type=int, default=None)
         return p
 
     for command, (_, base_class, _, _, help_text) in _TRAIN_COMMANDS.items():
-        p = add(command, _cmd_train, help=help_text)
+        p = add(command, _cmd_train, seeded=True, help=help_text)
         if base_class is not None:
             p.add_argument("--base-model", required=True, dest="base_model")
         p.add_argument("--train", required=True)
@@ -342,14 +343,15 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("jackknife", _cmd_jackknife,
+    p = add("jackknife", _cmd_jackknife, seeded=True,
             help="k-fold jackknifed tags for a treebank")
     p.add_argument("--train", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--out", required=True)
 
-    p = add("crossfold", _cmd_crossfold, help="k-fold cross validation of the parser")
+    p = add("crossfold", _cmd_crossfold, seeded=True,
+            help="k-fold cross validation of the parser")
     p.add_argument("--treebank", required=True)
     p.add_argument("--folds", type=int, default=None)
     p.add_argument("--embeddings", default=None)

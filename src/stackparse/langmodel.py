@@ -13,10 +13,11 @@ unigram mass reaches an explicit unknown type through the uniform
 1/|V| floor, where V is the prediction vocabulary (trained types plus
 the end marker and the unknown type).  Logs are base 10 throughout.
 
-Each command computes only what its output reads: training counts only
-the n-grams the estimator uses, and the per-context statistics that
-scoring needs are built on the first score, so a model that is only
-written never builds them.
+A model and its file hold only the raw counts the estimator starts
+from.  Each command computes only what its output reads: training
+counts, and the adjusted tables, discounts and per-context statistics
+that scoring needs are derived on the first score, so a model that is
+only written never builds them.
 """
 
 from __future__ import annotations
@@ -77,21 +78,37 @@ def _estimate_discounts(of: Counter) -> tuple[float, float, float]:
 class NgramLM:
     """Trained model; immutable once built, scoring is read-only.
 
-    The tables, vocabularies and discounts are built with the model.  The
-    per-context statistics that scoring reads are built on the first
-    score and never change after, so every value a caller can read is
-    fixed once the model is built.
+    `counts[k-1]` holds the raw counts of order k: every n-gram at the
+    top order, only those that start with <s> below it.  The tables and
+    discounts derived from them, and the per-context statistics that
+    scoring reads, are built on first use and never change after, so
+    every value a caller can read is fixed once the model is built.
     """
 
-    def __init__(self, order: int, tables: list[dict[tuple[str, ...], int]],
+    def __init__(self, order: int, counts: list[dict[tuple[str, ...], int]],
                  vocab: set[str]):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self.tables = tables  # tables[k-1]: adjusted counts for order k
+        self.counts = counts
         self.vocab = set(vocab)
         self.pred_vocab = sorted(self.vocab | {EOS, UNK})
-        self.discounts = [_estimate_discounts(Counter(table.values())) for table in tables]
+
+    @functools.cached_property
+    @_gc_paused()
+    def tables(self) -> list[dict[tuple[str, ...], int]]:
+        """tables[k-1]: order k's adjusted counts: raw at the top order, below
+        it distinct left extensions, except for the <s>-initial raw counts."""
+        tables = [self.counts[-1]]
+        for k in range(self.order - 1, 0, -1):
+            table = dict(Counter(map(itemgetter(slice(1, None)), tables[0])))
+            table.update(self.counts[k - 1])
+            tables.insert(0, table)
+        return tables
+
+    @functools.cached_property
+    def discounts(self) -> list[tuple[float, float, float]]:
+        return [_estimate_discounts(Counter(table.values())) for table in self.tables]
 
     @functools.cached_property
     @_gc_paused()
@@ -154,16 +171,16 @@ class NgramLM:
 
     @_gc_paused()
     def to_json(self) -> str:
-        """Each table is sorted by n-gram, so one model always gives the
-        same text.  Gram tuples encode as JSON arrays, and the payload,
-        built here, holds no cycle for the encoder to check for."""
-        tables = []
-        for table in self.tables:
+        """The raw counts, each table sorted by n-gram, so one model always
+        gives the same text.  Gram tuples encode as JSON arrays, and the
+        payload, built here, holds no cycle for the encoder to check for."""
+        counts = []
+        for table in self.counts:
             if "\x00" in "".join(chain.from_iterable(table)):
-                tables.append(sorted(table.items()))
+                counts.append(sorted(table.items()))
             else:  # joined by a character no token holds, grams sort as their tuples do
-                tables.append(sorted(table.items(), key=lambda item: "\x00".join(item[0])))
-        payload = {"order": self.order, "vocab": sorted(self.vocab), "tables": tables}
+                counts.append(sorted(table.items(), key=lambda item: "\x00".join(item[0])))
+        payload = {"order": self.order, "vocab": sorted(self.vocab), "counts": counts}
         return json.dumps(payload, check_circular=False)
 
     @classmethod
@@ -174,7 +191,10 @@ class NgramLM:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object")
-        order, vocab, stored = payload.get("order"), payload.get("vocab"), payload.get("tables")
+        if "tables" in payload and "counts" not in payload:
+            raise ValueError("it holds the adjusted tables of an older lm-train; "
+                             "run lm-train again to rewrite it")
+        order, vocab, stored = payload.get("order"), payload.get("vocab"), payload.get("counts")
         if type(order) is not int or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if type(vocab) is not list or not all(type(word) is str for word in vocab):
@@ -182,8 +202,13 @@ class NgramLM:
         if type(stored) is not list or len(stored) != order:
             got = len(stored) if type(stored) is list else repr(stored)
             raise ValueError(f"expected {order} n-gram tables, got {got}")
-        tables = [_read_table(k, entries) for k, entries in enumerate(stored, start=1)]
-        return cls(order, tables, set(vocab))
+        counts = [_read_table(k, entries) for k, entries in enumerate(stored, start=1)]
+        for k, table in enumerate(counts, start=1):  # what train_ngram_lm counts
+            wrong = (g for g in table if g[-1] == BOS or (k < order and g[0] != BOS))
+            if (gram := next(wrong, None)) is not None:
+                fault = "ends with" if gram[-1] == BOS else "does not start with"
+                raise ValueError(f"order-{k} n-gram {list(gram)!r} {fault} {BOS}")
+        return cls(order, counts, set(vocab))
 
 
 def _read_table(k: int, entries) -> dict[tuple[str, ...], int]:
@@ -238,7 +263,7 @@ def _windows(stream: list[str], k: int) -> Iterable[tuple[str, ...]]:
 
 @_gc_paused()
 def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5) -> NgramLM:
-    """Estimate a modified-KN model from pre-tokenized sentences."""
+    """Count a modified-KN model's raw n-grams in pre-tokenized sentences."""
     if order < 1:
         raise ValueError("order must be >= 1")
     sentences = [list(s) for s in corpus if len(s) > 0]
@@ -252,23 +277,16 @@ def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5) -> NgramLM:
     # only, never predicted.
     pad = [BOS] * (order - 1)
     stream = list(chain.from_iterable(chain(pad, s, (EOS,)) for s in sentences))
-    # Raw counts: every top-order n-gram; below it only the n-grams that
-    # start with <s>, the only lower-order raw counts the estimator reads.
+    # Every top-order n-gram; below it only the n-grams that start with
+    # <s>, the only lower-order raw counts the estimator reads, counted
+    # here: a literal <s> token would make the top order's prefixes differ.
     raw = [Counter(compress(_windows(stream, k), map(eq, stream, repeat(BOS))))
            for k in range(1, order)]
     raw.append(Counter(_windows(stream, order)))
     for table in raw:
         for gram in [gram for gram in table if gram[-1] == BOS]:
             del table[gram]
-
-    adjusted = [dict(raw[order - 1])]
-    for k in range(order - 1, 0, -1):
-        # distinct left extensions at order k+1; no meaningful left
-        # extension exists for a gram that starts with <s>
-        table = dict(Counter(map(itemgetter(slice(1, None)), adjusted[0])))
-        table.update(raw[k - 1])
-        adjusted.insert(0, table)
-    return NgramLM(order, adjusted, vocab)
+    return NgramLM(order, raw, vocab)
 
 
 def sentence_logprob(lm: NgramLM, tokens: Sequence[str]) -> float:

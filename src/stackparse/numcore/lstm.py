@@ -183,8 +183,8 @@ def _layer(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor) -> Tensor
             raise ValueError(f"expected inputs of width {cell.input_dim}, got {x.shape[1]}")
     xs, sx = x.data, x.data[::-1]
     fwd, bwd = in_parallel(lambda: _recur(forward_cell, xs), lambda: _recur(backward_cell, sx))
-    _check_finite(fwd[0])
-    _check_finite(bwd[0])
+    _check_finite(fwd[0], "bilstm_encode", (x,))
+    _check_finite(bwd[0], "bilstm_encode", (x,))
     out = np.concatenate([fwd[3][1:], bwd[3][:0:-1]], axis=1)
 
     def backward(grad):

@@ -170,7 +170,7 @@ def fit(params: dict[str, Tensor], loss_fn: Callable[[object, np.random.Generato
     """Adagrad over `config.epochs` passes of `train`, each in the order of
     one `rng.permutation`, one update per example.  `loss_fn(example, rng)`
     gets this same generator, so its dropout masks are drawn from it after
-    the epoch's permutation.
+    the epoch's permutation.  A numerical failure names the epoch and example.
 
     With a dev set, `dev_score(dev)` is taken after every epoch and the
     parameters of the first epoch with the highest score are kept: a
@@ -189,8 +189,11 @@ def fit(params: dict[str, Tensor], loss_fn: Callable[[object, np.random.Generato
         for epoch in range(1, config.epochs + 1):
             for i in rng.permutation(len(train)):
                 zero_grads(arena.tensors)
-                loss_fn(train[int(i)], rng).backward()
-                optimizer.apply(params)
+                try:
+                    loss_fn(train[int(i)], rng).backward()
+                    optimizer.apply(params)
+                except FloatingPointError as exc:  # NonFiniteError, a non-finite gradient
+                    raise type(exc)(f"epoch {epoch}, training example {i}: {exc}") from exc
             if dev:
                 score = dev_score(dev)
                 if score > best_score:

@@ -36,9 +36,13 @@ def _grad_enabled() -> bool:
     return getattr(_TAPE_STATE, "grad_enabled", True)
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, op, inputs: tuple) -> None:
+    """Raise NonFiniteError if `arr` holds NaN or Inf, naming the op (`op`, or the
+    function that defines the backward closure `op`) and its inputs' shapes."""
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("operation produced NaN or Inf values")
+        op = op if isinstance(op, str) else op.__qualname__.partition(".<locals>")[0]
+        shapes = ", ".join(str(t.shape) for t in inputs)
+        raise NonFiniteError(f"{op} produced NaN or Inf values (input shapes {shapes})")
 
 
 class Tensor:
@@ -51,7 +55,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr)
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"an input of shape {arr.shape} holds NaN or Inf values")
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -157,7 +162,7 @@ def zero_grads(tensors) -> None:
 
 
 def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    _check_finite(data)
+    _check_finite(data, backward, parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None

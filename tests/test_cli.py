@@ -776,20 +776,65 @@ def test_lm_train_rank_and_lexicon_match(workdir, capsys):
     assert hits[1].startswith("kiasu,wah lao\t")
 
 
+SELECT_WORDS = ["lah", "makan", "kiasu", "wah", "lao", "the", "cat", "sat", "naïve",
+                "n3'er", '"', "<s>", "</s>", "<unk>", "shiok", "can", "one", "diam"]
+
+
+def test_select_outputs_are_pinned(workdir):
+    """lm-train, lm-rank --lexicon and lexicon-match on fixed inputs, the
+    corpus holding literal markers, give these bytes whatever the LM file
+    holds."""
+    words = SELECT_WORDS
+    corpus = [[words[(i * 7 + j * j * 3) % len(words)] for j in range(1 + i % 9)]
+              for i in range(60)]
+    candidates = [[words[(i * 5 + j * 11) % len(words)] if (i + j) % 7 else f"new{j}"
+                   for j in range(2 + i % 12)] for i in range(30)]
+    (workdir / "corpus.txt").write_text("".join(" ".join(s) + "\n" for s in corpus),
+                                        encoding="utf-8")
+    (workdir / "cands.txt").write_text("".join(" ".join(s) + "\n" for s in candidates),
+                                       encoding="utf-8")
+    (workdir / "lex.txt").write_text("kiasu\nWah lao\nnaïve cat\n<s>\n", encoding="utf-8")
+    assert run("lm-train", "--corpus", workdir / "corpus.txt", "--order", 4,
+               "--out", workdir / "lm.json") == 0
+    assert run("lm-rank", "--lm", workdir / "lm.json", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt", "--min-len", 3, "--max-len", 11,
+               "--out", workdir / "ranked.tsv") == 0
+    assert run("lexicon-match", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt", "--out", workdir / "hits.tsv") == 0
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+               for name in ("ranked.tsv", "hits.tsv")}
+    assert digests == {
+        "ranked.tsv": "646054f947ba8589f2054becfbc1d7d89b0dfd97cb6d4f17dd1f620cc5156bcb",
+        "hits.tsv": "3c71a7ef05e2a498d3d5ce3e53f113b0d1ed6894c2136c4b3cf740e6114089f3",
+    }
+
+
 def _two_tables(payload):
-    payload["tables"] = payload["tables"][:2]
+    payload["counts"] = payload["counts"][:2]
 
 
 def _unigram_as_string(payload):
-    payload["tables"][0][0][0] = "ab"
+    payload["counts"][0].append(["ab", 1])  # order 3 stores no unigram
 
 
 def _negative_count(payload):
-    payload["tables"][1][0][1] = -3
+    payload["counts"][1][0][1] = -3
 
 
 def _repeated_bigram(payload):
-    payload["tables"][1].append(payload["tables"][1][0])
+    payload["counts"][1].append(payload["counts"][1][0])
+
+
+def _bigram_without_bos(payload):
+    payload["counts"][1].append([["cat", "sat"], 5])
+
+
+def _trigram_ending_in_bos(payload):
+    payload["counts"][2].append([["cat", "sat", "<s>"], 1])
+
+
+def _older_adjusted_tables(payload):
+    return {"order": payload["order"], "vocab": payload["vocab"], "tables": payload["counts"]}
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -800,8 +845,13 @@ def _repeated_bigram(payload):
     (lambda payload: {**payload, "order": True}, "order must be an integer >= 1"),
     (lambda payload: {**payload, "vocab": [["the"]]}, "vocab must be a list of strings"),
     (_repeated_bigram, "order-2 table lists an n-gram twice"),
+    (_bigram_without_bos, "order-2 n-gram ['cat', 'sat'] does not start with <s>"),
+    (_trigram_ending_in_bos, "order-3 n-gram ['cat', 'sat', '<s>'] ends with <s>"),
+    (_older_adjusted_tables, "it holds the adjusted tables of an older lm-train; "
+                             "run lm-train again to rewrite it"),
 ], ids=["too-few-tables", "top-level-list", "unigram-string", "negative-count",
-        "bool-order", "nested-vocab", "repeated-bigram"])
+        "bool-order", "nested-vocab", "repeated-bigram", "bigram-without-bos",
+        "trigram-ending-in-bos", "older-adjusted-tables"])
 def test_malformed_lm_file_is_one_error_line(workdir, capsys, corrupt, message):
     corpus = workdir / "corpus.txt"
     corpus.write_text("the cat sat here today\n" * 5, encoding="utf-8")
@@ -852,13 +902,15 @@ def test_bad_flag_values_are_checked_like_config_values(workdir, capsys, command
 def test_unparseable_flag_values_give_one_error_line(workdir, capsys, flags, message):
     corpus = workdir / "corpus.txt"
     corpus.write_text("the cat sat here today\n", encoding="utf-8")
+    command = {"--order": ["lm-train", "--corpus", corpus],  # a command that reads the flag
+               "--seed": ["train-tagger", "--train", workdir / "tb.conllu"]}[flags[0]]
     with pytest.raises(SystemExit) as exit_info:
-        run("lm-train", "--corpus", corpus, "--out", workdir / "lm.json", *flags)
+        run(*command, "--out", workdir / "out", *flags)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
-    assert not (workdir / "lm.json").exists()
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -866,8 +918,12 @@ def test_unparseable_flag_values_give_one_error_line(workdir, capsys, flags, mes
     ["iaa", "--a", "{w}/tb.conllu", "--b", "{w}/tb.conllu"],
     ["lexicon-match", "--input", "{w}/tb.conllu", "--lexicon", "{w}/tb.conllu"],
     ["validate", "--input", "{w}/tb.conllu"],
+    ["parse", "--model", "{w}/p.model", "--input", "{w}/tb.conllu", "--out", "{w}/x.conllu"],
+    ["eval", "--gold", "{w}/tb.conllu", "--pred", "{w}/tb.conllu"],
+    ["lm-train", "--corpus", "{w}/tb.conllu", "--out", "{w}/lm.json"],
+    ["lm-rank", "--lm", "{w}/lm.json", "--input", "{w}/tb.conllu", "--out", "{w}/r.tsv"],
 ], ids=lambda argv: argv[0])
-def test_commands_that_read_no_config_take_no_seed(workdir, capsys, argv):
+def test_commands_that_draw_nothing_take_no_seed(workdir, capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         run(*[a.format(w=workdir) for a in argv], "--seed", 1)
     assert exit_info.value.code == 2
@@ -923,7 +979,8 @@ def test_numerical_failure_in_training_is_a_diagnostic(workdir, capsys, monkeypa
     assert run("train-tagger", "--train", workdir / "tb.conllu", "--embeddings", "x",
                "--config", workdir / "cfg.txt", "--out", workdir / "t.model") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+    assert err.startswith("error: numerical failure: epoch 1, training example ")
+    assert err.endswith(" holds NaN or Inf values\n") and err.count("\n") == 1
 
 
 def test_deterministic_pipeline_same_seed(workdir):

@@ -321,11 +321,13 @@ def test_json_bytes_match_the_list_sorting_writer_and_round_trip():
     assert text == json.dumps({
         "order": lm.order,
         "vocab": sorted(lm.vocab),
-        "tables": [sorted([list(gram), count] for gram, count in table.items())
-                   for table in lm.tables],
+        "counts": [sorted([list(gram), count] for gram, count in table.items())
+                   for table in lm.counts],
     })
+    assert lm.counts[0] == {} and all(gram[0] == BOS for gram in lm.counts[2])
     restored = NgramLM.from_json(text)
     assert restored.to_json() == text
+    assert restored.counts == lm.counts
     assert restored.tables == lm.tables and restored.discounts == lm.discounts
     for tokens in corpus[:20] + [["w1", "unseen", "w2"]]:
         assert sentence_logprob(restored, tokens) == sentence_logprob(lm, tokens)
@@ -355,13 +357,14 @@ def test_model_building_leaves_the_collector_as_it_found_it():
 
 def test_writing_a_model_builds_no_scoring_statistics():
     lm = train_ngram_lm(five_sentence_corpus(), order=3)
-    lm.to_json()
+    lm.to_json()  # lm-train's path derives nothing
+    assert not {"tables", "discounts", "_context_stats"} & set(vars(lm))
     lm.contexts(2)
-    assert "_context_stats" not in vars(lm)
+    assert "tables" in vars(lm) and "_context_stats" not in vars(lm)
     lm.cond_prob(("a",), "b")
     assert "_context_stats" in vars(lm)
     restored = NgramLM.from_json(lm.to_json())
-    assert "_context_stats" not in vars(restored)
+    assert not {"tables", "discounts", "_context_stats"} & set(vars(restored))
 
 
 def test_json_round_trip_preserves_probabilities():
@@ -375,10 +378,9 @@ def test_json_round_trip_preserves_probabilities():
 # -- the estimator and reader against the per-gram reference ----------------------------
 
 
-def reference_tables(corpus, order):
-    """The per-position counting train_ngram_lm replaced: raw counts of
-    every n-gram at every order, then continuation counts below the top
-    order except for n-grams that start with <s>."""
+def reference_raw(corpus, order):
+    """Raw counts of every n-gram at every order, one position at a time;
+    an n-gram that ends with <s> is never counted."""
     sentences = [list(s) for s in corpus if len(s) > 0]
     raw = [dict() for _ in range(order)]
     for sentence in sentences:
@@ -388,6 +390,22 @@ def reference_tables(corpus, order):
                 gram = tuple(padded[i:i + k])
                 if gram[-1] != BOS:
                     raw[k - 1][gram] = raw[k - 1].get(gram, 0) + 1
+    return raw
+
+
+def reference_counts(corpus, order):
+    """What a model file holds: the top order's raw counts, and below it
+    those of the n-grams that start with <s>."""
+    raw = reference_raw(corpus, order)
+    return [{gram: count for gram, count in table.items() if k == order or gram[0] == BOS}
+            for k, table in enumerate(raw, start=1)]
+
+
+def reference_tables(corpus, order):
+    """The per-position counting train_ngram_lm replaced: raw counts of
+    every n-gram at every order, then continuation counts below the top
+    order except for n-grams that start with <s>."""
+    raw = reference_raw(corpus, order)
     adjusted = [dict() for _ in range(order)]
     adjusted[order - 1] = dict(raw[order - 1])
     for k in range(order - 1, 0, -1):
@@ -436,9 +454,10 @@ def reference_prob(tables, discounts, stats, vocab_size, context, word):
     return max(discounted, 0.0) / denom[context] + gamma * lower
 
 
-# the markers as tokens, a prefix of another token, an empty token and one
-# holding the character to_json's fast sort joins on
-_LM_TOKENS = st.sampled_from(["a", "b", "ab", BOS, EOS, UNK, "", "a\x00"])
+# the markers as tokens, a prefix of another token, an empty token, one
+# holding the character to_json's fast sort joins on, a quote and
+# non-ASCII tokens
+_LM_TOKENS = st.sampled_from(["a", "b", "ab", BOS, EOS, UNK, "", "a\x00", '"', "naïve", "日本"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -447,6 +466,7 @@ _LM_TOKENS = st.sampled_from(["a", "b", "ab", BOS, EOS, UNK, "", "a\x00"])
 @example([[BOS]], 3, False)
 @example([["a", BOS, "b"], [BOS, BOS]], 5, False)
 @example([[EOS, "a"], ["a"]], 1, False)
+@example([[BOS, '"', "a\x00", BOS], ["日本", UNK, BOS, EOS, "naïve"]], 4, False)
 def test_estimator_equals_the_per_gram_reference(corpus, order, plain):
     if plain:  # no token holds a NUL, so to_json takes its fast sort
         corpus = [[t for t in s if "\x00" not in t] for s in corpus]
@@ -455,18 +475,22 @@ def test_estimator_equals_the_per_gram_reference(corpus, order, plain):
             train_ngram_lm(corpus, order)
         return
     lm = train_ngram_lm(corpus, order)
+    counts = reference_counts(corpus, order)
     tables = reference_tables(corpus, order)
     discounts = [reference_discounts(table) for table in tables]
-    assert lm.tables == tables
-    assert lm.discounts == discounts
+    assert lm.counts == counts
     text = lm.to_json()
     assert text == json.dumps({
         "order": order,
         "vocab": sorted(lm.vocab),
-        "tables": [[(gram, table[gram]) for gram in sorted(table)] for table in tables],
+        "counts": [[(gram, table[gram]) for gram in sorted(table)] for table in counts],
     }, check_circular=False)
+    restored = NgramLM.from_json(text)
+    assert restored.to_json() == text
     stats = [reference_stats(table) for table in tables]
-    for model in (lm, NgramLM.from_json(text)):
+    for sentence in corpus + [["a", "zz", BOS, "b"]]:
+        assert sentence_logprob(restored, sentence) == sentence_logprob(lm, sentence)
+    for model in (lm, restored):
         assert model.tables == tables and model.discounts == discounts
         for k in range(1, order + 1):
             assert model.contexts(k) == set(stats[k - 1][0])
@@ -479,7 +503,9 @@ def test_estimator_equals_the_per_gram_reference(corpus, order, plain):
 
 
 def reference_read(stored_tables):
-    """The per-entry reader from_json keeps for its error messages."""
+    """The per-entry reader from_json keeps for its error messages, then
+    the check that each n-gram is one train_ngram_lm counts."""
+    tables = []
     for k, entries in enumerate(stored_tables, start=1):
         if type(entries) is not list:
             raise ValueError(f"order-{k} table must be a list")
@@ -499,6 +525,13 @@ def reference_read(stored_tables):
             raise ValueError(f"order-{k} n-grams must hold strings only")
         if len(table) != len(entries):
             raise ValueError(f"order-{k} table lists an n-gram twice")
+        tables.append(table)
+    for k, table in enumerate(tables, start=1):
+        for gram in table:
+            if gram[-1] == BOS:
+                raise ValueError(f"order-{k} n-gram {list(gram)!r} ends with {BOS}")
+            if k < len(tables) and gram[0] != BOS:
+                raise ValueError(f"order-{k} n-gram {list(gram)!r} does not start with {BOS}")
 
 
 _MUTATIONS = {
@@ -515,6 +548,7 @@ _MUTATIONS = {
     "int-token": lambda entry, other: [[7] + entry[0][1:], entry[1]],
     "null-token": lambda entry, other: [entry[0][:-1] + [None], entry[1]],
     "repeated-gram": lambda entry, other: [other[0], entry[1]],
+    "bos-last": lambda entry, other: [entry[0][:-1] + [BOS], entry[1]],
 }
 
 
@@ -523,12 +557,16 @@ _MUTATIONS = {
 def test_mutated_entries_get_the_per_entry_message(order, data):
     """One or two entries mutated, in any tables: from_json names the
     fault the per-entry reader meets first, word for word."""
-    corpus = [["a", "b", "a"], ["b", "c"], ["c", "a", "b", "b"]]
+    # four first words, so that every stored table from order 2 up holds
+    # the four entries two mutations may touch
+    corpus = [["a", "b", "a"], ["b", "c"], ["c", "a", "b", "b"], ["d", "a"]]
     payload = json.loads(train_ngram_lm(corpus, order).to_json())
     mutated = set()
     for _ in range(data.draw(st.integers(1, 2))):
-        k = data.draw(st.integers(1, order))
-        entries = payload["tables"][k - 1]
+        # below the top order only the <s>-initial n-grams are stored, and
+        # no unigram starts with <s> without ending with it
+        k = data.draw(st.integers(2, order))
+        entries = payload["counts"][k - 1]
         i, j = data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2,
                                   unique=True).filter(lambda ij: not mutated & {
                                       (k, ij[0]), (k, ij[1])}))
@@ -536,7 +574,7 @@ def test_mutated_entries_get_the_per_entry_message(order, data):
         entries[i] = _MUTATIONS[mutation](entries[i], entries[j])
         mutated |= {(k, i), (k, j)}
     with pytest.raises(ValueError) as expected:
-        reference_read(payload["tables"])
+        reference_read(payload["counts"])
     with pytest.raises(ValueError) as got:
         NgramLM.from_json(json.dumps(payload))
     assert str(got.value) == str(expected.value)
@@ -545,6 +583,6 @@ def test_mutated_entries_get_the_per_entry_message(order, data):
 @pytest.mark.parametrize("token", [["x"], {"x": 1}])
 def test_an_unhashable_token_is_a_value_error(token):
     payload = json.loads(train_ngram_lm(five_sentence_corpus(), order=2).to_json())
-    payload["tables"][1][0][0][0] = token
+    payload["counts"][1][0][0][0] = token
     with pytest.raises(ValueError, match="order-2 n-grams must hold strings only"):
         NgramLM.from_json(json.dumps(payload))

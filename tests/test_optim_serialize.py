@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 import tracemalloc
 
@@ -17,6 +18,9 @@ from stackparse.numcore import (
     manifest_views,
 )
 from stackparse.numcore.init import orthogonal_gate_stack
+from stackparse.parser import train_parser
+from stackparse.tagger import train_tagger
+from util import random_tree_sentence
 
 
 def step(state, param: Tensor, grad) -> None:
@@ -536,3 +540,27 @@ def test_views_skip_unasked_entries_and_check_shapes_and_layout():
     assert strided.tobytes() == blob
     with pytest.raises(ValueError, match="C-contiguous"):
         manifest_views(manifest, strided, {"v": (2,)})
+
+
+@pytest.mark.parametrize("trainer,weight,op", [
+    (train_tagger, "lstm0/fwd/w_h", "bilstm_encode"),
+    (train_parser, "u_arc", "matmul"),
+], ids=["tagger", "parser"])
+def test_a_nan_weight_names_the_op_the_epoch_and_the_example(monkeypatch, tiny_cfg, trainer,
+                                                             weight, op):
+    """A weight set to NaN as training starts: the error names the op that
+    first made a NaN, the shapes of its inputs, the epoch and the example."""
+    rng = np.random.default_rng(3)
+    treebank = [random_tree_sentence(rng, n) for n in (3, 5, 4)]
+    real_fit = nc.fit
+
+    def fit_from_nan(params, *args):
+        params[weight].data.reshape(-1)[0] = np.nan
+        return real_fit(params, *args)
+
+    monkeypatch.setattr(nc, "fit", fit_from_nan)
+    with pytest.raises(nc.NonFiniteError) as error:
+        trainer(treebank, [], tiny_cfg)
+    assert re.fullmatch(rf"epoch 1, training example [012]: {op} produced NaN or Inf "
+                        r"values \(input shapes \(\d+, \d+\)(, \(\d+, \d+\))*\)",
+                        str(error.value)), str(error.value)
