@@ -12,11 +12,17 @@ the selected best epoch alongside the model.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
+import glob
 import itertools
 import math
+import os
 import sys
 import zipfile
+
+import numpy as np
 
 from . import evaluation, langmodel, parser as parsing, stacking, tagger as tagging
 from .config import RunConfig, load_config, read_text
@@ -56,6 +62,33 @@ def _load_pretrained(args):
     return None
 
 
+@functools.cache
+def _blas() -> dict[str, object]:
+    """Run numpy's bundled OpenBLAS on one thread unless the environment sets
+    its count (numcore splits the work itself, and the count changes a
+    seed's bits); the library and its thread count, for .config snapshots.
+    Wheels keep the library in numpy.libs, numpy/.libs or numpy/.dylibs and
+    name its functions scipy_openblas_*64_ (numpy >= 2) or openblas_*64_."""
+    site = os.path.dirname(np.__path__[0])
+    paths = [path for where in ("numpy.libs", "numpy/.libs", "numpy/.dylibs")
+             for path in sorted(glob.glob(os.path.join(site, where, "*openblas*")))]
+    try:
+        lib = ctypes.CDLL(paths[0])
+        name = next(f"{prefix}{{}}{suffix}" for prefix in ("scipy_openblas_", "openblas_")
+                    for suffix in ("64_", "") if hasattr(lib, f"{prefix}set_num_threads{suffix}"))
+    except (IndexError, OSError, StopIteration):
+        print("warning: cannot set the BLAS thread count; it keeps its own", file=sys.stderr)
+        return {"blas": "unknown", "blas_threads": "unknown"}
+    get, pin, about = (getattr(lib, name.format(function))
+                       for function in ("get_num_threads", "set_num_threads", "get_config"))
+    for function, argtypes, restype in ((get, [], ctypes.c_int), (pin, [ctypes.c_int], None),
+                                        (about, [], ctypes.c_char_p)):
+        function.argtypes, function.restype = argtypes, restype
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+        pin(1)
+    return {"blas": about().decode(), "blas_threads": get()}
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -92,7 +125,7 @@ def _cmd_train(args) -> int:
     scored = getattr(model, "target", model)  # a stacked tagger's scores are its target's
     best_epoch, dev_score = scored.best_epoch, getattr(scored, score_attr)
     write_text_atomic(args.out + ".config", config.to_text(
-        {"command": args.command, "best_epoch": best_epoch, score_attr: dev_score}))
+        {"command": args.command, "best_epoch": best_epoch, score_attr: dev_score, **_blas()}))
     print(f"saved {kind.replace('-', ' ')} to {args.out} (best epoch {best_epoch}, "
           f"{score_label} {dev_score})")
     return 0
@@ -235,9 +268,8 @@ def _cmd_lm_train(args) -> int:
 
 def _cmd_lm_rank(args) -> int:
     config = _effective_config(args)
-    text = read_text(args.lm)
-    try:
-        model = langmodel.NgramLM.from_json(text)
+    try:  # the text is freed once read, before the first score derives the tables
+        model = langmodel.NgramLM.from_json(read_text(args.lm))
     except ValueError as exc:
         raise ValueError(f"{args.lm}: not a language model file: {exc}") from None
     sentences = _read_sentence_lines(args.input)
@@ -384,6 +416,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_argument_parser().parse_args(argv)
+    _blas()
     try:
         return args.fn(args)
     except OSError as exc:

@@ -68,6 +68,10 @@ def _check_aligned(gold: Sequence[Sentence], predicted: Sequence[Sentence]) -> N
         if len(g) != len(p):
             raise ValueError(f"sentence {i}: length mismatch "
                              f"({len(g)} gold vs {len(p)} predicted tokens)")
+        for gt, pt in zip(g.tokens, p.tokens):  # the words too, as the CoNLL 2018 scorer checks
+            if gt.form != pt.form:
+                raise ValueError(f"sentence {i}, token {gt.index}: form mismatch "
+                                 f"({gt.form!r} gold vs {pt.form!r} predicted)")
 
 
 def _score_pair(gold: Sentence, predicted: Sentence, include_punct: bool) -> ScoreReport:

@@ -13,52 +13,30 @@ unigram mass reaches an explicit unknown type through the uniform
 1/|V| floor, where V is the prediction vocabulary (trained types plus
 the end marker and the unknown type).  Logs are base 10 throughout.
 
-A model and its file hold only the raw counts the estimator starts
-from.  Each command computes only what its output reads: training
-counts, and the adjusted tables, discounts and per-context statistics
-that scoring needs are derived on the first score, so a model that is
-only written never builds them.
+The model lives in integer arrays, after KenLM's sorted arrays and
+BerkeleyLM's context encoding.  A model and its file hold only the raw
+counts; the first score derives the rest, so a model that is only
+written never builds it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import gc
 import json
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-_UNSEEN = (0, 0, 0, 0)  # the statistics of a context no n-gram extends
 
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while a model's tables are built
-    or written (used as a decorator).
-
-    The tables hold hundreds of thousands of containers and no reference
-    cycle, so every collection their allocations trigger would traverse
-    them for nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _estimate_discounts(of: Counter) -> tuple[float, float, float]:
+def _estimate_discounts(of) -> tuple[float, float, float]:
     """D1, D2, D3+ from the counts-of-counts `of` (count -> n-grams)."""
     n1, n2, n3, n4 = of[1], of[2], of[3], of[4]
     if n1 == 0:
@@ -75,63 +53,106 @@ def _estimate_discounts(of: Counter) -> tuple[float, float, float]:
     return d1, d2, d3
 
 
+def _distinct(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an id array (ids < radix), sorted, and their counts."""
+    rank = np.zeros(len(rows), np.int64)
+    for column in rows.T:  # each column refines the ranks of the ones before it
+        _, rank = np.unique(rank * radix + column, return_inverse=True)
+    _, first, counts = np.unique(rank, return_index=True, return_counts=True)
+    return rows[first], counts
+
+
+class _Level(NamedTuple):
+    """What scoring reads of one order.  An n-gram's number is its rank in
+    `keys`, (number of its suffix one order down, its first token's id); a
+    context's likewise in `contexts`, order 1's one context being 0."""
+    keys: np.ndarray      # sorted n-gram keys
+    share: np.ndarray     # per n-gram: its discounted count over its context's count sum
+    contexts: np.ndarray  # sorted context keys
+    gamma: np.ndarray     # per context: its backoff weight
+    discounts: tuple[float, float, float]
+
+
+def _level(node: np.ndarray, count: np.ndarray, suffix_context: np.ndarray | None,
+           radix: int) -> tuple[_Level, np.ndarray]:
+    """One order's _Level, and the number of each n-gram's context, from
+    its n-gram keys and counts and the order below's context numbers."""
+    if suffix_context is None:
+        contexts, context = np.zeros(min(len(node), 1), np.int64), np.zeros_like(node)
+    else:
+        contexts, context = np.unique(suffix_context[node // radix] * radix + node % radix,
+                                      return_inverse=True)
+    d1, d2, d3 = discounts = _estimate_discounts(
+        np.bincount(np.minimum(count, 5), minlength=6).tolist())
+    denom = np.bincount(context, weights=count, minlength=len(contexts))
+    share = np.maximum(count - np.where(count == 1, d1, np.where(count == 2, d2, d3)), 0.0)
+    # per context, how many of its n-grams have count 1, 2 and 3 or more
+    n = np.bincount(context * 3 + np.minimum(count, 3) - 1, minlength=3 * len(contexts))
+    gamma = (d1 * n[0::3] + d2 * n[1::3] + d3 * n[2::3]) / denom
+    return _Level(node, share / denom[context], contexts, gamma, discounts), context
+
+
 class NgramLM:
     """Trained model; immutable once built, scoring is read-only.
 
-    `counts[k-1]` holds the raw counts of order k: every n-gram at the
-    top order, only those that start with <s> below it.  The tables and
-    discounts derived from them, and the per-context statistics that
-    scoring reads, are built on first use and never change after, so
-    every value a caller can read is fixed once the model is built.
-    """
+    `grams[k-1]` holds order k's raw counts as (rows, counts): its n-grams
+    as a sorted (n, k) array of ids into `tokens`, every n-gram at the top
+    order and only those that start with <s> below it."""
 
-    def __init__(self, order: int, counts: list[dict[tuple[str, ...], int]],
-                 vocab: set[str]):
+    def __init__(self, order: int, grams: list[tuple[np.ndarray, np.ndarray]],
+                 vocab: Iterable[str]):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self.counts = counts
+        self.grams = grams
         self.vocab = set(vocab)
+        self.tokens = sorted(self.vocab | {BOS, EOS, UNK})
         self.pred_vocab = sorted(self.vocab | {EOS, UNK})
+        self._index = {token: i for i, token in enumerate(self.tokens)}
+
+    def _trie(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per order j from 1 up: the sorted keys of its adjusted n-grams, the
+        j-suffixes of the stored n-grams, and their counts: below the top
+        order, how many n-grams one order up extend it, or its raw count."""
+        radix = len(self.tokens) + 1
+        suffix = [np.zeros(len(counts), np.int64) for _, counts in self.grams]
+        nodes = []
+        for j in range(1, self.order + 1):
+            stored = list(enumerate(self.grams[j - 1:], start=j))
+            keys = [suffix[k - 1] * radix + rows[:, -j] for k, (rows, _) in stored]
+            node, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            bounds = np.cumsum([len(counts) for _, (_, counts) in stored])[:-1]
+            for (k, _), part in zip(stored, np.split(inverse, bounds)):
+                suffix[k - 1] = part
+            nodes.append(node)
+        for j, node in enumerate(nodes, start=1):
+            count = (np.bincount(nodes[j] // radix, minlength=len(node)) if j < self.order
+                     else np.zeros(len(node), np.int64))
+            count[suffix[j - 1]] = self.grams[j - 1][1]
+            yield node, count
 
     @functools.cached_property
-    @_gc_paused()
+    def _levels(self) -> list[_Level]:
+        levels, context = [], None
+        for node, count in self._trie():
+            level, context = _level(node, count, context, len(self.tokens) + 1)
+            levels.append(level)
+        return levels
+
+    @property
     def tables(self) -> list[dict[tuple[str, ...], int]]:
-        """tables[k-1]: order k's adjusted counts: raw at the top order, below
-        it distinct left extensions, except for the <s>-initial raw counts."""
-        tables = [self.counts[-1]]
-        for k in range(self.order - 1, 0, -1):
-            table = dict(Counter(map(itemgetter(slice(1, None)), tables[0])))
-            table.update(self.counts[k - 1])
-            tables.insert(0, table)
+        """tables[k-1]: order k's adjusted counts by n-gram, built on each read."""
+        tokens = np.array(self.tokens, dtype=object)
+        tables, rows = [], np.zeros((1, 0), np.int64)
+        for node, count in self._trie():
+            parent, first = np.divmod(node, len(self.tokens) + 1)
+            rows = np.column_stack([first, rows[parent]])
+            tables.append(dict(zip(map(tuple, tokens[rows].tolist()), count.tolist())))
         return tables
 
-    @functools.cached_property
+    @property
     def discounts(self) -> list[tuple[float, float, float]]:
-        return [_estimate_discounts(Counter(table.values())) for table in self.tables]
-
-    @functools.cached_property
-    @_gc_paused()
-    def _context_stats(self) -> list[dict[tuple[str, ...], list[int]]]:
-        """Per order, context -> [count sum, n1, n2, n3+]: the total count
-        of the n-grams that extend the context, and how many of them have
-        count 1, 2 and 3 or more."""
-        stats = []
-        for table in self.tables:
-            by_context: dict[tuple[str, ...], list[int]] = {}
-            for gram, count in table.items():
-                slot = by_context.get(gram[:-1])
-                if slot is None:
-                    slot = by_context[gram[:-1]] = [0, 0, 0, 0]
-                slot[0] += count
-                if count == 1:
-                    slot[1] += 1
-                elif count == 2:
-                    slot[2] += 1
-                else:
-                    slot[3] += 1
-            stats.append(by_context)
-        return stats
+        return [level.discounts for level in self._levels]
 
     def map_token(self, token: str) -> str:
         return token if token in self.vocab or token in (EOS,) else UNK
@@ -139,175 +160,155 @@ class NgramLM:
     def cond_prob(self, context: Sequence[str], word: str) -> float:
         """p(word | context) with interpolation down to a uniform floor."""
         context = tuple(context)[-(self.order - 1):] if self.order > 1 else ()
-        return self._prob(context, word)
+        ids = [self._index.get(token, len(self.tokens)) for token in (*context, word)]
+        return float(self._probs(np.array([ids], np.int64))[0])
 
-    def _prob(self, context: tuple[str, ...], word: str) -> float:
-        k = len(context) + 1
-        if k == 0 or k > self.order:
-            raise ValueError("context too long for this model order")
-        lower = (1.0 / len(self.pred_vocab) if k == 1
-                 else self._prob(context[1:], word))
-        denom, n1, n2, n3 = self._context_stats[k - 1].get(context, _UNSEEN)
-        if denom == 0:
-            return lower
-        d1, d2, d3 = self.discounts[k - 1]
-        count = self.tables[k - 1].get(context + (word,), 0)
-        if count == 0:
-            discounted = 0.0
-        elif count == 1:
-            discounted = count - d1
-        elif count == 2:
-            discounted = count - d2
-        else:
-            discounted = count - d3
-        gamma = (d1 * n1 + d2 * n2 + d3 * n3) / denom
-        return max(discounted, 0.0) / denom + gamma * lower
+    def _walk(self, keys: list[np.ndarray], rows: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Per order j up to the width of `rows`, while keys[j-1] has keys: the
+        rank there of each row's last j ids, and whether they are one."""
+        radix = len(self.tokens) + 1  # one past every id: an unknown token is never there
+        at, found, walk = np.zeros(len(rows), np.int64), np.ones(len(rows), bool), []
+        for j, sorted_keys in enumerate(keys[:rows.shape[1]], start=1):
+            if not len(sorted_keys):  # nor has any higher order
+                break
+            key = at * radix + rows[:, -j]
+            at = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
+            found = found & (sorted_keys[at] == key)
+            walk.append((at, found))
+        return walk
 
-    def contexts(self, k: int) -> set[tuple[str, ...]]:
-        """Observed (k-1)-token contexts at order k."""
-        return {gram[:-1] for gram in self.tables[k - 1]}
+    def _probs(self, windows: np.ndarray) -> np.ndarray:
+        """p(last id | the m ids before it) for each row, m < order, by the
+        per-token recursion's operations in its order, so bit for bit."""
+        levels = self._levels
+        prob = np.full(len(windows), 1.0 / len(self.pred_vocab))
+        grams = self._walk([level.keys for level in levels], windows)
+        contexts = [(np.zeros(len(windows), np.int64), np.ones(len(windows), bool))]
+        contexts += self._walk([level.contexts for level in levels[1:]], windows[:, :-1])
+        for level, (gram, has), (context, seen) in zip(levels, grams, contexts):
+            interpolated = np.where(has, level.share[gram], 0.0) + level.gamma[context] * prob
+            prob = np.where(seen, interpolated, prob)
+        return prob
 
     # -- persistence -----------------------------------------------------------
 
-    @_gc_paused()
     def to_json(self) -> str:
-        """The raw counts, each table sorted by n-gram, so one model always
-        gives the same text.  Gram tuples encode as JSON arrays, and the
-        payload, built here, holds no cycle for the encoder to check for."""
-        counts = []
-        for table in self.counts:
-            if "\x00" in "".join(chain.from_iterable(table)):
-                counts.append(sorted(table.items()))
-            else:  # joined by a character no token holds, grams sort as their tuples do
-                counts.append(sorted(table.items(), key=lambda item: "\x00".join(item[0])))
-        payload = {"order": self.order, "vocab": sorted(self.vocab), "counts": counts}
-        return json.dumps(payload, check_circular=False)
+        """The vocabulary and, per order, the sorted n-grams as one flat list
+        of ids, row after row, and their counts: one model, one text."""
+        return json.dumps({"order": self.order, "vocab": sorted(self.vocab),
+                           "ids": [rows.ravel().tolist() for rows, _ in self.grams],
+                           "counts": [counts.tolist() for _, counts in self.grams]},
+                          separators=(",", ":"))
 
     @classmethod
-    @_gc_paused()
     def from_json(cls, text: str) -> "NgramLM":
         """Read what to_json wrote; any other shape raises ValueError
         naming the first fault found."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object")
-        if "tables" in payload and "counts" not in payload:
-            raise ValueError("it holds the adjusted tables of an older lm-train; "
-                             "run lm-train again to rewrite it")
-        order, vocab, stored = payload.get("order"), payload.get("vocab"), payload.get("counts")
+        if "ids" not in payload and ("counts" in payload or "tables" in payload):
+            raise ValueError("it is from an older lm-train; run lm-train again to rewrite it")
+        order, vocab, ids, counts = map(payload.get, ("order", "vocab", "ids", "counts"))
         if type(order) is not int or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if type(vocab) is not list or not all(type(word) is str for word in vocab):
             raise ValueError("vocab must be a list of strings")
-        if type(stored) is not list or len(stored) != order:
-            got = len(stored) if type(stored) is list else repr(stored)
-            raise ValueError(f"expected {order} n-gram tables, got {got}")
-        counts = [_read_table(k, entries) for k, entries in enumerate(stored, start=1)]
-        for k, table in enumerate(counts, start=1):  # what train_ngram_lm counts
-            wrong = (g for g in table if g[-1] == BOS or (k < order and g[0] != BOS))
-            if (gram := next(wrong, None)) is not None:
-                fault = "ends with" if gram[-1] == BOS else "does not start with"
-                raise ValueError(f"order-{k} n-gram {list(gram)!r} {fault} {BOS}")
-        return cls(order, counts, set(vocab))
+        if not (type(ids) is list and type(counts) is list and len(ids) == len(counts) == order):
+            raise ValueError(f"expected {order} id lists and {order} count lists")
+        tokens = sorted(set(vocab) | {BOS, EOS, UNK})
+        return cls(order, [_read_grams(k, order, tokens, *lists)
+                           for k, lists in enumerate(zip(ids, counts), start=1)], vocab)
 
 
-def _read_table(k: int, entries) -> dict[tuple[str, ...], int]:
-    """The order-k table from its stored entries, checked in bulk passes;
-    when one fails, `_check_entries` names the first fault."""
-    if (type(entries) is list and set(map(type, entries)) <= {list}
-            and set(map(len, entries)) <= {2}):
-        grams = list(map(itemgetter(0), entries))
-        counts = list(map(itemgetter(1), entries))
-        if (set(map(type, grams)) <= {list} and set(map(len, grams)) <= {k}
-                and set(map(type, counts)) <= {int} and min(counts, default=1) >= 1
-                and set(map(type, chain.from_iterable(grams))) <= {str}):
-            table = dict(zip(map(tuple, grams), counts))
-            if len(table) == len(entries):
-                return table
-    return _check_entries(k, entries)
+def _int_array(values, what: str) -> np.ndarray:
+    """`values`, a list of integers, as an int64 array, or ValueError naming
+    `what`: no bool, float or string is cast.  The list is emptied from its
+    end as it is read, so that its integers are freed as they go."""
+    if type(values) is not list:
+        raise ValueError(f"{what} must be a list of integers")
+    if not set(map(type, values)) <= {int}:
+        bad = next(value for value in values if type(value) is not int)
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    parts = [np.zeros(0, np.int64)]
+    try:
+        while values:
+            parts.append(np.array(values[-65536:], np.int64))
+            del values[-65536:]
+    except OverflowError:
+        raise ValueError(f"{what} must fit in 64 bits") from None
+    return np.concatenate(parts[::-1])
 
 
-def _check_entries(k: int, entries) -> dict[tuple[str, ...], int]:
-    """One entry at a time, raising ValueError at the first fault; a
-    token that is not a string is reported once every entry's shape has
-    been checked."""
-    if type(entries) is not list:
-        raise ValueError(f"order-{k} table must be a list")
-    table: dict[tuple[str, ...], int] = {}
-    strings_only = True
-    for entry in entries:
-        if type(entry) is not list or len(entry) != 2:
-            raise ValueError(f"order-{k} entry must be [n-gram, count], got {entry!r}")
-        gram, count = entry
-        if type(gram) is not list or len(gram) != k:
-            raise ValueError(f"order-{k} n-gram must be a list of {k} "
-                             f"strings, got {gram!r}")
-        if type(count) is not int or count < 1:
-            raise ValueError(f"count of {gram!r} must be a positive "
-                             f"integer, got {count!r}")
-        if set(map(type, gram)) <= {str}:
-            table[tuple(gram)] = count
-        else:
-            strings_only = False  # and perhaps unhashable, so not a key
-    if not strings_only:
-        raise ValueError(f"order-{k} n-grams must hold strings only")
-    if len(table) != len(entries):
-        raise ValueError(f"order-{k} table lists an n-gram twice")
-    return table
+def _read_grams(k: int, order: int, tokens: list[str], ids, counts) -> tuple[np.ndarray, ...]:
+    """Order k's stored n-grams and counts, checked in bulk passes."""
+    flat, counts = _int_array(ids, f"order-{k} ids"), _int_array(counts, f"order-{k} counts")
+    if len(flat) != k * len(counts):
+        raise ValueError(f"order-{k} holds {len(flat)} ids for {len(counts)} counts")
+    if (bad := flat[(flat < 0) | (flat >= len(tokens))]).size:
+        raise ValueError(f"order-{k} id {bad[0]} is not the index of one of {len(tokens)} tokens")
+    if (bad := counts[counts < 1]).size:
+        raise ValueError(f"order-{k} count {bad[0]} is not >= 1")
+    rows, bos = flat.astype(np.int32).reshape(-1, k), tokens.index(BOS)
+    for wrong, fault in ((rows[:, -1] == bos, "ends with"),
+                         (rows[:, 0] != bos if k < order else [], "does not start with")):
+        if np.any(wrong):
+            gram = [tokens[i] for i in rows[np.argmax(wrong)]]
+            raise ValueError(f"order-{k} n-gram {gram!r} {fault} {BOS}")
+    step = rows[1:] - rows[:-1]  # each row must sort after the one before
+    if (bad := np.flatnonzero(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0)).size:
+        gram = [tokens[i] for i in rows[bad[0] + 1]]
+        fault = "out of order" if step[bad[0]].any() else "twice"
+        raise ValueError(f"order-{k} lists the n-gram {gram!r} {fault}")
+    return rows, counts
 
 
-def _windows(stream: list[str], k: int) -> Iterable[tuple[str, ...]]:
-    """Every k-gram of `stream`, in order."""
-    return zip(*(stream[i:] for i in range(k)))
-
-
-@_gc_paused()
 def train_ngram_lm(corpus: Sequence[Sequence[str]], order: int = 5) -> NgramLM:
     """Count a modified-KN model's raw n-grams in pre-tokenized sentences."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    sentences = [list(s) for s in corpus if len(s) > 0]
+    sentences = [s for s in corpus if len(s) > 0]
     if not sentences:
         raise ValueError("cannot train a language model on an empty corpus")
-    vocab = {w for s in sentences for w in s}
-
-    # All padded sentences in one stream.  A window that runs past a
-    # sentence's end marker ends in the next one's begin markers, so it is
-    # dropped with every gram that ends in <s>: the begin marker is context
-    # only, never predicted.
-    pad = [BOS] * (order - 1)
-    stream = list(chain.from_iterable(chain(pad, s, (EOS,)) for s in sentences))
-    # Every top-order n-gram; below it only the n-grams that start with
-    # <s>, the only lower-order raw counts the estimator reads, counted
-    # here: a literal <s> token would make the top order's prefixes differ.
-    raw = [Counter(compress(_windows(stream, k), map(eq, stream, repeat(BOS))))
-           for k in range(1, order)]
-    raw.append(Counter(_windows(stream, order)))
-    for table in raw:
-        for gram in [gram for gram in table if gram[-1] == BOS]:
-            del table[gram]
-    return NgramLM(order, raw, vocab)
+    vocab = set(chain.from_iterable(sentences))
+    tokens = sorted(vocab | {BOS, EOS, UNK})
+    index = {token: i for i, token in enumerate(tokens)}
+    # All padded sentences in one stream: a window that runs past a
+    # sentence's end ends in <s>, context only, and is dropped.  Below the
+    # top order the estimator reads only the <s>-initial raw counts.
+    stream = np.fromiter(map(index.__getitem__, chain.from_iterable(
+        chain([BOS] * (order - 1), s, (EOS,)) for s in sentences)), np.int32)
+    grams = []
+    for k in range(1, order + 1):
+        windows = np.lib.stride_tricks.sliding_window_view(stream, k)
+        keep = windows[:, -1] != index[BOS]
+        if k < order:
+            keep &= windows[:, 0] == index[BOS]
+        grams.append(_distinct(windows[keep], len(tokens)))
+    return NgramLM(order, grams, vocab)
 
 
 def sentence_logprob(lm: NgramLM, tokens: Sequence[str]) -> float:
     """Total log10 probability of the sentence including the end marker."""
-    mapped = [lm.map_token(t) for t in tokens] + [EOS]
-    history = [BOS] * (lm.order - 1)
-    total = 0.0
-    for word in mapped:
-        context = tuple(history[-(lm.order - 1):]) if lm.order > 1 else ()
-        total += math.log10(lm._prob(context, word))
-        history.append(word)
-    return total
+    return _sentence_logprobs(lm, [tokens])[0]
 
 
-def perplexity(lm: NgramLM, corpus: Sequence[Sequence[str]]) -> float:
-    total = 0.0
-    events = 0
-    for sentence in corpus:
-        total += sentence_logprob(lm, sentence)
-        events += len(sentence) + 1
-    return 10.0 ** (-total / events)
+def _sentence_logprobs(lm: NgramLM, sentences: Sequence[Sequence[str]],
+                       chunk: int = 1024) -> list[float]:
+    """sentence_logprob of each sentence: the positions of each `chunk`
+    sentences scored in one array pass, so that memory stays bounded, then
+    each sentence's logs summed left to right."""
+    index, pad, totals = lm._index, [BOS] * (lm.order - 1), []
+    for start in range(0, len(sentences), chunk):
+        part = sentences[start:start + chunk]
+        stream = np.fromiter(map(index.__getitem__, chain.from_iterable(
+            chain(pad, map(lm.map_token, s), (EOS,)) for s in part)), np.int64)
+        scored = np.fromiter(chain.from_iterable(
+            chain([False] * len(pad), [True] * (len(s) + 1)) for s in part), bool)
+        windows = np.lib.stride_tricks.sliding_window_view(stream, lm.order)[scored[lm.order - 1:]]
+        logs = map(math.log10, lm._probs(windows).tolist())
+        totals += [functools.reduce(operator.add, islice(logs, len(s) + 1), 0.0) for s in part]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -334,8 +335,7 @@ def rank_by_divergence(lm: NgramLM, sentences: Sequence[Sequence[str]],
     hit_lists = (match_lexicon(kept, lexicon) if lexicon is not None
                  else [[] for _ in kept])
     records = []
-    for tokens, hits in zip(kept, hit_lists):
-        total = sentence_logprob(lm, tokens)
+    for tokens, hits, total in zip(kept, hit_lists, _sentence_logprobs(lm, kept)):
         divisor = len(tokens) + 1 if count_end_token else len(tokens)
         records.append(SelectionRecord(" ".join(tokens), len(tokens), total,
                                        total / divisor, tuple(hits)))

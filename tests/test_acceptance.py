@@ -28,7 +28,7 @@ from stackparse.stacking import (
 from stackparse.tagger import TaggerModel, crf_log_likelihood, tag, train_tagger, viterbi_decode
 from stackparse.treebank import LabelInventory, Sentence, Token, parse_conllu, validate, write_conllu
 from synthdata import FULL_LEXICON, SMALL_LEXICON, make_treebank, overfit_treebank
-from util import make_sentence, random_tree_sentence
+from util import lm_contexts, make_sentence, random_tree_sentence
 
 
 def ok(number: int, message: str) -> None:
@@ -307,8 +307,8 @@ def test_criterion_8_kneser_ney_contract():
     lm = train_ngram_lm(corpus, order=2)
     # per-context normalization on every trained context
     for k in (1, 2):
-        for context in lm.contexts(k):
-            total = sum(lm._prob(context, w) for w in lm.pred_vocab)
+        for context in lm_contexts(lm, k):
+            total = sum(lm.cond_prob(context, w) for w in lm.pred_vocab)
             assert abs(total - 1.0) < 1e-9
     # hand-computed probabilities (see test_langmodel.py for the derivation)
     assert abs(lm.cond_prob(("a",), "b") - 2123.0 / 4050) < 1e-9

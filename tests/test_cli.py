@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 import zlib
@@ -15,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stackparse
+from stackparse import cli
 from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
 from stackparse.embeddings import PretrainedEmbeddings
@@ -211,6 +216,22 @@ def test_eval_gold_equals_pred_writes_tsv(workdir, capsys):
     assert "uas\t100.00" in text and "las\t100.00" in text
 
 
+@pytest.mark.parametrize("command", ["eval", "iaa"])
+def test_files_whose_words_differ_are_refused(workdir, capsys, command):
+    """Sentences of the same lengths holding other words are not scored:
+    one error line names the first token whose forms differ."""
+    other = write_conllu([make_sentence([t.form.upper() for t in s.tokens], list(s.upos),
+                                        [t.head for t in s.tokens], [t.deprel for t in s.tokens])
+                          for s in parse_conllu(treebank_text())])
+    (workdir / "other.conllu").write_text(other, encoding="utf-8")
+    flags = {"eval": ("--gold", "--pred"), "iaa": ("--a", "--b")}[command]
+    assert run(command, flags[0], workdir / "tb.conllu", flags[1], workdir / "other.conllu") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sentence 0, token 1: form mismatch "
+                            "('the' gold vs 'THE' predicted)\n")
+
+
 def test_eval_without_punctuation_on_all_punct_gold_prints_undefined(tmp_path, capsys):
     text = write_conllu([make_sentence(["!", "?"], ["PUNCT", "PUNCT"], [0, 1],
                                        ["root", "punct"])])
@@ -320,9 +341,13 @@ def test_train_commands_report_and_snapshot(workdir, capsys, command, base, wron
     assert run(command, *args, "--out", out) == 0
     comments = [line[2:].split(" = ") for line in
                 (workdir / "m.model.config").read_text().splitlines() if line.startswith("#")]
-    assert [key for key, _ in comments] == ["command", "best_epoch", score]
+    assert [key for key, _ in comments] == ["command", "best_epoch", score, "blas",
+                                            "blas_threads"]
     values = dict(comments)
     assert values["command"] == command and 1 <= int(values["best_epoch"]) <= 8
+    # "unknown" where numpy's bundled OpenBLAS was not found (numpy built on another BLAS)
+    assert values["blas"] and (values["blas_threads"] == "unknown" if values["blas"] == "unknown"
+                               else int(values["blas_threads"]) >= 1)
     kind = command.removeprefix("train-").replace("-", " ")
     assert capsys.readouterr().out == (f"saved {kind} to {out} (best epoch "
                                        f"{values['best_epoch']}, {label} {values[score]})\n")
@@ -810,48 +835,86 @@ def test_select_outputs_are_pinned(workdir):
 
 
 def _two_tables(payload):
-    payload["counts"] = payload["counts"][:2]
+    payload["ids"], payload["counts"] = payload["ids"][:2], payload["counts"][:2]
 
 
 def _unigram_as_string(payload):
-    payload["counts"][0].append(["ab", 1])  # order 3 stores no unigram
+    payload["ids"][0].append("ab")  # order 3 stores no unigram
 
 
 def _negative_count(payload):
-    payload["counts"][1][0][1] = -3
+    payload["counts"][1][0] = -3
 
 
 def _repeated_bigram(payload):
-    payload["counts"][1].append(payload["counts"][1][0])
+    payload["ids"][1][:0] = payload["ids"][1][:2]
+    payload["counts"][1][:0] = payload["counts"][1][:1]
+
+
+def _token_ids(payload, *words):
+    tokens = sorted(set(payload["vocab"]) | {"<s>", "</s>", "<unk>"})
+    return [tokens.index(word) for word in words]
 
 
 def _bigram_without_bos(payload):
-    payload["counts"][1].append([["cat", "sat"], 5])
+    payload["ids"][1] += _token_ids(payload, "cat", "sat")
+    payload["counts"][1].append(5)
 
 
 def _trigram_ending_in_bos(payload):
-    payload["counts"][2].append([["cat", "sat", "<s>"], 1])
+    payload["ids"][2] += _token_ids(payload, "cat", "sat", "<s>")
+    payload["counts"][2].append(1)
+
+
+def _id_out_of_range(payload):
+    payload["ids"][2][-1] = len(payload["vocab"]) + 3  # five words and three markers
 
 
 def _older_adjusted_tables(payload):
     return {"order": payload["order"], "vocab": payload["vocab"], "tables": payload["counts"]}
 
 
+def _pr20_counts(payload):
+    """The layout of the lm-train that stored [n-gram, count] entries."""
+    tokens = sorted(set(payload["vocab"]) | {"<s>", "</s>", "<unk>"})
+    entries = [[[[tokens[i] for i in ids[n * k:(n + 1) * k]], count]
+                for n, count in enumerate(counts)]
+               for k, (ids, counts) in enumerate(zip(payload["ids"], payload["counts"]), start=1)]
+    return {"order": payload["order"], "vocab": payload["vocab"], "counts": entries}
+
+
+def _set(key, order, value):
+    def corrupt(payload):
+        payload[key][order - 1][0] = value
+    return corrupt
+
+
+OLDER = "it is from an older lm-train; run lm-train again to rewrite it"
+
+
 @pytest.mark.parametrize("corrupt,message", [
-    (_two_tables, "expected 3 n-gram tables, got 2"),
+    (_two_tables, "expected 3 id lists and 3 count lists"),
     (lambda payload: [payload], "expected a JSON object"),
-    (_unigram_as_string, "order-1 n-gram must be a list of 1 strings, got 'ab'"),
-    (_negative_count, "must be a positive integer, got -3"),
+    (_unigram_as_string, "order-1 ids must be integers, got 'ab'"),
+    (_negative_count, "order-2 count -3 is not >= 1"),
     (lambda payload: {**payload, "order": True}, "order must be an integer >= 1"),
     (lambda payload: {**payload, "vocab": [["the"]]}, "vocab must be a list of strings"),
-    (_repeated_bigram, "order-2 table lists an n-gram twice"),
+    (_repeated_bigram, "order-2 lists the n-gram ['<s>', 'the'] twice"),
     (_bigram_without_bos, "order-2 n-gram ['cat', 'sat'] does not start with <s>"),
     (_trigram_ending_in_bos, "order-3 n-gram ['cat', 'sat', '<s>'] ends with <s>"),
-    (_older_adjusted_tables, "it holds the adjusted tables of an older lm-train; "
-                             "run lm-train again to rewrite it"),
+    (_older_adjusted_tables, OLDER),
+    (_pr20_counts, OLDER),
+    (_id_out_of_range, "order-3 id 8 is not the index of one of 8 tokens"),
+    (_set("counts", 3, True), "order-3 counts must be integers, got True"),
+    (_set("counts", 3, 1.5), "order-3 counts must be integers, got 1.5"),
+    (_set("ids", 2, "3"), "order-2 ids must be integers, got '3'"),
+    (_set("ids", 3, 2 ** 70), "order-3 ids must fit in 64 bits"),
+    (_set("counts", 2, -2 ** 64), "order-2 counts must fit in 64 bits"),
 ], ids=["too-few-tables", "top-level-list", "unigram-string", "negative-count",
         "bool-order", "nested-vocab", "repeated-bigram", "bigram-without-bos",
-        "trigram-ending-in-bos", "older-adjusted-tables"])
+        "trigram-ending-in-bos", "older-adjusted-tables", "older-counts-entries",
+        "id-out-of-range", "bool-count", "float-count", "string-id", "over-long-id",
+        "over-long-count"])
 def test_malformed_lm_file_is_one_error_line(workdir, capsys, corrupt, message):
     corpus = workdir / "corpus.txt"
     corpus.write_text("the cat sat here today\n" * 5, encoding="utf-8")
@@ -1004,3 +1067,69 @@ def test_effective_config_snapshot_reproduces_the_run(workdir):
     b = load_model(str(workdir / "again.model"))
     for name, tensor in a.parameters().items():
         assert np.array_equal(tensor.data, b.parameters()[name].data), name
+
+
+def test_training_runs_one_blas_thread_in_an_unset_environment(tmp_path):
+    """With no BLAS thread variable set, train-tagger pins OpenBLAS to one
+    thread: its snapshot says so, and its archive holds the bytes of one
+    trained with OPENBLAS_NUM_THREADS=1."""
+    if cli._blas()["blas"] == "unknown":
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    (tmp_path / "tb.conllu").write_text(treebank_text(), encoding="utf-8")
+    config = RunConfig.desk_scale().updated({"epochs": "2"})
+    (tmp_path / "cfg.txt").write_text(config.to_text(), encoding="utf-8")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(stackparse.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    members = {}
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run([sys.executable, "-m", "stackparse.cli", "train-tagger",
+                        "--train", str(tmp_path / "tb.conllu"), "--config", str(tmp_path / "cfg.txt"),
+                        "--out", str(tmp_path / name)], env={**env, **extra}, check=True,
+                       capture_output=True, timeout=300)
+        with zipfile.ZipFile(tmp_path / name) as archive:
+            members[name] = {member: archive.read(member) for member in archive.namelist()}
+        assert "# blas_threads = 1\n" in (tmp_path / f"{name}.config").read_text(encoding="utf-8")
+    assert members["unset"] == members["one"]
+
+
+class _FakeFunction:
+    def __init__(self, calls, name, result):
+        self.calls, self.name, self.result = calls, name, result
+
+    def __call__(self, *args):
+        self.calls.append((self.name, *args))
+        return self.result
+
+
+@pytest.mark.parametrize("where, prefix, suffix", [
+    ("numpy.libs", "scipy_openblas_", "64_"),  # numpy >= 2, Linux and Windows
+    ("numpy.libs", "openblas_", "64_"),        # numpy 1.x, Linux
+    ("numpy/.dylibs", "openblas_", "64_"),     # numpy 1.x, macOS
+    ("numpy/.libs", "openblas_", ""),          # a 32-bit-integer build
+])
+def test_blas_is_found_in_each_wheel_layout(monkeypatch, capsys, where, prefix, suffix):
+    calls = []
+    lib = type("Lib", (), {})()
+    for name, result in (("get_num_threads", 1), ("set_num_threads", None),
+                         ("get_config", b"OpenBLAS 0.3.21")):
+        setattr(lib, f"{prefix}{name}{suffix}", _FakeFunction(calls, name, result))
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: (
+        [pattern.replace("*openblas*", "libopenblas.so")] if where + os.sep in pattern else []))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: lib)
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(variable, raising=False)
+    assert cli._blas.__wrapped__() == {"blas": "OpenBLAS 0.3.21", "blas_threads": 1}
+    assert ("set_num_threads", 1) in calls and capsys.readouterr().err == ""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    calls.clear()
+    cli._blas.__wrapped__()
+    assert [call[0] for call in calls] == ["get_config", "get_num_threads"]
+
+
+def test_a_blas_that_cannot_be_found_is_one_warning(monkeypatch, capsys):
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+    assert cli._blas.__wrapped__() == {"blas": "unknown", "blas_threads": "unknown"}
+    assert capsys.readouterr().err == (
+        "warning: cannot set the BLAS thread count; it keeps its own\n")

@@ -16,12 +16,24 @@ from stackparse.langmodel import (
     UNK,
     NgramLM,
     _estimate_discounts,
+    _sentence_logprobs,
     match_lexicon,
-    perplexity,
     rank_by_divergence,
     sentence_logprob,
     train_ngram_lm,
 )
+from util import lm_contexts
+
+
+def perplexity(lm, corpus):
+    """10 ** -(mean log10 probability per scored event), the end marker
+    included."""
+    total = 0.0
+    events = 0
+    for sentence in corpus:
+        total += sentence_logprob(lm, sentence)
+        events += len(sentence) + 1
+    return 10.0 ** (-total / events)
 
 
 def five_sentence_corpus():
@@ -95,8 +107,8 @@ def test_per_context_normalization_within_1e9():
     ]:
         lm = train_ngram_lm(corpus, order)
         for k in range(1, order + 1):
-            for context in lm.contexts(k):
-                total = sum(lm._prob(context, w) for w in lm.pred_vocab)
+            for context in lm_contexts(lm, k):
+                total = sum(lm.cond_prob(context, w) for w in lm.pred_vocab)
                 assert abs(total - 1.0) < 1e-9, (order, context)
 
 
@@ -311,23 +323,17 @@ def test_rank_with_lexicon_fills_hits():
 # -- persistence --------------------------------------------------------------------------
 
 
-def test_json_bytes_match_the_list_sorting_writer_and_round_trip():
+def test_json_bytes_match_the_reference_writer_and_round_trip():
     rng = np.random.default_rng(11)
     words = [f"w{i}" for i in range(40)] + ['"', "\\", "naïve", "日本", "Wah"]
     corpus = [[words[i] for i in rng.integers(len(words), size=int(rng.integers(1, 15)))]
               for _ in range(200)]
     lm = train_ngram_lm(corpus, order=4)
     text = lm.to_json()
-    assert text == json.dumps({
-        "order": lm.order,
-        "vocab": sorted(lm.vocab),
-        "counts": [sorted([list(gram), count] for gram, count in table.items())
-                   for table in lm.counts],
-    })
-    assert lm.counts[0] == {} and all(gram[0] == BOS for gram in lm.counts[2])
+    assert text == json.dumps(reference_payload(corpus, 4), separators=(",", ":"))
+    assert len(lm.grams[0][1]) == 0 and (lm.grams[2][0][:, 0] == lm.tokens.index(BOS)).all()
     restored = NgramLM.from_json(text)
     assert restored.to_json() == text
-    assert restored.counts == lm.counts
     assert restored.tables == lm.tables and restored.discounts == lm.discounts
     for tokens in corpus[:20] + [["w1", "unseen", "w2"]]:
         assert sentence_logprob(restored, tokens) == sentence_logprob(lm, tokens)
@@ -358,13 +364,13 @@ def test_model_building_leaves_the_collector_as_it_found_it():
 def test_writing_a_model_builds_no_scoring_statistics():
     lm = train_ngram_lm(five_sentence_corpus(), order=3)
     lm.to_json()  # lm-train's path derives nothing
-    assert not {"tables", "discounts", "_context_stats"} & set(vars(lm))
-    lm.contexts(2)
-    assert "tables" in vars(lm) and "_context_stats" not in vars(lm)
+    assert "_levels" not in vars(lm)
+    lm_contexts(lm, 2)  # the tables oracle is built apart from what scoring reads
+    assert "_levels" not in vars(lm)
     lm.cond_prob(("a",), "b")
-    assert "_context_stats" in vars(lm)
+    assert "_levels" in vars(lm)
     restored = NgramLM.from_json(lm.to_json())
-    assert not {"tables", "discounts", "_context_stats"} & set(vars(restored))
+    assert "_levels" not in vars(restored)
 
 
 def test_json_round_trip_preserves_probabilities():
@@ -399,6 +405,19 @@ def reference_counts(corpus, order):
     raw = reference_raw(corpus, order)
     return [{gram: count for gram, count in table.items() if k == order or gram[0] == BOS}
             for k, table in enumerate(raw, start=1)]
+
+
+def reference_payload(corpus, order):
+    """The file's JSON object, from reference_counts: the sorted vocabulary
+    and, per order, the n-grams in sorted order as one flat list of ids
+    into the sorted vocabulary and markers, with their counts."""
+    vocab = sorted({t for s in corpus for t in s})
+    index = {t: i for i, t in enumerate(sorted(set(vocab) | {BOS, EOS, UNK}))}
+    tables = [sorted((tuple(index[t] for t in gram), count) for gram, count in table.items())
+              for table in reference_counts(corpus, order)]
+    return {"order": order, "vocab": vocab,
+            "ids": [[i for ids, _ in table for i in ids] for table in tables],
+            "counts": [[count for _, count in table] for table in tables]}
 
 
 def reference_tables(corpus, order):
@@ -454,135 +473,225 @@ def reference_prob(tables, discounts, stats, vocab_size, context, word):
     return max(discounted, 0.0) / denom[context] + gamma * lower
 
 
-# the markers as tokens, a prefix of another token, an empty token, one
-# holding the character to_json's fast sort joins on, a quote and
-# non-ASCII tokens
+def reference_logprob(corpus, order, sentences):
+    """Each sentence's log10 probability, one token at a time, each log
+    taken with math.log10 and added left to right."""
+    tables = reference_tables(corpus, order)
+    discounts = [reference_discounts(table) for table in tables]
+    stats = [reference_stats(table) for table in tables]
+    known = {t for s in corpus for t in s} | {EOS}
+    totals = []
+    for tokens in sentences:
+        history, total = [BOS] * (order - 1), 0.0
+        for word in [t if t in known else UNK for t in tokens] + [EOS]:
+            context = tuple(history[len(history) - order + 1:])
+            total += math.log10(reference_prob(tables, discounts, stats, len(known | {UNK}),
+                                               context, word))
+            history.append(word)
+        totals.append(total)
+    return totals
+
+
+# the markers as tokens, a prefix of another token, an empty token, a
+# NUL-holding token, a quote and non-ASCII tokens
 _LM_TOKENS = st.sampled_from(["a", "b", "ab", BOS, EOS, UNK, "", "a\x00", '"', "naïve", "日本"])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(_LM_TOKENS, max_size=6), min_size=1, max_size=8),
-       st.integers(1, 5), st.booleans())
-@example([[BOS]], 3, False)
-@example([["a", BOS, "b"], [BOS, BOS]], 5, False)
-@example([[EOS, "a"], ["a"]], 1, False)
-@example([[BOS, '"', "a\x00", BOS], ["日本", UNK, BOS, EOS, "naïve"]], 4, False)
-def test_estimator_equals_the_per_gram_reference(corpus, order, plain):
-    if plain:  # no token holds a NUL, so to_json takes its fast sort
-        corpus = [[t for t in s if "\x00" not in t] for s in corpus]
+       st.integers(1, 5))
+@example([[BOS]], 3)
+@example([["a", BOS, "b"], [BOS, BOS]], 5)
+@example([[EOS, "a"], ["a"]], 1)
+@example([[BOS, '"', "a\x00", BOS], ["日本", UNK, BOS, EOS, "naïve"]], 4)
+def test_estimator_equals_the_per_gram_reference(corpus, order):
     if not any(corpus):
         with pytest.raises(ValueError):
             train_ngram_lm(corpus, order)
         return
     lm = train_ngram_lm(corpus, order)
-    counts = reference_counts(corpus, order)
     tables = reference_tables(corpus, order)
     discounts = [reference_discounts(table) for table in tables]
-    assert lm.counts == counts
     text = lm.to_json()
-    assert text == json.dumps({
-        "order": order,
-        "vocab": sorted(lm.vocab),
-        "counts": [[(gram, table[gram]) for gram in sorted(table)] for table in counts],
-    }, check_circular=False)
+    assert text == json.dumps(reference_payload(corpus, order), separators=(",", ":"))
     restored = NgramLM.from_json(text)
     assert restored.to_json() == text
     stats = [reference_stats(table) for table in tables]
-    for sentence in corpus + [["a", "zz", BOS, "b"]]:
-        assert sentence_logprob(restored, sentence) == sentence_logprob(lm, sentence)
+    sentences = corpus + [["a", "zz", BOS, "b"], []]
     for model in (lm, restored):
         assert model.tables == tables and model.discounts == discounts
         for k in range(1, order + 1):
-            assert model.contexts(k) == set(stats[k - 1][0])
-            for context in model.contexts(k) | {("zz",) * (k - 1)}:
+            assert lm_contexts(model, k) == set(stats[k - 1][0])
+            for context in lm_contexts(model, k) | {("zz",) * (k - 1)}:
                 for word in model.pred_vocab:
-                    assert model._prob(context, word) == reference_prob(
+                    assert model.cond_prob(context, word) == reference_prob(
                         tables, discounts, stats, len(model.pred_vocab), context, word)
         assert model.cond_prob(["a"] * order, "b") == reference_prob(
             tables, discounts, stats, len(model.pred_vocab), ("a",) * (order - 1), "b")
+        expected = reference_logprob(corpus, order, sentences)
+        assert [sentence_logprob(model, sentence) for sentence in sentences] == expected
+        assert _sentence_logprobs(model, sentences, chunk=2) == expected  # across chunks
+        ranked = rank_by_divergence(model, sentences, (0, 9))  # all scored in one pass
+        assert sorted((r.text, r.total_log10) for r in ranked) == sorted(
+            zip(map(" ".join, sentences), expected))
 
 
-def reference_read(stored_tables):
-    """The per-entry reader from_json keeps for its error messages, then
-    the check that each n-gram is one train_ngram_lm counts."""
-    tables = []
-    for k, entries in enumerate(stored_tables, start=1):
-        if type(entries) is not list:
-            raise ValueError(f"order-{k} table must be a list")
-        table = {}
-        for entry in entries:
-            if type(entry) is not list or len(entry) != 2:
-                raise ValueError(f"order-{k} entry must be [n-gram, count], got {entry!r}")
-            gram, count = entry
-            if type(gram) is not list or len(gram) != k:
-                raise ValueError(f"order-{k} n-gram must be a list of {k} "
-                                 f"strings, got {gram!r}")
-            if type(count) is not int or count < 1:
-                raise ValueError(f"count of {gram!r} must be a positive "
-                                 f"integer, got {count!r}")
-            table[tuple(gram)] = count
-        if not set(map(type, [t for gram in table for t in gram])) <= {str}:
-            raise ValueError(f"order-{k} n-grams must hold strings only")
-        if len(table) != len(entries):
-            raise ValueError(f"order-{k} table lists an n-gram twice")
-        tables.append(table)
-    for k, table in enumerate(tables, start=1):
-        for gram in table:
-            if gram[-1] == BOS:
-                raise ValueError(f"order-{k} n-gram {list(gram)!r} ends with {BOS}")
-            if k < len(tables) and gram[0] != BOS:
-                raise ValueError(f"order-{k} n-gram {list(gram)!r} does not start with {BOS}")
+def test_order_five_over_a_vocabulary_too_large_for_mixed_radix_keys():
+    """7,000 types at order 5: an n-gram keyed by its five ids in mixed
+    radix would need 7003 ** 5 > 2 ** 63, so the keys would overflow.
+    The tables, discounts and every sentence's log probability equal the
+    per-gram reference's, bit for bit."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(7000)]
+    corpus = [[words[i] for i in chunk] for chunk in np.array_split(rng.permutation(7000), 700)]
+    corpus += [[words[i % 60] for i in rng.zipf(1.3, size=12)] for _ in range(300)]
+    lm = train_ngram_lm(corpus, order=5)
+    assert len(lm.tokens) ** 5 > 2 ** 63
+    tables = reference_tables(corpus, 5)
+    sentences = corpus[:40] + corpus[-40:] + [["w1", "unseen", "w6999", "w2"], [BOS, EOS]]
+    expected = reference_logprob(corpus, 5, sentences)
+    for model in (lm, NgramLM.from_json(lm.to_json())):
+        assert model.tables == tables
+        assert model.discounts == [reference_discounts(table) for table in tables]
+        assert [sentence_logprob(model, s) for s in sentences] == expected
+        assert _sentence_logprobs(model, sentences, chunk=7) == expected
 
 
+def reference_read(payload):
+    """from_json's checks one value at a time, in its order: per order, the
+    ids' types and range of values, then the counts', the lengths, the id
+    range, the counts, the <s> rules, and each n-gram against the one
+    before it."""
+    order, tokens = payload["order"], sorted(set(payload["vocab"]) | {BOS, EOS, UNK})
+    for k, (ids, counts) in enumerate(zip(payload["ids"], payload["counts"]), start=1):
+        for what, values in ((f"order-{k} ids", ids), (f"order-{k} counts", counts)):
+            if type(values) is not list:
+                raise ValueError(f"{what} must be a list of integers")
+            for value in values:
+                if type(value) is not int:
+                    raise ValueError(f"{what} must be integers, got {value!r}")
+            if any(not -2 ** 63 <= value < 2 ** 63 for value in values):
+                raise ValueError(f"{what} must fit in 64 bits")
+        if len(ids) != k * len(counts):
+            raise ValueError(f"order-{k} holds {len(ids)} ids for {len(counts)} counts")
+        for i in ids:
+            if not 0 <= i < len(tokens):
+                raise ValueError(f"order-{k} id {i} is not the index of one of "
+                                 f"{len(tokens)} tokens")
+        for count in counts:
+            if count < 1:
+                raise ValueError(f"order-{k} count {count} is not >= 1")
+        grams = [ids[i:i + k] for i in range(0, len(ids), k)]
+        for gram in grams:
+            if tokens[gram[-1]] == BOS:
+                raise ValueError(f"order-{k} n-gram {[tokens[i] for i in gram]!r} ends with {BOS}")
+        for gram in grams:
+            if k < order and tokens[gram[0]] != BOS:
+                raise ValueError(f"order-{k} n-gram {[tokens[i] for i in gram]!r} "
+                                 f"does not start with {BOS}")
+        for before, gram in zip(grams, grams[1:]):
+            if gram <= before:
+                fault = "twice" if gram == before else "out of order"
+                raise ValueError(f"order-{k} lists the n-gram {[tokens[i] for i in gram]!r} {fault}")
+
+
+def _set_id(at):
+    """A mutation that writes its value at position `at` of n-gram i."""
+    def mutate(ids, counts, k, i, j, tokens, value):
+        ids[i * k + (at if at >= 0 else k + at)] = value
+    return mutate
+
+
+def _copy_gram(ids, counts, k, i, j, tokens, value):
+    ids[i * k:(i + 1) * k] = ids[j * k:(j + 1) * k]
+
+
+def _swap_grams(ids, counts, k, i, j, tokens, value):
+    ids[i * k:(i + 1) * k], ids[j * k:(j + 1) * k] = ids[j * k:(j + 1) * k], ids[i * k:(i + 1) * k]
+
+
+def _set_count(value):
+    def mutate(ids, counts, k, i, j, tokens, _):
+        counts[i] = value
+    return mutate
+
+
+# Each fault class of the per-entry format, moved to the flat lists: (how
+# the order's lists change, whether it changes their shape).
 _MUTATIONS = {
-    "entry-type": lambda entry, other: "ab",
-    "entry-dict": lambda entry, other: {"a": 1},
-    "entry-long": lambda entry, other: entry + [1],
-    "entry-short": lambda entry, other: entry[:1],
-    "gram-type": lambda entry, other: ["a", entry[1]],
-    "gram-long": lambda entry, other: [entry[0] + ["a"], entry[1]],
-    "gram-short": lambda entry, other: [entry[0][:-1], entry[1]],
-    "bool-count": lambda entry, other: [entry[0], True],
-    "zero-count": lambda entry, other: [entry[0], 0],
-    "float-count": lambda entry, other: [entry[0], 1.0],
-    "int-token": lambda entry, other: [[7] + entry[0][1:], entry[1]],
-    "null-token": lambda entry, other: [entry[0][:-1] + [None], entry[1]],
-    "repeated-gram": lambda entry, other: [other[0], entry[1]],
-    "bos-last": lambda entry, other: [entry[0][:-1] + [BOS], entry[1]],
+    "ids-type": (lambda payload, k: payload["ids"].__setitem__(k - 1, "ab"), True),
+    "counts-dict": (lambda payload, k: payload["counts"].__setitem__(k - 1, {"a": 1}), True),
+    "ids-long": (lambda payload, k: payload["ids"][k - 1].append(0), True),
+    "ids-short": (lambda payload, k: payload["ids"][k - 1].pop(), True),
+    "counts-short": (lambda payload, k: payload["counts"][k - 1].pop(), True),
+    "string-id": (_set_id(0), False),
+    "null-id": (_set_id(-1), False),
+    "bool-id": (_set_id(0), False),
+    "huge-id": (_set_id(-1), False),
+    "negative-id": (_set_id(0), False),
+    "id-out-of-range": (_set_id(-1), False),
+    "bos-last": (_set_id(-1), False),
+    "first-not-bos": (_set_id(0), False),
+    "bool-count": (_set_count(True), False),
+    "zero-count": (_set_count(0), False),
+    "float-count": (_set_count(1.0), False),
+    "repeated-gram": (_copy_gram, False),
+    "swapped-grams": (_swap_grams, False),
+}
+_VALUES = {  # the value an id mutation writes
+    "string-id": lambda tokens: "3", "null-id": lambda tokens: None,
+    "bool-id": lambda tokens: False, "huge-id": lambda tokens: 2 ** 70,
+    "negative-id": lambda tokens: -1, "id-out-of-range": lambda tokens: len(tokens),
+    "bos-last": lambda tokens: tokens.index(BOS), "first-not-bos": lambda tokens: tokens.index("a"),
 }
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_mutated_entries_get_the_per_entry_message(order, data):
-    """One or two entries mutated, in any tables: from_json names the
-    fault the per-entry reader meets first, word for word."""
-    # four first words, so that every stored table from order 2 up holds
-    # the four entries two mutations may touch
+    """One or two values mutated, in any orders' lists: from_json names the
+    fault the one-value-at-a-time reader meets first, word for word, and
+    accepts what it accepts."""
+    # four first words, so that every stored order from 2 up holds the
+    # four n-grams two mutations may touch
     corpus = [["a", "b", "a"], ["b", "c"], ["c", "a", "b", "b"], ["d", "a"]]
     payload = json.loads(train_ngram_lm(corpus, order).to_json())
-    mutated = set()
+    tokens = sorted(set(payload["vocab"]) | {BOS, EOS, UNK})
+    reshaped = set()
     for _ in range(data.draw(st.integers(1, 2))):
         # below the top order only the <s>-initial n-grams are stored, and
         # no unigram starts with <s> without ending with it
         k = data.draw(st.integers(2, order))
-        entries = payload["counts"][k - 1]
-        i, j = data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2,
-                                  unique=True).filter(lambda ij: not mutated & {
-                                      (k, ij[0]), (k, ij[1])}))
-        mutation = data.draw(st.sampled_from(sorted(_MUTATIONS)))
-        entries[i] = _MUTATIONS[mutation](entries[i], entries[j])
-        mutated |= {(k, i), (k, j)}
-    with pytest.raises(ValueError) as expected:
-        reference_read(payload["counts"])
-    with pytest.raises(ValueError) as got:
-        NgramLM.from_json(json.dumps(payload))
-    assert str(got.value) == str(expected.value)
+        name = data.draw(st.sampled_from(sorted(_MUTATIONS)))
+        mutate, reshapes = _MUTATIONS[name]
+        if k in reshaped:
+            continue
+        if reshapes:
+            mutate(payload, k)
+            reshaped.add(k)
+        else:
+            i, j = data.draw(st.lists(st.integers(0, len(payload["counts"][k - 1]) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            mutate(payload["ids"][k - 1], payload["counts"][k - 1], k, i, j, tokens,
+                   _VALUES.get(name, lambda tokens: None)(tokens))
+    text = json.dumps(payload, separators=(",", ":"))
+    try:
+        reference_read(payload)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as got:
+            NgramLM.from_json(text)
+        assert str(got.value) == str(expected)
+    else:
+        assert NgramLM.from_json(text).to_json() == text
 
 
 @pytest.mark.parametrize("token", [["x"], {"x": 1}])
 def test_an_unhashable_token_is_a_value_error(token):
     payload = json.loads(train_ngram_lm(five_sentence_corpus(), order=2).to_json())
-    payload["counts"][1][0][0][0] = token
-    with pytest.raises(ValueError, match="order-2 n-grams must hold strings only"):
+    payload["ids"][1][0] = token
+    with pytest.raises(ValueError, match=r"order-2 ids must be integers, got "):
+        NgramLM.from_json(json.dumps(payload))
+    payload = json.loads(train_ngram_lm(five_sentence_corpus(), order=2).to_json())
+    payload["vocab"].append(token)
+    with pytest.raises(ValueError, match="vocab must be a list of strings"):
         NgramLM.from_json(json.dumps(payload))

@@ -22,6 +22,11 @@ def make_sentence(words, tags=None, heads=None, rels=None, categories=()):
     return Sentence(tokens, frozenset(categories))
 
 
+def lm_contexts(lm, k: int) -> set[tuple[str, ...]]:
+    """The observed (k-1)-token contexts of an n-gram model at order k."""
+    return {gram[:-1] for gram in lm.tables[k - 1]}
+
+
 def random_tree_sentence(rng: np.random.Generator, n: int) -> Sentence:
     """A uniformly random-ish single-rooted dependency tree."""
     order = list(rng.permutation(n) + 1)
