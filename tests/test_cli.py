@@ -874,7 +874,7 @@ def _older_adjusted_tables(payload):
     return {"order": payload["order"], "vocab": payload["vocab"], "tables": payload["counts"]}
 
 
-def _pr20_counts(payload):
+def _older_counts_entries(payload):
     """The layout of the lm-train that stored [n-gram, count] entries."""
     tokens = sorted(set(payload["vocab"]) | {"<s>", "</s>", "<unk>"})
     entries = [[[[tokens[i] for i in ids[n * k:(n + 1) * k]], count]
@@ -903,7 +903,7 @@ OLDER = "it is from an older lm-train; run lm-train again to rewrite it"
     (_bigram_without_bos, "order-2 n-gram ['cat', 'sat'] does not start with <s>"),
     (_trigram_ending_in_bos, "order-3 n-gram ['cat', 'sat', '<s>'] ends with <s>"),
     (_older_adjusted_tables, OLDER),
-    (_pr20_counts, OLDER),
+    (_older_counts_entries, OLDER),
     (_id_out_of_range, "order-3 id 8 is not the index of one of 8 tokens"),
     (_set("counts", 3, True), "order-3 counts must be integers, got True"),
     (_set("counts", 3, 1.5), "order-3 counts must be integers, got 1.5"),
