@@ -42,7 +42,6 @@ from .parser import (
 from .stacking import (
     StackedParser,
     StackedTagger,
-    stack_parse_inputs,
     train_stacked_parser,
     train_stacked_tagger,
 )

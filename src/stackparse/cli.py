@@ -268,10 +268,12 @@ def _cmd_lm_train(args) -> int:
 
 def _cmd_lm_rank(args) -> int:
     config = _effective_config(args)
-    try:  # the text is freed once read, before the first score derives the tables
-        model = langmodel.NgramLM.from_json(read_text(args.lm))
+    text = read_text(args.lm)  # a decode error names the path, as for every text input
+    try:
+        model = langmodel.NgramLM.from_json(text)
     except ValueError as exc:
         raise ValueError(f"{args.lm}: not a language model file: {exc}") from None
+    del text  # freed before the first score derives the tables
     sentences = _read_sentence_lines(args.input)
     lexicon = _read_lexicon(args.lexicon) if args.lexicon else None
     records = langmodel.rank_by_divergence(model, sentences,

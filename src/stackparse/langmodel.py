@@ -16,11 +16,16 @@ the end marker and the unknown type).  Logs are base 10 throughout.
 The model lives in integer arrays, after KenLM's sorted arrays and
 BerkeleyLM's context encoding.  A model and its file hold only the raw
 counts; the first score derives the rest, so a model that is only
-written never builds it.
+written never builds it.  The file is JSON whose arrays are packed, as
+in KenLM's binary format: each order's ids and counts are one base64
+string of little-endian bytes, ids in the narrowest of 2 or 4 unsigned
+bytes that holds the largest id, which the vocabulary fixes, and counts
+in 8 signed bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -193,23 +198,28 @@ class NgramLM:
     # -- persistence -----------------------------------------------------------
 
     def to_json(self) -> str:
-        """The vocabulary and, per order, the sorted n-grams as one flat list
-        of ids, row after row, and their counts: one model, one text."""
+        """The vocabulary and, per order, the sorted n-grams' ids, row after
+        row, and their counts, each packed: one model, one text."""
+        ids = _id_dtype(len(self.tokens))
         return json.dumps({"order": self.order, "vocab": sorted(self.vocab),
-                           "ids": [rows.ravel().tolist() for rows, _ in self.grams],
-                           "counts": [counts.tolist() for _, counts in self.grams]},
+                           "ids": [_pack(rows, ids) for rows, _ in self.grams],
+                           "counts": [_pack(counts, "<i8") for _, counts in self.grams]},
                           separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "NgramLM":
         """Read what to_json wrote; any other shape raises ValueError
         naming the first fault found."""
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("its JSON nests too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object")
-        if "ids" not in payload and ("counts" in payload or "tables" in payload):
-            raise ValueError("it is from an older lm-train; run lm-train again to rewrite it")
         order, vocab, ids, counts = map(payload.get, ("order", "vocab", "ids", "counts"))
+        if ("ids" not in payload and ("counts" in payload or "tables" in payload)
+                or type(ids) is list and ids and all(type(entry) is list for entry in ids)):
+            raise ValueError("it is from an older lm-train; run lm-train again to rewrite it")
         if type(order) is not int or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if type(vocab) is not list or not all(type(word) is str for word in vocab):
@@ -217,35 +227,42 @@ class NgramLM:
         if not (type(ids) is list and type(counts) is list and len(ids) == len(counts) == order):
             raise ValueError(f"expected {order} id lists and {order} count lists")
         tokens = sorted(set(vocab) | {BOS, EOS, UNK})
-        return cls(order, [_read_grams(k, order, tokens, *lists)
-                           for k, lists in enumerate(zip(ids, counts), start=1)], vocab)
+        return cls(order, [_read_grams(k, order, tokens, *packed)
+                           for k, packed in enumerate(zip(ids, counts), start=1)], vocab)
 
 
-def _int_array(values, what: str) -> np.ndarray:
-    """`values`, a list of integers, as an int64 array, or ValueError naming
-    `what`: no bool, float or string is cast.  The list is emptied from its
-    end as it is read, so that its integers are freed as they go."""
-    if type(values) is not list:
-        raise ValueError(f"{what} must be a list of integers")
-    if not set(map(type, values)) <= {int}:
-        bad = next(value for value in values if type(value) is not int)
-        raise ValueError(f"{what} must be integers, got {bad!r}")
-    parts = [np.zeros(0, np.int64)]
+def _id_dtype(tokens: int) -> str:
+    """The narrowest little-endian unsigned type, 2 or 4 bytes, that holds
+    the ids of `tokens` tokens."""
+    return "<u2" if tokens <= 1 << 16 else "<u4"
+
+
+def _pack(values: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(values, dtype)).decode("ascii")
+
+
+def _unpack(packed, dtype: str, what: str) -> np.ndarray:
+    """`packed`, a base64 string of `dtype` integers, as an array, or
+    ValueError naming `what`."""
+    if type(packed) is not str:
+        raise ValueError(f"{what} must be a base64 string, got {type(packed).__name__}")
     try:
-        while values:
-            parts.append(np.array(values[-65536:], np.int64))
-            del values[-65536:]
-    except OverflowError:
-        raise ValueError(f"{what} must fit in 64 bits") from None
-    return np.concatenate(parts[::-1])
+        data = base64.b64decode(packed, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{what} is not valid base64: {exc}") from None
+    if len(data) % (size := np.dtype(dtype).itemsize):
+        raise ValueError(f"{what} has {len(data)} bytes, "
+                         f"not a whole number of {size}-byte integers")
+    return np.frombuffer(data, dtype)
 
 
 def _read_grams(k: int, order: int, tokens: list[str], ids, counts) -> tuple[np.ndarray, ...]:
     """Order k's stored n-grams and counts, checked in bulk passes."""
-    flat, counts = _int_array(ids, f"order-{k} ids"), _int_array(counts, f"order-{k} counts")
+    flat = _unpack(ids, _id_dtype(len(tokens)), f"order-{k} ids")
+    counts = _unpack(counts, "<i8", f"order-{k} counts")
     if len(flat) != k * len(counts):
         raise ValueError(f"order-{k} holds {len(flat)} ids for {len(counts)} counts")
-    if (bad := flat[(flat < 0) | (flat >= len(tokens))]).size:
+    if (bad := flat[flat >= len(tokens)]).size:
         raise ValueError(f"order-{k} id {bad[0]} is not the index of one of {len(tokens)} tokens")
     if (bad := counts[counts < 1]).size:
         raise ValueError(f"order-{k} count {bad[0]} is not >= 1")

@@ -23,7 +23,6 @@ from .tensor import (
     no_grad,
     parameter,
     reshape,
-    sigmoid,
     softmax_rows_masked,
     tanh,
     transpose,
@@ -59,7 +58,6 @@ __all__ = [
     "no_grad",
     "parameter",
     "reshape",
-    "sigmoid",
     "softmax_rows_masked",
     "tanh",
     "transpose",

@@ -406,16 +406,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = _sigmoid(a.data)
-
-    def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _result(data, (a,), backward)
-
-
 def leaky_relu(a: Tensor, alpha: float = 0.1) -> Tensor:
     a = _as_tensor(a)
     data = np.where(a.data >= 0, a.data, alpha * a.data)

@@ -151,12 +151,6 @@ class StackedParser:
         return self._forward(forms, upos_tags, rng, base_fw)
 
 
-def stack_parse_inputs(stacked: StackedParser, sentence: Sentence) -> nc.Tensor:
-    with nc.no_grad():
-        base_fw = stacked.base.forward_full(sentence.forms, sentence.upos)
-        return stacked.input_vectors(sentence.forms, sentence.upos, base=base_fw)
-
-
 def train_stacked_parser(base: ParserModel, treebank: list[Sentence],
                          dev: list[Sentence], config,
                          pretrained: PretrainedEmbeddings | None = None) -> StackedParser:

@@ -21,14 +21,13 @@ from stackparse.parser import ParserModel, decode_mst, parse, train_parser
 from stackparse.stacking import (
     StackedParser,
     StackedTagger,
-    stack_parse_inputs,
     train_stacked_parser,
     train_stacked_tagger,
 )
 from stackparse.tagger import TaggerModel, crf_log_likelihood, tag, train_tagger, viterbi_decode
 from stackparse.treebank import LabelInventory, Sentence, Token, parse_conllu, validate, write_conllu
 from synthdata import FULL_LEXICON, SMALL_LEXICON, make_treebank, overfit_treebank
-from util import lm_contexts, make_sentence, random_tree_sentence
+from util import lm_contexts, make_sentence, random_tree_sentence, stack_parse_inputs
 
 
 def ok(number: int, message: str) -> None:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import base64
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +32,7 @@ from stackparse.stacking import StackedParser, StackedTagger, train_stacked_pars
 from stackparse.tagger import TaggerModel
 from stackparse.tagger import tag as tag_fn
 from stackparse.treebank import parse_conllu, write_conllu
-from util import make_sentence
+from util import make_sentence, pack
 
 TINY_CONFIG = """\
 # desk-scale test settings
@@ -834,12 +836,28 @@ def test_select_outputs_are_pinned(workdir):
     }
 
 
+def _unpack(packed, code):
+    data = base64.b64decode(packed, validate=True)
+    return list(struct.unpack(f"<{len(data) // struct.calcsize(code)}{code}", data))
+
+
+# a five-word model's ids fit in two bytes; counts take eight
+CODES = {"ids": "H", "counts": "q"}
+
+
+def _repack(payload):
+    """`payload` with every list of integers under ids and counts packed."""
+    if isinstance(payload, dict):
+        for key, code in CODES.items():
+            if type(payload.get(key)) is list:
+                payload[key] = [pack(entry, code) if type(entry) is list
+                                and all(type(value) is int for value in entry) else entry
+                                for entry in payload[key]]
+    return payload
+
+
 def _two_tables(payload):
     payload["ids"], payload["counts"] = payload["ids"][:2], payload["counts"][:2]
-
-
-def _unigram_as_string(payload):
-    payload["ids"][0].append("ab")  # order 3 stores no unigram
 
 
 def _negative_count(payload):
@@ -883,9 +901,22 @@ def _older_counts_entries(payload):
     return {"order": payload["order"], "vocab": payload["vocab"], "counts": entries}
 
 
+def _older_integer_lists(payload):
+    """The layout of the lm-train that wrote ids and counts as JSON integers."""
+    return json.dumps(payload)
+
+
 def _set(key, order, value):
+    """Order `order`'s packed `key` entry replaced by `value`."""
     def corrupt(payload):
-        payload[key][order - 1][0] = value
+        payload[key][order - 1] = value
+    return corrupt
+
+
+def _packed_as(key, order, code):
+    """Order `order`'s `key` packed as struct `code` integers."""
+    def corrupt(payload):
+        payload[key][order - 1] = pack(payload[key][order - 1], code)
     return corrupt
 
 
@@ -895,7 +926,7 @@ OLDER = "it is from an older lm-train; run lm-train again to rewrite it"
 @pytest.mark.parametrize("corrupt,message", [
     (_two_tables, "expected 3 id lists and 3 count lists"),
     (lambda payload: [payload], "expected a JSON object"),
-    (_unigram_as_string, "order-1 ids must be integers, got 'ab'"),
+    (_set("ids", 1, "ab=="), "order-1 ids has 1 bytes, not a whole number of 2-byte integers"),
     (_negative_count, "order-2 count -3 is not >= 1"),
     (lambda payload: {**payload, "order": True}, "order must be an integer >= 1"),
     (lambda payload: {**payload, "vocab": [["the"]]}, "vocab must be a list of strings"),
@@ -904,25 +935,33 @@ OLDER = "it is from an older lm-train; run lm-train again to rewrite it"
     (_trigram_ending_in_bos, "order-3 n-gram ['cat', 'sat', '<s>'] ends with <s>"),
     (_older_adjusted_tables, OLDER),
     (_older_counts_entries, OLDER),
+    (_older_integer_lists, OLDER),
     (_id_out_of_range, "order-3 id 8 is not the index of one of 8 tokens"),
-    (_set("counts", 3, True), "order-3 counts must be integers, got True"),
-    (_set("counts", 3, 1.5), "order-3 counts must be integers, got 1.5"),
-    (_set("ids", 2, "3"), "order-2 ids must be integers, got '3'"),
-    (_set("ids", 3, 2 ** 70), "order-3 ids must fit in 64 bits"),
-    (_set("counts", 2, -2 ** 64), "order-2 counts must fit in 64 bits"),
+    (_set("counts", 3, True), "order-3 counts must be a base64 string, got bool"),
+    (_set("counts", 3, 1.5), "order-3 counts must be a base64 string, got float"),
+    (_set("ids", 2, "3"), "order-2 ids is not valid base64: Invalid base64-encoded string"),
+    (_set("ids", 2, "AQADé"), "order-2 ids is not valid base64: string argument should "
+                              "contain only ASCII characters"),
+    (_packed_as("ids", 3, "I"), "order-3 holds 36 ids for 6 counts"),
+    (_packed_as("counts", 2, "i"), "order-2 counts has 4 bytes, not a whole number of "
+                                  "8-byte integers"),
+    (lambda payload: "[" * 200_000 + "]" * 200_000, "its JSON nests too deeply"),
 ], ids=["too-few-tables", "top-level-list", "unigram-string", "negative-count",
         "bool-order", "nested-vocab", "repeated-bigram", "bigram-without-bos",
         "trigram-ending-in-bos", "older-adjusted-tables", "older-counts-entries",
-        "id-out-of-range", "bool-count", "float-count", "string-id", "over-long-id",
-        "over-long-count"])
+        "older-integer-lists", "id-out-of-range", "bool-count", "float-count", "string-id",
+        "non-ascii-ids", "over-long-id", "over-long-count", "deeply-nested"])
 def test_malformed_lm_file_is_one_error_line(workdir, capsys, corrupt, message):
     corpus = workdir / "corpus.txt"
     corpus.write_text("the cat sat here today\n" * 5, encoding="utf-8")
     lm = workdir / "lm.json"
     assert run("lm-train", "--corpus", corpus, "--order", 3, "--out", lm) == 0
     payload = json.loads(lm.read_text(encoding="utf-8"))
+    for key, code in CODES.items():
+        payload[key] = [_unpack(entry, code) for entry in payload[key]]
     payload = corrupt(payload) or payload
-    lm.write_text(json.dumps(payload), encoding="utf-8")
+    lm.write_text(payload if type(payload) is str else json.dumps(_repack(payload)),
+                  encoding="utf-8")
     capsys.readouterr()
     assert run("lm-rank", "--lm", lm, "--input", corpus, "--out", workdir / "ranked.tsv") == 2
     captured = capsys.readouterr()
@@ -930,6 +969,14 @@ def test_malformed_lm_file_is_one_error_line(workdir, capsys, corrupt, message):
     assert captured.err.startswith(f"error: {lm}: not a language model file: ")
     assert message in captured.err and captured.err.count("\n") == 1
     assert not (workdir / "ranked.tsv").exists()
+
+
+def test_a_non_utf8_lm_file_names_its_path_once(workdir, capsys):
+    lm = workdir / "lm.json"
+    lm.write_bytes(b'{"order":1,"vocab":["caf\xe9"]}')
+    assert run("lm-rank", "--lm", lm, "--input", lm, "--out", workdir / "ranked.tsv") == 2
+    assert capsys.readouterr().err == (f"error: {lm}: 'utf-8' codec can't decode byte 0xe9 "
+                                       "in position 24: invalid continuation byte\n")
 
 
 @pytest.mark.parametrize("command,flags,message", [

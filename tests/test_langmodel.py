@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import base64
 import gc
 import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,7 @@ from stackparse.langmodel import (
     sentence_logprob,
     train_ngram_lm,
 )
-from util import lm_contexts
+from util import lm_contexts, pack
 
 
 def perplexity(lm, corpus):
@@ -407,17 +409,26 @@ def reference_counts(corpus, order):
             for k, table in enumerate(raw, start=1)]
 
 
+def reference_id_code(tokens):
+    """The struct code of the narrowest unsigned type, 2 or 4 bytes, that
+    holds the largest id."""
+    return "H" if len(tokens) - 1 <= 0xFFFF else "I"
+
+
 def reference_payload(corpus, order):
     """The file's JSON object, from reference_counts: the sorted vocabulary
-    and, per order, the n-grams in sorted order as one flat list of ids
-    into the sorted vocabulary and markers, with their counts."""
+    and, per order, the n-grams in sorted order as one flat array of ids
+    into the sorted vocabulary and markers, and one of their counts, each
+    packed."""
     vocab = sorted({t for s in corpus for t in s})
-    index = {t: i for i, t in enumerate(sorted(set(vocab) | {BOS, EOS, UNK}))}
+    tokens = sorted(set(vocab) | {BOS, EOS, UNK})
+    index = {t: i for i, t in enumerate(tokens)}
     tables = [sorted((tuple(index[t] for t in gram), count) for gram, count in table.items())
               for table in reference_counts(corpus, order)]
     return {"order": order, "vocab": vocab,
-            "ids": [[i for ids, _ in table for i in ids] for table in tables],
-            "counts": [[count for _, count in table] for table in tables]}
+            "ids": [pack([i for ids, _ in table for i in ids], reference_id_code(tokens))
+                    for table in tables],
+            "counts": [pack([count for _, count in table], "q") for table in tables]}
 
 
 def reference_tables(corpus, order):
@@ -557,21 +568,28 @@ def test_order_five_over_a_vocabulary_too_large_for_mixed_radix_keys():
         assert _sentence_logprobs(model, sentences, chunk=7) == expected
 
 
+def reference_unpack(packed, code, what):
+    """A packed entry's integers, one check at a time."""
+    if type(packed) is not str:
+        raise ValueError(f"{what} must be a base64 string, got {type(packed).__name__}")
+    try:
+        data = base64.b64decode(packed, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not valid base64: {exc}") from None
+    size = struct.calcsize(f"<{code}")
+    if len(data) % size:
+        raise ValueError(f"{what} has {len(data)} bytes, not a whole number of {size}-byte integers")
+    return list(struct.unpack(f"<{len(data) // size}{code}", data))
+
+
 def reference_read(payload):
     """from_json's checks one value at a time, in its order: per order, the
-    ids' types and range of values, then the counts', the lengths, the id
-    range, the counts, the <s> rules, and each n-gram against the one
-    before it."""
+    ids' packing, then the counts', the lengths, the id range, the counts,
+    the <s> rules, and each n-gram against the one before it."""
     order, tokens = payload["order"], sorted(set(payload["vocab"]) | {BOS, EOS, UNK})
     for k, (ids, counts) in enumerate(zip(payload["ids"], payload["counts"]), start=1):
-        for what, values in ((f"order-{k} ids", ids), (f"order-{k} counts", counts)):
-            if type(values) is not list:
-                raise ValueError(f"{what} must be a list of integers")
-            for value in values:
-                if type(value) is not int:
-                    raise ValueError(f"{what} must be integers, got {value!r}")
-            if any(not -2 ** 63 <= value < 2 ** 63 for value in values):
-                raise ValueError(f"{what} must fit in 64 bits")
+        ids = reference_unpack(ids, reference_id_code(tokens), f"order-{k} ids")
+        counts = reference_unpack(counts, "q", f"order-{k} counts")
         if len(ids) != k * len(counts):
             raise ValueError(f"order-{k} holds {len(ids)} ids for {len(counts)} counts")
         for i in ids:
@@ -616,32 +634,35 @@ def _set_count(value):
     return mutate
 
 
-# Each fault class of the per-entry format, moved to the flat lists: (how
-# the order's lists change, whether it changes their shape).
+def _cut_a_byte(packed):
+    return base64.b64encode(base64.b64decode(packed)[:-1]).decode("ascii")
+
+
+# Each fault class of the file: (what it changes, how).  A "packed"
+# mutation changes the order's packed entry, a "shape" one its integer
+# lists' lengths, and a "value" one values of n-grams i and j.
 _MUTATIONS = {
-    "ids-type": (lambda payload, k: payload["ids"].__setitem__(k - 1, "ab"), True),
-    "counts-dict": (lambda payload, k: payload["counts"].__setitem__(k - 1, {"a": 1}), True),
-    "ids-long": (lambda payload, k: payload["ids"][k - 1].append(0), True),
-    "ids-short": (lambda payload, k: payload["ids"][k - 1].pop(), True),
-    "counts-short": (lambda payload, k: payload["counts"][k - 1].pop(), True),
-    "string-id": (_set_id(0), False),
-    "null-id": (_set_id(-1), False),
-    "bool-id": (_set_id(0), False),
-    "huge-id": (_set_id(-1), False),
-    "negative-id": (_set_id(0), False),
-    "id-out-of-range": (_set_id(-1), False),
-    "bos-last": (_set_id(-1), False),
-    "first-not-bos": (_set_id(0), False),
-    "bool-count": (_set_count(True), False),
-    "zero-count": (_set_count(0), False),
-    "float-count": (_set_count(1.0), False),
-    "repeated-gram": (_copy_gram, False),
-    "swapped-grams": (_swap_grams, False),
+    "ids-type": ("packed", lambda packed: 7),
+    "counts-dict": ("packed", lambda packed: {"a": 1}),
+    "ids-not-base64": ("packed", lambda packed: packed + "*"),
+    "counts-not-ascii": ("packed", lambda packed: packed[:-1] + "é"),
+    "ids-partial": ("packed", _cut_a_byte),
+    "counts-partial": ("packed", _cut_a_byte),
+    "ids-long": ("shape", lambda lists, k: lists["ids"][k - 1].append(0)),
+    "ids-short": ("shape", lambda lists, k: lists["ids"][k - 1].pop()),
+    "counts-short": ("shape", lambda lists, k: lists["counts"][k - 1].pop()),
+    "largest-id": ("value", _set_id(-1)),
+    "id-out-of-range": ("value", _set_id(-1)),
+    "bos-last": ("value", _set_id(-1)),
+    "first-not-bos": ("value", _set_id(0)),
+    "zero-count": ("value", _set_count(0)),
+    "negative-count": ("value", _set_count(-1)),
+    "largest-count": ("value", _set_count(2 ** 63 - 1)),
+    "repeated-gram": ("value", _copy_gram),
+    "swapped-grams": ("value", _swap_grams),
 }
 _VALUES = {  # the value an id mutation writes
-    "string-id": lambda tokens: "3", "null-id": lambda tokens: None,
-    "bool-id": lambda tokens: False, "huge-id": lambda tokens: 2 ** 70,
-    "negative-id": lambda tokens: -1, "id-out-of-range": lambda tokens: len(tokens),
+    "largest-id": lambda tokens: 2 ** 16 - 1, "id-out-of-range": lambda tokens: len(tokens),
     "bos-last": lambda tokens: tokens.index(BOS), "first-not-bos": lambda tokens: tokens.index("a"),
 }
 
@@ -649,31 +670,41 @@ _VALUES = {  # the value an id mutation writes
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_mutated_entries_get_the_per_entry_message(order, data):
-    """One or two values mutated, in any orders' lists: from_json names the
-    fault the one-value-at-a-time reader meets first, word for word, and
-    accepts what it accepts."""
+    """One or two faults, in any orders' entries: from_json names the fault
+    the one-value-at-a-time reader meets first, word for word, and accepts
+    what it accepts."""
     # four first words, so that every stored order from 2 up holds the
     # four n-grams two mutations may touch
     corpus = [["a", "b", "a"], ["b", "c"], ["c", "a", "b", "b"], ["d", "a"]]
     payload = json.loads(train_ngram_lm(corpus, order).to_json())
     tokens = sorted(set(payload["vocab"]) | {BOS, EOS, UNK})
-    reshaped = set()
+    codes = {"ids": "H", "counts": "q"}
+    lists = {key: [reference_unpack(packed, code, key) for packed in payload[key]]
+             for key, code in codes.items()}
+    packing, reshaped = [], set()
     for _ in range(data.draw(st.integers(1, 2))):
         # below the top order only the <s>-initial n-grams are stored, and
         # no unigram starts with <s> without ending with it
         k = data.draw(st.integers(2, order))
         name = data.draw(st.sampled_from(sorted(_MUTATIONS)))
-        mutate, reshapes = _MUTATIONS[name]
+        kind, mutate = _MUTATIONS[name]
         if k in reshaped:
             continue
-        if reshapes:
-            mutate(payload, k)
+        if kind == "packed":
+            packing.append((name.partition("-")[0], k, mutate))
+            reshaped.add(k)
+        elif kind == "shape":
+            mutate(lists, k)
             reshaped.add(k)
         else:
-            i, j = data.draw(st.lists(st.integers(0, len(payload["counts"][k - 1]) - 1),
+            i, j = data.draw(st.lists(st.integers(0, len(lists["counts"][k - 1]) - 1),
                                       min_size=2, max_size=2, unique=True))
-            mutate(payload["ids"][k - 1], payload["counts"][k - 1], k, i, j, tokens,
+            mutate(lists["ids"][k - 1], lists["counts"][k - 1], k, i, j, tokens,
                    _VALUES.get(name, lambda tokens: None)(tokens))
+    for key, code in codes.items():
+        payload[key] = [pack(values, code) for values in lists[key]]
+    for key, k, mutate in packing:
+        payload[key][k - 1] = mutate(payload[key][k - 1])
     text = json.dumps(payload, separators=(",", ":"))
     try:
         reference_read(payload)
@@ -688,10 +719,44 @@ def test_mutated_entries_get_the_per_entry_message(order, data):
 @pytest.mark.parametrize("token", [["x"], {"x": 1}])
 def test_an_unhashable_token_is_a_value_error(token):
     payload = json.loads(train_ngram_lm(five_sentence_corpus(), order=2).to_json())
-    payload["ids"][1][0] = token
-    with pytest.raises(ValueError, match=r"order-2 ids must be integers, got "):
+    payload["ids"][1] = token
+    with pytest.raises(ValueError, match=r"order-2 ids must be a base64 string, got "):
         NgramLM.from_json(json.dumps(payload))
     payload = json.loads(train_ngram_lm(five_sentence_corpus(), order=2).to_json())
     payload["vocab"].append(token)
     with pytest.raises(ValueError, match="vocab must be a list of strings"):
         NgramLM.from_json(json.dumps(payload))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.lists(st.one_of(_LM_TOKENS, st.text(max_size=3)), max_size=6),
+                min_size=1, max_size=8).filter(any),
+       st.integers(1, 5))
+def test_a_packed_file_round_trips_bit_for_bit(corpus, order):
+    lm = train_ngram_lm(corpus, order)
+    text = lm.to_json()
+    restored = NgramLM.from_json(text)
+    assert restored.to_json() == text
+    assert restored.tables == lm.tables and restored.discounts == lm.discounts
+    sentences = corpus + [["a", "zz", BOS, "b"], []]
+    assert ([sentence_logprob(restored, s) for s in sentences]
+            == [sentence_logprob(lm, s) for s in sentences])
+
+
+@pytest.mark.parametrize("types,width", [(65_533, 2), (65_534, 4)])
+def test_ids_take_two_bytes_up_to_65536_tokens_then_four(types, width):
+    """With the three markers, 65,533 types have ids up to 2 ** 16 - 1;
+    one more type needs a four-byte id."""
+    words = [f"w{i:05d}" for i in range(types)]
+    corpus = [words[i:i + 9] for i in range(0, types, 9)]
+    lm = train_ngram_lm(corpus, order=2)
+    text = lm.to_json()
+    ids = base64.b64decode(json.loads(text)["ids"][1])
+    assert len(ids) == width * 2 * len(lm.grams[1][1])
+    assert lm.grams[1][0].max() == len(lm.tokens) - 1 == types + 2
+    assert text == json.dumps(reference_payload(corpus, 2), separators=(",", ":"))
+    restored = NgramLM.from_json(text)
+    assert restored.to_json() == text
+    sentences = corpus[-3:] + [[words[-1], "unseen", words[0]]]
+    assert ([sentence_logprob(restored, s) for s in sentences]
+            == [sentence_logprob(lm, s) for s in sentences])

@@ -16,7 +16,7 @@ from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encod
 from stackparse.parser import ParserModel
 from stackparse.stacking import StackedParser
 from stackparse.tagger import TaggerModel
-from util import make_sentence
+from util import make_sentence, sigmoid
 
 
 def vec(*values):
@@ -29,16 +29,16 @@ def cell_step(cell, x, h_prev, c_prev):
     h = cell.hidden_dim
     pre = nc.matmul(cell.w_x, x) + nc.matmul(cell.w_h, h_prev) + cell.bias
     if cell.variant == PEEPHOLE:
-        gate_in = nc.sigmoid(pre[0:h] + nc.mul(cell.p_in, c_prev))
-        gate_forget = nc.sigmoid(pre[h:2 * h] + nc.mul(cell.p_forget, c_prev))
+        gate_in = sigmoid(pre[0:h] + nc.mul(cell.p_in, c_prev))
+        gate_forget = sigmoid(pre[h:2 * h] + nc.mul(cell.p_forget, c_prev))
         candidate = nc.tanh(pre[2 * h:3 * h])
         c = nc.mul(gate_forget, c_prev) + nc.mul(gate_in, candidate)
-        gate_out = nc.sigmoid(pre[3 * h:4 * h] + nc.mul(cell.p_out, c))
+        gate_out = sigmoid(pre[3 * h:4 * h] + nc.mul(cell.p_out, c))
     else:
-        gate_in = nc.sigmoid(pre[0:h])
+        gate_in = sigmoid(pre[0:h])
         candidate = nc.tanh(pre[h:2 * h])
         c = nc.mul(1.0 - gate_in, c_prev) + nc.mul(gate_in, candidate)
-        gate_out = nc.sigmoid(pre[2 * h:3 * h])
+        gate_out = sigmoid(pre[2 * h:3 * h])
     return nc.mul(gate_out, nc.tanh(c)), c
 
 
@@ -93,7 +93,7 @@ def test_coupled_forget_plus_input_is_exactly_one():
     c_prev = Tensor(rng.standard_normal(4))
     _, c = cell_step(cell, x, h_prev, c_prev)
     pre = cell.w_x.data @ x.data + cell.w_h.data @ h_prev.data + cell.bias.data
-    gate_in = nc.sigmoid(Tensor(pre[:4])).data
+    gate_in = sigmoid(Tensor(pre[:4])).data
     candidate = np.tanh(pre[4:8])
     # forget is computed literally as 1 - input, so this identity is exact
     assert np.array_equal(c.data, (1.0 - gate_in) * c_prev.data + gate_in * candidate)

@@ -8,12 +8,18 @@ from stackparse.parser import ParserModel, parse, score_arcs, score_labels, trai
 from stackparse.stacking import (
     StackedParser,
     StackedTagger,
-    stack_parse_inputs,
     train_stacked_parser,
     train_stacked_tagger,
 )
 from stackparse.tagger import TaggerModel, train_tagger
-from util import FORM_POOL, REL_POOL, TAG_POOL, make_sentence, random_tree_sentence
+from util import (
+    FORM_POOL,
+    REL_POOL,
+    TAG_POOL,
+    make_sentence,
+    random_tree_sentence,
+    stack_parse_inputs,
+)
 
 
 def source_sentences():
