@@ -28,7 +28,7 @@ from . import evaluation, langmodel, parser as parsing, stacking, tagger as tagg
 from .config import RunConfig, load_config, read_text
 from .embeddings import load_embeddings
 from .modelio import load_model, save_model, write_text_atomic
-from .stacking import StackedParser, StackedTagger
+from .stacking import StackedTagger
 from .treebank import LabelInventory, Sentence, parse_conllu, validate, write_conllu
 
 
@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
     bases = []
     if base_class is not None:
         base = load_model(args.base_model)
-        if not isinstance(base, base_class):
+        if type(base) is not base_class:  # a stacked parser is also a ParserModel
             raise ValueError(f"{args.base_model} is not a base "
                              f"{kind.removeprefix('stacked-')} archive")
         bases.append(base)
@@ -145,7 +145,7 @@ def _cmd_tag(args) -> int:
 def _cmd_parse(args) -> int:
     config = _effective_config(args)
     model = load_model(args.model)
-    if not isinstance(model, (parsing.ParserModel, StackedParser)):
+    if not isinstance(model, parsing.ParserModel):
         raise ValueError(f"{args.model} is not a parser archive")
     decoder = config.decoder
     sentences = _read_treebank(args.input)
@@ -300,7 +300,9 @@ def _cmd_lexicon_match(args) -> int:
     else:
         sys.stdout.write(text)
     matched = sum(1 for terms in hits if terms)
-    print(f"{matched} of {len(sentences)} sentences contain lexicon terms")
+    # With the rows on stdout, the summary goes to stderr, so stdout stays TSV.
+    print(f"{matched} of {len(sentences)} sentences contain lexicon terms",
+          file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -64,10 +64,3 @@ def load_embeddings(path: str) -> PretrainedEmbeddings:
         return PretrainedEmbeddings.empty()
     return PretrainedEmbeddings(vocab, np.array(rows, dtype=np.float64))
 
-
-def write_embeddings(path: str, vocab: dict[str, int], matrix: np.ndarray) -> None:
-    ordered = sorted(vocab.items(), key=lambda kv: kv[1])
-    with open(path, "w", encoding="utf-8") as f:
-        for token, index in ordered:
-            values = " ".join(repr(float(v)) for v in matrix[index])
-            f.write(f"{token} {values}\n")

@@ -144,21 +144,6 @@ class NgramLM:
             levels.append(level)
         return levels
 
-    @property
-    def tables(self) -> list[dict[tuple[str, ...], int]]:
-        """tables[k-1]: order k's adjusted counts by n-gram, built on each read."""
-        tokens = np.array(self.tokens, dtype=object)
-        tables, rows = [], np.zeros((1, 0), np.int64)
-        for node, count in self._trie():
-            parent, first = np.divmod(node, len(self.tokens) + 1)
-            rows = np.column_stack([first, rows[parent]])
-            tables.append(dict(zip(map(tuple, tokens[rows].tolist()), count.tolist())))
-        return tables
-
-    @property
-    def discounts(self) -> list[tuple[float, float, float]]:
-        return [level.discounts for level in self._levels]
-
     def map_token(self, token: str) -> str:
         return token if token in self.vocab or token in (EOS,) else UNK
 

@@ -4,6 +4,12 @@ blob, vocabulary manifests (token per line, index = line number), and a
 parameter sets with `base/` and `target/` name prefixes.  Writes are
 atomic (temp file + rename); round trips are bit-exact.
 
+`manifest.txt` has one `name shape float64 offset` line per stored array:
+`shape` is comma-separated dimensions (`-` for a scalar) and `offset` the
+array's byte position in `params.bin`, which holds the arrays back to back
+as little-endian float64, row-major.  A pretrained table is 2-D, with one
+row per line of its `pretrained_vocab.txt`.
+
 `params.bin` is stored uncompressed: deflate makes float64 weights only
 ~5% smaller but a save ~30x slower.  Saving streams each array into the
 member, and pads the member's local header with an alignment extra field
@@ -33,6 +39,7 @@ import copy
 import io
 import math
 import os
+import re
 import struct
 import tempfile
 import time
@@ -102,6 +109,81 @@ def _read_vocab(archive: zipfile.ZipFile, name: str) -> dict[str, int]:
     return vocab
 
 
+_STORED = np.dtype("<f8")
+_LINE = re.compile(r"(\S+) (-|[0-9]+(?:,[0-9]+)*) float64 ([0-9]+)")
+
+
+def _manifest_arrays(arrays: dict[str, np.ndarray]) -> tuple[str, list[np.ndarray]]:
+    """The manifest for `arrays` and, in blob order, each array as its
+    little-endian row-major bytes (a copy only when the array is not
+    already laid out that way).  Written back to back, they are the blob."""
+    lines = []
+    stored = []
+    offset = 0
+    for name, arr in arrays.items():
+        if " " in name or "\n" in name:
+            raise ValueError(f"parameter name {name!r} may not contain whitespace")
+        arr = np.asarray(arr)
+        if arr.dtype != np.float64:
+            raise ValueError(f"unsupported dtype {arr.dtype.name} for {name!r}")
+        shape = ",".join(str(d) for d in arr.shape) if arr.ndim else "-"
+        lines.append(f"{name} {shape} float64 {offset}")
+        stored.append(arr.astype(_STORED, order="C", copy=False))
+        offset += arr.nbytes
+    return "\n".join(lines) + ("\n" if lines else ""), stored
+
+
+def _manifest_layout(manifest: str) -> dict[str, tuple[tuple, int]]:
+    """name -> (shape, byte offset), one per manifest line.  A malformed
+    line raises ValueError naming it."""
+    layout = {}
+    for number, line in enumerate(manifest.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        match = _LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"manifest line {number} is not 'name shape float64 offset': {line!r}")
+        name, shape_text, offset_text = match.groups()
+        if name in layout:
+            raise ValueError(f"manifest line {number} names {name} a second time")
+        shape = () if shape_text == "-" else tuple(int(d) for d in shape_text.split(","))
+        layout[name] = (shape, int(offset_text))
+    return layout
+
+
+def _manifest_views(layout: dict[str, tuple[tuple, int]], blob,
+                    shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """name -> the stored array of that name, for each name in `shapes`,
+    as a float64 view of the whole blob `blob`, sharing its memory and its
+    writeability.
+
+    Every name needs a layout entry of its shape; entries that no name
+    asks for are skipped.  Entries may not overlap or run past the end of
+    the blob.
+    """
+    for name, shape in shapes.items():
+        if name not in layout:
+            raise ValueError(f"stored parameters lack {name}")
+        if layout[name][0] != shape:
+            raise ValueError(f"stored parameter {name} has shape {layout[name][0]}, "
+                             f"expected {shape}")
+    flat = np.frombuffer(blob, np.uint8)
+    position = 0
+    for name, (shape, offset) in sorted(layout.items(), key=lambda item: item[1][1]):
+        if offset < position:
+            raise ValueError(f"stored parameter {name} overlaps the one before it")
+        position = offset + math.prod(shape) * _STORED.itemsize
+        if position > len(flat):
+            raise ValueError("stored parameters end early")
+    views = {}
+    for name, shape in shapes.items():
+        offset = layout[name][1]
+        size = math.prod(shape) * _STORED.itemsize
+        views[name] = flat[offset:offset + size].view(_STORED).reshape(shape)
+    return views
+
+
 @dataclass(frozen=True)
 class _Spec:
     """How one model class is laid out in an archive.
@@ -139,7 +221,7 @@ _SPECS = (
           subs=(("base", _TAGGER), ("target", _TAGGER))),
     _Spec("stacked-parser", StackedParser,
           ("train_base_embeddings", "word_dim", "tag_dim", "hidden", "layers", "dropout"),
-          ("rels", "tags"), (("words", "word_vocab"),), StackedParser.target_parameters,
+          ("rels", "tags"), (("words", "word_vocab"),), StackedParser.parameters,
           prefix="target/", subs=(("base", _PARSER),)),
 )
 _META_TYPES = {"dropout": float, "train_base_embeddings": lambda v: v == "True"}
@@ -201,9 +283,14 @@ def _build(spec: _Spec, meta: dict[str, str], archive: zipfile.ZipFile,
     vocabs = [_read_vocab(archive, f"{own}{name}.txt") for name, _ in spec.vocabs]
     table = layout.get(f"{own}const/pretrained_table")
     pretrained = None
-    if table is not None and math.prod(table[0]):
-        pretrained = PretrainedEmbeddings(_read_vocab(archive, f"{own}pretrained_vocab.txt"),
-                                          np.zeros(table[0]))
+    if table is not None:
+        shape, vocab_name = table[0], f"{own}pretrained_vocab.txt"
+        vocab = _read_vocab(archive, vocab_name)
+        if len(shape) != 2 or shape[0] != len(vocab):
+            raise ValueError(f"stored parameter {own}const/pretrained_table has shape {shape}, "
+                             f"expected ({len(vocab)}, dim): one row per line of {vocab_name}")
+        if math.prod(shape):
+            pretrained = PretrainedEmbeddings(vocab, np.zeros(shape))
     model = spec.cls(*subs, *lists, *vocabs, pretrained=pretrained, rng=None, **kwargs)
     if meta.get("best_epoch"):
         model.best_epoch = int(meta["best_epoch"])
@@ -291,13 +378,13 @@ def _params_blob(path: str, archive: zipfile.ZipFile) -> np.ndarray:
 
 
 def save_model(path: str, model) -> None:
-    spec = next((s for s in _SPECS if isinstance(model, s.cls)), None)
+    spec = next((s for s in _SPECS if type(model) is s.cls), None)
     if spec is None:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     meta = {"type": spec.kind, **_meta(spec, model)}
     texts = _texts(spec, model)
     slots = _slots(spec, model)
-    manifest, arrays = nc.manifest_arrays({k: getattr(*slot) for k, slot in slots.items()})
+    manifest, arrays = _manifest_arrays({k: getattr(*slot) for k, slot in slots.items()})
 
     def writer(temp_path):
         with open(temp_path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_DEFLATED) as archive:
@@ -324,11 +411,11 @@ def load_model(path: str):
         spec = next((s for s in _SPECS if s.kind == kind), None)
         if spec is None:
             raise ValueError(f"unknown model type {kind!r} in {path}")
-        manifest = archive.read("manifest.txt").decode("utf-8")
-        model = _build(spec, meta, archive, nc.manifest_layout(manifest))
+        layout = _manifest_layout(archive.read("manifest.txt").decode("utf-8"))
+        model = _build(spec, meta, archive, layout)
         blob = _params_blob(path, archive)
     slots = _slots(spec, model)
-    views = nc.manifest_views(manifest, blob, {k: getattr(*slot).shape for k, slot in slots.items()})
+    views = _manifest_views(layout, blob, {k: getattr(*slot).shape for k, slot in slots.items()})
     for name, (holder, attr) in slots.items():
         setattr(holder, attr, views[name])
     return model

@@ -1,12 +1,9 @@
 """Minimal tensor/autodiff core: exactly the operations the tagger and
-parser need, plus Adagrad, the shared training loop, the parameter
-manifest codec and a finite-difference gradient checker."""
+parser need, plus Adagrad and the shared training loop."""
 
-from .gradcheck import grad_check
 from .init import glorot_uniform, make_rng, zeros
 from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode, lstm_layer
 from .optim import AdagradState, fit
-from .serialize import manifest_arrays, manifest_layout, manifest_views
 from .tensor import (
     NonFiniteError,
     Tensor,
@@ -45,14 +42,10 @@ __all__ = [
     "dropout",
     "fit",
     "glorot_uniform",
-    "grad_check",
     "leaky_relu",
     "logsumexp_rows_masked",
     "lstm_layer",
     "make_rng",
-    "manifest_arrays",
-    "manifest_layout",
-    "manifest_views",
     "matmul",
     "mul",
     "no_grad",

@@ -25,13 +25,6 @@ from .parser import arc_label_loss, parse as parse_with  # noqa: F401
 from .tagger import crf_log_likelihood, viterbi_decode  # noqa: F401
 
 
-def _prefixed(base: dict[str, nc.Tensor], target: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
-    """Base and target parameters under their `base/` and `target/` archive names."""
-    params = {f"base/{k}": v for k, v in base.items()}
-    params.update({f"target/{k}": v for k, v in target.items()})
-    return params
-
-
 def _trainable(model, target: dict[str, nc.Tensor]) -> dict[str, nc.Tensor]:
     """The parameters a stacked model trains, under their archive names: its
     target's, the base's feature layers, and the base's input layer when
@@ -63,7 +56,7 @@ class StackedTagger:
         return self.target.tags
 
     def stack_inputs(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
-        em, _ = self.base.emissions(self.base.encode(sentence))
+        em = self.base.emissions(self.base.encode(sentence))
         return self.target.encode(sentence, rng, extra=em)
 
     def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
@@ -75,9 +68,6 @@ class StackedTagger:
 
     def trainable_parameters(self) -> dict[str, nc.Tensor]:
         return _trainable(self, self.target.parameters())
-
-    def all_parameters(self) -> dict[str, nc.Tensor]:
-        return _prefixed(self.base.parameters(), self.target.parameters())
 
 
 def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
@@ -96,13 +86,12 @@ def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
     return stacked
 
 
-class StackedParser:
-    """Target parser stacked on a trained base parser.
-
-    Per-position input: pretrained + trainable word + tag embeddings plus
-    the base's last-layer forward/backward recurrent states.  Target MLP
-    outputs are added position-wise to the base MLP outputs, and the
-    target biaffine tensors start as copies of the base tensors.
+class StackedParser(ParserModel):
+    """Target parser stacked on a trained base parser: a base parser's body
+    whose per-position input appends the base's last-layer forward/backward
+    recurrent states, and whose MLP outputs are added position-wise to the
+    base MLP outputs.  Its own `parameters` are the target's; the target
+    biaffine tensors start as copies of the base tensors.
     """
 
     def __init__(self, base: ParserModel, rels: Sequence[str], tags: Sequence[str],
@@ -126,23 +115,12 @@ class StackedParser:
         self.u_arc = nc.Tensor(base.u_arc.data.copy(), requires_grad=True)
         self.u_rel = nc.Tensor(base.u_rel.data.copy(), requires_grad=True)
 
-    # The target half is a base parser's body.  label_scores is bound in this
-    # class's own namespace, where the benchmark's span tracer looks it up.
-    word_index = ParserModel.word_index
-    tag_index = ParserModel.tag_index
-    input_vectors = ParserModel.input_vectors
-    _forward = ParserModel._forward
+    # Bound in this class's own namespace, where the benchmark's span tracer
+    # looks it up.
     label_scores = ParserModel.label_scores
-    loss = ParserModel.loss
-    input_parameters = ParserModel.input_parameters
-    feature_parameters = ParserModel.feature_parameters
-    target_parameters = ParserModel.parameters
 
     def trainable_parameters(self) -> dict[str, nc.Tensor]:
-        return _trainable(self, self.target_parameters())
-
-    def all_parameters(self) -> dict[str, nc.Tensor]:
-        return _prefixed(self.base.parameters(), self.target_parameters())
+        return _trainable(self, self.parameters())
 
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
                      rng: np.random.Generator | None = None) -> ParserForward:

@@ -150,10 +150,9 @@ class TaggerModel:
         return nc.concat([padded[k:k + n] for k in range(2 * self.window + 1)], axis=1)
 
     def emissions(self, inputs: nc.Tensor,
-                  rng: np.random.Generator | None = None) -> tuple[nc.Tensor, nc.Tensor]:
+                  rng: np.random.Generator | None = None) -> nc.Tensor:
         hidden_mat = nc.dropout(nc.bilstm_encode(self.lstm_layers, inputs), self.dropout, rng)
-        em = nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
-        return em, hidden_mat
+        return nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
 
     def gold_indices(self, sentence: Sentence) -> list[int]:
         indices = []
@@ -165,12 +164,12 @@ class TaggerModel:
 
     def crf_loss(self, inputs: nc.Tensor, sentence: Sentence,
                  rng: np.random.Generator | None = None) -> nc.Tensor:
-        em, _ = self.emissions(inputs, rng)
+        em = self.emissions(inputs, rng)
         return crf_log_likelihood(em, self.transitions, self.gold_indices(sentence))
 
     def decode(self, inputs: nc.Tensor) -> TagResult:
         """Viterbi tags and emissions of encoded inputs; callers hold no_grad."""
-        em, _ = self.emissions(inputs)
+        em = self.emissions(inputs)
         path = viterbi_decode(em.data, self.transitions.data)
         return TagResult(tuple(self.tags[i] for i in path), em.data.copy())
 

@@ -27,7 +27,13 @@ from stackparse.stacking import (
 from stackparse.tagger import TaggerModel, crf_log_likelihood, tag, train_tagger, viterbi_decode
 from stackparse.treebank import LabelInventory, Sentence, Token, parse_conllu, validate, write_conllu
 from synthdata import FULL_LEXICON, SMALL_LEXICON, make_treebank, overfit_treebank
-from util import lm_contexts, make_sentence, random_tree_sentence, stack_parse_inputs
+from util import (
+    grad_check,
+    lm_contexts,
+    make_sentence,
+    random_tree_sentence,
+    stack_parse_inputs,
+)
 
 
 def ok(number: int, message: str) -> None:
@@ -149,23 +155,23 @@ def test_criterion_4_gradient_checks_all_four_models():
     tagger = train_tagger(treebank, [], cfg)
     assert {t.data.dtype for t in tagger.parameters().values()} == {np.dtype(np.float64)}
     assert tagger.loss(sentence).data.dtype == np.float64
-    err_tagger = nc.grad_check(lambda: tagger.loss(sentence), tagger.parameters(),
+    err_tagger = grad_check(lambda: tagger.loss(sentence), tagger.parameters(),
                                epsilon=1e-4, max_coords_per_param=5)
     assert err_tagger < 1e-4
 
     parser = train_parser(treebank, [], cfg)
-    err_parser = nc.grad_check(lambda: parser.loss(sentence), parser.parameters(),
+    err_parser = grad_check(lambda: parser.loss(sentence), parser.parameters(),
                                epsilon=1e-4, max_coords_per_param=5)
     assert err_parser < 1e-4
 
     stacked_tagger = train_stacked_tagger(tagger, treebank, [], cfg)
-    err_st = nc.grad_check(lambda: stacked_tagger.loss(sentence),
+    err_st = grad_check(lambda: stacked_tagger.loss(sentence),
                            stacked_tagger.trainable_parameters(),
                            epsilon=1e-4, max_coords_per_param=5)
     assert err_st < 1e-4
 
     stacked_parser = train_stacked_parser(parser, treebank, [], cfg)
-    err_sp = nc.grad_check(lambda: stacked_parser.loss(sentence),
+    err_sp = grad_check(lambda: stacked_parser.loss(sentence),
                            stacked_parser.trainable_parameters(),
                            epsilon=1e-4, max_coords_per_param=5)
     assert err_sp < 1e-4

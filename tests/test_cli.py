@@ -32,7 +32,7 @@ from stackparse.stacking import StackedParser, StackedTagger, train_stacked_pars
 from stackparse.tagger import TaggerModel
 from stackparse.tagger import tag as tag_fn
 from stackparse.treebank import parse_conllu, write_conllu
-from util import make_sentence, pack
+from util import all_parameters, make_sentence, pack
 
 TINY_CONFIG = """\
 # desk-scale test settings
@@ -440,7 +440,7 @@ def archive_model(kind):
 def model_arrays(model):
     """Every parameter and pretrained table of a model, by name."""
     if isinstance(model, (StackedTagger, StackedParser)):
-        params = model.all_parameters()
+        params = all_parameters(model)
         parts = {"base/": model.base, "target/": getattr(model, "target", model)}
     else:
         params, parts = model.parameters(), {"": model}
@@ -654,6 +654,34 @@ def test_a_repeated_vocabulary_token_is_one_error_line(workdir, capsys, kind, me
     assert not (workdir / "x.conllu").exists()
 
 
+@pytest.mark.parametrize("kind,prefix", [("tagger", ""), ("stacked-parser", "target/")])
+@pytest.mark.parametrize("case", ["extra vocabulary line", "missing vocabulary line",
+                                  "1-D table"])
+def test_a_pretrained_table_must_have_one_row_per_vocabulary_line(workdir, capsys, kind,
+                                                                 prefix, case):
+    save_model(str(workdir / "good.model"), archive_model(kind))
+    vocab_name, table = f"{prefix}pretrained_vocab.txt", f"{prefix}const/pretrained_table"
+    with zipfile.ZipFile(workdir / "good.model") as archive:
+        manifest = archive.read("manifest.txt").decode("utf-8")
+        vocab = archive.read(vocab_name).decode("utf-8")
+    shape = (3, 4)  # archive_model's pretrained table
+    if case == "extra vocabulary line":  # every later token's row one down, the last past the end
+        members, expected = {vocab_name: "zzz\n" + vocab}, 4
+    elif case == "missing vocabulary line":  # "sat" silently without its row
+        members, expected = {vocab_name: vocab.rsplit("sat\n", 1)[0]}, 2
+    else:
+        manifest = manifest.replace(f"{table} 3,4 float64", f"{table} 12 float64")
+        members, expected, shape = {"manifest.txt": manifest}, 3, (12,)
+    rewrite_members(workdir / "good.model", workdir / "bad.model", members)
+    command = "parse" if kind.endswith("parser") else "tag"
+    assert run(command, "--model", workdir / "bad.model", "--input", workdir / "tb.conllu",
+               "--out", workdir / "x.conllu") == 2
+    assert capsys.readouterr().err == (
+        f"error: stored parameter {table} has shape {shape}, expected ({expected}, dim): "
+        f"one row per line of {vocab_name}\n")
+    assert not (workdir / "x.conllu").exists()
+
+
 def test_bad_archive_paths_are_diagnostics(workdir, capsys):
     save_model(str(workdir / "good.model"), archive_model("parser"))
     data = (workdir / "good.model").read_bytes()
@@ -801,6 +829,19 @@ def test_lm_train_rank_and_lexicon_match(workdir, capsys):
                "--out", workdir / "hits.tsv") == 0
     hits = (workdir / "hits.tsv").read_text().strip().split("\n")
     assert hits[1].startswith("kiasu,wah lao\t")
+
+
+def test_lexicon_match_to_stdout_keeps_the_summary_off_it(workdir, capsys):
+    (workdir / "cands.txt").write_text("the cat sat\nmakan kiasu lah\n", encoding="utf-8")
+    (workdir / "lex.txt").write_text("kiasu\n", encoding="utf-8")
+    assert run("lexicon-match", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt") == 0
+    out, err = capsys.readouterr()
+    assert out == "\tthe cat sat\nkiasu\tmakan kiasu lah\n"  # rows only: TSV
+    assert err == "1 of 2 sentences contain lexicon terms\n"
+    assert run("lexicon-match", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt", "--out", workdir / "hits.tsv") == 0
+    assert capsys.readouterr() == ("1 of 2 sentences contain lexicon terms\n", "")
 
 
 SELECT_WORDS = ["lah", "makan", "kiasu", "wah", "lao", "the", "cat", "sat", "naïve",

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from stackparse.cli import main
-from stackparse.embeddings import PretrainedEmbeddings, load_embeddings, write_embeddings
+from stackparse.embeddings import PretrainedEmbeddings, load_embeddings
 from stackparse.modelio import load_model
 from stackparse.tagger import tag
 from stackparse.treebank import parse_conllu, write_conllu
-from util import make_sentence
+from util import make_sentence, write_embeddings
 
 
 def test_load_infers_dimension_and_order(tmp_path):

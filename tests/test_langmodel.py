@@ -24,7 +24,7 @@ from stackparse.langmodel import (
     sentence_logprob,
     train_ngram_lm,
 )
-from util import lm_contexts, pack
+from util import lm_contexts, lm_discounts, lm_tables, pack
 
 
 def perplexity(lm, corpus):
@@ -336,7 +336,7 @@ def test_json_bytes_match_the_reference_writer_and_round_trip():
     assert len(lm.grams[0][1]) == 0 and (lm.grams[2][0][:, 0] == lm.tokens.index(BOS)).all()
     restored = NgramLM.from_json(text)
     assert restored.to_json() == text
-    assert restored.tables == lm.tables and restored.discounts == lm.discounts
+    assert lm_tables(restored) == lm_tables(lm) and lm_discounts(restored) == lm_discounts(lm)
     for tokens in corpus[:20] + [["w1", "unseen", "w2"]]:
         assert sentence_logprob(restored, tokens) == sentence_logprob(lm, tokens)
 
@@ -530,7 +530,7 @@ def test_estimator_equals_the_per_gram_reference(corpus, order):
     stats = [reference_stats(table) for table in tables]
     sentences = corpus + [["a", "zz", BOS, "b"], []]
     for model in (lm, restored):
-        assert model.tables == tables and model.discounts == discounts
+        assert lm_tables(model) == tables and lm_discounts(model) == discounts
         for k in range(1, order + 1):
             assert lm_contexts(model, k) == set(stats[k - 1][0])
             for context in lm_contexts(model, k) | {("zz",) * (k - 1)}:
@@ -562,8 +562,8 @@ def test_order_five_over_a_vocabulary_too_large_for_mixed_radix_keys():
     sentences = corpus[:40] + corpus[-40:] + [["w1", "unseen", "w6999", "w2"], [BOS, EOS]]
     expected = reference_logprob(corpus, 5, sentences)
     for model in (lm, NgramLM.from_json(lm.to_json())):
-        assert model.tables == tables
-        assert model.discounts == [reference_discounts(table) for table in tables]
+        assert lm_tables(model) == tables
+        assert lm_discounts(model) == [reference_discounts(table) for table in tables]
         assert [sentence_logprob(model, s) for s in sentences] == expected
         assert _sentence_logprobs(model, sentences, chunk=7) == expected
 
@@ -737,7 +737,7 @@ def test_a_packed_file_round_trips_bit_for_bit(corpus, order):
     text = lm.to_json()
     restored = NgramLM.from_json(text)
     assert restored.to_json() == text
-    assert restored.tables == lm.tables and restored.discounts == lm.discounts
+    assert lm_tables(restored) == lm_tables(lm) and lm_discounts(restored) == lm_discounts(lm)
     sentences = corpus + [["a", "zz", BOS, "b"], []]
     assert ([sentence_logprob(restored, s) for s in sentences]
             == [sentence_logprob(lm, s) for s in sentences])

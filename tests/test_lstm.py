@@ -16,7 +16,7 @@ from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encod
 from stackparse.parser import ParserModel
 from stackparse.stacking import StackedParser
 from stackparse.tagger import TaggerModel
-from util import make_sentence, sigmoid
+from util import all_parameters, grad_check, make_sentence, sigmoid, tagger_hidden
 
 
 def vec(*values):
@@ -54,7 +54,7 @@ def _built_with_rng_none(kind):
     if kind == "tagger":
         model = TaggerModel(tags, vocab, {"a": 0, "t": 1}, word_dim=3, char_dim=2, att_dim=2,
                             hidden=4, rng=None)
-        _, hidden = model.emissions(model.encode(sentence))
+        hidden = tagger_hidden(model, model.encode(sentence))
         return model.parameters(), [hidden.data]
     parser = ParserModel(rels, tags, vocab, word_dim=3, tag_dim=2, hidden=4, layers=1,
                          d_arc=3, d_rel=2, rng=None)
@@ -63,7 +63,7 @@ def _built_with_rng_none(kind):
     else:
         model = StackedParser(parser, rels, tags, vocab, word_dim=3, tag_dim=2, hidden=5,
                               rng=None)
-        params = model.all_parameters()
+        params = all_parameters(model)
     return params, [model.forward_full(sentence.forms, sentence.upos).recurrent.data]
 
 
@@ -282,7 +282,7 @@ def test_bilstm_encode_gradients(variant):
     def loss():
         return (nc.tanh(bilstm_encode(layers, x)) * weights).sum()
 
-    assert nc.grad_check(loss, dict(layer_parameters(layers), x=x)) < 1e-6
+    assert grad_check(loss, dict(layer_parameters(layers), x=x)) < 1e-6
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
@@ -348,7 +348,7 @@ def test_lstm_step_gradients(variant):
         return (nc.tanh(h) * w_h).sum() + (nc.tanh(c) * w_c).sum()
 
     params = dict(cell.parameters("cell"), x=x, h0=h0, c0=c0)
-    assert nc.grad_check(loss, params) < 1e-6
+    assert grad_check(loss, params) < 1e-6
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])

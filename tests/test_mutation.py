@@ -1,9 +1,9 @@
 """Every input reader survives mutated input.
 
 Each case takes one valid input of the command line, changes it by a
-byte edit or by duplicating, deleting or swapping lines, and runs the
-command on it.  The command must exit 0 or 1, or exit 2 with exactly
-one `error:` line on stderr, and no exception may escape `main`.  The
+byte edit or by inserting, duplicating, deleting or swapping lines, and
+runs the command on it.  The command must exit 0 or 1, or exit 2 with
+exactly one `error:` line on stderr, and no exception may escape `main`.  The
 inputs are the CoNLL-U files of seven commands, a config file, an
 embeddings file, an LM file, a corpus, the candidates to rank, a
 lexicon and every text member of the four kinds of model archive.  The examples are derandomized and
@@ -118,15 +118,21 @@ def _assert_handled(code: int, err: str) -> None:
 
 @st.composite
 def mutations(draw, data: bytes) -> bytes:
-    """`data` with one byte replaced, inserted or deleted, or one line
-    duplicated, deleted or swapped with another."""
+    """`data` with one byte replaced, inserted or deleted, a new line of
+    drawn text inserted, or one line duplicated, deleted or swapped with
+    another."""
     lines = data.split(b"\n")
-    kind = draw(st.sampled_from(["replace", "insert", "delete", "repeat", "drop", "swap"]))
+    kind = draw(st.sampled_from(["replace", "insert", "delete", "line", "repeat", "drop",
+                                 "swap"]))
     if kind in ("replace", "insert", "delete"):
         at = draw(st.integers(0, max(0, len(data) - 1)))
         byte = bytes([draw(st.integers(0, 255))])
         cut = at + (kind != "insert")
         return data[:at] + (b"" if kind == "delete" else byte) + data[cut:]
+    if kind == "line":
+        text = draw(st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=8))
+        lines.insert(draw(st.integers(0, len(lines))), text.encode("utf-8"))
+        return b"\n".join(lines)
     i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
     if kind == "repeat":
         lines.insert(j, lines[i])

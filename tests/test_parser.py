@@ -16,7 +16,7 @@ from stackparse.parser import (
     train_parser,
 )
 from stackparse.treebank import is_tree
-from util import make_sentence
+from util import grad_check, make_sentence
 
 
 def small_parser(**overrides):
@@ -455,6 +455,6 @@ def test_full_parser_gradient_check(tiny_cfg):
     def loss():
         return model.loss(sentence)
 
-    err = nc.grad_check(loss, model.parameters(), epsilon=1e-4,
+    err = grad_check(loss, model.parameters(), epsilon=1e-4,
                         max_coords_per_param=6)
     assert err < 1e-4

@@ -16,6 +16,8 @@ from util import (
     FORM_POOL,
     REL_POOL,
     TAG_POOL,
+    all_parameters,
+    grad_check,
     make_sentence,
     random_tree_sentence,
     stack_parse_inputs,
@@ -107,11 +109,11 @@ def test_stacked_tagger_determinism(base_tagger, tiny_cfg):
     snapshot = {name: t.data.copy() for name, t in base_tagger.parameters().items()}
     first = train_stacked_tagger(base_tagger, treebank, treebank, cfg)
     first_params = {name: t.data.copy()
-                    for name, t in first.all_parameters().items()}
+                    for name, t in all_parameters(first).items()}
     for name, t in base_tagger.parameters().items():
         t.data[...] = snapshot[name]
     second = train_stacked_tagger(base_tagger, treebank, treebank, cfg)
-    for name, t in second.all_parameters().items():
+    for name, t in all_parameters(second).items():
         assert np.array_equal(t.data, first_params[name]), name
 
 
@@ -134,7 +136,7 @@ def test_stacked_tagger_gradcheck(base_tagger, tiny_cfg):
     def loss():
         return stacked.loss(sentence)
 
-    err = nc.grad_check(loss, stacked.trainable_parameters(), epsilon=1e-4,
+    err = grad_check(loss, stacked.trainable_parameters(), epsilon=1e-4,
                         max_coords_per_param=4)
     assert err < 1e-4
 
@@ -353,7 +355,7 @@ def test_stacked_parser_gradcheck(base_parser, tiny_cfg):
     def loss():
         return stacked.loss(sentence)
 
-    err = nc.grad_check(loss, stacked.trainable_parameters(), epsilon=1e-4,
+    err = grad_check(loss, stacked.trainable_parameters(), epsilon=1e-4,
                         max_coords_per_param=4)
     assert err < 1e-4
 

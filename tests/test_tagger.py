@@ -15,7 +15,7 @@ from stackparse.tagger import (
     train_tagger,
     viterbi_decode,
 )
-from util import make_sentence
+from util import grad_check, make_sentence, tagger_hidden
 
 
 def small_model(**overrides):
@@ -303,7 +303,7 @@ def test_crf_gradients():
     def loss():
         return crf_log_likelihood(emissions, transitions, [1, 0, 2])
 
-    err = nc.grad_check(loss, {"e": emissions, "t": transitions},
+    err = grad_check(loss, {"e": emissions, "t": transitions},
                         max_coords_per_param=30)
     assert err < 1e-6
 
@@ -350,7 +350,7 @@ def test_tag_is_pure_and_shapes_match(tiny_cfg):
     assert np.array_equal(first.emissions, second.emissions)
     assert len(first.tags) == len(sentence) == first.emissions.shape[0]
     with nc.no_grad():
-        _, hidden = model.emissions(model.encode(sentence))
+        hidden = tagger_hidden(model, model.encode(sentence))
     assert hidden.shape == (3, 2 * model.hidden)
     assert first.emissions.shape == (3, len(model.tags))
 
@@ -367,11 +367,11 @@ def test_full_tagger_gradient_check(tiny_cfg, window):
     def loss():
         return model.loss(sentence)
 
-    err = nc.grad_check(loss, model.parameters(), epsilon=1e-4,
+    err = grad_check(loss, model.parameters(), epsilon=1e-4,
                         max_coords_per_param=6)
     assert err < 1e-4
     if window == 2:
         dense = {"word_table": model.word_table, "pad_vec": model.pad_vec}
-        err = nc.grad_check(loss, dense, epsilon=1e-4,
+        err = grad_check(loss, dense, epsilon=1e-4,
                             max_coords_per_param=max(t.data.size for t in dense.values()))
         assert err < 1e-4

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stackparse import numcore as nc
 from stackparse.numcore import NonFiniteError, Tensor
 from stackparse.numcore.tensor import _sigmoid
+from util import grad_check
 
 
 def rand(shape, seed=0):
@@ -44,7 +45,7 @@ def test_matmul_arities_pass_gradcheck(shape_a, shape_b):
     def loss():
         return nc.tanh(nc.matmul(a, b)).sum()
 
-    assert nc.grad_check(loss, {"a": a, "b": b}) < 1e-6
+    assert grad_check(loss, {"a": a, "b": b}) < 1e-6
 
 
 def test_structural_ops_pass_gradcheck():
@@ -60,7 +61,7 @@ def test_structural_ops_pass_gradcheck():
                 + table[1][0:2].sum()  # an int row, then a 1-D slice
                 + nc.tanh(mat[2, 1:]).sum())  # int plus slice
 
-    assert nc.grad_check(loss, {"table": table, "mat": mat}) < 1e-6
+    assert grad_check(loss, {"table": table, "mat": mat}) < 1e-6
 
 
 @pytest.mark.parametrize("basic,advanced", [
@@ -99,7 +100,7 @@ def test_softmax_gradient():
     def loss():
         return (nc.softmax_rows_masked(x, mask) * Tensor(weights)).sum()
 
-    assert nc.grad_check(loss, {"x": x}) < 1e-6
+    assert grad_check(loss, {"x": x}) < 1e-6
 
 
 @settings(max_examples=50, deadline=None)
@@ -120,7 +121,7 @@ def test_logsumexp_axis_and_gradient():
     def loss():
         return nc.logsumexp_rows_masked(x, every).sum()
 
-    assert nc.grad_check(loss, {"x": x}) < 1e-6
+    assert grad_check(loss, {"x": x}) < 1e-6
     assert nc.logsumexp_rows_masked(x, every).shape == (3,)
     with pytest.raises(ValueError, match="mask shape"):
         nc.logsumexp_rows_masked(x, np.ones((5, 3), bool))
@@ -136,7 +137,7 @@ def test_masked_logsumexp_ignores_masked_columns():
     def loss():
         return nc.logsumexp_rows_masked(x, mask).sum()
 
-    assert nc.grad_check(loss, {"x": x}) < 1e-6
+    assert grad_check(loss, {"x": x}) < 1e-6
     nc.zero_grads([x])
     loss().backward()
     assert np.all(x.grad[:, 2] == 0.0)
@@ -192,7 +193,7 @@ def test_bilinear_labels_matches_einsum_and_gradcheck():
     def loss():
         return nc.tanh(nc.bilinear_labels(u, a, b)).sum()
 
-    assert nc.grad_check(loss, {"u": u, "a": a, "b": b}, max_coords_per_param=20) < 1e-6
+    assert grad_check(loss, {"u": u, "a": a, "b": b}, max_coords_per_param=20) < 1e-6
 
 
 def test_no_grad_blocks_tape():
@@ -217,7 +218,7 @@ def test_concat_rows_and_transpose_grads():
         return nc.transpose(nc.concat([nc.reshape(v, (1, -1)) for v in vs])).sum()
 
     params = {f"v{i}": v for i, v in enumerate(vs)}
-    assert nc.grad_check(loss, params) < 1e-6
+    assert grad_check(loss, params) < 1e-6
 
 
 def test_transpose_is_a_view_off_the_tape_and_a_copy_on_it():

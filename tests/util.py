@@ -1,5 +1,7 @@
 """Shared test helpers: sentence builders, random valid trees, and the
-references that only tests use."""
+references that only tests use: a finite-difference gradient checker, an
+n-gram model's adjusted-count tables and discounts, a stacked model's
+every parameter, a tagger's hidden states, and an embeddings-file writer."""
 
 from __future__ import annotations
 
@@ -28,9 +30,25 @@ def make_sentence(words, tags=None, heads=None, rels=None, categories=()):
     return Sentence(tokens, frozenset(categories))
 
 
+def lm_tables(lm) -> list[dict[tuple[str, ...], int]]:
+    """tables[k-1]: order k's adjusted counts by n-gram."""
+    tokens = np.array(lm.tokens, dtype=object)
+    tables, rows = [], np.zeros((1, 0), np.int64)
+    for node, count in lm._trie():
+        parent, first = np.divmod(node, len(lm.tokens) + 1)
+        rows = np.column_stack([first, rows[parent]])
+        tables.append(dict(zip(map(tuple, tokens[rows].tolist()), count.tolist())))
+    return tables
+
+
+def lm_discounts(lm) -> list[tuple[float, float, float]]:
+    """D1, D2, D3+ per order, as scoring uses them."""
+    return [level.discounts for level in lm._levels]
+
+
 def lm_contexts(lm, k: int) -> set[tuple[str, ...]]:
     """The observed (k-1)-token contexts of an n-gram model at order k."""
-    return {gram[:-1] for gram in lm.tables[k - 1]}
+    return {gram[:-1] for gram in lm_tables(lm)[k - 1]}
 
 
 def pack(values, code: str) -> str:
@@ -72,3 +90,82 @@ def stack_parse_inputs(stacked, sentence: Sentence) -> Tensor:
     with nc.no_grad():
         base_fw = stacked.base.forward_full(sentence.forms, sentence.upos)
         return stacked.input_vectors(sentence.forms, sentence.upos, base=base_fw)
+
+
+def all_parameters(stacked) -> dict[str, Tensor]:
+    """Every parameter of a stacked tagger or parser, base and target, under
+    their `base/` and `target/` archive names."""
+    target = getattr(stacked, "target", stacked)
+    params = {f"base/{k}": v for k, v in stacked.base.parameters().items()}
+    params.update({f"target/{k}": v for k, v in target.parameters().items()})
+    return params
+
+
+def tagger_hidden(model, inputs: Tensor) -> Tensor:
+    """The tagger's (n, 2H) last bi-LSTM layer states for encoded inputs,
+    as its emissions read them without dropout."""
+    return nc.bilstm_encode(model.lstm_layers, inputs)
+
+
+def write_embeddings(path: str, vocab: dict[str, int], matrix: np.ndarray) -> None:
+    """An embeddings file of `vocab`'s rows of `matrix`, in row order."""
+    ordered = sorted(vocab.items(), key=lambda kv: kv[1])
+    with open(path, "w", encoding="utf-8") as f:
+        for token, index in ordered:
+            values = " ".join(repr(float(v)) for v in matrix[index])
+            f.write(f"{token} {values}\n")
+
+
+_REFINE_TRIGGER = 1e-6
+
+
+def grad_check(loss_fn, params: dict[str, Tensor], epsilon: float = 1e-5,
+               max_coords_per_param: int = 25, rng: np.random.Generator | None = None) -> float:
+    """Compare tape gradients against central finite differences.
+
+    `loss_fn` must be a deterministic zero-argument callable returning a
+    scalar Tensor (dropout disabled).  Returns the maximum over sampled
+    coordinates of |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+
+    A coordinate whose first estimate disagrees is re-measured at
+    epsilon/4 and 4*epsilon and the best agreement is kept: step-size
+    artifacts (roundoff flicker on exactly-null directions, straddling a
+    piecewise-linear kink) vanish at one of the other steps, while a
+    genuine analytic-gradient error disagrees at every step.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    tensors = list(params.values())
+    nc.zero_grads(tensors)
+    loss = loss_fn()
+    loss.backward()
+    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+                for name, t in params.items()}
+
+    def relative_error(flat: np.ndarray, index: int, g: float, step: float) -> float:
+        saved = flat[index]
+        flat[index] = saved + step
+        loss_plus = loss_fn().item()
+        flat[index] = saved - step
+        loss_minus = loss_fn().item()
+        flat[index] = saved
+        numeric = (loss_plus - loss_minus) / (2.0 * step)
+        return abs(g - numeric) / max(1e-8, abs(g) + abs(numeric))
+
+    worst = 0.0
+    for name, t in params.items():
+        flat = t.data.reshape(-1)
+        n = flat.size
+        if n <= max_coords_per_param:
+            coords = range(n)
+        else:
+            coords = sorted(rng.choice(n, size=max_coords_per_param, replace=False).tolist())
+        for i in coords:
+            g = analytic[name].reshape(-1)[i]
+            rel = relative_error(flat, i, g, epsilon)
+            if rel > _REFINE_TRIGGER:
+                rel = min(rel,
+                          relative_error(flat, i, g, epsilon / 4.0),
+                          relative_error(flat, i, g, epsilon * 4.0))
+            worst = max(worst, rel)
+    return worst
