@@ -166,9 +166,7 @@ def jackknife_tags(treebank: list[Sentence], k: int, tagger_trainer: TagTrainer,
                    seed: int = 0) -> list[Sentence]:
     """Replace each sentence's tags with predictions from a tagger that
     never saw it: train on the other k-1 folds, tag the held-out fold.
-
-    Gold tags are preserved in each sentence's gold_upos field.  The
-    returned treebank keeps the input order.
+    The returned treebank keeps the input order.
     """
     folds = make_folds(len(treebank), k, seed)
     output: dict[int, Sentence] = {}

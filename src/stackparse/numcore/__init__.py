@@ -8,52 +8,18 @@ from .tensor import (
     NonFiniteError,
     Tensor,
     add,
-    append_ones_col,
     bilinear_labels,
     concat,
     crf_log_likelihood,
     dropout,
     leaky_relu,
+    linear,
     logsumexp_rows_masked,
     matmul,
     mul,
     no_grad,
     parameter,
-    reshape,
     softmax_rows_masked,
     tanh,
-    transpose,
     zero_grads,
 )
-
-__all__ = [
-    "AdagradState",
-    "COUPLED",
-    "LstmCell",
-    "NonFiniteError",
-    "PEEPHOLE",
-    "Tensor",
-    "add",
-    "append_ones_col",
-    "bilinear_labels",
-    "bilstm_encode",
-    "concat",
-    "crf_log_likelihood",
-    "dropout",
-    "fit",
-    "glorot_uniform",
-    "leaky_relu",
-    "logsumexp_rows_masked",
-    "lstm_layer",
-    "make_rng",
-    "matmul",
-    "mul",
-    "no_grad",
-    "parameter",
-    "reshape",
-    "softmax_rows_masked",
-    "tanh",
-    "transpose",
-    "zero_grads",
-    "zeros",
-]

@@ -2,9 +2,9 @@
 
 The scope is exactly what the sequence models in this package need: 1-D and
 2-D arrays, a handful of activations and reductions, numpy-style indexing
-(row lookup, slices, gathers), inverted dropout, and two fused ops, the
-biaffine label scores and the CRF log-likelihood.  Values are float64,
-and every operation checks its result for NaN/Inf.
+(row lookup, slices, gathers), inverted dropout, and three fused ops: the
+affine map `linear`, the biaffine label scores and the CRF log-likelihood.
+Values are float64, and every operation checks its result for NaN/Inf.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def sum(self, axis=None):
-        return _sum(self, axis)
+    def sum(self):
+        return _sum(self)
 
     def __getitem__(self, key) -> Tensor:
         """numpy indexing, copied.  The gradient is added into the indexed
@@ -245,54 +245,45 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix/vector products for the 1-D and 2-D cases the models use."""
+    """The product of a 2-D tensor with a 2-D or 1-D one."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
+    if ad.ndim != 2:
+        raise ValueError("matmul expects a 2-D left operand")
     data = ad @ bd
 
     def backward(g):
-        if ad.ndim == 2 and bd.ndim == 2:
+        if bd.ndim == 2:
             _accumulate_product(a, g, bd.T)
             _accumulate_product(b, ad.T, g)
-        elif ad.ndim == 2 and bd.ndim == 1:
+        else:
             _accumulate(a, np.outer(g, bd))
             _accumulate(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accumulate(a, bd @ g)
-            _accumulate(b, np.outer(ad, g))
-        elif ad.ndim == 1 and bd.ndim == 1:
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
-        else:  # pragma: no cover - rejected by numpy first
-            raise ValueError("unsupported matmul arity")
 
     return _result(data, (a, b), backward)
 
 
-# -- shape manipulation ----------------------------------------------------------
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w.T (+ b): the affine map of an (out, in) weight, as one op."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("linear expects a 2-D input and weight")
     # A view off the tape.  On it a copy, so training keeps its arithmetic:
-    # OpenBLAS sums a small product with a transposed operand in another order.
-    data = a.data.T.copy() if _grad_enabled() else a.data.T
+    # OpenBLAS sums a small product with a column-major operand in another order.
+    wt = w.data.T.copy() if _grad_enabled() else w.data.T
+    data = x.data @ wt
+    if b is not None:
+        data += b.data
 
     def backward(g):
-        _accumulate(a, g.T)
+        _accumulate_product(x, g, wt.T)
+        _accumulate(w, (x.data.T @ g).T)
+        if b is not None:
+            _accumulate(b, g.sum(axis=0))
 
-    return _result(data, (a,), backward)
+    return _result(data, (x, w) if b is None else (x, w, b), backward)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        _accumulate(a, g.reshape(old))
-
-    return _result(data, (a,), backward)
+# -- shape manipulation ----------------------------------------------------------
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -311,31 +302,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _result(data, tuple(ts), backward)
 
 
-def append_ones_col(a: Tensor) -> Tensor:
-    """Append a constant-1 column (bias absorption for biaffine scoring)."""
-    if a.data.ndim != 2:
-        raise ValueError("append_ones_col expects a 2-D tensor")
-    ones = np.ones((a.data.shape[0], 1), dtype=a.data.dtype)
-    data = np.concatenate([a.data, ones], axis=1)
-
-    def backward(g):
-        _accumulate(a, g[:, :-1])
-
-    return _result(data, (a,), backward)
-
-
 # -- reductions ------------------------------------------------------------------
 
 
-def _sum(a: Tensor, axis) -> Tensor:
-    data = a.data.sum(axis=axis)
-    data = np.asarray(data)
+def _sum(a: Tensor) -> Tensor:
+    data = np.asarray(a.data.sum())
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
     return _result(data, (a,), backward)
 

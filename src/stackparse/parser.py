@@ -153,12 +153,10 @@ class ParserModel:
         heads = []
         for name in _MLP_HEADS:
             w, b = self.mlp[name]
-            out = nc.dropout(nc.leaky_relu(nc.matmul(recurrent, nc.transpose(w)) + b),
-                             self.dropout, rng)
+            out = nc.dropout(nc.leaky_relu(nc.linear(recurrent, w, b)), self.dropout, rng)
             heads.append(out if base is None else out + getattr(base, name))
         arc_dep, arc_head, rel_dep, rel_head = heads
-        arc_scores = nc.matmul(nc.matmul(nc.append_ones_col(arc_dep), self.u_arc),
-                               nc.transpose(arc_head))
+        arc_scores = nc.linear(nc.matmul(_with_ones(arc_dep), self.u_arc), arc_head)
         return ParserForward(recurrent, arc_dep, arc_head, rel_dep, rel_head, arc_scores)
 
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
@@ -171,8 +169,8 @@ class ParserModel:
                      heads: Sequence[int]) -> nc.Tensor:
         """(n, |rels|) biaffine label scores for dependents 1..n at `heads`."""
         n = len(heads)
-        dep_rows = nc.append_ones_col(rel_dep[1:n + 1])
-        head_rows = nc.append_ones_col(rel_head[list(heads)])
+        dep_rows = _with_ones(rel_dep[1:n + 1])
+        head_rows = _with_ones(rel_head[list(heads)])
         return nc.bilinear_labels(self.u_rel, dep_rows, head_rows)
 
     def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
@@ -180,6 +178,11 @@ class ParserModel:
         (labels conditioned on gold heads)."""
         fw = self.forward_full(sentence.forms, sentence.upos, rng)
         return arc_label_loss(fw, self.label_scores, sentence, self.rel_index)
+
+
+def _with_ones(a: nc.Tensor) -> nc.Tensor:
+    """`a` with a constant-1 column appended (bias absorption for biaffine scoring)."""
+    return nc.concat([a, np.ones((a.shape[0], 1))], axis=1)
 
 
 def arc_label_loss(fw: ParserForward, label_scores_fn, sentence: Sentence,
@@ -208,14 +211,21 @@ def arc_label_loss(fw: ParserForward, label_scores_fn, sentence: Sentence,
 # -- scoring wrappers ---------------------------------------------------------
 
 
-def score_arcs(model: ParserModel, forms: Sequence[str],
-               upos_tags: Sequence[str]) -> np.ndarray:
-    """(n+1) x (n+1) arc score matrix with the self-head diagonal at -inf."""
+def _scored_forward(model: ParserModel, forms: Sequence[str],
+                    upos_tags: Sequence[str]) -> tuple[ParserForward, np.ndarray]:
+    """The sentence's forward without a tape, and a copy of its arc scores
+    with the self-head diagonal at -inf."""
     with nc.no_grad():
         fw = model.forward_full(forms, upos_tags)
     scores = fw.arc_scores.data.copy()
     np.fill_diagonal(scores, -np.inf)
-    return scores
+    return fw, scores
+
+
+def score_arcs(model: ParserModel, forms: Sequence[str],
+               upos_tags: Sequence[str]) -> np.ndarray:
+    """(n+1) x (n+1) arc score matrix with the self-head diagonal at -inf."""
+    return _scored_forward(model, forms, upos_tags)[1]
 
 
 def score_labels(model: ParserModel, fw: ParserForward, heads: Sequence[int]) -> np.ndarray:
@@ -306,10 +316,7 @@ def parse(model: ParserModel, sentence: Sentence, decoder: str = "greedy",
     """
     if decoder not in ("greedy", "mst"):
         raise ValueError(f"unknown decoder {decoder!r}")
-    with nc.no_grad():
-        fw = model.forward_full(sentence.forms, sentence.upos)
-    scores = fw.arc_scores.data.copy()
-    np.fill_diagonal(scores, -np.inf)
+    fw, scores = _scored_forward(model, sentence.forms, sentence.upos)
     if decoder == "greedy":
         heads = decode_greedy(scores)
     if decoder == "mst" or (repair and not is_tree(heads)):

@@ -123,7 +123,7 @@ class TaggerModel:
         embeddings of word i's characters, in one pass over all of them."""
         unk_char = len(self.char_vocab)
         embs = self.char_table[[self.char_vocab.get(ch, unk_char) for ch in "".join(forms)]]
-        hidden = nc.tanh(nc.matmul(embs, nc.transpose(self.att_proj)) + self.att_bias)
+        hidden = nc.tanh(nc.linear(embs, self.att_proj, self.att_bias))
         scores = nc.matmul(hidden, self.att_query)
         owner = np.repeat(np.arange(len(forms)), [len(f) for f in forms])
         weights = nc.softmax_rows_masked(scores, owner == np.arange(len(forms))[:, None])
@@ -144,7 +144,7 @@ class TaggerModel:
         elif self.extra_input_dim:
             raise ValueError("model expects stacked extra features")
         x = nc.dropout(nc.concat(parts, axis=1), self.dropout, rng)
-        pad = [nc.reshape(self.pad_vec, (1, -1))] * self.window
+        pad = [self.pad_vec[None]] * self.window
         padded = nc.concat(pad + [x] + pad)
         n = len(forms)
         return nc.concat([padded[k:k + n] for k in range(2 * self.window + 1)], axis=1)
@@ -152,7 +152,7 @@ class TaggerModel:
     def emissions(self, inputs: nc.Tensor,
                   rng: np.random.Generator | None = None) -> nc.Tensor:
         hidden_mat = nc.dropout(nc.bilstm_encode(self.lstm_layers, inputs), self.dropout, rng)
-        return nc.matmul(hidden_mat, nc.transpose(self.emission_w)) + self.emission_b
+        return nc.linear(hidden_mat, self.emission_w, self.emission_b)
 
     def gold_indices(self, sentence: Sentence) -> list[int]:
         indices = []

@@ -67,13 +67,10 @@ class Token:
 class Sentence:
     tokens: tuple[Token, ...]
     categories: frozenset[str] = field(default_factory=frozenset)
-    gold_upos: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "categories", frozenset(self.categories))
-        if self.gold_upos is not None:
-            object.__setattr__(self, "gold_upos", tuple(self.gold_upos))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -95,7 +92,7 @@ class Sentence:
         return tuple(t.deprel for t in self.tokens)
 
     def with_upos(self, tags: Iterable[str]) -> "Sentence":
-        """A copy tagged with `tags` that keeps the gold tags it was read with."""
+        """A copy tagged with `tags`."""
         tags = tuple(tags)
         if len(tags) != len(self.tokens):
             raise ValueError("tag count does not match sentence length")
@@ -103,8 +100,7 @@ class Sentence:
             Token(t.index, t.form, tag, t.head, t.deprel)
             for t, tag in zip(self.tokens, tags)
         )
-        gold = self.upos if self.gold_upos is None else self.gold_upos
-        return Sentence(tokens, self.categories, gold)
+        return Sentence(tokens, self.categories)
 
     def with_tree(self, heads: Iterable[int], deprels: Iterable[str]) -> "Sentence":
         heads, deprels = tuple(heads), tuple(deprels)
@@ -114,7 +110,7 @@ class Sentence:
             Token(t.index, t.form, t.upos, h, d)
             for t, h, d in zip(self.tokens, heads, deprels)
         )
-        return Sentence(tokens, self.categories, self.gold_upos)
+        return Sentence(tokens, self.categories)
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,7 @@ def step_encode(layers, x):
                 hs.append(h)
             outputs.append(hs if order is seq else hs[::-1])
         seq = [nc.concat([f, b]) for f, b in zip(*outputs)]
-    return nc.concat([nc.reshape(row, (1, -1)) for row in seq])
+    return nc.concat([row[None] for row in seq])
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])

@@ -293,7 +293,7 @@ def test_score_labels_uses_the_stacked_forward(base_parser):
     heads = [2, 3, 0]
     def target_mlp(name):
         w, b = stacked.mlp[name]
-        return nc.leaky_relu(nc.matmul(fw.recurrent, nc.transpose(w)) + b)
+        return nc.leaky_relu(nc.linear(fw.recurrent, w, b))
 
     with nc.no_grad():
         fw = stacked.forward_full(sentence.forms, sentence.upos)

@@ -15,7 +15,7 @@ from stackparse.tagger import (
     train_tagger,
     viterbi_decode,
 )
-from util import grad_check, make_sentence, tagger_hidden
+from util import grad_check, make_sentence, tagger_hidden, transpose
 
 
 def small_model(**overrides):
@@ -82,8 +82,8 @@ def char_attention_per_word(model, word):
     """Reference: the attention over one word's characters, as a (1, C) row."""
     unk = len(model.char_vocab)
     embs = model.char_table[[model.char_vocab.get(ch, unk) for ch in word]]
-    hidden = nc.tanh(nc.matmul(embs, nc.transpose(model.att_proj)) + model.att_bias)
-    scores = nc.reshape(nc.matmul(hidden, model.att_query), (1, -1))
+    hidden = nc.tanh(nc.matmul(embs, transpose(model.att_proj)) + model.att_bias)
+    scores = nc.matmul(hidden, model.att_query)[None]
     weights = nc.softmax_rows_masked(scores, np.ones(scores.shape, bool))
     return nc.matmul(weights, embs)
 
@@ -267,12 +267,12 @@ def crf_log_likelihood_per_position(emissions, transitions, gold):
     gold_score = (emissions[np.arange(n), gold].sum()
                   + transitions[[start] + gold[:-1], gold].sum()
                   + transitions[gold[-1], stop])
-    into = nc.transpose(transitions[:k, :k])  # row j: the scores of moving into tag j
+    into = transpose(transitions[:k, :k])  # row j: the scores of moving into tag j
     alpha = transitions[start, :k] + emissions[0]
     for t in range(1, n):
-        moved = nc.reshape(alpha, (1, k)) + into
+        moved = alpha[None] + into
         alpha = nc.logsumexp_rows_masked(moved, np.ones((k, k), bool)) + emissions[t]
-    final = nc.reshape(alpha + transitions[:k, stop], (1, k))
+    final = (alpha + transitions[:k, stop])[None]
     return nc.logsumexp_rows_masked(final, np.ones((1, k), bool))[0] - gold_score
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: sentence builders, random valid trees, and the
 references that only tests use: a finite-difference gradient checker, an
 n-gram model's adjusted-count tables and discounts, a stacked model's
-every parameter, a tagger's hidden states, and an embeddings-file writer."""
+every parameter, a tagger's hidden states, an embeddings-file writer, and
+the sigmoid and transpose tape ops."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import struct
 import numpy as np
 
 from stackparse import numcore as nc
-from stackparse.numcore.tensor import Tensor, _accumulate, _result, _sigmoid
+from stackparse.numcore.tensor import Tensor, _accumulate, _grad_enabled, _result, _sigmoid
 from stackparse.treebank import Sentence, Token
 
 FORM_POOL = ["kiasu", "makan", "café", "x1", "talk", "cock", "can", "lah",
@@ -81,6 +82,18 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g * data * (1.0 - data))
+
+    return _result(data, (a,), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a 2-D tensor as a tape op, for references: a view
+    off the tape and a C-contiguous copy on it, the operand `nc.linear`
+    multiplies by."""
+    data = a.data.T.copy() if _grad_enabled() else a.data.T
+
+    def backward(g):
+        _accumulate(a, g.T)
 
     return _result(data, (a,), backward)
 
