@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:  # NonFiniteError, non-finite gradients
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:  # e.g. MST over a very long sentence
+        print(f"error: input too large: {type(exc).__name__}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -51,9 +51,6 @@ class RunConfig:
     count_end_token: bool = True
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         positive = ["epochs", "hidden", "layers", "word_dim", "char_dim",
                     "att_dim", "parser_word_dim", "tag_dim", "parser_hidden",
                     "parser_layers", "d_arc", "d_rel", "stack_hidden",

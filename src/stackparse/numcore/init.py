@@ -58,11 +58,5 @@ def orthogonalize(blocks: list[np.ndarray]) -> None:
         qr(blocks[-1])
 
 
-def glorot_gate_stack(rng: np.random.Generator | None, gates: int, hidden: int,
-                      input_dim: int) -> np.ndarray:
-    """Per-gate Glorot (H, D) blocks stacked into (gates*H, D); zeros when rng is None."""
-    return glorot_uniform(rng, gates, hidden, input_dim).reshape(gates * hidden, input_dim)
-
-
 def zeros(*shape) -> np.ndarray:
     return np.zeros(shape)

@@ -49,7 +49,8 @@ class LstmCell:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         gates = 4 if variant == PEEPHOLE else 3  # (i, f, g, o) vs (i, g, o)
-        self.w_x = parameter(init.glorot_gate_stack(rng, gates, hidden_dim, input_dim))
+        self.w_x = parameter(
+            init.glorot_uniform(rng, gates, hidden_dim, input_dim).reshape(-1, input_dim))
         self.w_h = parameter(init.orthogonal_gate_stack(rng, gates, hidden_dim, pending))
         self.bias = parameter(init.zeros(gates * hidden_dim))
         if variant == PEEPHOLE:

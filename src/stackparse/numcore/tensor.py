@@ -74,9 +74,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
@@ -107,8 +104,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
@@ -117,11 +112,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self):
         return _sum(self)

@@ -1,5 +1,5 @@
-"""CoNLL-U data model, serialization, structural validation, and
-deterministic corpus splitting.
+"""CoNLL-U data model, serialization, structural validation, and the
+splitmix64 shuffle behind fold assignment.
 
 Only the basic-token layer is modeled: multiword-token range lines
 ("3-4") and empty-node lines ("5.1") are skipped on read.  Sentence-level
@@ -311,62 +311,20 @@ def is_tree(heads: Iterable[int]) -> bool:
     return not _find_cycles({i: h for i, h in enumerate(heads, start=1) if h != 0})
 
 
-# -- deterministic splitting -------------------------------------------------
+# -- the fold shuffle ---------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """splitmix64: the 64-bit generator behind the corpus shuffle.
-
-    Pure integer arithmetic, so partitions are identical on every
-    platform.  state advances by the golden-gamma constant; each output
-    is the mixed state.
-    """
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def randbelow(self, bound: int) -> int:
-        return self.next_uint64() % bound
-
-
 def shuffled_indices(n: int, seed: int) -> list[int]:
-    """Fisher-Yates order driven by splitmix64."""
+    """Fisher-Yates order driven by splitmix64: pure integer arithmetic, so
+    the order is identical on every platform."""
     order = list(range(n))
-    rng = SplitMix64(seed)
+    state = seed & _MASK64
     for i in range(n - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64  # the golden gamma
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        j = (z ^ (z >> 31)) % (i + 1)
         order[i], order[j] = order[j], order[i]
     return order
-
-
-def split_corpus(sentences: list[Sentence], ratios: tuple[float, float, float],
-                 seed: int) -> tuple[list[Sentence], list[Sentence], list[Sentence]]:
-    """Deterministic (train, dev, test) partition.
-
-    dev/test sizes are round(N * ratio) (half-up); the remainder goes to
-    train.  The same seed always produces the same partition.
-    """
-    if not sentences:
-        raise ValueError("cannot split an empty corpus")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
-    n = len(sentences)
-    n_dev = int(n * ratios[1] + 0.5)
-    n_test = int(n * ratios[2] + 0.5)
-    n_train = n - n_dev - n_test
-    if n_train < 0:
-        raise ValueError("rounding produced a negative train size")
-    order = shuffled_indices(n, seed)
-    train = [sentences[i] for i in order[:n_train]]
-    dev = [sentences[i] for i in order[n_train:n_train + n_dev]]
-    test = [sentences[i] for i in order[n_train + n_dev:]]
-    return train, dev, test

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import stackparse
 from stackparse import cli
+from stackparse import parser as parser_module
 from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
 from stackparse.embeddings import PretrainedEmbeddings
@@ -1132,6 +1133,50 @@ def test_numerical_failure_in_training_is_a_diagnostic(workdir, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: epoch 1, training example ")
     assert err.endswith(" holds NaN or Inf values\n") and err.count("\n") == 1
+
+
+def two_cycle_scores(n):
+    """Arc scores where tokens 2k+1 and 2k+2 pick each other: n/2 disjoint
+    2-cycles, which Chu-Liu/Edmonds contracts one recursion level apiece."""
+    scores = np.zeros((n + 1, n + 1))
+    a, b = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
+    scores[a, b] = scores[b, a] = 1.0
+    np.fill_diagonal(scores, -np.inf)
+    return scores
+
+
+def test_too_deep_a_recursion_is_one_error_line(workdir, capsys, monkeypatch):
+    save_model(str(workdir / "p.model"), archive_model("parser"))
+    sentence = make_sentence(["cat"] * 200)
+    (workdir / "long.conllu").write_text(write_conllu([sentence]), encoding="utf-8")
+    forward = parser_module._scored_forward
+    monkeypatch.setattr(parser_module, "_scored_forward", lambda model, forms, upos: (
+        forward(model, forms, upos)[0], two_cycle_scores(len(forms))))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 80)  # fewer levels than the 100 cycles
+    try:
+        code = run("parse", "--decoder", "mst", "--model", workdir / "p.model",
+                   "--input", workdir / "long.conllu", "--out", workdir / "out.conllu")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert capsys.readouterr().err == "error: input too large: RecursionError\n"
+    assert not (workdir / "out.conllu").exists()
+
+
+def test_running_out_of_memory_is_one_error_line(workdir, capsys, monkeypatch):
+    save_model(str(workdir / "p.model"), archive_model("parser"))
+
+    def out_of_memory(model, forms, upos):
+        raise MemoryError
+
+    monkeypatch.setattr(parser_module, "_scored_forward", out_of_memory)
+    assert run("parse", "--model", workdir / "p.model", "--input", workdir / "tb.conllu",
+               "--out", workdir / "out.conllu") == 2
+    assert capsys.readouterr().err == "error: input too large: MemoryError\n"
 
 
 def test_deterministic_pipeline_same_seed(workdir):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackparse.evaluation import make_folds
 from stackparse.treebank import (
     ConlluError,
     LabelInventory,
@@ -13,11 +14,10 @@ from stackparse.treebank import (
     is_tree,
     parse_conllu,
     shuffled_indices,
-    split_corpus,
     validate,
     write_conllu,
 )
-from util import make_sentence, random_tree_sentence
+from util import make_sentence, random_tree_sentence, split_corpus
 
 
 def line(index, form, upos, head, deprel):
@@ -287,3 +287,7 @@ def test_shuffle_is_platform_independent():
     # frozen expectation: splitmix64-driven Fisher-Yates is pure integer math
     assert shuffled_indices(8, seed=42) == shuffled_indices(8, seed=42)
     assert len(set(shuffled_indices(100, seed=1))) == 100
+    assert shuffled_indices(10, seed=42) == [0, 9, 5, 8, 6, 4, 7, 2, 1, 3]
+    # the seed is masked to 64 bits
+    assert shuffled_indices(10, seed=2**64 + 42) == [0, 9, 5, 8, 6, 4, 7, 2, 1, 3]
+    assert make_folds(11, 3, seed=7) == [[1, 8, 9, 10], [3, 5, 6, 7], [0, 2, 4]]

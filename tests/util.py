@@ -1,5 +1,6 @@
 """Shared test helpers: sentence builders, random valid trees, and the
-references that only tests use: a finite-difference gradient checker, an
+references that only tests use: a seeded corpus splitter, a
+finite-difference gradient checker, an
 n-gram model's adjusted-count tables and discounts, a stacked model's
 every parameter, a tagger's hidden states, an embeddings-file writer, and
 the sigmoid and transpose tape ops."""
@@ -13,7 +14,7 @@ import numpy as np
 
 from stackparse import numcore as nc
 from stackparse.numcore.tensor import Tensor, _accumulate, _grad_enabled, _result, _sigmoid
-from stackparse.treebank import Sentence, Token
+from stackparse.treebank import Sentence, Token, shuffled_indices
 
 FORM_POOL = ["kiasu", "makan", "café", "x1", "talk", "cock", "can", "lah",
              "shiok", "wah", "one", "diam", "naïve", "n3'er"]
@@ -29,6 +30,30 @@ def make_sentence(words, tags=None, heads=None, rels=None, categories=()):
     tokens = tuple(Token(i + 1, w, t, h, r)
                    for i, (w, t, h, r) in enumerate(zip(words, tags, heads, rels)))
     return Sentence(tokens, frozenset(categories))
+
+
+def split_corpus(sentences: list[Sentence], ratios: tuple[float, float, float],
+                 seed: int) -> tuple[list[Sentence], list[Sentence], list[Sentence]]:
+    """Deterministic (train, dev, test) partition.
+
+    dev/test sizes are round(N * ratio) (half-up); the remainder goes to
+    train.  The same seed always produces the same partition.
+    """
+    if not sentences:
+        raise ValueError("cannot split an empty corpus")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
+    n = len(sentences)
+    n_dev = int(n * ratios[1] + 0.5)
+    n_test = int(n * ratios[2] + 0.5)
+    n_train = n - n_dev - n_test
+    if n_train < 0:
+        raise ValueError("rounding produced a negative train size")
+    order = shuffled_indices(n, seed)
+    train = [sentences[i] for i in order[:n_train]]
+    dev = [sentences[i] for i in order[n_train:n_train + n_dev]]
+    test = [sentences[i] for i in order[n_train + n_dev:]]
+    return train, dev, test
 
 
 def lm_tables(lm) -> list[dict[tuple[str, ...], int]]:
