@@ -1,9 +1,9 @@
 """Shared test helpers: sentence builders, random valid trees, and the
 references that only tests use: a seeded corpus splitter, a
-finite-difference gradient checker, an
-n-gram model's adjusted-count tables and discounts, a stacked model's
-every parameter, a tagger's hidden states, an embeddings-file writer, and
-the sigmoid and transpose tape ops."""
+finite-difference gradient checker, an n-gram model's adjusted-count
+tables and discounts, a stacked model's every parameter, a tagger's
+hidden states, an embeddings-file writer, and the sigmoid and transpose
+tape ops."""
 
 from __future__ import annotations
 
