@@ -133,7 +133,7 @@ def _coerce(key: str, raw, target: type):
 def parse_config_text(text: str, where: str = "line ") -> dict[str, str]:
     """`key = value` lines; a malformed one is reported as `<where><number>`."""
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):  # strip() drops a CR
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -145,9 +145,10 @@ def parse_config_text(text: str, where: str = "line ") -> dict[str, str]:
 
 
 def read_text(path: str) -> str:
-    """The file's UTF-8 text; a decode error names `path`."""
+    """The file's UTF-8 text without a leading byte-order mark; a decode
+    error names `path`."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

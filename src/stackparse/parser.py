@@ -49,50 +49,60 @@ class ParserForward:
 _MLP_HEADS = ("arc_dep", "arc_head", "rel_dep", "rel_head")
 
 
-def build_layers(model, rels: Sequence[str], tags: Sequence[str],
-                 word_vocab: dict[str, int], pretrained: PretrainedEmbeddings | None,
-                 word_dim: int, tag_dim: int, hidden: int, layers: int,
-                 d_arc: int, d_rel: int, dropout: float, *, extra_input_dim: int,
-                 rng: np.random.Generator | None) -> None:
-    """Vocabularies, embedding tables, bi-LSTM and MLP heads shared by the
-    base and stacked parsers, drawn from `rng` in that order.  Each
-    position's input gets `extra_input_dim` more features at the end."""
-    model.rels = tuple(rels)
-    model.rel_index = {r: i for i, r in enumerate(model.rels)}
-    model.tags = tuple(tags)
-    model.tag_vocab = {t: i for i, t in enumerate(model.tags)}
-    model.word_vocab = dict(word_vocab)
-    model.pretrained = pretrained or PretrainedEmbeddings.empty()
-    model.word_dim, model.tag_dim, model.hidden, model.layers = word_dim, tag_dim, hidden, layers
-    model.d_arc, model.d_rel, model.dropout = d_arc, d_rel, dropout
-    model.best_epoch = model.dev_uas = None
-    # Reserved rows: unk = v, root = v + 1 (tags: unk = t, root = t + 1).
-    model.word_table = nc.parameter(nc.zeros(len(word_vocab) + 2, word_dim))
-    model.tag_table = nc.parameter(nc.glorot_uniform(rng, len(model.tags) + 2, tag_dim))
-    model.input_dim = model.pretrained.dim + word_dim + tag_dim + extra_input_dim
-    model.lstm_layers = []
-    for layer in range(layers):
-        dim = model.input_dim if layer == 0 else 2 * hidden
-        model.lstm_layers.append(nc.lstm_layer(nc.COUPLED, dim, hidden, rng))
-    model.mlp = {}
-    for name in _MLP_HEADS:
-        out_dim = d_arc if name.startswith("arc") else d_rel
-        model.mlp[name] = (nc.parameter(nc.glorot_uniform(rng, out_dim, 2 * hidden)),
-                           nc.parameter(nc.zeros(out_dim)))
-
-
 class ParserModel:
+    """A base parser, or with a trained `base` parser the stacked parser of
+    feature-level neural stacking: each position's input appends the base's
+    last-layer recurrent states, its MLP outputs are added position-wise
+    to the base's, so `d_arc` and `d_rel` are the base's, and its biaffine
+    tensors start as copies of the base's.  Its own `parameters` exclude
+    the base's.
+    """
+
     def __init__(self, rels: Sequence[str], tags: Sequence[str],
                  word_vocab: dict[str, int], *,
                  pretrained: PretrainedEmbeddings | None = None,
                  word_dim: int = 100, tag_dim: int = 100, hidden: int = 400,
                  layers: int = 3, d_arc: int = 500, d_rel: int = 100,
-                 dropout: float = 0.33,
+                 dropout: float = 0.33, base: ParserModel | None = None,
+                 train_base_embeddings: bool = False,
                  rng: np.random.Generator | None = None):
-        build_layers(self, rels, tags, word_vocab, pretrained, word_dim, tag_dim,
-                     hidden, layers, d_arc, d_rel, dropout, extra_input_dim=0, rng=rng)
-        self.u_arc = nc.parameter(nc.glorot_uniform(rng, d_arc + 1, d_arc))
-        self.u_rel = nc.parameter(nc.glorot_uniform(rng, len(self.rels), d_rel + 1, d_rel + 1))
+        if base is not None:
+            if len(rels) != len(base.rels):
+                raise ValueError("target label inventory size must match the base "
+                                 "(biaffine tensor copy requires equal shapes)")
+            d_arc, d_rel = base.d_arc, base.d_rel
+        self.base, self.train_base_embeddings = base, train_base_embeddings
+        self.rels = tuple(rels)
+        self.rel_index = {r: i for i, r in enumerate(self.rels)}
+        self.tags = tuple(tags)
+        self.tag_vocab = {t: i for i, t in enumerate(self.tags)}
+        self.word_vocab = dict(word_vocab)
+        self.pretrained = pretrained or PretrainedEmbeddings.empty()
+        self.word_dim, self.tag_dim, self.hidden, self.layers = word_dim, tag_dim, hidden, layers
+        self.d_arc, self.d_rel, self.dropout = d_arc, d_rel, dropout
+        self.best_epoch = self.dev_uas = None
+        # Drawn from rng in this order.  Reserved rows: unk = v, root = v + 1
+        # (tags: unk = t, root = t + 1).
+        self.word_table = nc.parameter(nc.zeros(len(word_vocab) + 2, word_dim))
+        self.tag_table = nc.parameter(nc.glorot_uniform(rng, len(self.tags) + 2, tag_dim))
+        stacked_dim = 0 if base is None else 2 * base.hidden
+        self.input_dim = self.pretrained.dim + word_dim + tag_dim + stacked_dim
+        self.lstm_layers = []
+        for layer in range(layers):
+            dim = self.input_dim if layer == 0 else 2 * hidden
+            self.lstm_layers.append(nc.lstm_layer(nc.COUPLED, dim, hidden, rng))
+        self.mlp = {}
+        for name in _MLP_HEADS:
+            out_dim = d_arc if name.startswith("arc") else d_rel
+            self.mlp[name] = (nc.parameter(nc.glorot_uniform(rng, out_dim, 2 * hidden)),
+                              nc.parameter(nc.zeros(out_dim)))
+        if base is None:
+            self.u_arc = nc.parameter(nc.glorot_uniform(rng, d_arc + 1, d_arc))
+            self.u_rel = nc.parameter(nc.glorot_uniform(rng, len(self.rels), d_rel + 1,
+                                                        d_rel + 1))
+        else:  # copied, not drawn: a draw here would shift every later use of rng
+            self.u_arc = nc.Tensor(base.u_arc.data.copy(), requires_grad=True)
+            self.u_rel = nc.Tensor(base.u_rel.data.copy(), requires_grad=True)
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -141,13 +151,14 @@ class ParserModel:
             parts.append(base.recurrent)
         return nc.dropout(nc.concat(parts, axis=1), self.dropout, rng)
 
-    def _forward(self, forms: Sequence[str], upos_tags: Sequence[str],
-                 rng: np.random.Generator | None,
-                 base: ParserForward | None = None) -> ParserForward:
-        """Bi-LSTM, MLP heads and arc scores; with a base forward, its
-        recurrent rows join the inputs and its MLP outputs are added."""
+    def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
+                     rng: np.random.Generator | None = None) -> ParserForward:
+        """Bi-LSTM, MLP heads and arc scores, with dropout masks drawn from
+        `rng` in forward order when one is given.  A stacked parser first
+        runs its base's forward without dropout."""
         if not forms:
             raise ValueError("cannot parse an empty sentence")
+        base = None if self.base is None else self.base.forward_full(forms, upos_tags)
         x = self.input_vectors(forms, upos_tags, rng, base)
         recurrent = nc.dropout(nc.bilstm_encode(self.lstm_layers, x), self.dropout, rng)
         heads = []
@@ -158,12 +169,6 @@ class ParserModel:
         arc_dep, arc_head, rel_dep, rel_head = heads
         arc_scores = nc.linear(nc.matmul(_with_ones(arc_dep), self.u_arc), arc_head)
         return ParserForward(recurrent, arc_dep, arc_head, rel_dep, rel_head, arc_scores)
-
-    def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
-                     rng: np.random.Generator | None = None) -> ParserForward:
-        """The sentence's forward, with dropout masks drawn from `rng` in
-        forward order when one is given."""
-        return self._forward(forms, upos_tags, rng)
 
     def label_scores(self, rel_dep: nc.Tensor, rel_head: nc.Tensor,
                      heads: Sequence[int]) -> nc.Tensor:

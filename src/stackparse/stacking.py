@@ -4,7 +4,9 @@ A target-side tagger/parser consumes internal representations of a
 trained base model (emission vectors for the tagger, last-layer
 recurrent states plus MLP features for the parser), and joint training
 back-propagates into the base feature layers.  The base architecture is
-frozen; its weights are trainable.
+frozen; its weights are trainable.  The stacked parser is a `ParserModel`
+built on a base (see `parser`); `StackedParser` keeps its defaults and
+the names the benchmark's span tracer looks up.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import numcore as nc
 from .embeddings import PretrainedEmbeddings
-from .parser import ParserForward, ParserModel, build_layers, check_trainable, dev_uas
+from .parser import ParserModel, check_trainable, dev_uas
 from .tagger import TaggerModel, TagResult, build_tagger, build_vocab, dev_accuracy
 from .treebank import Sentence
 
@@ -87,12 +89,8 @@ def train_stacked_tagger(base: TaggerModel, treebank: list[Sentence],
 
 
 class StackedParser(ParserModel):
-    """Target parser stacked on a trained base parser: a base parser's body
-    whose per-position input appends the base's last-layer forward/backward
-    recurrent states, and whose MLP outputs are added position-wise to the
-    base MLP outputs.  Its own `parameters` are the target's; the target
-    biaffine tensors start as copies of the base tensors.
-    """
+    """A `ParserModel` on a trained base parser, with the stacked defaults
+    (one 900-unit bi-LSTM layer); `d_arc` and `d_rel` are the base's."""
 
     def __init__(self, base: ParserModel, rels: Sequence[str], tags: Sequence[str],
                  word_vocab: dict[str, int], *,
@@ -101,32 +99,17 @@ class StackedParser(ParserModel):
                  layers: int = 1, dropout: float = 0.33,
                  train_base_embeddings: bool = False,
                  rng: np.random.Generator | None = None):
-        if len(rels) != len(base.rels):
-            raise ValueError("target label inventory size must match the base "
-                             "(biaffine tensor copy requires equal shapes)")
-        self.base = base
-        self.train_base_embeddings = train_base_embeddings
-        # Target MLP output dims are forced to the base dims so feature
-        # addition is well-typed.
-        build_layers(self, rels, tags, word_vocab, pretrained, word_dim, tag_dim, hidden,
-                     layers, base.d_arc, base.d_rel, dropout,
-                     extra_input_dim=2 * base.hidden, rng=rng)
-        # Copied, not drawn: a draw here would shift every later use of rng.
-        self.u_arc = nc.Tensor(base.u_arc.data.copy(), requires_grad=True)
-        self.u_rel = nc.Tensor(base.u_rel.data.copy(), requires_grad=True)
+        super().__init__(rels, tags, word_vocab, pretrained=pretrained, word_dim=word_dim,
+                         tag_dim=tag_dim, hidden=hidden, layers=layers, dropout=dropout,
+                         base=base, train_base_embeddings=train_base_embeddings, rng=rng)
 
     # Bound in this class's own namespace, where the benchmark's span tracer
-    # looks it up.
+    # looks them up.
+    forward_full = ParserModel.forward_full
     label_scores = ParserModel.label_scores
 
     def trainable_parameters(self) -> dict[str, nc.Tensor]:
         return _trainable(self, self.parameters())
-
-    def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
-                     rng: np.random.Generator | None = None) -> ParserForward:
-        """The base forward without dropout, then `ParserModel.forward_full`'s body."""
-        base_fw = self.base.forward_full(forms, upos_tags)
-        return self._forward(forms, upos_tags, rng, base_fw)
 
 
 def train_stacked_parser(base: ParserModel, treebank: list[Sentence],

@@ -191,8 +191,8 @@ def parse_conllu(text: str) -> list[Sentence]:
         rows = []
         categories = set()
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")  # a CRLF file; a FORM may hold any other break
         if not line.strip():
             flush()
             continue

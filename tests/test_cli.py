@@ -798,6 +798,86 @@ def test_loaded_tensors_are_writable_and_a_stacked_trainer_trains_on_them(tmp_pa
     assert_same_arrays(archive_model("parser"), load_model(str(tmp_path / "base")))
 
 
+# -- text inputs ----------------------------------------------------------------------------
+
+BOM = "\ufeff"
+
+
+def test_a_bom_prefixed_lexicon_matches_its_first_term(workdir, capsys):
+    (workdir / "cands.txt").write_text("wah so salah one lah\n", encoding="utf-8")
+    (workdir / "lex.txt").write_text(BOM + "salah\nlah\n", encoding="utf-8")
+    assert run("lexicon-match", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt") == 0
+    assert capsys.readouterr().out == "salah,lah\twah so salah one lah\n"
+
+
+def test_a_bom_prefixed_embeddings_file_keeps_its_first_word(workdir):
+    (workdir / "vec.txt").write_text(BOM + "the 0.5 1.0\ncat 2.0 -1.0\n", encoding="utf-8")
+    assert run("train-tagger", "--train", workdir / "tb.conllu", "--embeddings",
+               workdir / "vec.txt", "--config", workdir / "cfg.txt",
+               "--out", workdir / "t.model") == 0
+    assert load_model(str(workdir / "t.model")).pretrained.vocab == {"the": 0, "cat": 1}
+
+
+def test_bom_prefixed_corpus_input_and_lm_files_read_as_without(workdir):
+    lines = "the cat sat here\na dog ran home\nthe dog sat home\n"
+    outputs = {}
+    for prefix in ("", BOM):
+        (workdir / "corpus.txt").write_text(prefix + lines, encoding="utf-8")
+        assert run("lm-train", "--corpus", workdir / "corpus.txt", "--order", 2,
+                   "--out", workdir / "lm.json") == 0
+        trained = (workdir / "lm.json").read_text(encoding="utf-8")
+        (workdir / "lm.json").write_text(prefix + trained, encoding="utf-8")
+        assert run("lm-rank", "--lm", workdir / "lm.json", "--input", workdir / "corpus.txt",
+                   "--min-len", 1, "--out", workdir / "ranked.tsv") == 0
+        outputs[prefix] = trained, (workdir / "ranked.tsv").read_bytes()
+    assert outputs[BOM] == outputs[""]
+
+
+def test_a_bom_prefixed_treebank_is_read(workdir, capsys):
+    (workdir / "bom.conllu").write_text(BOM + treebank_text(), encoding="utf-8")
+    assert run("validate", "--input", workdir / "bom.conllu") == 0
+    assert "0 errors" in capsys.readouterr().out
+
+
+def test_a_bom_prefixed_config_is_read(workdir, capsys):
+    (workdir / "cfg.txt").write_text(BOM + TINY_CONFIG + "lm_order = 2\n", encoding="utf-8")
+    assert run("lm-train", "--corpus", workdir / "tb.conllu", "--config", workdir / "cfg.txt",
+               "--out", workdir / "lm.json") == 0
+    assert capsys.readouterr().out.startswith("trained order-2 language model")
+
+
+@pytest.mark.parametrize("kind,command", [("tagger", "tag"), ("parser", "parse")])
+def test_forms_holding_other_line_breaks_are_kept(workdir, kind, command):
+    """Only \\n ends a CoNLL-U line: U+2028 and U+0085 inside a FORM stay."""
+    forms = ["a\u2028b", "c\x85d", "sat"]
+    text = write_conllu([make_sentence(forms, ["DET", "NOUN", "VERB"], [2, 3, 0],
+                                       ["det", "nsubj", "root"])])
+    (workdir / "in.conllu").write_text(text, encoding="utf-8")
+    save_model(str(workdir / "m.model"), archive_model(kind))
+    assert run(command, "--model", workdir / "m.model", "--input", workdir / "in.conllu",
+               "--out", workdir / "out.conllu") == 0
+    rows = (workdir / "out.conllu").read_bytes().decode("utf-8").split("\n")
+    assert [row.split("\t")[1] for row in rows[:3]] == forms
+
+
+def test_errors_after_other_line_breaks_name_their_true_line(workdir, capsys):
+    row = "\t".join(["1", "a\u2028b", "_", "DET", "_", "_", "0", "root", "_", "_"])
+    (workdir / "bad.conllu").write_text(f"{row}\n1\tx\n", encoding="utf-8")
+    assert run("validate", "--input", workdir / "bad.conllu") == 2
+    assert capsys.readouterr().err == "error: line 2: expected 10 columns, got 2\n"
+    (workdir / "bad.txt").write_text("# note\u2028more\nseed = 3\nhidden\n", encoding="utf-8")
+    assert run("lm-train", "--corpus", workdir / "tb.conllu", "--config", workdir / "bad.txt",
+               "--out", workdir / "o") == 2
+    assert capsys.readouterr().err == f"error: {workdir / 'bad.txt'}:3: expected 'key = value'\n"
+
+
+def test_crlf_treebank_and_config_text_still_parse():
+    text = treebank_text()
+    assert parse_conllu(text.replace("\n", "\r\n")) == parse_conllu(text)
+    assert parse_config_text("seed = 3\r\n# c\r\nk=1\r\n") == {"seed": "3", "k": "1"}
+
+
 # -- corpus selection commands ---------------------------------------------------------------
 
 

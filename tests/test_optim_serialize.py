@@ -19,29 +19,29 @@ from util import grad_check, random_tree_sentence
 
 
 def step(state, param: Tensor, grad) -> None:
-    """One Adagrad update of `param` with the given gradient."""
+    """One Adagrad update of `param`, the state's tensor, with the given gradient."""
     param.grad = np.asarray(grad, dtype=np.float64)
-    state.apply({"p": param})
+    state.apply()
 
 
 def test_adagrad_first_step_closed_form():
-    state = AdagradState(learning_rate=0.01, l2_lambda=0.0)
     param = Tensor(np.array([1.0]))
+    state = AdagradState({"p": param}, learning_rate=0.01, l2_lambda=0.0)
     step(state, param, [1.0])
     expected_delta = -0.01 * 1.0 / (1.0 + 1e-8)
     assert abs(param.data[0] - (1.0 + expected_delta)) < 1e-15
 
 
 def test_adagrad_zero_gradient_leaves_params_unchanged():
-    state = AdagradState(l2_lambda=0.0)
     param = Tensor(np.array([3.0, -2.0]))
+    state = AdagradState({"p": param}, l2_lambda=0.0)
     step(state, param, np.zeros(2))
     assert np.array_equal(param.data, np.array([3.0, -2.0]))
 
 
 def test_adagrad_second_step_uses_accumulated_squares():
-    state = AdagradState(learning_rate=0.01, l2_lambda=0.0)
     param = Tensor(np.array([0.0]))
+    state = AdagradState({"p": param}, learning_rate=0.01, l2_lambda=0.0)
     step(state, param, [1.0])
     first = param.data[0]
     step(state, param, [1.0])
@@ -50,8 +50,8 @@ def test_adagrad_second_step_uses_accumulated_squares():
 
 
 def test_adagrad_l2_term_shrinks_parameters():
-    state = AdagradState(learning_rate=0.1, l2_lambda=0.5)
     param = Tensor(np.array([2.0]))
+    state = AdagradState({"p": param}, learning_rate=0.1, l2_lambda=0.5)
     step(state, param, np.zeros(1))
     # effective gradient = lambda * p = 1.0
     assert param.data[0] < 2.0
@@ -59,8 +59,8 @@ def test_adagrad_l2_term_shrinks_parameters():
 
 def test_adagrad_accumulators_nonnegative_and_nondecreasing():
     rng = np.random.default_rng(0)
-    state = AdagradState(l2_lambda=0.0)
     param = Tensor(rng.standard_normal(5))
+    state = AdagradState({"p": param}, l2_lambda=0.0)
     previous = np.zeros(5)
     for _ in range(10):
         step(state, param, rng.standard_normal(5))
@@ -71,19 +71,19 @@ def test_adagrad_accumulators_nonnegative_and_nondecreasing():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adagrad_rejects_nan_gradients(bad):
-    state = AdagradState()
     param = Tensor(np.ones(3))
+    state = AdagradState({"p": param})
     with pytest.raises(FloatingPointError, match="'p'"):
         step(state, param, [1.0, bad, 0.0])
     assert np.array_equal(param.data, np.ones(3))
 
 
 def test_adagrad_apply_skips_missing_grads():
-    state = AdagradState(l2_lambda=0.0)
     used = Tensor(np.array([1.0]), requires_grad=True)
     unused = Tensor(np.array([5.0]), requires_grad=True)
+    state = AdagradState({"used": used, "unused": unused}, l2_lambda=0.0)
     (used * used).sum().backward()
-    state.apply({"used": used, "unused": unused})
+    state.apply()
     assert used.data[0] != 1.0
     assert unused.data[0] == 5.0
 
@@ -94,8 +94,8 @@ def test_adagrad_chunked_update_equals_the_whole_array_formula(l2_lambda):
     whole-array expression of the update bit for bit."""
     rng = np.random.default_rng(1)
     shapes = {"matrix": (300, 200), "vector": (70001,), "stack": (5, 90, 90), "scalar": ()}
-    state = AdagradState(learning_rate=0.05, l2_lambda=l2_lambda)
     params = {k: Tensor(rng.standard_normal(s)) for k, s in shapes.items()}
+    state = AdagradState(params, learning_rate=0.05, l2_lambda=l2_lambda)
     expected = {k: t.data.copy() for k, t in params.items()}
     acc = {k: np.zeros(s) for k, s in shapes.items()}
     for _ in range(3):
@@ -104,7 +104,7 @@ def test_adagrad_chunked_update_equals_the_whole_array_formula(l2_lambda):
             g = t.grad + l2_lambda * expected[k] if l2_lambda else t.grad
             acc[k] += g * g
             expected[k] -= 0.05 * g / (np.sqrt(acc[k]) + 1e-8)
-        state.apply(params)
+        state.apply()
     for k, t in params.items():
         assert t.data.tobytes() == expected[k].tobytes(), k
         assert state.accumulators[k].tobytes() == acc[k].tobytes(), k
@@ -120,11 +120,11 @@ def test_adagrad_non_finite_gradient_changes_nothing(bad, named):
     """Tensors on both threads' runs; the first bad tensor in dict order is
     named and no parameter or accumulator moves."""
     rng = np.random.default_rng(2)
-    state = AdagradState(learning_rate=0.05)
     params = {k: Tensor(rng.standard_normal(s)) for k, s in SPLIT_SHAPES.items()}
+    state = AdagradState(params, learning_rate=0.05)
     for k in "abc":
         params[k].grad = rng.standard_normal(SPLIT_SHAPES[k])
-    state.apply(params)  # "d" has no accumulator yet
+    state.apply()  # "d" has no gradient, so its accumulator stays zero
     for k, t in params.items():
         t.grad = rng.standard_normal(SPLIT_SHAPES[k])
     for k in bad:
@@ -132,7 +132,7 @@ def test_adagrad_non_finite_gradient_changes_nothing(bad, named):
     before = {k: t.data.copy() for k, t in params.items()}
     accumulators = {k: acc.copy() for k, acc in state.accumulators.items()}
     with pytest.raises(FloatingPointError, match=f"'{named}'"):
-        state.apply(params)
+        state.apply()
     assert all(np.array_equal(params[k].data, before[k]) for k in params)
     assert state.accumulators.keys() == accumulators.keys()
     assert all(np.array_equal(state.accumulators[k], accumulators[k]) for k in accumulators)
@@ -145,18 +145,18 @@ def test_adagrad_non_finite_gradient_changes_nothing(bad, named):
 ])
 def test_adagrad_rejects_bad_hyperparameters(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        AdagradState(**kwargs)
+        AdagradState({}, **kwargs)
 
 
 def test_adagrad_accepts_zero_l2():
-    assert AdagradState(l2_lambda=0.0).l2_lambda == 0.0
+    assert AdagradState({}, l2_lambda=0.0).l2_lambda == 0.0
 
 
 def test_adagrad_rejects_a_tensor_listed_twice():
     param = Tensor(np.ones(3))
     param.grad = np.ones(3)
     with pytest.raises(ValueError, match="once"):
-        AdagradState().apply({"p": param, "q": param})
+        AdagradState({"p": param, "q": param})
     assert np.array_equal(param.data, np.ones(3))
 
 

@@ -245,6 +245,26 @@ def test_stacked_parser_forced_mlp_dims(base_parser):
                       base_parser.tags, {"x": 0}, rng=nc.make_rng(6))
 
 
+def test_stacked_parser_construction_is_pinned():
+    # A base and a stacked parser drawn from one generator leave it where
+    # they always have: the stacked biaffine tensors are copied, not drawn.
+    from stackparse.embeddings import PretrainedEmbeddings
+    rng = nc.make_rng(11)
+    vocab = {"the": 0, "cat": 1, "sat": 2}
+    pretrained = PretrainedEmbeddings(vocab, np.arange(6.0).reshape(3, 2))
+    base = ParserModel(["det", "root"], ["DET", "NOUN"], vocab, pretrained=pretrained,
+                       word_dim=3, tag_dim=2, hidden=4, layers=2, d_arc=3, d_rel=2, rng=rng)
+    StackedParser(base, ["det", "root"], ["DET", "NOUN", "VERB"], vocab, word_dim=3,
+                  tag_dim=2, hidden=5, layers=2, rng=rng)
+    assert rng.random() == 0.7102118256213047
+    with pytest.raises(TypeError, match="d_arc"):
+        StackedParser(base, ["det", "root"], ["DET"], vocab, d_arc=3)
+    # The benchmark's span tracer wraps forward_full and label_scores in
+    # this class's own namespace.
+    functions = {name for name, value in vars(StackedParser).items() if callable(value)}
+    assert functions == {"__init__", "trainable_parameters", "forward_full", "label_scores"}
+
+
 def test_parameter_set_inclusion(base_parser, base_tagger):
     stacked_p = StackedParser(base_parser, base_parser.rels, base_parser.tags,
                               {"x": 0}, word_dim=4, tag_dim=3, hidden=6,
