@@ -378,7 +378,9 @@ def _params_blob(path: str, archive: zipfile.ZipFile) -> np.ndarray:
 
 
 def save_model(path: str, model) -> None:
-    spec = next((s for s in _SPECS if type(model) is s.cls), None)
+    # A parser built on a base is archived, and loads back, as a stacked parser.
+    cls = StackedParser if type(model) is ParserModel and model.base is not None else type(model)
+    spec = next((s for s in _SPECS if cls is s.cls), None)
     if spec is None:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     meta = {"type": spec.kind, **_meta(spec, model)}

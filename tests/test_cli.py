@@ -482,6 +482,19 @@ def test_archive_round_trip_bit_exact_for_every_kind(tmp_path, kind):
             assert a.read(name) == b.read(name), name
 
 
+def test_a_parser_built_on_a_base_is_archived_as_a_stacked_parser(tmp_path):
+    stacked = archive_model("stacked-parser")
+    model = ParserModel(stacked.rels, stacked.tags, stacked.word_vocab,
+                        pretrained=stacked.pretrained, word_dim=3, tag_dim=2, hidden=4,
+                        layers=1, base=stacked.base, rng=np.random.default_rng(6))
+    save_model(str(tmp_path / "m.model"), model)
+    clone = load_model(str(tmp_path / "m.model"))
+    assert type(clone) is StackedParser
+    expected, actual = all_parameters(model), all_parameters(clone)
+    assert expected.keys() == actual.keys()
+    assert all(actual[k].data.tobytes() == t.data.tobytes() for k, t in expected.items())
+
+
 def data_offset(data: bytes, info: zipfile.ZipInfo) -> int:
     """Where a member's data starts: its local header is 30 bytes, then
     the name and the extra field."""
