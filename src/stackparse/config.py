@@ -145,10 +145,10 @@ def parse_config_text(text: str, where: str = "line ") -> dict[str, str]:
 
 
 def read_text(path: str) -> str:
-    """The file's UTF-8 text without a leading byte-order mark; a decode
-    error names `path`."""
+    """The file's UTF-8 text with its line ends as stored and without a
+    leading byte-order mark; a decode error names `path`."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             return f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

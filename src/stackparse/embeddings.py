@@ -42,6 +42,7 @@ def load_embeddings(path: str) -> PretrainedEmbeddings:
     rows: list[list[float]] = []
     dim = None
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.removesuffix("\r")  # a CRLF file
         if not line:
             continue
         token, *values = line.split(" ")

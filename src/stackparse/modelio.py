@@ -137,7 +137,7 @@ def _manifest_layout(manifest: str) -> dict[str, tuple[tuple, int]]:
     """name -> (shape, byte offset), one per manifest line.  A malformed
     line raises ValueError naming it."""
     layout = {}
-    for number, line in enumerate(manifest.splitlines(), 1):
+    for number, line in enumerate(manifest.split("\n"), 1):
         line = line.strip()
         if not line:
             continue

@@ -11,10 +11,10 @@ from .tensor import (
     bilinear_labels,
     concat,
     crf_log_likelihood,
+    cross_entropy_rows,
     dropout,
     leaky_relu,
     linear,
-    logsumexp_rows_masked,
     matmul,
     mul,
     no_grad,

@@ -2,8 +2,9 @@
 
 The scope is exactly what the sequence models in this package need: 1-D and
 2-D arrays, a handful of activations and reductions, numpy-style indexing
-(row lookup, slices, gathers), inverted dropout, and three fused ops: the
-affine map `linear`, the biaffine label scores and the CRF log-likelihood.
+(row lookup, slices, gathers), inverted dropout, and four fused ops: the
+affine map `linear`, the biaffine label scores, the rows' cross-entropy
+`cross_entropy_rows` and the CRF log-likelihood.
 Values are float64, and every operation checks its result for NaN/Inf.
 """
 
@@ -103,9 +104,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
@@ -324,23 +322,27 @@ def _row_mask(a: Tensor, allowed) -> np.ndarray:
     return mask
 
 
-def logsumexp_rows_masked(a: Tensor, allowed: np.ndarray) -> Tensor:
-    """Per-row log-sum-exp over the columns where the constant (rows,
-    columns) mask `allowed` is True; `a` has the mask's shape, or is one
-    (columns,) row that every mask row reads.  Masked-out columns get zero
-    gradient.  Every row must allow at least one column."""
+def cross_entropy_rows(a: Tensor, allowed: np.ndarray, gold) -> Tensor:
+    """Sum over rows of the log-sum-exp over the columns where the constant
+    mask `allowed`, of `a`'s shape, is True, minus the row's `gold` column:
+    the rows' cross-entropy against their gold columns, as one op.
+    Masked-out columns get zero gradient.  Every row must allow a column."""
     mask = _row_mask(a, allowed)
-    soft, data = _row_softmax(np.broadcast_to(a.data, mask.shape), mask)
+    rows = np.arange(len(mask))
+    soft, lse = _row_softmax(a.data, mask)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g[:, None] * soft, a.data.shape))
+        d = g * soft
+        d[rows, gold] -= g
+        _accumulate(a, d)
 
-    return _result(data, (a,), backward)
+    return _result(np.asarray((lse - a.data[rows, gold]).sum()), (a,), backward)
 
 
 def softmax_rows_masked(a: Tensor, allowed: np.ndarray) -> Tensor:
-    """Per-row softmax over the columns where `allowed` is True, 0 elsewhere;
-    `a` and `allowed` are as for `logsumexp_rows_masked`."""
+    """Per-row softmax over the columns where the constant (rows, columns)
+    mask `allowed` is True, 0 elsewhere; `a` has the mask's shape, or is one
+    (columns,) row that every mask row reads.  Every row must allow a column."""
     mask = _row_mask(a, allowed)
     data, _ = _row_softmax(np.broadcast_to(a.data, mask.shape), mask)
 

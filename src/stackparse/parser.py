@@ -182,7 +182,7 @@ class ParserModel:
         """Mean over tokens of head cross-entropy + label cross-entropy
         (labels conditioned on gold heads)."""
         fw = self.forward_full(sentence.forms, sentence.upos, rng)
-        return arc_label_loss(fw, self.label_scores, sentence, self.rel_index)
+        return arc_label_loss(self, fw, sentence)
 
 
 def _with_ones(a: nc.Tensor) -> nc.Tensor:
@@ -190,26 +190,20 @@ def _with_ones(a: nc.Tensor) -> nc.Tensor:
     return nc.concat([a, np.ones((a.shape[0], 1))], axis=1)
 
 
-def arc_label_loss(fw: ParserForward, label_scores_fn, sentence: Sentence,
-                   rel_index: dict[str, int]) -> nc.Tensor:
+def arc_label_loss(model: ParserModel, fw: ParserForward, sentence: Sentence) -> nc.Tensor:
     """Shared training objective for the base and stacked parsers."""
     n = len(sentence)
     gold_heads = list(sentence.heads)
     gold_rels = []
     for token in sentence.tokens:
-        if token.deprel not in rel_index:
+        if token.deprel not in model.rel_index:
             raise ValueError(f"gold label {token.deprel!r} not in the inventory")
-        gold_rels.append(rel_index[token.deprel])
-    dep_rows = fw.arc_scores[1:n + 1]
+        gold_rels.append(model.rel_index[token.deprel])
     allowed = np.ones((n, n + 1), dtype=bool)
     allowed[np.arange(n), np.arange(1, n + 1)] = False  # no self-head
-    head_norm = nc.logsumexp_rows_masked(dep_rows, allowed)
-    head_gold = dep_rows[np.arange(n), gold_heads]
-    head_loss = (head_norm - head_gold).sum()
-    labels = label_scores_fn(fw.rel_dep, fw.rel_head, gold_heads)
-    label_norm = nc.logsumexp_rows_masked(labels, np.ones(labels.shape, bool))
-    label_gold = labels[np.arange(n), gold_rels]
-    label_loss = (label_norm - label_gold).sum()
+    head_loss = nc.cross_entropy_rows(fw.arc_scores[1:n + 1], allowed, gold_heads)
+    labels = model.label_scores(fw.rel_dep, fw.rel_head, gold_heads)
+    label_loss = nc.cross_entropy_rows(labels, np.ones(labels.shape, bool), gold_rels)
     return (head_loss + label_loss) * (1.0 / n)
 
 

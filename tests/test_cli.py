@@ -25,7 +25,7 @@ from stackparse import cli
 from stackparse import parser as parser_module
 from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
-from stackparse.embeddings import PretrainedEmbeddings
+from stackparse.embeddings import PretrainedEmbeddings, load_embeddings
 from stackparse.modelio import _alignment_extra, crc32_combine, load_model, save_model
 from stackparse.parser import ParserModel
 from stackparse.parser import parse as parse_model_fn
@@ -889,6 +889,56 @@ def test_crlf_treebank_and_config_text_still_parse():
     text = treebank_text()
     assert parse_conllu(text.replace("\n", "\r\n")) == parse_conllu(text)
     assert parse_config_text("seed = 3\r\n# c\r\nk=1\r\n") == {"seed": "3", "k": "1"}
+
+
+def test_crlf_treebank_config_and_embeddings_files_read_as_lf_files(workdir, capsys):
+    lf = {"tb.conllu": treebank_text(), "cfg.txt": TINY_CONFIG,
+          "emb.txt": "the 0.5 -1.0\n\ncat 2.0 0.25\n"}
+    for name, text in lf.items():
+        (workdir / f"crlf-{name}").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    outputs = []
+    for path in (workdir / "tb.conllu", workdir / "crlf-tb.conllu"):
+        assert run("validate", "--input", path) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert load_config(str(workdir / "crlf-cfg.txt")) == load_config(str(workdir / "cfg.txt"))
+    (workdir / "emb.txt").write_text(lf["emb.txt"], encoding="utf-8")
+    plain, crlf = (load_embeddings(str(workdir / name)) for name in ("emb.txt", "crlf-emb.txt"))
+    assert crlf.vocab == plain.vocab == {"the": 0, "cat": 1}
+    assert crlf.matrix.tobytes() == plain.matrix.tobytes()
+
+
+# Only \n ends a line of a text input: a lone \r stays inside its line.
+
+
+def test_lexicon_match_prints_one_row_per_line_around_a_lone_cr(workdir, capsys):
+    (workdir / "in.txt").write_bytes(b"wah so\rshiok lah\nlah one\n")
+    (workdir / "lex.txt").write_text("lah\n", encoding="utf-8")
+    assert run("lexicon-match", "--input", workdir / "in.txt", "--lexicon", workdir / "lex.txt") == 0
+    assert capsys.readouterr().out == "lah\twah so shiok lah\nlah\tlah one\n"
+
+
+def test_lm_train_reads_a_lone_cr_as_the_space_between_two_tokens(workdir, capsys):
+    (workdir / "cr.txt").write_bytes(b"wah so\rshiok lah\n")
+    (workdir / "sp.txt").write_bytes(b"wah so shiok lah\n")
+    for name in ("cr", "sp"):
+        assert run("lm-train", "--corpus", workdir / f"{name}.txt", "--order", 2,
+                   "--out", workdir / f"{name}.lm") == 0
+        assert "on 1 sentences" in capsys.readouterr().out
+    assert (workdir / "cr.lm").read_bytes() == (workdir / "sp.lm").read_bytes()
+
+
+def test_validate_and_tag_keep_a_form_holding_a_lone_cr(workdir):
+    forms = ["a\rb", "cat", "sat"]
+    text = write_conllu([make_sentence(forms, ["DET", "NOUN", "VERB"], [2, 3, 0],
+                                       ["det", "nsubj", "root"])])
+    (workdir / "in.conllu").write_bytes(text.encode("utf-8"))
+    assert run("validate", "--input", workdir / "in.conllu") == 0
+    save_model(str(workdir / "m.model"), archive_model("tagger"))
+    assert run("tag", "--model", workdir / "m.model", "--input", workdir / "in.conllu",
+               "--out", workdir / "out.conllu") == 0
+    rows = (workdir / "out.conllu").read_bytes().decode("utf-8").split("\n")
+    assert [row.split("\t")[1] for row in rows[:3]] == forms
 
 
 # -- corpus selection commands ---------------------------------------------------------------

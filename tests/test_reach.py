@@ -11,17 +11,30 @@ do not count as callers: a helper only tests use belongs in
 What this cannot see: a name shared with a live one, such as the
 stacked tagger's `tags` method next to every model's `tags` attribute,
 or a word in a message that happens to spell a dead name.  Either counts
-as a caller.
+as a caller.  Nor can it see an operator, `sum` or `item`, so a second
+check runs the four trainers and the decoders and records which
+functions of `numcore/tensor.py` they call.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import io
 import re
+import sys
+import threading
 import tokenize
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from stackparse.numcore import tensor
+from stackparse.parser import parse, train_parser
+from stackparse.stacking import train_stacked_parser, train_stacked_tagger
+from stackparse.tagger import train_tagger
+from util import random_tree_sentence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,3 +94,60 @@ def test_every_name_src_defines_has_a_caller():
     assert len(defined) > 200  # the walk found the package
     uncalled = {name: f"{path}:{line}" for path, line, name in defined if counts[name] < 2}
     assert set(uncalled) == set(ALLOWED), uncalled
+
+
+# Functions of numcore/tensor.py that no training step or decoder runs:
+# tape surface kept for the tests' gradient checks and references.
+TAPE_TEST_ONLY = {
+    "Tensor.sum": "reduces a test loss to the scalar that backward() starts from",
+    "_sum": "the op behind Tensor.sum",
+    "_sum.backward": "its gradient",
+    "Tensor.item": "reads a test loss as a float, as the gradient checker does",
+    "Tensor.__rsub__": "`1.0 - gate` in the per-step LSTM reference",
+}
+
+
+def _functions(code, prefix=""):
+    """{(first line, name): dotted name} of every function and closure
+    defined in `code`, class bodies walked, comprehensions left out."""
+    found = {}
+    for const in code.co_consts:
+        if inspect.iscode(const) and not const.co_name.startswith("<"):
+            name = prefix + const.co_name
+            if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                found[const.co_firstlineno, const.co_name] = name
+            found.update(_functions(const, name + "."))
+    return found
+
+
+def test_every_tape_function_runs_in_training_or_decoding(tiny_cfg):
+    path = tensor.__file__
+    with open(path, encoding="utf-8") as f:
+        defined = _functions(compile(f.read(), path, "exec"))
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            ran.add((frame.f_code.co_firstlineno, frame.f_code.co_name))
+
+    rng = np.random.default_rng(0)
+    sentences = [random_tree_sentence(rng, n) for n in (2, 4, 5)]
+    config = tiny_cfg.updated({"epochs": "1", "dropout": "0.15", "parser_dropout": "0.33"})
+    sys.setprofile(record)
+    threading.setprofile(record)
+    try:
+        tagger = train_tagger(sentences, sentences[:1], config)
+        stacked_tagger = train_stacked_tagger(tagger, sentences, sentences[:1], config)
+        parser = train_parser(sentences, sentences[:1], config)
+        stacked_parser = train_stacked_parser(parser, sentences, sentences[:1], config)
+        for model in (tagger, stacked_tagger):
+            model.tag(sentences[1])
+        for model in (parser, stacked_parser):
+            for decoder in ("greedy", "mst"):
+                parse(model, sentences[2], decoder=decoder)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    unrun = {name for key, name in defined.items() if key not in ran}
+    assert len(defined) > 40  # the walk found the module's functions
+    assert unrun == set(TAPE_TEST_ONLY), unrun

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,34 @@ def test_parser_tape_size_does_not_grow_with_sentence_length():
         sizes = [tape_size(model.loss(random_tree_sentence(rng, n), rng))
                  for n in (1, 3, 30)]
         assert sizes[0] == sizes[1] == sizes[2], (type(model).__name__, sizes)
+
+
+def test_parser_objective_is_pinned():
+    # The loss and every gradient of a base and a stacked parser on one
+    # sentence with dropout: a change to the loss path must keep them bit
+    # for bit.  The gradients are hashed in parameter order, zeros for the
+    # base biaffine tensors that the stacked loss does not reach.
+    rels = ["root"] + REL_POOL
+    vocab = {form: i for i, form in enumerate(FORM_POOL)}
+    base = ParserModel(rels, TAG_POOL, vocab, word_dim=4, tag_dim=3, hidden=5,
+                       layers=2, d_arc=4, d_rel=3, rng=nc.make_rng(0))
+    stacked = StackedParser(base, rels, TAG_POOL, vocab, word_dim=4, tag_dim=3,
+                            hidden=6, layers=1, rng=nc.make_rng(1))
+    sentence = random_tree_sentence(np.random.default_rng(2), 9)
+    pinned = [
+        (base, base.parameters(), 4.014936019242038,
+         "b75ccf97c88ccd4d91c123eddefc2fe3926c8108b22dbbb7a32d455ad585288b"),
+        (stacked, all_parameters(stacked), 3.9743349524253957,
+         "acfd114b8d971376923eb9e1d1d6f2ea2a64732632297fb888fdd66aebcfb87c"),
+    ]
+    for model, params, loss_value, digest in pinned:
+        nc.zero_grads(params.values())
+        loss = model.loss(sentence, np.random.default_rng(3))
+        loss.backward()
+        grads = b"".join((np.zeros_like(t.data) if t.grad is None else t.grad).tobytes()
+                         for t in params.values())
+        assert loss.item() == loss_value, type(model).__name__
+        assert hashlib.sha256(grads).hexdigest() == digest, type(model).__name__
 
 
 def test_tagger_tape_size_does_not_grow_with_sentence_length():

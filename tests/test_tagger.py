@@ -15,7 +15,7 @@ from stackparse.tagger import (
     train_tagger,
     viterbi_decode,
 )
-from util import grad_check, make_sentence, tagger_hidden, transpose
+from util import grad_check, logsumexp_rows_masked, make_sentence, tagger_hidden, transpose
 
 
 def small_model(**overrides):
@@ -271,9 +271,9 @@ def crf_log_likelihood_per_position(emissions, transitions, gold):
     alpha = transitions[start, :k] + emissions[0]
     for t in range(1, n):
         moved = alpha[None] + into
-        alpha = nc.logsumexp_rows_masked(moved, np.ones((k, k), bool)) + emissions[t]
+        alpha = logsumexp_rows_masked(moved, np.ones((k, k), bool)) + emissions[t]
     final = (alpha + transitions[:k, stop])[None]
-    return nc.logsumexp_rows_masked(final, np.ones((1, k), bool))[0] - gold_score
+    return logsumexp_rows_masked(final, np.ones((1, k), bool))[0] + gold_score * -1.0
 
 
 def test_crf_op_matches_the_per_position_tape():

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackparse import numcore as nc
 from stackparse.numcore import NonFiniteError, Tensor
 from stackparse.numcore.tensor import _sigmoid
-from util import grad_check, transpose
+from util import grad_check, logsumexp_rows_masked, transpose
 
 
 def rand(shape, seed=0):
@@ -140,50 +140,90 @@ def test_softmax_gradient():
     assert grad_check(loss, {"x": x}) < 1e-6
 
 
+def old_cross_entropy_chain(a, allowed, gold):
+    """The rows' cross-entropy as the tape ops `nc.cross_entropy_rows` fuses:
+    the masked log-sum-exp, the gold gather, a mul by -1 plus an add, a sum."""
+    norm = logsumexp_rows_masked(a, allowed)
+    return nc.add(norm, nc.mul(a[np.arange(len(gold)), gold], -1.0)).sum()
+
+
+def cross_entropy_case(rows, cols, seed, gold_at):
+    """Scores, a mask that allows each row at least one column, and each row's
+    gold column: its first allowed one, its last, or one drawn among them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols)) * 10.0
+    mask = rng.random((rows, cols)) < 0.5
+    mask[np.arange(rows), rng.integers(0, cols, rows)] = True
+    allowed = [np.flatnonzero(row) for row in mask]
+    if gold_at == "first":
+        gold = [int(a[0]) for a in allowed]
+    elif gold_at == "last":
+        gold = [int(a[-1]) for a in allowed]
+    else:
+        gold = [int(rng.choice(a)) for a in allowed]
+    return x, mask, gold
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from(["first", "last", "drawn"]), st.booleans(),
+       st.floats(min_value=0.01, max_value=4.0))
+@example(1, 1, 0, "first", False, 1.0)  # 1x1: the one column is gold
+@example(5, 1, 1, "last", True, 0.25)   # every row allows one column
+def test_cross_entropy_rows_equals_the_old_chain_bit_for_bit(rows, cols, seed, gold_at,
+                                                             slot, scale):
+    x, mask, gold = cross_entropy_case(rows, cols, seed, gold_at)
+    results = []
+    for op in (nc.cross_entropy_rows, old_cross_entropy_chain):
+        a = Tensor(x, requires_grad=True)
+        a._grad_slot = np.full(x.shape, np.nan) if slot else None  # as `fit` sets it
+        out = op(a, mask, gold)
+        (out * scale).backward()
+        assert (a.grad is a._grad_slot) == slot
+        results.append((out.data.tobytes(), a.grad.tobytes()))
+    assert results[0] == results[1]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8),
        st.floats(min_value=-30, max_value=30))
-def test_logsumexp_shift_invariance(values, shift):
+def test_cross_entropy_rows_shift_invariance(values, shift):
     x = np.array([values])
     every = np.ones(x.shape, bool)
-    base = nc.logsumexp_rows_masked(Tensor(x), every).data[0]
-    shifted = nc.logsumexp_rows_masked(Tensor(x + shift), every).data[0]
-    assert abs(shifted - (base + shift)) < 1e-12
+    base = nc.cross_entropy_rows(Tensor(x), every, [1]).item()
+    shifted = nc.cross_entropy_rows(Tensor(x + shift), every, [1]).item()
+    assert abs(shifted - base) < 1e-12
 
 
-def test_logsumexp_axis_and_gradient():
+def test_cross_entropy_rows_gradient_and_mask_shape():
     x = Tensor(rand((3, 5), seed=8), requires_grad=True)
-    every = np.ones((3, 5), bool)
+    mask = np.array([[1, 1, 0, 1, 1], [0, 1, 1, 0, 0], [1, 1, 1, 1, 1]], bool)
 
     def loss():
-        return nc.logsumexp_rows_masked(x, every).sum()
+        return nc.cross_entropy_rows(x, mask, [3, 2, 0])
 
     assert grad_check(loss, {"x": x}) < 1e-6
-    assert nc.logsumexp_rows_masked(x, every).shape == (3,)
+    assert nc.cross_entropy_rows(x, mask, [3, 2, 0]).shape == ()
     with pytest.raises(ValueError, match="mask shape"):
-        nc.logsumexp_rows_masked(x, np.ones((5, 3), bool))
+        nc.cross_entropy_rows(x, np.ones((5, 3), bool), [0, 0, 0, 0, 0])
 
 
-def test_masked_logsumexp_ignores_masked_columns():
+def test_cross_entropy_rows_ignores_masked_columns():
     x = Tensor(rand((3, 4), seed=9), requires_grad=True)
     mask = np.array([[True, True, False, True]] * 3)
-    out = nc.logsumexp_rows_masked(x, mask)
-    expected = np.log(np.exp(x.data[:, [0, 1, 3]]).sum(axis=1))
-    assert np.allclose(out.data, expected, atol=1e-12)
-
-    def loss():
-        return nc.logsumexp_rows_masked(x, mask).sum()
-
-    assert grad_check(loss, {"x": x}) < 1e-6
-    nc.zero_grads([x])
-    loss().backward()
+    gold = [0, 3, 1]
+    out = nc.cross_entropy_rows(x, mask, gold)
+    expected = (np.log(np.exp(x.data[:, [0, 1, 3]]).sum(axis=1))
+                - x.data[np.arange(3), gold]).sum()
+    assert abs(out.item() - expected) < 1e-12
+    out.backward()
     assert np.all(x.grad[:, 2] == 0.0)
 
 
-def test_masked_logsumexp_rejects_empty_rows():
+def test_cross_entropy_rows_rejects_empty_rows():
     x = Tensor(rand((2, 2), seed=10))
-    with pytest.raises(ValueError):
-        nc.logsumexp_rows_masked(x, np.array([[True, True], [False, False]]))
+    with pytest.raises(ValueError, match="at least one column"):
+        nc.cross_entropy_rows(x, np.array([[True, True], [False, False]]), [0, 0])
 
 
 def test_nonfinite_values_rejected():

@@ -2,8 +2,8 @@
 references that only tests use: a seeded corpus splitter, a
 finite-difference gradient checker, an n-gram model's adjusted-count
 tables and discounts, a stacked model's every parameter, a tagger's
-hidden states, an embeddings-file writer, and the sigmoid and transpose
-tape ops."""
+hidden states, an embeddings-file writer, and the sigmoid, transpose and
+masked log-sum-exp tape ops."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import struct
 import numpy as np
 
 from stackparse import numcore as nc
-from stackparse.numcore.tensor import Tensor, _accumulate, _grad_enabled, _result, _sigmoid
+from stackparse.numcore.tensor import (Tensor, _accumulate, _grad_enabled, _result, _row_mask,
+                                      _row_softmax, _sigmoid, _unbroadcast)
 from stackparse.treebank import Sentence, Token, shuffled_indices
 
 FORM_POOL = ["kiasu", "makan", "café", "x1", "talk", "cock", "can", "lah",
@@ -119,6 +120,21 @@ def transpose(a: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(a, g.T)
+
+    return _result(data, (a,), backward)
+
+
+def logsumexp_rows_masked(a: Tensor, allowed: np.ndarray) -> Tensor:
+    """Per-row log-sum-exp over the columns where the constant (rows,
+    columns) mask `allowed` is True, as a tape op, for references: the
+    parser's loss takes it inside `nc.cross_entropy_rows`.  `a` has the
+    mask's shape, or is one (columns,) row that every mask row reads.
+    Masked-out columns get zero gradient."""
+    mask = _row_mask(a, allowed)
+    soft, data = _row_softmax(np.broadcast_to(a.data, mask.shape), mask)
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g[:, None] * soft, a.data.shape))
 
     return _result(data, (a,), backward)
 
