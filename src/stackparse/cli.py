@@ -135,8 +135,7 @@ def _cmd_tag(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, (tagging.TaggerModel, StackedTagger)):
         raise ValueError(f"{args.model} is not a tagger archive")
-    sentences = _read_treebank(args.input)
-    tagged = [s.with_upos(model.tag(s).tags) for s in sentences]
+    tagged = tagging.tag_sentences(model, _read_treebank(args.input))
     write_text_atomic(args.out, write_conllu(tagged))
     print(f"tagged {len(tagged)} sentences -> {args.out}")
     return 0
@@ -148,13 +147,11 @@ def _cmd_parse(args) -> int:
     if not isinstance(model, parsing.ParserModel):
         raise ValueError(f"{args.model} is not a parser archive")
     decoder = config.decoder
-    sentences = _read_treebank(args.input)
-    parsed = []
-    for sentence in sentences:
-        result = parsing.parse(model, sentence, decoder=decoder, repair=True)
-        parsed.append(sentence.with_tree(result.heads, result.deprels))
+    parsed, repaired = parsing.parse_sentences(model, _read_treebank(args.input), decoder,
+                                               repair=True)
     write_text_atomic(args.out, write_conllu(parsed))
-    print(f"parsed {len(parsed)} sentences with {decoder} decoding -> {args.out}")
+    repairs = "" if decoder == "mst" else f" ({repaired} non-trees repaired by the single-root MST)"
+    print(f"parsed {len(parsed)} sentences with {decoder} decoding{repairs} -> {args.out}")
     return 0
 
 
@@ -214,7 +211,7 @@ def _cmd_jackknife(args) -> int:
     def trainer(train_sents):
         fold_config = config.updated({"seed": str(next(fold_seeds))})
         model = tagging.train_tagger(train_sents, [], fold_config, pretrained=pretrained)
-        return lambda s: tagging.tag(model, s).tags
+        return lambda sentences: [s.upos for s in tagging.tag_sentences(model, sentences)]
 
     tagged = evaluation.jackknife_tags(treebank, config.k, trainer, seed=config.seed)
     write_text_atomic(args.out, write_conllu(tagged))
@@ -234,12 +231,7 @@ def _cmd_crossfold(args) -> int:
         fold_config = config.updated({"seed": str(next(fold_seeds))})
         model = parsing.train_parser(train_sents, dev_sents, fold_config,
                                      pretrained=pretrained)
-
-        def predict(sentence: Sentence) -> Sentence:
-            result = parsing.parse(model, sentence, decoder=config.decoder)
-            return sentence.with_tree(result.heads, result.deprels)
-
-        return predict
+        return lambda sentences: parsing.parse_sentences(model, sentences, config.decoder)[0]
 
     report = evaluation.cross_fold_validate(
         treebank, config.folds, trainer, seed=config.seed,

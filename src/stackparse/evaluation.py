@@ -159,13 +159,14 @@ def make_folds(n: int, k: int, seed: int) -> list[list[int]]:
     return folds
 
 
-TagTrainer = Callable[[list[Sentence]], Callable[[Sentence], Sequence[str]]]
+TagTrainer = Callable[[list[Sentence]], Callable[[list[Sentence]], list[Sequence[str]]]]
 
 
 def jackknife_tags(treebank: list[Sentence], k: int, tagger_trainer: TagTrainer,
                    seed: int = 0) -> list[Sentence]:
     """Replace each sentence's tags with predictions from a tagger that
-    never saw it: train on the other k-1 folds, tag the held-out fold.
+    never saw it: train on the other k-1 folds, tag the held-out fold (the
+    trained function maps a list of sentences to their tag sequences).
     The returned treebank keeps the input order.
     """
     folds = make_folds(len(treebank), k, seed)
@@ -174,13 +175,13 @@ def jackknife_tags(treebank: list[Sentence], k: int, tagger_trainer: TagTrainer,
         heldout = set(fold)
         train = [s for i, s in enumerate(treebank) if i not in heldout]
         tag_fn = tagger_trainer(train)
-        for i in fold:
-            output[i] = treebank[i].with_upos(tag_fn(treebank[i]))
+        for i, tags in zip(fold, tag_fn([treebank[i] for i in fold])):
+            output[i] = treebank[i].with_upos(tags)
     return [output[i] for i in range(len(treebank))]
 
 
 ParserTrainer = Callable[[list[Sentence], list[Sentence]],
-                         Callable[[Sentence], Sentence]]
+                         Callable[[list[Sentence]], list[Sentence]]]
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,8 @@ class CrossFoldReport:
 def cross_fold_validate(treebank: list[Sentence], folds: int, trainer: ParserTrainer,
                         seed: int = 0, include_punct: bool = True) -> CrossFoldReport:
     """k-fold evaluation where the first half of each held-out fold (rounded
-    up) serves as the development set and the rest as the test set.  Raises
+    up) serves as the development set and the rest as the test set, which
+    the trained function parses as one list.  Raises
     ValueError before any training when a fold would have no test sentences."""
     partition = make_folds(len(treebank), folds, seed)
     dev_sizes = [(len(fold) + 1) // 2 for fold in partition]
@@ -215,7 +217,7 @@ def cross_fold_validate(treebank: list[Sentence], folds: int, trainer: ParserTra
         held = [treebank[i] for i in fold]
         dev, test = held[:n_dev], held[n_dev:]
         predict = trainer(train, dev)
-        predicted = [predict(s) for s in test]
+        predicted = predict(test)
         report = attachment_scores(test, predicted, include_punct)
         fold_uas.append(report.uas)
         fold_las.append(report.las)

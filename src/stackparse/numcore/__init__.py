@@ -2,7 +2,7 @@
 parser need, plus Adagrad and the shared training loop."""
 
 from .init import glorot_uniform, make_rng, zeros
-from .lstm import COUPLED, PEEPHOLE, LstmCell, bilstm_encode, lstm_layer
+from .lstm import COUPLED, PEEPHOLE, LstmCell, batched, bilstm_encode, lstm_layer
 from .optim import AdagradState, fit
 from .tensor import (
     NonFiniteError,

@@ -1,18 +1,24 @@
 """LSTM cells and bidirectional sequence encoding.
 
-`bilstm_encode` runs each layer as one fused op with one tape node (none
-under `no_grad`).  In each direction the input projection X @ W_x^T + b
-is one GEMM for all steps and the recurrence runs in numpy; backward is
-hand-written back-propagation through time, which fills a
-(T, gates * H) array of gate gradients, so dW_x, dW_h, db and dX are one
-GEMM or one sum each.  The two directions never read each other's
-state, so the backward one runs on a helper thread that lives for one
-call (see `worker`) while the calling thread runs the forward one, in
-the recurrence and again in BPTT; the calling thread alone makes the tape
-node, checks finiteness and adds every gradient, forward cell first.  A
-weight's first gradient of a training step is the exception: each BPTT
-writes dW_x and dW_h straight into the weight's slot of `fit`'s flat
-gradient buffer, and the calling thread binds them after the join.
+`bilstm_encode` encodes a batch of sequences: per layer and direction,
+each sequence's input projection X @ W_x^T + b is one GEMM, and one numpy
+recurrence runs them all, longest first, each step updating only the
+sequences still running (packed sequences, as in PyTorch's
+`pack_padded_sequence`).  No sum mixes two sequences, so each one's
+outputs have the bits of a batch of one, the batch training runs.  Each
+sequence gets one tape node per layer (none under `no_grad`), whose
+backward is hand-written back-propagation through time over its rows of
+the state: it fills a (T, gates * H) array of gate gradients, so dW_x,
+dW_h, db and dX are one GEMM or one sum each.  The two directions never
+read each other's state, so the backward one runs on a helper thread
+that lives for one call (see `worker`) while the calling thread runs the
+forward one, in the recurrence and again in BPTT; the calling thread
+alone makes the tape nodes, checks finiteness and adds every gradient,
+forward cell first.  A weight's first gradient of a training step is the
+exception: each BPTT writes dW_x and dW_h straight into the weight's slot
+of `fit`'s flat gradient buffer, and the calling thread binds them after
+the join.  `batched` cuts inference's sentences into length-sorted
+batches under a fixed budget of padded tokens, which bounds the state.
 
 Two cell variants are provided:
 
@@ -26,6 +32,8 @@ Two cell variants are provided:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import init
@@ -34,6 +42,16 @@ from .worker import in_parallel
 
 PEEPHOLE = "peephole"
 COUPLED = "coupled-input-forget"
+
+# Rows of W_h per block of a batched step: 460 KB of a 900-unit cell's
+# W_h, read from cache by every running sequence.  A multiple of 16, so
+# that each block starts a GEMV where the whole-matrix GEMV's kernel
+# starts a row group and gives every row the same bits.
+_BLOCK_ROWS = 64
+# Padded tokens (sequences times the longest length) per `batched` batch.
+# A layer's recurrence keeps (2 x gates + 2) x H float64s of state per
+# padded token and direction: 30 MB per direction at 900 coupled units.
+BATCH_TOKENS = 512
 
 
 class LstmCell:
@@ -95,50 +113,75 @@ def _gates(cell: LstmCell) -> tuple:
     return gi, gf, gc, go, np.stack([cell.p_in.data, cell.p_forget.data]), cell.p_out.data
 
 
-def _recur(cell: LstmCell, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One direction over the rows of `xs`, numpy only: (pre, act, cs, hs).
+def _recur(cell: LstmCell, xs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One direction over a batch of sequences sorted longest first, numpy
+    only: (pre, act, cs, hs), indexed [sequence, step].
 
-    pre[t]: gate pre-activations of step t, peephole terms included;
-    act[t]: the gates after their sigmoid/tanh; cs[t]/hs[t]: the state
-    entering step t, so row 0 is the zero initial state.
+    pre[i, t]: gate pre-activations of step t, peephole terms included;
+    act[i, t]: the gates after their sigmoid/tanh; cs[i, t]/hs[i, t]: the
+    state entering step t, so column 0 is the zero initial state.  Steps
+    past a sequence's length stay zero (unset in `act`), and [i, :T_i]
+    and [i, :T_i + 1] are sequence i's state as a batch of one gives it.
+
+    Step t updates the k rows still running.  With k = 1, W_h·h is one
+    GEMV over the whole matrix.  With more, one matmul runs a GEMV per
+    (row block of W_h, sequence), blocks outer, so each block stays in
+    cache while every row reads it, and one more call covers the tail
+    rows.  On one BLAS thread (the CLI's) a GEMV's row results do not
+    depend on its other rows when the call starts at a multiple of 16
+    rows, so every row keeps its bits; a GEMM over the k states would not.
     """
     hd = cell.hidden_dim
     gi, gf, gc, go, p_if, p_out = _gates(cell)
     peephole = p_out is not None
-    steps = xs.shape[0]
+    lengths = np.array([len(x) for x in xs])
+    steps = lengths[0]
+    live = (lengths[:, None] > np.arange(steps)).sum(axis=0)
     w_h = cell.w_h.data
-    pre = xs @ cell.w_x.data.T + cell.bias.data  # the input projection, one GEMM
+    pre = np.zeros((len(xs), steps, w_h.shape[0]))
+    for row, x in zip(pre, xs):
+        row[:len(x)] = x @ cell.w_x.data.T + cell.bias.data
     act = np.empty_like(pre)
-    cs = np.zeros((steps + 1, hd))
-    hs = np.zeros((steps + 1, hd))
+    cs = np.zeros((len(xs), steps + 1, hd))
+    hs = np.zeros((len(xs), steps + 1, hd))
+    blocks = w_h.shape[0] // _BLOCK_ROWS
+    split = blocks * _BLOCK_ROWS
+    w_blocks, w_tail = w_h[:split].reshape(blocks, 1, _BLOCK_ROWS, hd), w_h[split:]
     # A non-finite input or weight makes `pre` non-finite; the caller
     # reports it, not a numpy warning from inside the loop.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            p, a, c_prev = pre[t], act[t], cs[t]
-            p += w_h @ hs[t]
+            k = live[t]
+            p, a, c_prev, h = pre[:k, t], act[:k, t], cs[:k, t], hs[:k, t, :, None]
+            if k == 1 or not blocks:
+                p += np.matmul(w_h, h)[..., 0]
+            else:
+                head = p[:, :split].reshape(k, blocks, _BLOCK_ROWS, copy=False)
+                head += np.matmul(w_blocks, h)[..., 0].transpose(1, 0, 2)
+                p[:, split:] += np.matmul(w_tail, h)[..., 0]
             if peephole:
-                p_gates = p[:2 * hd].reshape(2, hd)
-                p_gates += p_if * c_prev
-                a[:2 * hd] = _sigmoid(p[:2 * hd])
-                a[gc] = np.tanh(p[gc])
-                c = a[gf] * c_prev + a[gi] * a[gc]
-                p[go] += p_out * c
-                a[go] = _sigmoid(p[go])
+                p_gates = p[:, :2 * hd].reshape(k, 2, hd, copy=False)
+                p_gates += p_if * c_prev[:, None]
+                a[:, :2 * hd] = _sigmoid(p[:, :2 * hd])
+                a[:, gc] = np.tanh(p[:, gc])
+                c = a[:, gf] * c_prev + a[:, gi] * a[:, gc]
+                p[:, go] += p_out * c
+                a[:, go] = _sigmoid(p[:, go])
             else:
                 a[:] = _sigmoid(p)
-                a[gc] = np.tanh(p[gc])
-                c = (1.0 - a[gi]) * c_prev + a[gi] * a[gc]
-            cs[t + 1] = c
-            hs[t + 1] = a[go] * np.tanh(c)
+                a[:, gc] = np.tanh(p[:, gc])
+                c = (1.0 - a[:, gi]) * c_prev + a[:, gi] * a[:, gc]
+            cs[:k, t + 1] = c
+            hs[:k, t + 1] = a[:, go] * np.tanh(c)
     return pre, act, cs, hs
 
 
 def _bptt(cell: LstmCell, xs: np.ndarray, state: tuple, d_out: np.ndarray,
           want_dx: bool, outs: tuple) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Back-propagation through time of `_recur`, numpy only: the gradient
-    of each of `cell.parameters()` in its order, and of `xs` if wanted.
-    dW_x and dW_h are written into `outs`' arrays where they are not None."""
+    """Back-propagation through time of `_recur` over one sequence's rows
+    of its state, numpy only: the gradient of each of `cell.parameters()`
+    in its order, and of `xs` if wanted.  dW_x and dW_h are written into
+    `outs`' arrays where they are not None."""
     pre, act, cs, hs = state
     hd = cell.hidden_dim
     gi, gf, gc, go, p_if, p_out = _gates(cell)
@@ -175,17 +218,12 @@ def _bptt(cell: LstmCell, xs: np.ndarray, state: tuple, d_out: np.ndarray,
     return grads, d_pre @ cell.w_x.data if want_dx else None
 
 
-def _layer(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor) -> Tensor:
-    """One bi-LSTM layer over the rows of `x`: (T, D) -> (T, 2H), one tape
-    node.  The backward direction runs on a helper thread while this
-    thread runs the forward one, in the recurrence and again in BPTT."""
-    for cell in (forward_cell, backward_cell):
-        if x.shape[1] != cell.input_dim:
-            raise ValueError(f"expected inputs of width {cell.input_dim}, got {x.shape[1]}")
+def _sequence(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor,
+              fwd: tuple, bwd: tuple) -> Tensor:
+    """Sequence `x`'s (T, 2H) outputs from its rows of both directions'
+    state, as one tape node; its backward runs BPTT on those rows, the
+    backward direction on a helper thread."""
     xs, sx = x.data, x.data[::-1]
-    fwd, bwd = in_parallel(lambda: _recur(forward_cell, xs), lambda: _recur(backward_cell, sx))
-    _check_finite(fwd[0], "bilstm_encode", (x,))
-    _check_finite(bwd[0], "bilstm_encode", (x,))
     out = np.concatenate([fwd[3][1:], bwd[3][:0:-1]], axis=1)
 
     def backward(grad):
@@ -215,15 +253,63 @@ def _layer(forward_cell: LstmCell, backward_cell: LstmCell, x: Tensor) -> Tensor
     return _result(out, parents, backward)
 
 
-def bilstm_encode(layers, x: Tensor) -> Tensor:
-    """Run a (possibly multi-layer) bi-LSTM over the rows of `x` (T, D).
+def _layer(forward_cell: LstmCell, backward_cell: LstmCell, xs: list[Tensor]) -> list[Tensor]:
+    """One bi-LSTM layer over a batch of (T_i, D) tensors sorted longest
+    first: (T_i, 2H) each.  The backward direction reads each sequence
+    reversed within its own length and runs on a helper thread while this
+    thread runs the forward one."""
+    for cell in (forward_cell, backward_cell):
+        for x in xs:
+            if x.shape[1] != cell.input_dim:
+                raise ValueError(f"expected inputs of width {cell.input_dim}, got {x.shape[1]}")
+    fwd, bwd = in_parallel(lambda: _recur(forward_cell, [x.data for x in xs]),
+                           lambda: _recur(backward_cell, [x.data[::-1] for x in xs]))
+    _check_finite(fwd[0], "bilstm_encode", tuple(xs))
+    _check_finite(bwd[0], "bilstm_encode", tuple(xs))
+
+    def rows(state, i, n):  # sequence i's steps and states
+        pre, act, cs, hs = state
+        return pre[i, :n], act[i, :n], cs[i, :n + 1], hs[i, :n + 1]
+
+    return [_sequence(forward_cell, backward_cell, x, rows(fwd, i, len(x.data)),
+                      rows(bwd, i, len(x.data))) for i, x in enumerate(xs)]
+
+
+def bilstm_encode(layers, xs: list[Tensor]) -> list[Tensor]:
+    """Run a (possibly multi-layer) bi-LSTM over each of a batch of (T_i, D)
+    tensors, all in one recurrence per layer and direction.
 
     `layers` is a list of (forward_cell, backward_cell) pairs; layer k's
-    output feeds layer k+1.  Row t of the (T, 2H) result is
-    concat(forward_h[t], backward_h[t]).
+    outputs feed layer k+1.  Row t of sequence i's (T_i, 2H) result is
+    concat(forward_h[t], backward_h[t]), the same bits as a batch of one
+    gives, and results come in input order.
     """
-    if x.data.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("bilstm_encode requires a non-empty (T, D) matrix")
+    for x in xs:
+        if x.data.ndim != 2 or x.shape[0] == 0:
+            raise ValueError("bilstm_encode requires non-empty (T, D) matrices")
+    if not xs:
+        return []
+    order = sorted(range(len(xs)), key=lambda i: -xs[i].shape[0])
+    batch = [xs[i] for i in order]
     for forward_cell, backward_cell in layers:
-        x = _layer(forward_cell, backward_cell, x)
-    return x
+        batch = _layer(forward_cell, backward_cell, batch)
+    out = [None] * len(xs)
+    for i, y in zip(order, batch):
+        out[i] = y
+    return out
+
+
+def batched(run, items: Sequence) -> list:
+    """`run(batch)` over `items` in batches sorted longest first (by
+    `len`), each with at most BATCH_TOKENS padded tokens or a single item;
+    run's per-item results, in input order."""
+    order = sorted(range(len(items)), key=lambda i: -len(items[i]))
+    results = [None] * len(items)
+    start = 0
+    while start < len(order):
+        stop = start + max(1, BATCH_TOKENS // max(1, len(items[order[start]])))
+        batch = order[start:stop]
+        for i, result in zip(batch, run([items[i] for i in batch])):
+            results[i] = result
+        start = stop
+    return results

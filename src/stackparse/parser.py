@@ -32,6 +32,7 @@ class ParseResult(NamedTuple):
     heads: tuple[int, ...]
     deprels: tuple[str, ...]
     arc_scores: np.ndarray  # (n+1, n+1), -inf diagonal
+    repaired: bool = False  # greedy heads were no tree; the single-root MST replaced them
 
 
 @dataclass
@@ -153,14 +154,28 @@ class ParserModel:
 
     def forward_full(self, forms: Sequence[str], upos_tags: Sequence[str],
                      rng: np.random.Generator | None = None) -> ParserForward:
-        """Bi-LSTM, MLP heads and arc scores, with dropout masks drawn from
-        `rng` in forward order when one is given.  A stacked parser first
-        runs its base's forward without dropout."""
-        if not forms:
+        """One sentence's bi-LSTM, MLP heads and arc scores: a batch of one."""
+        return self.forward_batch([(forms, upos_tags)], rng)[0]
+
+    def forward_batch(self, batch: Sequence[tuple[Sequence[str], Sequence[str]]],
+                      rng: np.random.Generator | None = None) -> list[ParserForward]:
+        """Each (forms, tags) sentence's forward, its bi-LSTM run in one
+        batched encode, with dropout masks drawn from `rng` when one is
+        given: the input masks, then per sentence the recurrent and head
+        masks.  A stacked parser first runs its base's batched forward
+        without dropout."""
+        if any(not forms for forms, _ in batch):
             raise ValueError("cannot parse an empty sentence")
-        base = None if self.base is None else self.base.forward_full(forms, upos_tags)
-        x = self.input_vectors(forms, upos_tags, rng, base)
-        recurrent = nc.dropout(nc.bilstm_encode(self.lstm_layers, x), self.dropout, rng)
+        bases = [None] * len(batch) if self.base is None else self.base.forward_batch(batch)
+        xs = [self.input_vectors(forms, tags, rng, base)
+              for (forms, tags), base in zip(batch, bases)]
+        return [self._heads(recurrent, base, rng)
+                for recurrent, base in zip(nc.bilstm_encode(self.lstm_layers, xs), bases)]
+
+    def _heads(self, recurrent: nc.Tensor, base: ParserForward | None,
+               rng: np.random.Generator | None) -> ParserForward:
+        """MLP heads and arc scores over one sentence's bi-LSTM outputs."""
+        recurrent = nc.dropout(recurrent, self.dropout, rng)
         heads = []
         for name in _MLP_HEADS:
             w, b = self.mlp[name]
@@ -210,21 +225,18 @@ def arc_label_loss(model: ParserModel, fw: ParserForward, sentence: Sentence) ->
 # -- scoring wrappers ---------------------------------------------------------
 
 
-def _scored_forward(model: ParserModel, forms: Sequence[str],
-                    upos_tags: Sequence[str]) -> tuple[ParserForward, np.ndarray]:
-    """The sentence's forward without a tape, and a copy of its arc scores
-    with the self-head diagonal at -inf."""
-    with nc.no_grad():
-        fw = model.forward_full(forms, upos_tags)
+def _masked_scores(fw: ParserForward) -> np.ndarray:
+    """A copy of a forward's arc scores with the self-head diagonal at -inf."""
     scores = fw.arc_scores.data.copy()
     np.fill_diagonal(scores, -np.inf)
-    return fw, scores
+    return scores
 
 
 def score_arcs(model: ParserModel, forms: Sequence[str],
                upos_tags: Sequence[str]) -> np.ndarray:
     """(n+1) x (n+1) arc score matrix with the self-head diagonal at -inf."""
-    return _scored_forward(model, forms, upos_tags)[1]
+    with nc.no_grad():
+        return _masked_scores(model.forward_full(forms, upos_tags))
 
 
 def score_labels(model: ParserModel, fw: ParserForward, heads: Sequence[int]) -> np.ndarray:
@@ -313,25 +325,45 @@ def parse(model: ParserModel, sentence: Sentence, decoder: str = "greedy",
     With repair=True, greedy heads that do not form a tree are replaced by
     the single-rooted MST of the same scores, as CoNLL-U output needs trees.
     """
+    return parse_batch(model, [sentence], decoder, repair)[0]
+
+
+def parse_batch(model: ParserModel, sentences: Sequence[Sentence], decoder: str = "greedy",
+                repair: bool = False) -> list[ParseResult]:
+    """`parse` of each sentence, their forwards run as one batch."""
     if decoder not in ("greedy", "mst"):
         raise ValueError(f"unknown decoder {decoder!r}")
-    fw, scores = _scored_forward(model, sentence.forms, sentence.upos)
-    if decoder == "greedy":
-        heads = decode_greedy(scores)
-    if decoder == "mst" or (repair and not is_tree(heads)):
-        heads = decode_mst(scores, single_root=True)
-    labels = score_labels(model, fw, heads)
-    deprels = tuple(model.rels[int(labels[i].argmax())] for i in range(len(heads)))
-    return ParseResult(tuple(heads), deprels, scores)
+    with nc.no_grad():
+        forwards = model.forward_batch([(s.forms, s.upos) for s in sentences])
+    results = []
+    for fw in forwards:
+        scores = _masked_scores(fw)
+        greedy = decoder == "greedy"
+        heads = decode_greedy(scores) if greedy else None
+        repaired = greedy and repair and not is_tree(heads)
+        if not greedy or repaired:
+            heads = decode_mst(scores, single_root=True)
+        labels = score_labels(model, fw, heads)
+        deprels = tuple(model.rels[int(labels[i].argmax())] for i in range(len(heads)))
+        results.append(ParseResult(tuple(heads), deprels, scores, repaired))
+    return results
+
+
+def parse_sentences(model: ParserModel, sentences: Sequence[Sentence], decoder: str = "greedy",
+                    repair: bool = False) -> tuple[list[Sentence], int]:
+    """The sentences with the trees `model` predicts, parsed in `nc.batched`
+    batches, and how many greedy parses the MST repaired."""
+    def run(batch):
+        return [(s.with_tree(r.heads, r.deprels), r.repaired)
+                for s, r in zip(batch, parse_batch(model, batch, decoder, repair))]
+
+    parsed = nc.batched(run, sentences)
+    return [s for s, _ in parsed], sum(repaired for _, repaired in parsed)
 
 
 def dev_uas(model, gold: list[Sentence], decoder: str) -> float:
     """UAS of `model` on a dev set, for epoch selection."""
-    predicted = []
-    for sentence in gold:
-        result = parse(model, sentence, decoder=decoder)
-        predicted.append(sentence.with_tree(result.heads, result.deprels))
-    return attachment_scores(gold, predicted).uas
+    return attachment_scores(gold, parse_sentences(model, gold, decoder)[0]).uas
 
 
 def check_trainable(treebank: list[Sentence]) -> None:

@@ -57,16 +57,22 @@ class StackedTagger:
     def tags(self) -> tuple[str, ...]:
         return self.target.tags
 
-    def stack_inputs(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
-        em = self.base.emissions(self.base.encode(sentence))
-        return self.target.encode(sentence, rng, extra=em)
+    def stack_inputs(self, sentences: Sequence[Sentence],
+                     rng: np.random.Generator | None = None) -> list[nc.Tensor]:
+        """The target's encoded inputs for a batch of sentences, the base's
+        emissions computed as one batch."""
+        ems = self.base.emissions([self.base.encode(s) for s in sentences])
+        return [self.target.encode(s, rng, extra=em) for s, em in zip(sentences, ems)]
 
     def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
-        return self.target.crf_loss(self.stack_inputs(sentence, rng), sentence, rng)
+        return self.target.crf_loss(self.stack_inputs([sentence], rng)[0], sentence, rng)
 
     def tag(self, sentence: Sentence) -> TagResult:
+        return self.tag_batch([sentence])[0]
+
+    def tag_batch(self, sentences: Sequence[Sentence]) -> list[TagResult]:
         with nc.no_grad():
-            return self.target.decode(self.stack_inputs(sentence))
+            return self.target.decode(self.stack_inputs(sentences))
 
     def trainable_parameters(self) -> dict[str, nc.Tensor]:
         return _trainable(self, self.target.parameters())

@@ -149,10 +149,12 @@ class TaggerModel:
         n = len(forms)
         return nc.concat([padded[k:k + n] for k in range(2 * self.window + 1)], axis=1)
 
-    def emissions(self, inputs: nc.Tensor,
-                  rng: np.random.Generator | None = None) -> nc.Tensor:
-        hidden_mat = nc.dropout(nc.bilstm_encode(self.lstm_layers, inputs), self.dropout, rng)
-        return nc.linear(hidden_mat, self.emission_w, self.emission_b)
+    def emissions(self, inputs: list[nc.Tensor],
+                  rng: np.random.Generator | None = None) -> list[nc.Tensor]:
+        """(n, |tags|) emissions of each of a batch of encoded inputs, their
+        bi-LSTM run in one batched encode."""
+        return [nc.linear(nc.dropout(hidden, self.dropout, rng), self.emission_w, self.emission_b)
+                for hidden in nc.bilstm_encode(self.lstm_layers, inputs)]
 
     def gold_indices(self, sentence: Sentence) -> list[int]:
         indices = []
@@ -164,14 +166,17 @@ class TaggerModel:
 
     def crf_loss(self, inputs: nc.Tensor, sentence: Sentence,
                  rng: np.random.Generator | None = None) -> nc.Tensor:
-        em = self.emissions(inputs, rng)
+        em, = self.emissions([inputs], rng)
         return crf_log_likelihood(em, self.transitions, self.gold_indices(sentence))
 
-    def decode(self, inputs: nc.Tensor) -> TagResult:
-        """Viterbi tags and emissions of encoded inputs; callers hold no_grad."""
-        em = self.emissions(inputs)
-        path = viterbi_decode(em.data, self.transitions.data)
-        return TagResult(tuple(self.tags[i] for i in path), em.data.copy())
+    def decode(self, inputs: list[nc.Tensor]) -> list[TagResult]:
+        """Viterbi tags and emissions of a batch of encoded inputs; callers
+        hold no_grad."""
+        results = []
+        for em in self.emissions(inputs):
+            path = viterbi_decode(em.data, self.transitions.data)
+            results.append(TagResult(tuple(self.tags[i] for i in path), em.data.copy()))
+        return results
 
     def loss(self, sentence: Sentence, rng: np.random.Generator | None = None) -> nc.Tensor:
         return self.crf_loss(self.encode(sentence, rng), sentence, rng)
@@ -179,6 +184,11 @@ class TaggerModel:
     def tag(self, sentence: Sentence) -> TagResult:
         """`tag(self, sentence)`, so that a base and a stacked tagger answer alike."""
         return tag(self, sentence)
+
+    def tag_batch(self, sentences: Sequence[Sentence]) -> list[TagResult]:
+        """`tag` of each sentence, encoded as one batch."""
+        with nc.no_grad():
+            return self.decode([self.encode(s) for s in sentences])
 
 
 # -- CRF ----------------------------------------------------------------------
@@ -213,10 +223,17 @@ def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
 
 
 def tag(model: TaggerModel, sentence: Sentence) -> TagResult:
-    """Viterbi tags plus the emission vectors; a stacked tagger reads its
-    base's emissions through `TaggerModel.emissions`, not through this."""
-    with nc.no_grad():
-        return model.decode(model.encode(sentence))
+    """Viterbi tags plus the emission vectors, as a batch of one; a stacked
+    tagger reads its base's emissions through `TaggerModel.emissions`, not
+    through this."""
+    return model.tag_batch([sentence])[0]
+
+
+def tag_sentences(model, sentences: Sequence[Sentence]) -> list[Sentence]:
+    """The sentences with the tags a base or stacked tagger predicts, tagged
+    in `nc.batched` batches."""
+    return nc.batched(lambda batch: [s.with_upos(r.tags) for s, r in
+                                     zip(batch, model.tag_batch(batch))], sentences)
 
 
 def build_tagger(treebank: list[Sentence], config, pretrained: PretrainedEmbeddings | None,
@@ -236,7 +253,7 @@ def build_tagger(treebank: list[Sentence], config, pretrained: PretrainedEmbeddi
 
 def dev_accuracy(model, gold: list[Sentence]) -> float:
     """Tag accuracy of a base or stacked tagger on a dev set, for epoch selection."""
-    return tagging_accuracy(gold, [s.with_upos(model.tag(s).tags) for s in gold])
+    return tagging_accuracy(gold, tag_sentences(model, gold))
 
 
 def train_tagger(treebank: list[Sentence], dev: list[Sentence], config,

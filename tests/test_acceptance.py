@@ -283,7 +283,7 @@ def test_criterion_7_stacking_mechanics_exact():
                          att_dim=6, hidden=4, layers=1, window=1, dropout=0.0,
                          extra_input_dim=17, rng=nc.make_rng(3))
     assert StackedTagger(base17, target).stack_inputs(
-        make_sentence(["w"], ["A"], [0], ["root"])).shape == (1, 441)
+        [make_sentence(["w"], ["A"], [0], ["root"])])[0].shape == (1, 441)
 
     from stackparse.embeddings import PretrainedEmbeddings
     wide_base = ParserModel(["r"], ["N"], {"a": 0}, word_dim=8, tag_dim=4,

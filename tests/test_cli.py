@@ -27,13 +27,14 @@ from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
 from stackparse.embeddings import PretrainedEmbeddings, load_embeddings
 from stackparse.modelio import _alignment_extra, crc32_combine, load_model, save_model
+from stackparse.numcore import lstm as lstm_module
 from stackparse.parser import ParserModel
 from stackparse.parser import parse as parse_model_fn
 from stackparse.stacking import StackedParser, StackedTagger, train_stacked_parser
 from stackparse.tagger import TaggerModel
 from stackparse.tagger import tag as tag_fn
-from stackparse.treebank import parse_conllu, write_conllu
-from util import all_parameters, make_sentence, pack
+from stackparse.treebank import is_tree, parse_conllu, write_conllu
+from util import all_parameters, make_sentence, pack, random_tree_sentence
 
 TINY_CONFIG = """\
 # desk-scale test settings
@@ -390,8 +391,12 @@ def test_train_commands_call_the_traced_trainers(workdir):
 
 
 def test_tag_and_parse_commands_call_the_traced_functions(workdir):
-    # A tagger method that copied the body of tagger.tag, or a parse path
-    # that bypassed parser.parse, would zero their per-layer spans.
+    # The commands encode a file in batches through the traced
+    # `bilstm_encode`, once per model and batch, and decode each sentence
+    # through the traced decoders.  They do not pass through the
+    # one-sentence `tagger.tag`, `StackedTagger.tag` and `parser.parse`, so
+    # those spans read zero here; a path that bypassed the encoder's span
+    # would zero `numcore.bilstm`.
     for kind in ("tagger", "stacked-tagger", "parser", "stacked-parser"):
         save_model(str(workdir / f"{kind}.model"), archive_model(kind))
     spans = _bench_spans()
@@ -407,10 +412,68 @@ def test_tag_and_parse_commands_call_the_traced_functions(workdir):
         finally:
             tracer.uninstall()
         names = Counter(span[0] for span in tracer.spans)
-        calls[kind] = (names["tagger.tag"], names["stacking.tag"], names["parser.parse"])
-    # three sentences each; a stacked tagger tags through its own span
-    assert calls == {"tagger": (3, 0, 0), "stacked-tagger": (0, 3, 0),
-                     "parser": (0, 0, 3), "stacked-parser": (0, 0, 3)}
+        calls[kind] = tuple(names[name] for name in (
+            "tagger.tag", "stacking.tag", "parser.parse", "numcore.bilstm", "tagger.viterbi",
+            "parser.decode_greedy"))
+    # three sentences, one batch; a stacked model encodes its base's batch first
+    assert calls == {"tagger": (0, 0, 0, 1, 3, 0), "stacked-tagger": (0, 0, 0, 2, 3, 0),
+                     "parser": (0, 0, 0, 1, 0, 3), "stacked-parser": (0, 0, 0, 2, 0, 3)}
+
+
+def test_tag_and_parse_of_a_file_match_each_sentence_alone(workdir, monkeypatch):
+    """The commands encode length-sorted batches, cut small here so that the
+    file takes several, and write what the one-sentence `tag` and `parse`
+    give each sentence, byte for byte, in input order."""
+    monkeypatch.setattr(lstm_module, "BATCH_TOKENS", 12)
+    rng = np.random.default_rng(11)
+    sentences = [random_tree_sentence(rng, n) for n in (3, 1, 7, 3, 5, 12, 2, 7, 4)]
+    sentences.append(parse_conllu(treebank_text())[0])
+    (workdir / "many.conllu").write_text(write_conllu(sentences), encoding="utf-8")
+    for kind in ("tagger", "stacked-tagger", "parser", "stacked-parser"):
+        path = workdir / f"{kind}.model"
+        save_model(str(path), archive_model(kind))
+        model = load_model(str(path))
+        if kind.endswith("tagger"):
+            cases = [(["tag"], [s.with_upos(model.tag(s).tags) for s in sentences])]
+        else:
+            cases = []
+            for decoder in ("greedy", "mst"):
+                results = [parse_model_fn(model, s, decoder, repair=True) for s in sentences]
+                cases.append((["parse", "--decoder", decoder],
+                              [s.with_tree(r.heads, r.deprels)
+                               for s, r in zip(sentences, results)]))
+        for argv, expected in cases:
+            assert run(*argv, "--model", path, "--input", workdir / "many.conllu",
+                       "--out", workdir / "out.conllu") == 0
+            assert (workdir / "out.conllu").read_bytes() == write_conllu(expected).encode("utf-8")
+
+
+@pytest.mark.parametrize("sentences", [[], [make_sentence(["cat"], ["NOUN"], [0], ["root"])]],
+                         ids=["empty", "one-token"])
+def test_tag_and_parse_an_empty_file_and_a_one_token_sentence(workdir, sentences):
+    (workdir / "in.conllu").write_text(write_conllu(sentences), encoding="utf-8")
+    for kind, command in (("tagger", "tag"), ("stacked-tagger", "tag"),
+                          ("parser", "parse"), ("stacked-parser", "parse")):
+        save_model(str(workdir / f"{kind}.model"), archive_model(kind))
+        assert run(command, "--model", workdir / f"{kind}.model", "--input",
+                   workdir / "in.conllu", "--out", workdir / "out.conllu") == 0
+        out = parse_conllu((workdir / "out.conllu").read_text(encoding="utf-8"))
+        assert [s.forms for s in out] == [s.forms for s in sentences]
+
+
+@pytest.mark.parametrize("kind", ["parser", "stacked-parser"])
+def test_parse_counts_the_greedy_parses_that_the_mst_repaired(workdir, capsys, kind):
+    save_model(str(workdir / "p.model"), archive_model(kind))
+    model = load_model(str(workdir / "p.model"))
+    sentences = parse_conllu(treebank_text())
+    repaired = sum(not is_tree(parse_model_fn(model, s).heads) for s in sentences)
+    assert repaired > 0
+    for decoder, note in (("greedy", f" ({repaired} non-trees repaired by the single-root MST)"),
+                          ("mst", "")):
+        assert run("parse", "--decoder", decoder, "--model", workdir / "p.model",
+                   "--input", workdir / "tb.conllu", "--out", workdir / "out.conllu") == 0
+        assert capsys.readouterr().out == (f"parsed 3 sentences with {decoder} decoding{note} "
+                                           f"-> {workdir / 'out.conllu'}\n")
 
 
 # -- model archives ---------------------------------------------------------------------
@@ -1292,9 +1355,8 @@ def test_too_deep_a_recursion_is_one_error_line(workdir, capsys, monkeypatch):
     save_model(str(workdir / "p.model"), archive_model("parser"))
     sentence = make_sentence(["cat"] * 200)
     (workdir / "long.conllu").write_text(write_conllu([sentence]), encoding="utf-8")
-    forward = parser_module._scored_forward
-    monkeypatch.setattr(parser_module, "_scored_forward", lambda model, forms, upos: (
-        forward(model, forms, upos)[0], two_cycle_scores(len(forms))))
+    monkeypatch.setattr(parser_module, "_masked_scores",
+                        lambda fw: two_cycle_scores(fw.arc_scores.shape[0] - 1))
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -1313,10 +1375,10 @@ def test_too_deep_a_recursion_is_one_error_line(workdir, capsys, monkeypatch):
 def test_running_out_of_memory_is_one_error_line(workdir, capsys, monkeypatch):
     save_model(str(workdir / "p.model"), archive_model("parser"))
 
-    def out_of_memory(model, forms, upos):
+    def out_of_memory(model, batch):
         raise MemoryError
 
-    monkeypatch.setattr(parser_module, "_scored_forward", out_of_memory)
+    monkeypatch.setattr(parser_module.ParserModel, "forward_batch", out_of_memory)
     assert run("parse", "--model", workdir / "p.model", "--input", workdir / "tb.conllu",
                "--out", workdir / "out.conllu") == 2
     assert capsys.readouterr().err == "error: input too large: MemoryError\n"

@@ -231,9 +231,8 @@ def test_make_folds_partitions_exactly():
 def _marker_trainer(train_sentences):
     trained = {s.forms for s in train_sentences}
 
-    def tag_fn(sentence):
-        mark = "IN" if sentence.forms in trained else "OUT"
-        return [mark] * len(sentence)
+    def tag_fn(sentences):
+        return [["IN" if s.forms in trained else "OUT"] * len(s) for s in sentences]
 
     return tag_fn
 
@@ -259,7 +258,7 @@ def test_jackknife_union_is_exact_partition():
 
     def counting_trainer(train_sentences):
         calls.append(len(train_sentences))
-        return lambda s: ["X"] * len(s)
+        return lambda sentences: [["X"] * len(s) for s in sentences]
 
     tagged = jackknife_tags(corpus, k=3, tagger_trainer=counting_trainer, seed=0)
     assert len(tagged) == 9
@@ -274,8 +273,8 @@ def test_jackknife_default_k_is_ten():
 
 
 def _echo_parser_trainer(train_sentences, dev_sentences):
-    def predict(sentence):
-        return sentence  # parrot the gold tree
+    def predict(sentences):
+        return sentences  # parrot the gold trees
 
     return predict
 
@@ -295,7 +294,7 @@ def test_cross_fold_dev_test_split_fraction():
 
     def trainer(train_sentences, dev_sentences):
         seen.append((len(train_sentences), len(dev_sentences)))
-        return lambda s: s
+        return lambda sentences: sentences
 
     cross_fold_validate(corpus, 3, trainer, seed=3)
     assert seen == [(8, 2), (8, 2), (8, 2)]
@@ -313,7 +312,7 @@ def test_cross_fold_rejects_a_fold_without_test_sentences():
 
     def trainer(train_sentences, dev_sentences):
         trained.append(len(train_sentences))
-        return lambda s: s
+        return lambda sentences: sentences
 
     with pytest.raises(ValueError, match="fold 1 of 5 has no test sentences"):
         cross_fold_validate(_distinct_corpus(5), 5, trainer, seed=1)

@@ -10,13 +10,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stackparse import cli
 from stackparse import numcore as nc
 from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encode
+from stackparse.numcore import lstm as lstm_module
 from stackparse.parser import ParserModel
 from stackparse.stacking import StackedParser
 from stackparse.tagger import TaggerModel
-from util import all_parameters, grad_check, make_sentence, sigmoid, tagger_hidden
+from util import all_parameters, grad_check, make_sentence, recur_one, sigmoid, tagger_hidden
+
+
+def encode_one(layers, x):
+    """One sequence through the batched encoder, as a batch of one."""
+    return bilstm_encode(layers, [x])[0]
 
 
 def vec(*values):
@@ -172,14 +181,14 @@ def test_cell_matches_scalar_reference(variant, reference):
     for mine, theirs in zip(ours, ref_h):
         assert np.allclose(mine, theirs, atol=1e-12)
     assert np.allclose(c.data, ref_c, atol=1e-12)
-    fused = bilstm_encode([(cell, cell)], Tensor(np.stack(xs))).data[:, :2]
+    fused = encode_one([(cell, cell)], Tensor(np.stack(xs))).data[:, :2]
     assert np.allclose(fused, np.stack(ref_h), atol=1e-12)
 
 
 def test_dimension_mismatch_raises():
     cell = LstmCell(PEEPHOLE, 3, 4, rng=nc.make_rng(0))
     with pytest.raises(ValueError, match="expected inputs of width 3, got 2"):
-        bilstm_encode([(cell, cell)], Tensor(np.zeros((5, 2))))
+        encode_one([(cell, cell)], Tensor(np.zeros((5, 2))))
     with pytest.raises(ValueError):
         LstmCell("gru", 3, 4)
 
@@ -193,7 +202,7 @@ def test_bilstm_single_element_runs_both_directions_once():
     fwd = LstmCell(PEEPHOLE, 2, 3, rng=rng)
     bwd = LstmCell(PEEPHOLE, 2, 3, rng=rng)
     x = Tensor(rng.standard_normal(2))
-    out = bilstm_encode([(fwd, bwd)], rows(x.data))
+    out = encode_one([(fwd, bwd)], rows(x.data))
     assert out.shape == (1, 6)
     zeros = Tensor(np.zeros(3))
     hf, _ = cell_step(fwd, x, zeros, Tensor(np.zeros(3)))
@@ -205,7 +214,7 @@ def test_bilstm_palindrome_symmetry_with_shared_cell():
     rng = nc.make_rng(4)
     cell = LstmCell(COUPLED, 2, 3, rng=rng)
     xs = [rng.standard_normal(2) for _ in range(2)]
-    out = bilstm_encode([(cell, cell)], rows(xs[0], xs[1], xs[1], xs[0])).data
+    out = encode_one([(cell, cell)], rows(xs[0], xs[1], xs[1], xs[0])).data
     h = cell.hidden_dim
     # with forward cell == backward cell on a palindrome, reversing the
     # sequence swaps the forward/backward halves
@@ -218,8 +227,8 @@ def test_two_layer_encode_equals_manual_composition():
     layer1 = (LstmCell(COUPLED, 2, 3, rng=rng), LstmCell(COUPLED, 2, 3, rng=rng))
     layer2 = (LstmCell(COUPLED, 6, 3, rng=rng), LstmCell(COUPLED, 6, 3, rng=rng))
     seq = Tensor(rng.standard_normal((4, 2)))
-    stacked = bilstm_encode([layer1, layer2], seq)
-    composed = bilstm_encode([layer2], bilstm_encode([layer1], seq))
+    stacked = encode_one([layer1, layer2], seq)
+    composed = encode_one([layer2], encode_one([layer1], seq))
     assert np.allclose(stacked.data, composed.data, atol=1e-15)
 
 
@@ -227,7 +236,7 @@ def test_bilstm_rejects_empty_sequence():
     rng = nc.make_rng(6)
     layer = (LstmCell(COUPLED, 2, 3, rng=rng), LstmCell(COUPLED, 2, 3, rng=rng))
     with pytest.raises(ValueError):
-        bilstm_encode([layer], Tensor(np.zeros((0, 2))))
+        encode_one([layer], Tensor(np.zeros((0, 2))))
 
 
 def random_layers(variant, input_dim, hidden_dim, depth, rng):
@@ -280,7 +289,7 @@ def test_bilstm_encode_gradients(variant):
     weights = Tensor(rng.standard_normal((4, 4)))
 
     def loss():
-        return (nc.tanh(bilstm_encode(layers, x)) * weights).sum()
+        return (nc.tanh(encode_one(layers, x)) * weights).sum()
 
     assert grad_check(loss, dict(layer_parameters(layers), x=x)) < 1e-6
 
@@ -294,7 +303,7 @@ def test_bilstm_encode_matches_step_loop(variant, steps):
     weights = Tensor(rng.standard_normal((steps, 12)))
     params = dict(layer_parameters(layers), x=x)
     results = []
-    for encode in (bilstm_encode, step_encode):
+    for encode in (encode_one, step_encode):
         nc.zero_grads(params.values())
         out = encode(layers, x)
         (nc.tanh(out) * weights).sum().backward()
@@ -311,9 +320,9 @@ def test_bilstm_encode_builds_no_tape_under_no_grad():
     layers = random_layers(PEEPHOLE, 3, 4, 2, rng)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     with nc.no_grad():
-        out = bilstm_encode(layers, x)
+        out = encode_one(layers, x)
     assert out.requires_grad is False and out._parents == () and out._backward is None
-    assert bilstm_encode(layers, x).requires_grad
+    assert encode_one(layers, x).requires_grad
 
 
 @pytest.mark.parametrize("variant,name", [
@@ -326,7 +335,7 @@ def test_bilstm_encode_rejects_non_finite_weights(variant, name, value):
     layers = random_layers(variant, 3, 4, 2, rng)
     getattr(layers[1][1], name).data.reshape(-1)[1] = value
     with pytest.raises(nc.NonFiniteError):
-        bilstm_encode(layers, Tensor(rng.standard_normal((5, 3))))
+        encode_one(layers, Tensor(rng.standard_normal((5, 3))))
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
@@ -362,7 +371,7 @@ def test_shared_cell_gradients_match_step_loop(variant):
     weights = Tensor(rng.standard_normal((6, 10)))
     params = dict(cell.parameters("cell"), x=x)
     results = []
-    for encode in (bilstm_encode, step_encode):
+    for encode in (encode_one, step_encode):
         nc.zero_grads(params.values())
         (nc.tanh(encode(layers, x)) * weights).sum().backward()
         results.append({k: t.grad.copy() for k, t in params.items()})
@@ -376,14 +385,14 @@ def test_non_finite_backward_cell_weight_raises_in_the_caller(name):
     rng = nc.make_rng(16)
     layers = random_layers(PEEPHOLE, 3, 4, 1, rng)
     x = Tensor(rng.standard_normal((5, 3)))
-    good = bilstm_encode(layers, x).data
+    good = encode_one(layers, x).data
     weight = getattr(layers[0][1], name).data.reshape(-1)
     saved = weight[0]
     weight[0] = np.nan
     with pytest.raises(nc.NonFiniteError):
-        bilstm_encode(layers, x)
+        encode_one(layers, x)
     weight[0] = saved
-    assert np.array_equal(bilstm_encode(layers, x).data, good)
+    assert np.array_equal(encode_one(layers, x).data, good)
 
 
 def _numcore_threads():
@@ -395,7 +404,7 @@ def test_no_tape_under_no_grad_with_the_worker_running():
     rng = nc.make_rng(17)
     layers = random_layers(COUPLED, 3, 4, 2, rng)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    bilstm_encode(layers, x).sum().backward()
+    encode_one(layers, x).sum().backward()
     assert _numcore_threads() == []  # none is kept between calls
     gate = threading.Barrier(2, timeout=10)
 
@@ -407,7 +416,7 @@ def test_no_tape_under_no_grad_with_the_worker_running():
 
     assert in_parallel(count, count) == (1, 1)  # one extra thread while a call runs
     with nc.no_grad():
-        out = bilstm_encode(layers, x)
+        out = encode_one(layers, x)
     assert out.requires_grad is False and out._parents == () and out._backward is None
     assert _numcore_threads() == []
 
@@ -417,7 +426,7 @@ def test_one_tape_node_per_layer(depth):
     rng = nc.make_rng(18)
     layers = random_layers(PEEPHOLE, 3, 4, depth, rng)
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    nodes, todo = set(), [bilstm_encode(layers, x)]
+    nodes, todo = set(), [encode_one(layers, x)]
     while todo:
         t = todo.pop()
         if t._backward is not None and id(t) not in nodes:
@@ -431,12 +440,12 @@ def test_forked_child_encodes_like_its_parent():
     rng = nc.make_rng(19)
     layers = random_layers(COUPLED, 3, 4, 1, rng)
     x = Tensor(rng.standard_normal((5, 3)))
-    expected = bilstm_encode(layers, x).data  # the parent has run a helper thread
+    expected = encode_one(layers, x).data  # the parent has run a helper thread
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
         pid = os.fork()
     if pid == 0:
-        os._exit(0 if np.array_equal(bilstm_encode(layers, x).data, expected) else 1)
+        os._exit(0 if np.array_equal(encode_one(layers, x).data, expected) else 1)
     deadline = time.monotonic() + 30
     while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
         if time.monotonic() > deadline:
@@ -459,7 +468,7 @@ def test_concurrent_callers_each_get_the_results_of_a_lone_run():
     def run(layers, x):
         params = dict(layer_parameters(layers), x=x)
         nc.zero_grads(params.values())
-        out = bilstm_encode(layers, x)
+        out = encode_one(layers, x)
         nc.tanh(out).sum().backward()
         return out.data.copy(), {k: t.grad.copy() for k, t in params.items()}
 
@@ -505,3 +514,105 @@ def test_a_job_that_calls_in_parallel_returns():
     assert not caller.is_alive(), "a nested in_parallel call did not return within 10 s"
     assert results == [(1, (2, 3))]
     assert _numcore_threads() == []
+
+
+# -- batched encoding ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def one_blas_thread():
+    """A batch's rows match lone sequences bit for bit under one BLAS
+    thread, which the CLI pins and leaves pinned; a threaded GEMV splits
+    its rows elsewhere.  Pinned here whatever the environment says, since
+    the benchmark's modules set BLAS variables once numpy has loaded."""
+    with pytest.MonkeyPatch.context() as patch:
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            patch.delenv(variable, raising=False)
+        if cli._blas.__wrapped__()["blas_threads"] != 1:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+
+
+def random_cell(variant, input_dim, hidden_dim, rng):
+    """A cell with every parameter drawn, W_h scaled so that the gates do
+    not saturate and every bit of the state matters."""
+    cell = LstmCell(variant, input_dim, hidden_dim, rng=None)
+    for name, t in cell.parameters("").items():
+        scale = 1.0 / np.sqrt(hidden_dim) if name == "/w_h" else 0.5
+        t.data[...] = rng.standard_normal(t.data.shape) * scale
+    return cell
+
+
+# W_h has 3 (coupled) or 4 (peephole) x hidden rows: with 64-row blocks,
+# 7 and 12 units give fewer rows than a block, 16 peephole units one
+# block, 64 units whole blocks and 100 units blocks and a tail; then the
+# paper's tagger, parser and stacked-parser cells once each.
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([PEEPHOLE, COUPLED]), st.sampled_from([7, 12, 16, 64, 100]),
+       st.lists(st.integers(1, 12), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+@example(PEEPHOLE, 300, [12, 12, 7, 3, 1], 1)
+@example(COUPLED, 400, [10, 9, 9, 2], 2)
+@example(COUPLED, 900, [12, 11, 11, 8, 5, 1], 3)
+def test_batched_recurrence_equals_each_sequence_alone(one_blas_thread, variant, hidden,
+                                                        lengths, seed):
+    assert lstm_module._BLOCK_ROWS == 64
+    rng = np.random.default_rng(seed)
+    cell = random_cell(variant, 5, hidden, rng)
+    lengths = sorted(lengths, reverse=True)
+    xs = [rng.standard_normal((n, 5)) for n in lengths]
+    pre, act, cs, hs = lstm_module._recur(cell, xs)
+    for i, x in enumerate(xs):
+        n = len(x)
+        want = recur_one(cell, x)
+        got = (pre[i, :n], act[i, :n], cs[i, :n + 1], hs[i, :n + 1])
+        for name, a, b in zip(("pre", "act", "cs", "hs"), got, want):
+            assert np.array_equal(a, b), (name, i)
+
+
+@pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])
+def test_batched_encode_equals_each_sequence_alone(one_blas_thread, variant):
+    """Outputs and input gradients bit for bit, in input order, and the
+    weights' gradients the sum of the lone runs', with one tape node per
+    sequence and layer."""
+    rng = nc.make_rng(21)
+    layers = random_layers(variant, 3, 70, 2, rng)
+    xs = [Tensor(rng.standard_normal((n, 3)), requires_grad=True) for n in (4, 9, 1, 9, 6)]
+    weights = [Tensor(rng.standard_normal((len(x.data), 140))) for x in xs]
+    params = layer_parameters(layers)
+    alone, summed = [], {}
+    for x, w in zip(xs, weights):
+        nc.zero_grads([x, *params.values()])
+        out = encode_one(layers, x)
+        (nc.tanh(out) * w).sum().backward()
+        alone.append((out.data, x.grad.copy()))
+        for name, t in params.items():
+            summed[name] = summed.get(name, 0.0) + t.grad
+    nc.zero_grads([*xs, *params.values()])
+    outs = bilstm_encode(layers, xs)
+    loss = None
+    for out, w in zip(outs, weights):
+        term = (nc.tanh(out) * w).sum()
+        loss = term if loss is None else loss + term
+    loss.backward()
+    for out, x, (want_out, want_dx) in zip(outs, xs, alone):
+        assert np.array_equal(out.data, want_out) and np.array_equal(x.grad, want_dx)
+        assert len(out._parents) == 1 + len(params) // 2
+    for name, t in params.items():
+        np.testing.assert_allclose(t.grad, summed[name], rtol=1e-12, atol=1e-15, err_msg=name)
+    assert bilstm_encode(layers, []) == []
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 4, 1, 5, 9, 2, 6], [1], [20, 2, 2], []])
+def test_batched_cuts_length_sorted_batches_under_the_token_budget(monkeypatch, lengths):
+    monkeypatch.setattr(lstm_module, "BATCH_TOKENS", 10)
+    items = [[i] * n for i, n in enumerate(lengths)]
+    batches = []
+
+    def run(batch):
+        batches.append([len(item) for item in batch])
+        return [item[0] for item in batch]
+
+    assert nc.batched(run, items) == list(range(len(items)))
+    assert [n for batch in batches for n in batch] == sorted(lengths, reverse=True)
+    assert all(len(b) * b[0] <= 10 or len(b) == 1 for b in batches)
+    # a cut is made only where the next item would break the budget
+    assert all((len(b) + 1) * b[0] > 10 for b in batches[:-1])

@@ -349,7 +349,7 @@ def _small_model(rng, shared):
         params.update(cell.parameters(prefix))
 
     def loss(rows, rng):
-        hidden = nc.dropout(nc.bilstm_encode([(forward_cell, backward_cell)], table[rows]), 0.2,
+        hidden = nc.dropout(nc.bilstm_encode([(forward_cell, backward_cell)], [table[rows]])[0], 0.2,
                             rng)
         return nc.tanh(nc.matmul(hidden, out)).sum()
 

@@ -413,11 +413,11 @@ def test_parse_repair_decodes_mst_from_the_same_forward_pass():
     sentence = make_sentence(["the", "cat", "sat"], ["DET", "NOUN", "VERB"])
     assert not is_tree(parse(model, sentence).heads)
     mst = parse(model, sentence, decoder="mst")
-    forward, calls = model.forward_full, []
-    model.forward_full = lambda *args: calls.append(args) or forward(*args)
+    forward, calls = model.forward_batch, []
+    model.forward_batch = lambda *args: calls.append(args) or forward(*args)
     repaired = parse(model, sentence, repair=True)
     assert len(calls) == 1
-    assert is_tree(repaired.heads)
+    assert is_tree(repaired.heads) and repaired.repaired and not mst.repaired
     assert repaired.heads == mst.heads and repaired.deprels == mst.deprels
 
 

@@ -2,8 +2,9 @@
 references that only tests use: a seeded corpus splitter, a
 finite-difference gradient checker, an n-gram model's adjusted-count
 tables and discounts, a stacked model's every parameter, a tagger's
-hidden states, an embeddings-file writer, and the sigmoid, transpose and
-masked log-sum-exp tape ops."""
+hidden states, an embeddings-file writer, the sigmoid, transpose and
+masked log-sum-exp tape ops, and the one-sequence LSTM recurrence that
+the batched one is held to."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import struct
 import numpy as np
 
 from stackparse import numcore as nc
+from stackparse.numcore.lstm import _gates
 from stackparse.numcore.tensor import (Tensor, _accumulate, _grad_enabled, _result, _row_mask,
                                       _row_softmax, _sigmoid, _unbroadcast)
 from stackparse.treebank import Sentence, Token, shuffled_indices
@@ -158,7 +160,48 @@ def all_parameters(stacked) -> dict[str, Tensor]:
 def tagger_hidden(model, inputs: Tensor) -> Tensor:
     """The tagger's (n, 2H) last bi-LSTM layer states for encoded inputs,
     as its emissions read them without dropout."""
-    return nc.bilstm_encode(model.lstm_layers, inputs)
+    return nc.bilstm_encode(model.lstm_layers, [inputs])[0]
+
+
+def recur_one(cell, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One LSTM direction over the rows of `xs` alone, one GEMV per step:
+    (pre, act, cs, hs), the reference that each sequence of the batched
+    `_recur` must match bit for bit.
+
+    pre[t]: gate pre-activations of step t, peephole terms included;
+    act[t]: the gates after their sigmoid/tanh; cs[t]/hs[t]: the state
+    entering step t, so row 0 is the zero initial state.
+    """
+    hd = cell.hidden_dim
+    gi, gf, gc, go, p_if, p_out = _gates(cell)
+    peephole = p_out is not None
+    steps = xs.shape[0]
+    w_h = cell.w_h.data
+    pre = xs @ cell.w_x.data.T + cell.bias.data  # the input projection, one GEMM
+    act = np.empty_like(pre)
+    cs = np.zeros((steps + 1, hd))
+    hs = np.zeros((steps + 1, hd))
+    # A non-finite input or weight makes `pre` non-finite; the caller
+    # reports it, not a numpy warning from inside the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            p, a, c_prev = pre[t], act[t], cs[t]
+            p += w_h @ hs[t]
+            if peephole:
+                p_gates = p[:2 * hd].reshape(2, hd)
+                p_gates += p_if * c_prev
+                a[:2 * hd] = _sigmoid(p[:2 * hd])
+                a[gc] = np.tanh(p[gc])
+                c = a[gf] * c_prev + a[gi] * a[gc]
+                p[go] += p_out * c
+                a[go] = _sigmoid(p[go])
+            else:
+                a[:] = _sigmoid(p)
+                a[gc] = np.tanh(p[gc])
+                c = (1.0 - a[gi]) * c_prev + a[gi] * a[gc]
+            cs[t + 1] = c
+            hs[t + 1] = a[go] * np.tanh(c)
+    return pre, act, cs, hs
 
 
 def write_embeddings(path: str, vocab: dict[str, int], matrix: np.ndarray) -> None:
