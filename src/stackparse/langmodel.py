@@ -26,7 +26,6 @@ in 8 signed bytes.
 from __future__ import annotations
 
 import base64
-import binascii
 import functools
 import json
 import math
@@ -232,8 +231,8 @@ def _unpack(packed, dtype: str, what: str) -> np.ndarray:
     ValueError naming `what`."""
     if type(packed) is not str:
         raise ValueError(f"{what} must be a base64 string, got {type(packed).__name__}")
-    try:  # on the str itself, with no ASCII bytes copy of it
-        data = binascii.a2b_base64(packed, strict_mode=True)
+    try:
+        data = base64.b64decode(packed, validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise ValueError(f"{what} is not valid base64: {exc}") from None
     if len(data) % (size := np.dtype(dtype).itemsize):

@@ -4,8 +4,11 @@
 each sequence's input projection X @ W_x^T + b is one GEMM, and one numpy
 recurrence runs them all, longest first, each step updating only the
 sequences still running (packed sequences, as in PyTorch's
-`pack_padded_sequence`).  No sum mixes two sequences, so each one's
-outputs have the bits of a batch of one, the batch training runs.  Each
+`pack_padded_sequence`).  No sum mixes two sequences, so on one BLAS
+thread each one's outputs have the bits of a batch of one, the batch
+training runs; a threaded BLAS splits a lone sequence's GEMV into other
+row ranges than a batch's blocks, so there a sequence's last bits can
+depend on the sequences that share its batch.  Each
 sequence gets one tape node per layer (none under `no_grad`), whose
 backward is hand-written back-propagation through time over its rows of
 the state: it fills a (T, gates * H) array of gate gradients, so dW_x,
@@ -50,8 +53,10 @@ COUPLED = "coupled-input-forget"
 _BLOCK_ROWS = 64
 # Padded tokens (sequences times the longest length) per `batched` batch.
 # A layer's recurrence keeps (2 x gates + 2) x H float64s of state per
-# padded token and direction: 30 MB per direction at 900 coupled units.
-BATCH_TOKENS = 512
+# padded token and direction: 18 MB per direction at 900 coupled units.
+# A larger budget runs a long file faster and peaks higher; the timed
+# budgets are in BENCH_batch.json.
+BATCH_TOKENS = 320
 
 
 class LstmCell:
@@ -156,11 +161,11 @@ def _recur(cell: LstmCell, xs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
             if k == 1 or not blocks:
                 p += np.matmul(w_h, h)[..., 0]
             else:
-                head = p[:, :split].reshape(k, blocks, _BLOCK_ROWS, copy=False)
+                head = p[:, :split].reshape(k, blocks, _BLOCK_ROWS)
                 head += np.matmul(w_blocks, h)[..., 0].transpose(1, 0, 2)
                 p[:, split:] += np.matmul(w_tail, h)[..., 0]
             if peephole:
-                p_gates = p[:, :2 * hd].reshape(k, 2, hd, copy=False)
+                p_gates = p[:, :2 * hd].reshape(k, 2, hd)
                 p_gates += p_if * c_prev[:, None]
                 a[:, :2 * hd] = _sigmoid(p[:, :2 * hd])
                 a[:, gc] = np.tanh(p[:, gc])
@@ -282,7 +287,8 @@ def bilstm_encode(layers, xs: list[Tensor]) -> list[Tensor]:
     `layers` is a list of (forward_cell, backward_cell) pairs; layer k's
     outputs feed layer k+1.  Row t of sequence i's (T_i, 2H) result is
     concat(forward_h[t], backward_h[t]), the same bits as a batch of one
-    gives, and results come in input order.
+    gives when BLAS runs on one thread (see `_recur`), and results come in
+    input order.
     """
     for x in xs:
         if x.data.ndim != 2 or x.shape[0] == 0:

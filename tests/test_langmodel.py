@@ -19,7 +19,6 @@ from stackparse.langmodel import (
     NgramLM,
     _estimate_discounts,
     _sentence_logprobs,
-    _unpack,
     match_lexicon,
     rank_by_divergence,
     sentence_logprob,
@@ -581,22 +580,6 @@ def reference_unpack(packed, code, what):
     if len(data) % size:
         raise ValueError(f"{what} has {len(data)} bytes, not a whole number of {size}-byte integers")
     return list(struct.unpack(f"<{len(data) // size}{code}", data))
-
-
-@pytest.mark.parametrize("packed", ["AAEC", "AAEC\n", "AA EC", "AAEC====", "AAECA", "AAÉC", ""],
-                         ids=["valid", "newline", "space", "excess-padding", "4k+1", "non-ascii",
-                              "empty"])
-def test_unpack_reads_the_str_as_b64decode_validate_does(packed):
-    """`_unpack` decodes the str without an ASCII bytes copy; it keeps the
-    bytes and the messages of `base64.b64decode(validate=True)`."""
-    try:
-        expected = reference_unpack(packed, "B", "order-1 ids")
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            _unpack(packed, "u1", "order-1 ids")
-        assert str(got.value) == str(exc)
-    else:
-        assert _unpack(packed, "u1", "order-1 ids").tolist() == expected
 
 
 def reference_read(payload):
