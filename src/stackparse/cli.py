@@ -64,9 +64,10 @@ def _load_pretrained(args):
 
 @functools.cache
 def _blas() -> dict[str, object]:
-    """Run numpy's bundled OpenBLAS on one thread unless the environment sets
-    its count (numcore splits the work itself, and the count changes a
-    seed's bits); the library and its thread count, for .config snapshots.
+    """Run numpy's bundled OpenBLAS on one thread, whatever
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS say (numcore splits the work
+    itself, and the count changes a seed's bits); the library and its
+    thread count, for .config snapshots.
     Wheels keep the library in numpy.libs, numpy/.libs or numpy/.dylibs and
     name its functions scipy_openblas_*64_ (numpy >= 2) or openblas_*64_."""
     site = os.path.dirname(np.__path__[0])
@@ -84,8 +85,7 @@ def _blas() -> dict[str, object]:
     for function, argtypes, restype in ((get, [], ctypes.c_int), (pin, [ctypes.c_int], None),
                                         (about, [], ctypes.c_char_p)):
         function.argtypes, function.restype = argtypes, restype
-    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
-        pin(1)
+    pin(1)
     return {"blas": about().decode(), "blas_threads": get()}
 
 

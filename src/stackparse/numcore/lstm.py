@@ -4,11 +4,9 @@
 each sequence's input projection X @ W_x^T + b is one GEMM, and one numpy
 recurrence runs them all, longest first, each step updating only the
 sequences still running (packed sequences, as in PyTorch's
-`pack_padded_sequence`).  No sum mixes two sequences, so on one BLAS
-thread each one's outputs have the bits of a batch of one, the batch
-training runs; a threaded BLAS splits a lone sequence's GEMV into other
-row ranges than a batch's blocks, so there a sequence's last bits can
-depend on the sequences that share its batch.  Each
+`pack_padded_sequence`).  No sum mixes two sequences and every step adds
+W_h·h the same way, so each one's outputs have the bits of a batch of
+one, the batch training runs.  Each
 sequence gets one tape node per layer (none under `no_grad`), whose
 backward is hand-written back-propagation through time over its rows of
 the state: it fills a (T, gates * H) array of gate gradients, so dW_x,
@@ -128,13 +126,12 @@ def _recur(cell: LstmCell, xs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     past a sequence's length stay zero (unset in `act`), and [i, :T_i]
     and [i, :T_i + 1] are sequence i's state as a batch of one gives it.
 
-    Step t updates the k rows still running.  With k = 1, W_h·h is one
-    GEMV over the whole matrix.  With more, one matmul runs a GEMV per
+    Step t updates the k rows still running: one matmul runs a GEMV per
     (row block of W_h, sequence), blocks outer, so each block stays in
     cache while every row reads it, and one more call covers the tail
-    rows.  On one BLAS thread (the CLI's) a GEMV's row results do not
-    depend on its other rows when the call starts at a multiple of 16
-    rows, so every row keeps its bits; a GEMM over the k states would not.
+    rows (all of W_h when it has fewer than a block).  A sequence's calls
+    are the same whatever else runs at its step, so its rows keep their
+    bits in any batch; a GEMM over the k states would not.
     """
     hd = cell.hidden_dim
     gi, gf, gc, go, p_if, p_out = _gates(cell)
@@ -158,12 +155,9 @@ def _recur(cell: LstmCell, xs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
         for t in range(steps):
             k = live[t]
             p, a, c_prev, h = pre[:k, t], act[:k, t], cs[:k, t], hs[:k, t, :, None]
-            if k == 1 or not blocks:
-                p += np.matmul(w_h, h)[..., 0]
-            else:
-                head = p[:, :split].reshape(k, blocks, _BLOCK_ROWS)
-                head += np.matmul(w_blocks, h)[..., 0].transpose(1, 0, 2)
-                p[:, split:] += np.matmul(w_tail, h)[..., 0]
+            head = p[:, :split].reshape(k, blocks, _BLOCK_ROWS)
+            head += np.matmul(w_blocks, h)[..., 0].transpose(1, 0, 2)
+            p[:, split:] += np.matmul(w_tail, h)[..., 0]
             if peephole:
                 p_gates = p[:, :2 * hd].reshape(k, 2, hd)
                 p_gates += p_if * c_prev[:, None]
@@ -287,8 +281,7 @@ def bilstm_encode(layers, xs: list[Tensor]) -> list[Tensor]:
     `layers` is a list of (forward_cell, backward_cell) pairs; layer k's
     outputs feed layer k+1.  Row t of sequence i's (T_i, 2H) result is
     concat(forward_h[t], backward_h[t]), the same bits as a batch of one
-    gives when BLAS runs on one thread (see `_recur`), and results come in
-    input order.
+    gives (see `_recur`), and results come in input order.
     """
     for x in xs:
         if x.data.ndim != 2 or x.shape[0] == 0:

@@ -8,8 +8,8 @@ or queue between calls: concurrent callers and a job that itself calls
 `in_parallel` each get a thread of their own, and a forked child has
 nothing to forget.  A job given to the thread runs only such code: tape
 nodes, finiteness checks and gradient accumulation stay on the calling
-thread, whose `no_grad` state they must see.  BLAS keeps the thread
-count the CLI sets: one, unless the environment sets another.
+thread, whose `no_grad` state they must see.  BLAS keeps the one thread
+the CLI sets.
 """
 
 from __future__ import annotations

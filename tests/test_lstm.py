@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -20,7 +21,8 @@ from stackparse.numcore import lstm as lstm_module
 from stackparse.parser import ParserModel
 from stackparse.stacking import StackedParser
 from stackparse.tagger import TaggerModel
-from util import all_parameters, grad_check, make_sentence, recur_one, sigmoid, tagger_hidden
+from util import (all_parameters, blas_env, grad_check, make_sentence, recur_one, sigmoid,
+                  tagger_hidden)
 
 
 def encode_one(layers, x):
@@ -521,15 +523,11 @@ def test_a_job_that_calls_in_parallel_returns():
 
 @pytest.fixture(scope="module")
 def one_blas_thread():
-    """A batch's rows match lone sequences bit for bit under one BLAS
-    thread, which the CLI pins and leaves pinned; a threaded GEMV splits
-    its rows elsewhere.  Pinned here whatever the environment says, since
-    the benchmark's modules set BLAS variables once numpy has loaded."""
-    with pytest.MonkeyPatch.context() as patch:
-        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            patch.delenv(variable, raising=False)
-        if cli._blas.__wrapped__()["blas_threads"] != 1:
-            pytest.skip("numpy's bundled OpenBLAS was not found")
+    """`recur_one`'s whole-matrix GEMV gives every row the bits of the
+    batch's 64-row blocks under one BLAS thread, which the CLI pins; a
+    threaded GEMV splits its rows elsewhere."""
+    if cli._blas()["blas_threads"] != 1:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
 
 
 def random_cell(variant, input_dim, hidden_dim, rng):
@@ -566,6 +564,32 @@ def test_batched_recurrence_equals_each_sequence_alone(one_blas_thread, variant,
         got = (pre[i, :n], act[i, :n], cs[i, :n + 1], hs[i, :n + 1])
         for name, a, b in zip(("pre", "act", "cs", "hs"), got, want):
             assert np.array_equal(a, b), (name, i)
+
+
+def test_a_batch_leaves_each_sequence_its_bits_under_two_blas_threads():
+    """A threaded GEMV may split a block's rows where one thread does not,
+    but a sequence's calls are the same in a batch and alone, so its state
+    is too; the paper's three cell shapes, in a child whose OpenBLAS was
+    loaded with two threads."""
+    child = subprocess.run([sys.executable, "-c", """
+import numpy as np
+from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell
+from stackparse.numcore import lstm
+rng = np.random.default_rng(30)
+for variant, hidden in ((PEEPHOLE, 300), (COUPLED, 400), (COUPLED, 900)):
+    cell = LstmCell(variant, 5, hidden, rng=None)
+    for name, t in cell.parameters("").items():
+        scale = hidden ** -0.5 if name == "/w_h" else 0.5
+        t.data[...] = rng.standard_normal(t.data.shape) * scale
+    xs = [rng.standard_normal((n, 5)) for n in (12, 7, 3)]
+    batch = lstm._recur(cell, xs)
+    for i, x in enumerate(xs):
+        for name, got, alone in zip(("pre", "act", "cs", "hs"), batch, lstm._recur(cell, [x])):
+            if not np.array_equal(got[i, :alone.shape[1]], alone[0]):
+                print(variant, hidden, name, i)
+"""], env=blas_env(OPENBLAS_NUM_THREADS="2"), check=True, capture_output=True, text=True,
+                           timeout=120)
+    assert child.stdout == ""
 
 
 @pytest.mark.parametrize("variant", [PEEPHOLE, COUPLED])

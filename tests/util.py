@@ -3,16 +3,20 @@ references that only tests use: a seeded corpus splitter, a
 finite-difference gradient checker, an n-gram model's adjusted-count
 tables and discounts, a stacked model's every parameter, a tagger's
 hidden states, an embeddings-file writer, the sigmoid, transpose and
-masked log-sum-exp tape ops, and the one-sequence LSTM recurrence that
-the batched one is held to."""
+masked log-sum-exp tape ops, the one-sequence LSTM recurrence that the
+batched one is held to, and the environment of a child Python whose
+OpenBLAS reads chosen thread variables."""
 
 from __future__ import annotations
 
 import base64
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
+import stackparse
 from stackparse import numcore as nc
 from stackparse.numcore.lstm import _gates
 from stackparse.numcore.tensor import (Tensor, _accumulate, _grad_enabled, _result, _row_mask,
@@ -202,6 +206,17 @@ def recur_one(cell, xs: np.ndarray) -> tuple[np.ndarray, ...]:
             cs[t + 1] = c
             hs[t + 1] = a[go] * np.tanh(c)
     return pre, act, cs, hs
+
+
+def blas_env(**variables: str) -> dict[str, str]:
+    """This process's environment with `src` on PYTHONPATH and no BLAS
+    thread variable but `variables`, which a child's OpenBLAS reads when
+    its numpy loads."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(stackparse.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    return {**env, **variables}
 
 
 def write_embeddings(path: str, vocab: dict[str, int], matrix: np.ndarray) -> None:
