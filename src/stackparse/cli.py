@@ -41,7 +41,16 @@ def _read_sentence_lines(path: str) -> list[list[str]]:
 
 
 def _read_lexicon(path: str) -> list[str]:
-    return [line.strip().lower() for line in read_text(path).split("\n") if line.strip()]
+    """One term per non-blank line: its lowercased words joined by single
+    spaces, so a term never holds a tab.  A comma is refused, since the
+    outputs join a sentence's hits with commas."""
+    terms = []
+    for number, line in enumerate(read_text(path).split("\n"), start=1):
+        if "," in line:
+            raise ValueError(f"{path}:{number}: a lexicon term cannot hold a comma")
+        if words := line.lower().split():
+            terms.append(" ".join(words))
+    return terms
 
 
 def _effective_config(args) -> RunConfig:
@@ -284,9 +293,8 @@ def _cmd_lm_rank(args) -> int:
 def _cmd_lexicon_match(args) -> int:
     sentences = _read_sentence_lines(args.input)
     hits = langmodel.match_lexicon(sentences, _read_lexicon(args.lexicon))
-    lines = [f"{','.join(terms)}\t{' '.join(sentence)}"
-             for sentence, terms in zip(sentences, hits)]
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = "".join(f"{','.join(terms)}\t{' '.join(sentence)}\n"  # no copy to end the text
+                   for sentence, terms in zip(sentences, hits))
     if args.out:
         write_text_atomic(args.out, text)
     else:

@@ -59,12 +59,22 @@ def _estimate_discounts(of) -> tuple[float, float, float]:
 
 
 def _distinct(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an id array (ids < radix), sorted, and their counts."""
-    rank = np.zeros(len(rows), np.int64)
-    for column in rows.T:  # each column refines the ranks of the ones before it
-        _, rank = np.unique(rank * radix + column, return_inverse=True)
-    _, first, counts = np.unique(rank, return_index=True, return_counts=True)
-    return rows[first], counts
+    """The distinct rows of an id array (ids < radix), sorted, and their counts.
+
+    Each column is packed into one int64 key below the ones before it; the
+    keys are ranked again only when one more column would overflow it."""
+    key, span = np.zeros(len(rows), np.int64), 1  # every key is < span
+    for column in rows.T:
+        if span * radix >= 1 << 63:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key, span = key * radix + column, span * radix
+    order = np.argsort(key)  # not stable: rows with equal keys are equal
+    key = key[order]
+    new = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    return rows.take(order[start], axis=0), np.diff(start, append=len(key))
 
 
 class _Level(NamedTuple):
@@ -334,39 +344,78 @@ def rank_by_divergence(lm: NgramLM, sentences: Sequence[Sequence[str]],
     """
     low, high = length_bounds
     kept = [list(s) for s in sentences if low <= len(s) <= high]
+    totals = _sentence_logprobs(lm, kept)  # before the hits, which it would hold at its peak
     hit_lists = (match_lexicon(kept, lexicon) if lexicon is not None
                  else [[] for _ in kept])
     records = []
-    for tokens, hits, total in zip(kept, hit_lists, _sentence_logprobs(lm, kept)):
+    for tokens, hits, total in zip(kept, hit_lists, totals):
         divisor = len(tokens) + 1 if count_end_token else len(tokens)
         records.append(SelectionRecord(" ".join(tokens), len(tokens), total,
                                        total / divisor, tuple(hits)))
     return sorted(records, key=lambda r: r.normalized)
 
 
-def match_lexicon(sentences: Sequence[Sequence[str]],
-                  lexicon: Iterable[str]) -> list[list[str]]:
+def match_lexicon(sentences: Sequence[Sequence[str]], lexicon: Iterable[str],
+                  chunk: int = 1024) -> list[list[str]]:
     """Case-insensitive contiguous token-sequence matching.
 
     Multiword terms match token runs.  Each sentence's hits list every
     term once, ordered by (first start position, term); terms that
     differ only in case or inner whitespace are reported separately, as
-    given.  The terms are indexed by width, so a sentence of n tokens
-    costs O(n) lookups per distinct term width, whatever the number of
-    terms.
+    given.  Each distinct token is lowercased and looked up once.  The
+    terms form one trie of sorted prefix keys, and the windows of each
+    `chunk` sentences' id stream walk it in one array pass per column,
+    each keeping only the windows that still begin some term; so the
+    cost grows with the tokens and the longest term, not with the
+    number of terms.
     """
-    by_width: dict[int, dict[tuple[str, ...], list[str]]] = {}
-    for term in lexicon:
-        if term.strip():
-            parts = tuple(term.lower().split())
-            by_width.setdefault(len(parts), {}).setdefault(parts, []).append(term)
-    results = []
-    for sentence in sentences:
-        lowered = [t.lower() for t in sentence]
-        first: dict[str, int] = {}
-        for width, index in by_width.items():
-            for start in range(len(lowered) - width + 1):
-                for term in index.get(tuple(lowered[start:start + width]), ()):
-                    first.setdefault(term, start)
-        results.append(sorted(first, key=lambda term: (first[term], term)))
+    terms = sorted({term for term in lexicon if term.strip()})
+    parts = [term.lower().split() for term in terms]
+    words = {word: i for i, word in enumerate(sorted(set(chain.from_iterable(parts))), start=1)}
+    radix, width = len(words) + 1, np.array([len(p) for p in parts], np.int64)
+    # Per column: the sorted keys (number of the prefix before it, id) of the
+    # terms' prefixes, and per key the terms that end there, as a range of
+    # `ending`.  A term's number is its rank in `terms`.
+    trie, prefix = [], np.zeros(len(parts), np.int64)
+    for column in range(width.max(initial=0)):
+        longer = width > column
+        ids = np.array([words[p[column]] for p in parts if len(p) > column], np.int64)
+        keys, prefix[longer] = np.unique(prefix[longer] * radix + ids, return_inverse=True)
+        ending = np.flatnonzero(width == column + 1)
+        ending = ending[np.argsort(prefix[ending], kind="stable")]
+        count = np.bincount(prefix[ending], minlength=len(keys))
+        trie.append((keys, ending, np.cumsum(count) - count, count))
+    token_ids: dict[str, int] = {}  # token -> id of its lowercased form as a term word, or 0
+    results: list[list[str]] = []
+    for begin in range(0, len(sentences), chunk):
+        part = sentences[begin:begin + chunk]
+        flat = list(chain.from_iterable(part))
+        for token in set(flat).difference(token_ids):
+            token_ids[token] = words.get(token.lower(), 0)
+        stream = np.fromiter(map(token_ids.__getitem__, flat), np.int64, len(flat))
+        lengths = np.fromiter(map(len, part), np.int64, len(part))
+        ends = np.cumsum(lengths)
+        sentence = np.repeat(np.arange(len(part)), lengths)
+        left = np.repeat(ends, lengths) - np.arange(len(flat))  # tokens from here to the end
+        at = np.flatnonzero(stream)  # the windows still in the trie, by start
+        code = np.zeros(len(at), np.int64)
+        hits = [(np.zeros(0, np.int64),) * 3]  # (sentence, start, term number) per hit
+        for column, (keys, ending, first, count) in enumerate(trie):
+            inside = left[at] > column
+            key = code[inside] * radix + stream[at[inside] + column]
+            code = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            match = keys[code] == key
+            at, code = at[inside][match], code[match]
+            # each sentence's first window that is a whole run, then that run's terms
+            whole = np.flatnonzero(count[code])
+            _, once = np.unique(sentence[at[whole]] * len(keys) + code[whole], return_index=True)
+            hit = code[whole[once]]
+            n = count[hit]
+            term = ending[np.repeat(first[hit] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+            start = np.repeat(at[whole[once]], n)
+            hits.append((sentence[start], start - (ends - lengths)[sentence[start]], term))
+        which, start, term = (np.concatenate(column) for column in zip(*hits))
+        names = [terms[i] for i in term[np.lexsort((term, start, which))].tolist()]
+        bounds = np.cumsum(np.bincount(which, minlength=len(part))).tolist()
+        results += [names[a:b] for a, b in zip([0, *bounds], bounds)]
     return results

@@ -1050,6 +1050,39 @@ def test_lexicon_match_to_stdout_keeps_the_summary_off_it(workdir, capsys):
     assert capsys.readouterr() == ("1 of 2 sentences contain lexicon terms\n", "")
 
 
+def test_a_lexicon_term_holding_a_tab_keeps_every_output_row_whole(workdir):
+    (workdir / "corpus.txt").write_text("the cat sat here today\n" * 5, encoding="utf-8")
+    (workdir / "cands.txt").write_text("Wah lao eh so kiasu\nthe cat sat here\n",
+                                       encoding="utf-8")
+    (workdir / "lex.txt").write_text("wah\tlao\n  Kiasu \n", encoding="utf-8")
+    assert run("lm-train", "--corpus", workdir / "corpus.txt", "--order", 2,
+               "--out", workdir / "lm.json") == 0
+    assert run("lm-rank", "--lm", workdir / "lm.json", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt", "--min-len", 1,
+               "--out", workdir / "ranked.tsv") == 0
+    assert run("lexicon-match", "--input", workdir / "cands.txt",
+               "--lexicon", workdir / "lex.txt", "--out", workdir / "hits.tsv") == 0
+    ranked = [row.split("\t") for row in (workdir / "ranked.tsv").read_text().splitlines()]
+    hits = [row.split("\t") for row in (workdir / "hits.tsv").read_text().splitlines()]
+    assert [len(row) for row in ranked] == [6, 6] and [len(row) for row in hits] == [2, 2]
+    assert sorted(row[4] for row in ranked) == ["", "wah lao,kiasu"]
+    assert hits[0] == ["wah lao,kiasu", "Wah lao eh so kiasu"]
+
+
+def test_a_lexicon_term_holding_a_comma_is_refused_with_its_line(workdir, capsys):
+    (workdir / "cands.txt").write_text("wah lao eh\n", encoding="utf-8")
+    (workdir / "lex.txt").write_text("kiasu\n\nwah, lao\n", encoding="utf-8")
+    assert run("lm-train", "--corpus", workdir / "cands.txt", "--order", 2,
+               "--out", workdir / "lm.json") == 0
+    capsys.readouterr()
+    for argv in (["lm-rank", "--lm", workdir / "lm.json", "--out", workdir / "ranked.tsv"],
+                 ["lexicon-match", "--out", workdir / "hits.tsv"]):
+        assert run(*argv, "--input", workdir / "cands.txt", "--lexicon", workdir / "lex.txt") == 2
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'lex.txt'}:3: a lexicon term cannot hold a comma\n")
+    assert not (workdir / "ranked.tsv").exists() and not (workdir / "hits.tsv").exists()
+
+
 SELECT_WORDS = ["lah", "makan", "kiasu", "wah", "lao", "the", "cat", "sat", "naïve",
                 "n3'er", '"', "<s>", "</s>", "<unk>", "shiok", "can", "one", "diam"]
 

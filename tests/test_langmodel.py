@@ -17,6 +17,7 @@ from stackparse.langmodel import (
     EOS,
     UNK,
     NgramLM,
+    _distinct,
     _estimate_discounts,
     _sentence_logprobs,
     match_lexicon,
@@ -24,7 +25,7 @@ from stackparse.langmodel import (
     sentence_logprob,
     train_ngram_lm,
 )
-from util import lm_contexts, lm_discounts, lm_tables, pack
+from util import lm_contexts, lm_discounts, lm_distinct, lm_tables, pack
 
 
 def perplexity(lm, corpus):
@@ -129,6 +130,20 @@ def test_train_rejects_empty_corpus_and_bad_order():
         train_ngram_lm([[]], order=2)
     with pytest.raises(ValueError):
         train_ngram_lm([["a"]], order=0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 6), st.sampled_from([3, 70_000, 2 ** 31]),
+       st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_packed_keys_count_the_rows_the_rank_chain_counts(k, radix, n, seed):
+    """A key packs every column at radix 3, is ranked again once before
+    column 4 at 70,000, and before every column from the third at 2**31."""
+    rng = np.random.default_rng(seed)
+    values = np.unique(np.concatenate([[0, 1, radix - 2, radix - 1],
+                                       rng.integers(0, radix, 4)]))
+    rows = values[rng.integers(0, len(values), (n, k))].astype(np.int32)
+    got, expected = _distinct(rows, radix), lm_distinct(rows, radix)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, expected))
 
 
 # -- sentence scoring -----------------------------------------------------------------
@@ -292,27 +307,33 @@ def test_lexicon_index_edge_cases():
     assert match_lexicon([sentence], lexicon) == expected
 
 
-_tokens = st.sampled_from(["a", "A", "b", "B", "ab", "lah", "LAH"])
+# with case pairs whose lowercase is longer (İ), titlecase (ǅ) or takes a
+# final sigma (ΣΑΣ -> σας)
+_tokens = st.sampled_from(["a", "A", "b", "B", "ab", "lah", "LAH", "İ", "i̇", "i",
+                           "ǅ", "ǆ", "Ǆ", "ΣΑΣ", "σας", "σασ"])
 _spaces = st.sampled_from([" ", "  ", "\t", " \n "])
 
 
 @st.composite
 def _terms(draw):
-    words = draw(st.lists(_tokens, max_size=4))
+    words = draw(st.lists(_tokens, max_size=5))
     gaps = draw(st.lists(_spaces, min_size=len(words) + 1, max_size=len(words) + 1))
     if not draw(st.booleans()):
         gaps[0] = gaps[-1] = ""
     return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_tokens, max_size=8), max_size=4),
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.lists(_tokens, max_size=8), max_size=7),
        st.lists(_terms(), max_size=8).flatmap(
-           lambda terms: st.permutations(terms + terms[:2])))
-@example([["a", "b"]], ["a b c"])       # term longer than the sentence
-@example([["a", "b", "a"]], ["a", "A", " ", "a", "a b"])
-def test_lexicon_index_matches_brute_force_scan(sentences, lexicon):
-    assert match_lexicon(sentences, lexicon) == scan_lexicon(sentences, lexicon)
+           lambda terms: st.permutations(terms + terms[:2])),
+       st.integers(1, 3))
+@example([["a", "b"]], ["a b c"], 1024)       # term longer than the sentence
+@example([["a", "b", "a"]], ["a", "A", " ", "a", "a b"], 1024)
+@example([[], ["ΣΑΣ", "İ"], [], ["a"] * 5], ["σας i̇", "A A a a a", "ǆ"], 2)
+def test_lexicon_index_matches_brute_force_scan(sentences, lexicon, chunk):
+    """Chunks smaller than the pool split it in several array passes."""
+    assert match_lexicon(sentences, lexicon, chunk) == scan_lexicon(sentences, lexicon)
 
 
 def test_rank_with_lexicon_fills_hits():

@@ -1,11 +1,12 @@
 """Shared test helpers: sentence builders, random valid trees, and the
 references that only tests use: a seeded corpus splitter, a
 finite-difference gradient checker, an n-gram model's adjusted-count
-tables and discounts, a stacked model's every parameter, a tagger's
-hidden states, an embeddings-file writer, the sigmoid, transpose and
-masked log-sum-exp tape ops, the one-sequence LSTM recurrence that the
-batched one is held to, and the environment of a child Python whose
-OpenBLAS reads chosen thread variables."""
+tables and discounts, the rank chain that counted n-grams before packed
+keys, a stacked model's every parameter, a tagger's hidden states, an
+embeddings-file writer, the sigmoid, transpose and masked log-sum-exp
+tape ops, the one-sequence LSTM recurrence that the batched one is held
+to, and the environment of a child Python whose OpenBLAS reads chosen
+thread variables."""
 
 from __future__ import annotations
 
@@ -82,6 +83,16 @@ def lm_discounts(lm) -> list[tuple[float, float, float]]:
 def lm_contexts(lm, k: int) -> set[tuple[str, ...]]:
     """The observed (k-1)-token contexts of an n-gram model at order k."""
     return {gram[:-1] for gram in lm_tables(lm)[k - 1]}
+
+
+def lm_distinct(rows: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank chain that `langmodel._distinct` replaced, kept as its
+    reference: each column re-ranks the rows by one `np.unique`."""
+    rank = np.zeros(len(rows), np.int64)
+    for column in rows.T:
+        _, rank = np.unique(rank * radix + column, return_inverse=True)
+    _, first, counts = np.unique(rank, return_index=True, return_counts=True)
+    return rows[first], counts
 
 
 def pack(values, code: str) -> str:
