@@ -19,7 +19,10 @@ forward cell first.  A weight's first gradient of a training step is the
 exception: each BPTT writes dW_x and dW_h straight into the weight's slot
 of `fit`'s flat gradient buffer, and the calling thread binds them after
 the join.  `batched` cuts inference's sentences into length-sorted
-batches under a fixed budget of padded tokens, which bounds the state.
+batches under a fixed budget of padded tokens, which bounds the state,
+and runs a token-balanced share of them on each core, all but one in
+forked processes (see `worker`), where both directions run on the one
+thread of their process.
 
 Two cell variants are provided:
 
@@ -33,11 +36,12 @@ Two cell variants are provided:
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
-from . import init
+from . import init, worker
 from .tensor import Tensor, _accumulate, _check_finite, _grad_out, _result, _sigmoid, parameter
 from .worker import in_parallel
 
@@ -301,14 +305,38 @@ def bilstm_encode(layers, xs: list[Tensor]) -> list[Tensor]:
 def batched(run, items: Sequence) -> list:
     """`run(batch)` over `items` in batches sorted longest first (by
     `len`), each with at most BATCH_TOKENS padded tokens or a single item;
-    run's per-item results, in input order."""
+    run's per-item results, in input order.
+
+    The items are dealt, longest first, each to the share with the fewest
+    tokens so far, one share per core `worker.cores()` allows; each share
+    but the first runs its batches in a forked child (`in_processes`), so
+    `run`'s results must pickle and its side effects on this process's
+    state happen for the first share only.  A sentence's bits do not
+    depend on its batch (see `_recur`), so the results are those of one
+    share."""
     order = sorted(range(len(items)), key=lambda i: -len(items[i]))
+    shares = [[] for _ in range(max(1, min(len(items), worker.cores())))]
+    tokens = [0] * len(shares)
+    for i in order:
+        k = tokens.index(min(tokens))
+        shares[k].append(i)
+        tokens[k] += len(items[i])
     results = [None] * len(items)
+    for share, share_results in zip(shares, worker.in_processes(
+            [functools.partial(_run_batches, run, items, share) for share in shares])):
+        for i, result in zip(share, share_results):
+            results[i] = result
+    return results
+
+
+def _run_batches(run, items: Sequence, order: list[int]) -> list:
+    """run's per-item results over `items[order]`, cut from the front of
+    `order` (longest first) into batches of at most BATCH_TOKENS padded
+    tokens or a single item."""
+    results = []
     start = 0
     while start < len(order):
         stop = start + max(1, BATCH_TOKENS // max(1, len(items[order[start]])))
-        batch = order[start:stop]
-        for i, result in zip(batch, run([items[i] for i in batch])):
-            results[i] = result
+        results += run([items[i] for i in order[start:stop]])
         start = stop
     return results

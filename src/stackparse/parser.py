@@ -44,7 +44,7 @@ class ParserForward:
     arc_head: nc.Tensor    # (n+1, d_arc)
     rel_dep: nc.Tensor     # (n+1, d_rel)
     rel_head: nc.Tensor    # (n+1, d_rel)
-    arc_scores: nc.Tensor  # (n+1, n+1), diagonal unmasked
+    arc_scores: nc.Tensor | None  # (n+1, n+1), diagonal unmasked; None: not computed
 
 
 _MLP_HEADS = ("arc_dep", "arc_head", "rel_dep", "rel_head")
@@ -158,23 +158,27 @@ class ParserModel:
         return self.forward_batch([(forms, upos_tags)], rng)[0]
 
     def forward_batch(self, batch: Sequence[tuple[Sequence[str], Sequence[str]]],
-                      rng: np.random.Generator | None = None) -> list[ParserForward]:
+                      rng: np.random.Generator | None = None,
+                      arcs: bool = True) -> list[ParserForward]:
         """Each (forms, tags) sentence's forward, its bi-LSTM run in one
         batched encode, with dropout masks drawn from `rng` when one is
         given: the input masks, then per sentence the recurrent and head
         masks.  A stacked parser first runs its base's batched forward
-        without dropout."""
+        without dropout and without the arc scores (`arcs=False` leaves
+        them None), which it does not read."""
         if any(not forms for forms, _ in batch):
             raise ValueError("cannot parse an empty sentence")
-        bases = [None] * len(batch) if self.base is None else self.base.forward_batch(batch)
+        bases = ([None] * len(batch) if self.base is None
+                 else self.base.forward_batch(batch, arcs=False))
         xs = [self.input_vectors(forms, tags, rng, base)
               for (forms, tags), base in zip(batch, bases)]
-        return [self._heads(recurrent, base, rng)
+        return [self._heads(recurrent, base, rng, arcs)
                 for recurrent, base in zip(nc.bilstm_encode(self.lstm_layers, xs), bases)]
 
     def _heads(self, recurrent: nc.Tensor, base: ParserForward | None,
-               rng: np.random.Generator | None) -> ParserForward:
-        """MLP heads and arc scores over one sentence's bi-LSTM outputs."""
+               rng: np.random.Generator | None, arcs: bool) -> ParserForward:
+        """MLP heads, and arc scores if `arcs`, over one sentence's bi-LSTM
+        outputs."""
         recurrent = nc.dropout(recurrent, self.dropout, rng)
         heads = []
         for name in _MLP_HEADS:
@@ -182,7 +186,9 @@ class ParserModel:
             out = nc.dropout(nc.leaky_relu(nc.linear(recurrent, w, b)), self.dropout, rng)
             heads.append(out if base is None else out + getattr(base, name))
         arc_dep, arc_head, rel_dep, rel_head = heads
-        arc_scores = nc.linear(nc.matmul(_with_ones(arc_dep), self.u_arc), arc_head)
+        arc_scores = None
+        if arcs:
+            arc_scores = nc.linear(nc.matmul(_with_ones(arc_dep), self.u_arc), arc_head)
         return ParserForward(recurrent, arc_dep, arc_head, rel_dep, rel_head, arc_scores)
 
     def label_scores(self, rel_dep: nc.Tensor, rel_head: nc.Tensor,

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -21,12 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackparse import cli
+from stackparse import numcore as nc
 from stackparse import parser as parser_module
 from stackparse.cli import main
 from stackparse.config import RunConfig, load_config, parse_config_text
 from stackparse.embeddings import PretrainedEmbeddings, load_embeddings
 from stackparse.modelio import _alignment_extra, crc32_combine, load_model, save_model
 from stackparse.numcore import lstm as lstm_module
+from stackparse.numcore import worker
 from stackparse.parser import ParserModel
 from stackparse.parser import parse as parse_model_fn
 from stackparse.stacking import StackedParser, StackedTagger, train_stacked_parser
@@ -389,40 +394,45 @@ def test_train_commands_call_the_traced_trainers(workdir):
     assert (names["tagger.train"], names["parser.train"], names["stacking.train"]) == (1, 1, 2)
 
 
-def test_tag_and_parse_commands_call_the_traced_functions(workdir):
+def test_tag_and_parse_commands_call_the_traced_functions(workdir, monkeypatch):
     # The commands encode a file in batches through the traced
     # `bilstm_encode`, once per model and batch, and decode each sentence
     # through the traced decoders.  They do not pass through the
     # one-sentence `tagger.tag`, `StackedTagger.tag` and `parser.parse`, so
     # those spans read zero here; a path that bypassed the encoder's span
-    # would zero `numcore.bilstm`.
+    # would zero `numcore.bilstm`.  The tracer records this process only:
+    # with two shares, the three equal-length sentences are dealt two here
+    # and one to a forked child.
     for kind in ("tagger", "stacked-tagger", "parser", "stacked-parser"):
         save_model(str(workdir / f"{kind}.model"), archive_model(kind))
     spans = _bench_spans()
-    calls = {}
-    for kind, command in [("tagger", "tag"), ("stacked-tagger", "tag"),
-                          ("parser", "parse"), ("stacked-parser", "parse")]:
-        tracer = spans.Tracer()
-        tracer.install()
-        tracer.recording = True
-        try:
-            assert run(command, "--model", workdir / f"{kind}.model", "--input",
-                       workdir / "tb.conllu", "--out", workdir / f"{kind}.conllu") == 0
-        finally:
-            tracer.uninstall()
-        names = Counter(span[0] for span in tracer.spans)
-        calls[kind] = tuple(names[name] for name in (
-            "tagger.tag", "stacking.tag", "parser.parse", "numcore.bilstm", "tagger.viterbi",
-            "parser.decode_greedy"))
-    # three sentences, one batch; a stacked model encodes its base's batch first
-    assert calls == {"tagger": (0, 0, 0, 1, 3, 0), "stacked-tagger": (0, 0, 0, 2, 3, 0),
-                     "parser": (0, 0, 0, 1, 0, 3), "stacked-parser": (0, 0, 0, 2, 0, 3)}
+    for shares, n in ((1, 3), (2, 2)):
+        monkeypatch.setattr(worker, "cores", lambda: shares)
+        calls = {}
+        for kind, command in [("tagger", "tag"), ("stacked-tagger", "tag"),
+                              ("parser", "parse"), ("stacked-parser", "parse")]:
+            tracer = spans.Tracer()
+            tracer.install()
+            tracer.recording = True
+            try:
+                assert run(command, "--model", workdir / f"{kind}.model", "--input",
+                           workdir / "tb.conllu", "--out", workdir / f"{kind}.conllu") == 0
+            finally:
+                tracer.uninstall()
+            names = Counter(span[0] for span in tracer.spans)
+            calls[kind] = tuple(names[name] for name in (
+                "tagger.tag", "stacking.tag", "parser.parse", "numcore.bilstm",
+                "tagger.viterbi", "parser.decode_greedy"))
+        # one batch in this process; a stacked model encodes its base's batch first
+        assert calls == {"tagger": (0, 0, 0, 1, n, 0), "stacked-tagger": (0, 0, 0, 2, n, 0),
+                         "parser": (0, 0, 0, 1, 0, n), "stacked-parser": (0, 0, 0, 2, 0, n)}
 
 
 def test_tag_and_parse_of_a_file_match_each_sentence_alone(workdir, monkeypatch):
     """The commands encode length-sorted batches, cut small here so that the
-    file takes several, and write what the one-sentence `tag` and `parse`
-    give each sentence, byte for byte, in input order."""
+    file takes several, in one share or dealt into shares run in forked
+    processes, and write what the one-sentence `tag` and `parse` give each
+    sentence, byte for byte, in input order."""
     monkeypatch.setattr(lstm_module, "BATCH_TOKENS", 12)
     rng = np.random.default_rng(11)
     sentences = [random_tree_sentence(rng, n) for n in (3, 1, 7, 3, 5, 12, 2, 7, 4)]
@@ -441,7 +451,8 @@ def test_tag_and_parse_of_a_file_match_each_sentence_alone(workdir, monkeypatch)
                 cases.append((["parse", "--decoder", decoder],
                               [s.with_tree(r.heads, r.deprels)
                                for s, r in zip(sentences, results)]))
-        for argv, expected in cases:
+        for (argv, expected), shares in itertools.product(cases, (1, 2, 3)):
+            monkeypatch.setattr(worker, "cores", lambda: shares)
             assert run(*argv, "--model", path, "--input", workdir / "many.conllu",
                        "--out", workdir / "out.conllu") == 0
             assert (workdir / "out.conllu").read_bytes() == write_conllu(expected).encode("utf-8")
@@ -1414,6 +1425,55 @@ def test_running_out_of_memory_is_one_error_line(workdir, capsys, monkeypatch):
     assert run("parse", "--model", workdir / "p.model", "--input", workdir / "tb.conllu",
                "--out", workdir / "out.conllu") == 2
     assert capsys.readouterr().err == "error: input too large: MemoryError\n"
+
+
+def _raise(error):
+    raise error
+
+
+def _recurse():
+    return _recurse() + 1
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("command", ["tag", "parse"])
+@pytest.mark.parametrize("fail, line", [
+    (functools.partial(_raise, ValueError("cannot parse an empty sentence")),
+     "error: cannot parse an empty sentence"),
+    (functools.partial(_raise, nc.NonFiniteError("linear produced NaN or Inf values")),
+     "error: numerical failure: linear produced NaN or Inf values"),
+    (_recurse, "error: input too large: RecursionError"),
+    (functools.partial(_raise, MemoryError()), "error: input too large: MemoryError"),
+    (_kill_self, "error: worker process {pid} was killed by signal 9 before sending its result"),
+], ids=["ValueError", "NonFiniteError", "RecursionError", "MemoryError", "SIGKILL"])
+def test_a_failure_in_a_worker_process_is_one_error_line(workdir, capsys, monkeypatch,
+                                                         command, fail, line):
+    """A share that fails in a forked child fails the command as it would
+    here: one `error:` line, exit code 2, no output file, no child left."""
+    save_model(str(workdir / "m.model"), archive_model("tagger" if command == "tag" else "parser"))
+    parent, batched = os.getpid(), nc.batched
+
+    def failing_in_children(run, items):
+        def failing_run(batch):
+            if os.getpid() != parent:
+                fail()
+            return run(batch)
+        return batched(failing_run, items)
+
+    monkeypatch.setattr(worker, "cores", lambda: 2)
+    monkeypatch.setattr(nc, "batched", failing_in_children)
+    code = run(command, "--model", workdir / "m.model", "--input", workdir / "tb.conllu",
+               "--out", workdir / "out.conllu")
+    err = capsys.readouterr().err
+    assert code == 2
+    prefix, _, suffix = line.partition("{pid}")
+    assert err.startswith(prefix) and err.endswith(suffix + "\n") and err.count("\n") == 1
+    assert not (workdir / "out.conllu").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_deterministic_pipeline_same_seed(workdir):

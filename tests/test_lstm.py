@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from stackparse import cli
 from stackparse import numcore as nc
 from stackparse.numcore import COUPLED, PEEPHOLE, LstmCell, Tensor, bilstm_encode
 from stackparse.numcore import lstm as lstm_module
+from stackparse.numcore import worker
 from stackparse.parser import ParserModel
 from stackparse.stacking import StackedParser
 from stackparse.tagger import TaggerModel
+from stackparse.treebank import ConlluError
 from util import (all_parameters, blas_env, grad_check, make_sentence, recur_one, sigmoid,
                   tagger_hidden)
 
@@ -625,18 +629,198 @@ def test_batched_encode_equals_each_sequence_alone(one_blas_thread, variant):
     assert bilstm_encode(layers, []) == []
 
 
+def _shares(n):
+    """`batched` deals its items into `n` shares, all but the first run in
+    forked children, whatever cores and threads this process has."""
+    return mock.patch.object(worker, "cores", lambda: n)
+
+
+def _dealt(lengths, shares):
+    """Token totals of the shares `batched` deals `lengths` into: longest
+    first, each to the share with the fewest tokens so far."""
+    totals = [0] * max(1, min(shares, len(lengths)))
+    for n in sorted(lengths, reverse=True):
+        totals[totals.index(min(totals))] += n
+    return totals
+
+
 @pytest.mark.parametrize("lengths", [[3, 1, 4, 1, 5, 9, 2, 6], [1], [20, 2, 2], []])
 def test_batched_cuts_length_sorted_batches_under_the_token_budget(monkeypatch, lengths):
+    # `run` is called in the process that runs its share, so each result
+    # names its process, its call there and its batch; the budget, the
+    # order and the cuts hold within each share.
     monkeypatch.setattr(lstm_module, "BATCH_TOKENS", 10)
     items = [[i] * n for i, n in enumerate(lengths)]
-    batches = []
+    for shares in (1, 2, 3):
+        calls = []
+
+        def run(batch):
+            calls.append(batch)
+            return [(item[0], os.getpid(), len(calls), [len(x) for x in batch])
+                    for item in batch]
+
+        with _shares(shares):
+            results = nc.batched(run, items)
+        assert [i for i, *_ in results] == list(range(len(items)))
+        processes = {}
+        for _, pid, call, batch in results:
+            processes.setdefault(pid, {})[call] = batch
+        assert len(processes) == min(shares, len(items))
+        assert len(calls) == len(processes.get(os.getpid(), ()))  # this process's own share
+        totals = []
+        for pid, by_call in processes.items():
+            batches = [by_call[call] for call in sorted(by_call)]
+            share = [n for batch in batches for n in batch]
+            assert share == sorted(share, reverse=True)
+            assert all(len(b) * b[0] <= 10 or len(b) == 1 for b in batches)
+            # a cut is made only where the next item would break the budget
+            assert all((len(b) + 1) * b[0] > 10 for b in batches[:-1])
+            totals.append(sum(share))
+            if pid == os.getpid():  # this process runs the share with the longest item
+                assert share[0] == max(lengths)
+        assert sorted(totals) == (sorted(_dealt(lengths, shares)) if items else [])
+        assert sum(len(by_call[c]) for by_call in processes.values() for c in by_call) \
+            == len(items)
+        _no_children_left()
+
+
+_SHARE_LAYERS = {variant: random_layers(variant, 3, 20, 2, np.random.default_rng(23))
+                 for variant in (PEEPHOLE, COUPLED)}
+
+
+# 20 units make 60 or 80 rows of W_h: a 64-row block and a tail, or none.
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=40), st.sampled_from([2, 3]),
+       st.sampled_from([PEEPHOLE, COUPLED]))
+@example([17], 2, COUPLED)
+@example([9] * 11, 3, PEEPHOLE)
+@example([60] * 40, 2, COUPLED)
+def test_batched_shares_give_the_in_process_results_bit_for_bit(one_blas_thread, lengths,
+                                                               shares, variant):
+    layers = _SHARE_LAYERS[variant]
+    items = [np.random.default_rng(i).standard_normal((n, 3)) for i, n in enumerate(lengths)]
 
     def run(batch):
-        batches.append([len(item) for item in batch])
-        return [item[0] for item in batch]
+        with nc.no_grad():
+            return [out.data for out in bilstm_encode(layers, [Tensor(x) for x in batch])]
 
-    assert nc.batched(run, items) == list(range(len(items)))
-    assert [n for batch in batches for n in batch] == sorted(lengths, reverse=True)
-    assert all(len(b) * b[0] <= 10 or len(b) == 1 for b in batches)
-    # a cut is made only where the next item would break the budget
-    assert all((len(b) + 1) * b[0] > 10 for b in batches[:-1])
+    with _shares(1):
+        alone = nc.batched(run, items)
+    with _shares(shares):
+        split = nc.batched(run, items)
+    assert len(split) == len(items)
+    assert all(np.array_equal(a, b) for a, b in zip(alone, split))
+    _no_children_left()
+
+
+# -- shares in forked processes ------------------------------------------------------------
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class LineError(ValueError):
+    """An error whose `__init__` takes other arguments than its args, which
+    pickle alone cannot rebuild."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def _recurse(depth=0):
+    return _recurse(depth + 1) + 1
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("cannot parse an empty sentence"),
+    nc.NonFiniteError("bilstm_encode produced NaN or Inf values (input shapes (3, 2))"),
+    MemoryError(),
+    RecursionError,
+    LineError(7, "no such token"),
+    ConlluError(3, "expected 10 tab-separated fields"),
+], ids=lambda error: getattr(error, "__name__", type(error).__name__))
+def test_an_error_in_a_child_is_raised_here_with_its_type_and_message(error):
+    parent = os.getpid()
+
+    def run(batch):
+        if os.getpid() != parent:
+            if error is RecursionError:
+                _recurse()
+            raise error
+        return [len(item) for item in batch]
+
+    with _shares(2), pytest.raises(Exception if error is RecursionError else type(error)) as got:
+        nc.batched(run, [[1, 2], [3]])
+    if error is RecursionError:
+        assert type(got.value) is RecursionError
+        assert "maximum recursion depth" in str(got.value)
+    else:
+        assert type(got.value) is type(error)
+        assert str(got.value) == str(error) and vars(got.value) == vars(error)
+    _no_children_left()
+
+
+def test_a_killed_child_is_a_child_process_error():
+    parent = os.getpid()
+
+    def run(batch):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [0] * len(batch)
+
+    with _shares(3), pytest.raises(ChildProcessError, match="killed by signal 9"):
+        nc.batched(run, [[1, 2, 3], [4, 5], [6]])
+    _no_children_left()
+
+
+def test_an_error_here_stops_the_children_at_once():
+    parent = os.getpid()
+
+    def run(batch):
+        if os.getpid() == parent:
+            raise ValueError("here")
+        time.sleep(60)
+        return [0] * len(batch)
+
+    start = time.monotonic()
+    with _shares(3), pytest.raises(ValueError, match="here"):
+        nc.batched(run, [[1, 2, 3], [4, 5], [6]])
+    assert time.monotonic() - start < 30
+    _no_children_left()
+
+
+def test_an_unpicklable_result_is_an_error_here():
+    with _shares(2), pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
+        nc.batched(lambda batch: [lambda: item for item in batch], [[1, 2], [3]])
+    _no_children_left()
+
+
+def test_a_split_forks_only_where_it_is_safe(monkeypatch):
+    from stackparse.numcore.worker import in_parallel
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert worker.cores() == 3
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        assert worker.cores() == 1  # a child would lose the other thread
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    parent = os.getpid()
+
+    def run(batch):  # inside a split: no second split, no helper thread
+        here, there = in_parallel(threading.get_ident, threading.get_ident)
+        return [(os.getpid() == parent, worker.cores(), here == there,
+                 threading.active_count())] * len(batch)
+
+    in_children, here = (False, 1, True, 1), (True, 1, True, 1)
+    assert sorted(nc.batched(run, [[1], [2], [3]])) == [in_children] * 2 + [here]
+    assert nc.batched(run, [[1]]) == [(True, 3, False, 1)]  # one item: no split
+    monkeypatch.delattr(os, "fork")
+    assert worker.cores() == 1
+    _no_children_left()
